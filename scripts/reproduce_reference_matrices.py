@@ -8,18 +8,13 @@ the stored reference values, with per-table maximum absolute deviation.
 import argparse
 
 from hgspdc import reference
-from hgspdc.channel import TurbulenceSpec, derive_constants
-from hgspdc.engine import DEFAULT_ORDERING, probability_matrix
+from hgspdc.channel import TurbulenceSpec
+from hgspdc.engine import build_matrix
 from hgspdc.serialization import format_matrix_table
 
 
 def build(rytov: float):
-    cfg = reference.reference_config()
-    turb = TurbulenceSpec.from_rytov(rytov).resolve(cfg)
-    consts = derive_constants(cfg, turb.gamma)
-    return probability_matrix(DEFAULT_ORDERING, consts,
-                              reference_value=reference.CALIBRATION_REFERENCE,
-                              turbulence=turb)
+    return build_matrix(reference.reference_config(), TurbulenceSpec.from_rytov(rytov))
 
 
 def compare(matrix, golden, decimals):

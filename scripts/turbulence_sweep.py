@@ -8,9 +8,8 @@ Default pairs: the retained (00,00) channel and the leaking (00,01) channel.
 import argparse
 
 from hgspdc import reference
-from hgspdc.channel import TurbulenceSpec, derive_constants
-from hgspdc.engine import ModeIndex, ModePair, joint_probability, parse_mode
-from hgspdc.serialization import sweep_to_csv
+from hgspdc.engine import NORMALIZATION_CALIBRATED, ModePair, parse_mode, rytov_sweep
+from hgspdc.serialization import sweep_params, sweep_to_csv
 
 
 def main():
@@ -21,6 +20,8 @@ def main():
     parser.add_argument("--steps", type=int, default=11)
     parser.add_argument("--output", default="turbulence_sweep.csv")
     args = parser.parse_args()
+    if args.steps < 2:
+        parser.error(f"--steps must be at least 2, got {args.steps}")
 
     pairs = []
     for token in args.pairs.split():
@@ -29,21 +30,9 @@ def main():
     grid = [args.max_rytov * k / (args.steps - 1) for k in range(args.steps)]
 
     cfg = reference.reference_config()
-    anchor = joint_probability(
-        ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), derive_constants(cfg))
-    scale = reference.CALIBRATION_REFERENCE / anchor
+    series = {f"P{p.label()}": v for p, v in zip(pairs, rytov_sweep(cfg, grid, pairs))}
 
-    series = {f"P{p.label()}": [] for p in pairs}
-    for s2 in grid:
-        turb = TurbulenceSpec.from_rytov(s2).resolve(cfg)
-        consts = derive_constants(cfg, turb.gamma)
-        for p in pairs:
-            series[f"P{p.label()}"].append(scale * joint_probability(p, consts))
-
-    text = sweep_to_csv(grid, series, {
-        "wavelength_m": cfg.wavelength, "distance_m": cfg.distance,
-        "pump_waist_m": cfg.pump_waist,
-    })
+    text = sweep_to_csv(grid, series, sweep_params(cfg, NORMALIZATION_CALIBRATED))
     with open(args.output, "w") as fh:
         fh.write(text)
     print(f"wrote {args.output} ({len(grid)} grid points, {len(pairs)} pairs)")

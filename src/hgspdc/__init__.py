@@ -23,10 +23,10 @@ from .channel import (
 from .engine import (
     DEFAULT_MAX_ORDER,
     DEFAULT_ORDERING,
-    DEFAULT_REFERENCE_VALUE,
     ModeIndex,
     ModePair,
     ProbabilityMatrix,
+    build_matrix,
     expand_modes,
     f_kernel,
     joint_probability,
@@ -34,6 +34,7 @@ from .engine import (
     parse_mode,
     pi_factor,
     probability_matrix,
+    rytov_sweep,
     selection_rule_allowed,
     sigma,
 )
@@ -46,7 +47,7 @@ from .errors import (
     RegimeError,
 )
 from .oracle import QuadratureSpec, vacuum_overlap_1d, vacuum_probability_oracle
-from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating, pochhammer
+from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 
 __version__ = "0.1.0"
 
@@ -54,7 +55,6 @@ __all__ = [
     "CalibrationError",
     "DEFAULT_MAX_ORDER",
     "DEFAULT_ORDERING",
-    "DEFAULT_REFERENCE_VALUE",
     "DEFAULT_STRENGTH_COEFF",
     "DEFAULT_W_VARIANT",
     "DerivedConstants",
@@ -72,6 +72,7 @@ __all__ = [
     "STRENGTH_COEFF_CALIBRATED",
     "STRENGTH_COEFF_TEXTBOOK",
     "TurbulenceSpec",
+    "build_matrix",
     "derive_constants",
     "expand_modes",
     "f_kernel",
@@ -82,8 +83,8 @@ __all__ = [
     "k_kernel",
     "parse_mode",
     "pi_factor",
-    "pochhammer",
     "probability_matrix",
+    "rytov_sweep",
     "rytov_to_cn2",
     "rytov_variance",
     "selection_rule_allowed",

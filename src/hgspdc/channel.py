@@ -165,10 +165,9 @@ class ResolvedTurbulence:
 class DerivedConstants:
     """The complete constant cascade feeding the overlap kernels.
 
-    a1..a3, b1..b4, c1..c4 are the quadratic-form coefficients of the
+    a2, a3, b1..b4, c1..c4 are the quadratic-form coefficients of the
     ensemble-averaged detection integral (units 1/m^2 except the
-    dimensionless c4); zeta is the complex Fresnel squeeze factor. a1 is
-    carried for completeness although the printed kernels never use it.
+    dimensionless c4); zeta is the complex Fresnel squeeze factor.
     """
 
     wavelength: float   # [m]
@@ -180,7 +179,6 @@ class DerivedConstants:
     w_variant: str
     zeta: complex
     gamma: float
-    a1: complex
     a2: complex
     a3: float
     b1: float
@@ -219,7 +217,6 @@ def derive_constants(
     b2 = u * (1 / lam0 - gamma - 1j)
     b3 = u * (1 / (2 * lam0) + gamma - 1j)
     b4 = u * (1 / lam0 + 2 * gamma)
-    a1 = (k / (4 * z)) * (lam0 / (1 + lam0 ** 2) - 1j)
     a2 = -b2 ** 2 / (4 * b1) + b3 + u * lam0 / (1 + lam0 ** 2)
     a3 = -abs(b2) ** 2 / (2 * b1) + b4
     c1 = a2.real - a3 / 2
@@ -242,6 +239,6 @@ def derive_constants(
     return DerivedConstants(
         wavelength=cfg.wavelength, distance=z, k=k, lambda0=lam0,
         w0=w0, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
-        a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, b3=b3, b4=b4,
+        a2=a2, a3=a3, b1=b1, b2=b2, b3=b3, b4=b4,
         c1=c1, c2=c2, c3=c3, c4=c4,
     )

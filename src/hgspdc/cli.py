@@ -11,27 +11,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import reference, serialization, validate
-from .channel import (
-    DEFAULT_STRENGTH_COEFF,
-    DEFAULT_W_VARIANT,
-    OpticalConfig,
-    TurbulenceSpec,
-    derive_constants,
-)
+from .channel import OpticalConfig, TurbulenceSpec
 from .engine import (
     DEFAULT_ORDERING,
     ModeIndex,
     ModePair,
     NORMALIZATION_CALIBRATED,
     NORMALIZATION_RAW,
+    build_matrix,
     expand_modes,
-    joint_probability,
     parse_mode,
-    probability_matrix,
+    rytov_sweep,
     selection_rule_allowed,
 )
 from .errors import DomainError, NumericalError
@@ -62,20 +56,7 @@ class RunConfig:
         return OpticalConfig(self.wavelength, self.distance, self.pump_waist)
 
     def turbulence(self) -> TurbulenceSpec:
-        if self.cn2 is not None and self.rytov is not None:
-            raise DomainError("give either --cn2 or --rytov, not both")
-        if self.cn2 is not None:
-            return TurbulenceSpec.from_cn2(self.cn2)
-        if self.rytov is not None:
-            return TurbulenceSpec.from_rytov(self.rytov)
-        return TurbulenceSpec.vacuum()
-
-
-@dataclass
-class SweepResult:
-    grid: list[float]
-    series: dict[str, list[float]]
-    params: dict = field(default_factory=dict)
+        return TurbulenceSpec(cn2=self.cn2, rytov=self.rytov)
 
 
 def _read_config_file(path: str) -> dict:
@@ -151,8 +132,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
     normalize = pick("normalize", str)
     if normalize is not None:
-        if normalize not in (NORMALIZATION_RAW, NORMALIZATION_CALIBRATED):
-            raise DomainError(f"unknown normalization {normalize!r}")
         cfg.normalization = normalize
     fmt = pick("format", str)
     if fmt is not None:
@@ -173,13 +152,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _compute_matrix(cfg: RunConfig):
-    optical = cfg.optical()
-    turb = cfg.turbulence().resolve(optical)
-    consts = derive_constants(optical, turb.gamma)
-    return probability_matrix(
-        cfg.modes, consts, normalization=cfg.normalization,
-        reference_value=reference.CALIBRATION_REFERENCE, turbulence=turb,
-    )
+    return build_matrix(cfg.optical(), cfg.turbulence(), cfg.modes,
+                        normalization=cfg.normalization)
 
 
 def cmd_matrix(cfg: RunConfig) -> int:
@@ -198,38 +172,12 @@ def cmd_matrix(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, grid: list[float], pairs: list[ModePair]) -> int:
-    if not grid:
-        raise DomainError("sweep grid is empty")
-    if any(g < 0 for g in grid):
-        raise DomainError("sweep grid values must be >= 0")
-    if list(grid) != sorted(grid):
-        raise DomainError("sweep grid must be ascending")
     optical = cfg.optical()
-    vac = derive_constants(optical)
-    anchor = joint_probability(ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), vac)
-    series: dict[str, list[float]] = {f"P{p.label()}": [] for p in pairs}
-    for s2 in grid:
-        turb = TurbulenceSpec.from_rytov(s2).resolve(optical)
-        consts = derive_constants(optical, turb.gamma)
-        scale = (reference.CALIBRATION_REFERENCE / anchor
-                 if cfg.normalization == NORMALIZATION_CALIBRATED else 1.0)
-        for pair in pairs:
-            series[f"P{pair.label()}"].append(scale * joint_probability(pair, consts))
-    params = {
-        "wavelength_m": cfg.wavelength,
-        "distance_m": cfg.distance,
-        "pump_waist_m": cfg.pump_waist,
-        "strength_coeff": DEFAULT_STRENGTH_COEFF,
-        "w_variant": DEFAULT_W_VARIANT,
-        "normalization": cfg.normalization,
-    }
-    result = SweepResult(list(grid), series, params)
-    if cfg.fmt == "json":
-        _emit(serialization.sweep_to_json(result.grid, result.series, result.params),
-              cfg.output)
-    else:
-        _emit(serialization.sweep_to_csv(result.grid, result.series, result.params),
-              cfg.output)
+    values = rytov_sweep(optical, grid, pairs, normalization=cfg.normalization)
+    series = {f"P{p.label()}": v for p, v in zip(pairs, values)}
+    params = serialization.sweep_params(optical, cfg.normalization)
+    emit = serialization.sweep_to_json if cfg.fmt == "json" else serialization.sweep_to_csv
+    _emit(emit(list(grid), series, params), cfg.output)
     return EXIT_OK
 
 
@@ -242,8 +190,7 @@ _NOTABLE = {
 
 def cmd_rank(cfg: RunConfig) -> int:
     turb_matrix = _compute_matrix(cfg)
-    vac_cfg = RunConfig(**{**cfg.__dict__, "cn2": None, "rytov": None})
-    vac_matrix = _compute_matrix(vac_cfg)
+    vac_matrix = _compute_matrix(replace(cfg, cn2=None, rytov=None))
 
     retained, leaking = [], []
     n = len(cfg.modes)

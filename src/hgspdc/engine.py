@@ -3,6 +3,9 @@
 Evaluates the two overlap kernels (f_kernel, k_kernel), the per-axis factor
 pi_factor and the joint probability P(signal, idler) = Pi(m_s, m_i) *
 Pi(n_s, n_i), and assembles probability matrices over ordered mode grids.
+build_matrix and rytov_sweep are the one path from channel inputs
+(geometry plus turbulence) to calibrated probabilities; the CLI, the
+validation suite and the scripts all go through them.
 
 The quadruple sum in pi_factor mixes alternating signs, so terms are
 accumulated in descending magnitude with Neumaier-compensated addition.
@@ -19,19 +22,18 @@ from functools import lru_cache
 
 from .channel import (
     DEFAULT_STRENGTH_COEFF,
+    DEFAULT_W_VARIANT,
     DerivedConstants,
     OpticalConfig,
     ResolvedTurbulence,
+    TurbulenceSpec,
     derive_constants,
 )
 from .errors import CalibrationError, DomainError, NumericalError
+from .reference import CALIBRATION_REFERENCE
 from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 
 DEFAULT_MAX_ORDER = 10
-
-# calibrated normalization anchors the vacuum (00,00) entry to this value,
-# the first entry of the reference vacuum matrix
-DEFAULT_REFERENCE_VALUE = 0.31307
 
 # below this the removable 1/c3 singularity in k_kernel switches to its
 # first-order expansion in c3
@@ -96,6 +98,10 @@ def expand_modes(max_sum: int) -> list[ModeIndex]:
 
 #: the 10-mode ordering used by the reference matrices
 DEFAULT_ORDERING: tuple[ModeIndex, ...] = tuple(expand_modes(3))
+
+# calibrated normalization pins this pair's vacuum entry to
+# reference.CALIBRATION_REFERENCE
+_ANCHOR_PAIR = ModePair(ModeIndex(0, 0), ModeIndex(0, 0))
 
 
 def sigma(k: int, l: int) -> int:
@@ -234,28 +240,25 @@ def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
     return result
 
 
-def pi_factor(mu: int, nu: int, consts: DerivedConstants,
-              max_order: int = DEFAULT_MAX_ORDER) -> float:
+def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
     """Per-axis probability factor: the quadruple kernel sum with prefactor.
 
     Symmetric in (mu, nu); the memo key is sorted so the symmetry is exact.
     """
     if mu < 0 or nu < 0:
         raise DomainError(f"orders must be nonnegative, got ({mu}, {nu})")
-    if max(mu, nu) > max_order:
+    if max(mu, nu) > DEFAULT_MAX_ORDER:
         raise DomainError(
-            f"order {max(mu, nu)} exceeds max_order={max_order}; the paraxial "
-            "closed form degrades for high orders"
+            f"order {max(mu, nu)} exceeds max_order={DEFAULT_MAX_ORDER}; the "
+            "paraxial closed form degrades for high orders"
         )
     return _pi_cached(min(mu, nu), max(mu, nu), consts)
 
 
-def joint_probability(pair: ModePair, consts: DerivedConstants,
-                      max_order: int = DEFAULT_MAX_ORDER) -> float:
+def joint_probability(pair: ModePair, consts: DerivedConstants) -> float:
     """P(signal, idler) = Pi(m_s, m_i) * Pi(n_s, n_i), unnormalized."""
     s, i = pair.signal, pair.idler
-    return (pi_factor(s.m, i.m, consts, max_order)
-            * pi_factor(s.n, i.n, consts, max_order))
+    return pi_factor(s.m, i.m, consts) * pi_factor(s.n, i.n, consts)
 
 
 def selection_rule_allowed(pair: ModePair, pump: ModeIndex = ModeIndex(0, 0)) -> bool:
@@ -314,20 +317,33 @@ class ProbabilityMatrix:
         return max(max(row) for row in self.values)
 
 
-def _vacuum_reference_raw(consts: DerivedConstants, pair: ModePair,
-                          max_order: int) -> float:
+def _calibration_factor(consts: DerivedConstants,
+                        reference_pair: ModePair = _ANCHOR_PAIR,
+                        reference_value: float = CALIBRATION_REFERENCE) -> float:
+    """The global factor that maps the reference pair, evaluated in vacuum
+    over the geometry and w_variant of consts, onto reference_value."""
     cfg = OpticalConfig.from_w0(consts.wavelength, consts.distance, consts.w0)
     vac = derive_constants(cfg, 0.0, consts.w_variant)
-    return joint_probability(pair, vac, max_order)
+    anchor = joint_probability(reference_pair, vac)
+    if anchor <= 0.0:
+        raise CalibrationError(
+            f"calibration reference {reference_pair.label()} is {anchor}; "
+            "cannot normalize"
+        )
+    return reference_value / anchor
+
+
+def _check_normalization(normalization: str) -> None:
+    if normalization not in (NORMALIZATION_RAW, NORMALIZATION_CALIBRATED):
+        raise DomainError(f"unknown normalization {normalization!r}")
 
 
 def probability_matrix(
     modes,
     consts: DerivedConstants,
     normalization: str = NORMALIZATION_CALIBRATED,
-    reference_pair: ModePair | None = None,
-    reference_value: float = DEFAULT_REFERENCE_VALUE,
-    max_order: int = DEFAULT_MAX_ORDER,
+    reference_pair: ModePair = _ANCHOR_PAIR,
+    reference_value: float = CALIBRATION_REFERENCE,
     turbulence: ResolvedTurbulence | None = None,
 ) -> ProbabilityMatrix:
     """Fill the grid of joint probabilities for every ordered mode pair.
@@ -335,31 +351,28 @@ def probability_matrix(
     With calibrated normalization all entries are rescaled by the single
     global factor that maps the vacuum reference pair onto reference_value,
     so matrices for different turbulence strengths stay mutually comparable.
+    turbulence, when given, must carry the gamma that consts was derived for.
     """
     ordering = tuple(modes)
     if not ordering:
         raise DomainError("mode list must be nonempty")
-    if normalization not in (NORMALIZATION_RAW, NORMALIZATION_CALIBRATED):
-        raise DomainError(f"unknown normalization {normalization!r}")
-    if reference_pair is None:
-        reference_pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 0))
+    _check_normalization(normalization)
     if turbulence is None and consts.gamma == 0.0:
         turbulence = ResolvedTurbulence(cn2=0.0, rytov=0.0,
                                         strength_coeff=DEFAULT_STRENGTH_COEFF,
                                         gamma=0.0)
+    if turbulence is not None and turbulence.gamma != consts.gamma:
+        raise DomainError(
+            f"turbulence metadata has gamma={turbulence.gamma!r} but the "
+            f"constants were derived for gamma={consts.gamma!r}"
+        )
 
-    raw = [[joint_probability(ModePair(s, i), consts, max_order) for i in ordering]
+    raw = [[joint_probability(ModePair(s, i), consts) for i in ordering]
            for s in ordering]
-    raw_ref = joint_probability(reference_pair, consts, max_order)
+    raw_ref = joint_probability(reference_pair, consts)
 
     if normalization == NORMALIZATION_CALIBRATED:
-        anchor = _vacuum_reference_raw(consts, reference_pair, max_order)
-        if anchor <= 0.0:
-            raise CalibrationError(
-                f"calibration reference {reference_pair.label()} is {anchor}; "
-                "cannot normalize"
-            )
-        factor = reference_value / anchor
+        factor = _calibration_factor(consts, reference_pair, reference_value)
         norm = Normalization(NORMALIZATION_CALIBRATED, reference_pair,
                              reference_value, factor, raw_ref)
     else:
@@ -379,3 +392,45 @@ def probability_matrix(
             out.append(v * factor)
         values.append(tuple(out))
     return ProbabilityMatrix(ordering, tuple(values), consts, norm, turbulence)
+
+
+def build_matrix(
+    cfg: OpticalConfig,
+    turbulence: TurbulenceSpec,
+    modes=DEFAULT_ORDERING,
+    normalization: str = NORMALIZATION_CALIBRATED,
+    w_variant: str = DEFAULT_W_VARIANT,
+) -> ProbabilityMatrix:
+    """Probability matrix for one channel: resolve the turbulence input over
+    the geometry, derive the constants and assemble the matrix, which carries
+    the resolved input as its turbulence metadata."""
+    turb = turbulence.resolve(cfg)
+    consts = derive_constants(cfg, turb.gamma, w_variant)
+    return probability_matrix(modes, consts, normalization=normalization,
+                              turbulence=turb)
+
+
+def rytov_sweep(
+    cfg: OpticalConfig,
+    grid,
+    pairs,
+    normalization: str = NORMALIZATION_CALIBRATED,
+) -> list[list[float]]:
+    """Joint probabilities of each pair over an ascending grid of Rytov
+    variances, one series per pair in the order given.
+
+    Only the requested pairs are evaluated at each grid point; calibrated
+    series share the factor a calibrated matrix over the same geometry uses.
+    """
+    grid = list(grid)
+    if not grid:
+        raise DomainError("sweep grid is empty")
+    if grid != sorted(grid):
+        raise DomainError("sweep grid must be ascending")
+    _check_normalization(normalization)
+    points = [derive_constants(cfg, TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma)
+              for s2 in grid]
+    factor = (_calibration_factor(points[0])
+              if normalization == NORMALIZATION_CALIBRATED else 1.0)
+    return [[factor * joint_probability(pair, consts) for consts in points]
+            for pair in pairs]

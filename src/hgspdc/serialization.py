@@ -13,7 +13,8 @@ import io
 import json
 import math
 
-from .engine import ModeIndex, ProbabilityMatrix
+from .channel import DEFAULT_STRENGTH_COEFF, DEFAULT_W_VARIANT, OpticalConfig
+from .engine import ProbabilityMatrix
 
 CSV_SIGNIFICANT_DIGITS = 12
 _CSV_FMT = f"%.{CSV_SIGNIFICANT_DIGITS}g"
@@ -114,6 +115,18 @@ def format_matrix_table(matrix: ProbabilityMatrix, decimals: int = 5) -> str:
     return "\n".join(lines)
 
 
+def sweep_params(cfg: OpticalConfig, normalization: str) -> dict:
+    """Header params of a rytov_sweep over the geometry cfg."""
+    return {
+        "wavelength_m": cfg.wavelength,
+        "distance_m": cfg.distance,
+        "pump_waist_m": cfg.pump_waist,
+        "strength_coeff": DEFAULT_STRENGTH_COEFF,
+        "w_variant": DEFAULT_W_VARIANT,
+        "normalization": normalization,
+    }
+
+
 def sweep_to_csv(grid: list[float], series: dict[str, list[float]],
                  params: dict | None = None) -> str:
     out = io.StringIO()
@@ -131,9 +144,3 @@ def sweep_to_json(grid: list[float], series: dict[str, list[float]],
                   params: dict | None = None) -> str:
     return json.dumps({"params": params or {}, "grid": list(grid),
                        "series": series}, indent=2)
-
-
-def mode_from_label(label: str) -> ModeIndex:
-    from .engine import parse_mode
-
-    return parse_mode(label)

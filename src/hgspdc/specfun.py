@@ -1,5 +1,5 @@
-"""Special-function kernel: half-integer Gamma, Pochhammer symbols and the
-two Gauss hypergeometric variants the closed-form mode-overlap engine needs.
+"""Special-function kernel: half-integer Gamma and the two Gauss
+hypergeometric variants the closed-form mode-overlap engine needs.
 
 All functions here are pure and reentrant; they keep no shared state and are
 safe to call concurrently.
@@ -78,16 +78,6 @@ def gamma_half(x: HalfInteger | int) -> float:
     while t < x.twice_value:
         acc *= t / 2
         t += 2
-    return acc
-
-
-def pochhammer(c: float, n: int) -> float:
-    """Rising factorial c*(c+1)*...*(c+n-1); 1 for n = 0."""
-    if n < 0:
-        raise DomainError(f"pochhammer requires n >= 0, got {n}")
-    acc = 1.0
-    for j in range(n):
-        acc *= c + j
     return acc
 
 

@@ -15,18 +15,19 @@ from dataclasses import dataclass, field
 from . import reference
 from .channel import (
     DEFAULT_STRENGTH_COEFF,
+    DEFAULT_W_VARIANT,
     TurbulenceSpec,
     derive_constants,
     turbulence_strength,
 )
 from .engine import (
-    DEFAULT_ORDERING,
     ModeIndex,
     ModePair,
+    build_matrix,
     expand_modes,
     joint_probability,
     pi_factor,
-    probability_matrix,
+    rytov_sweep,
     selection_rule_allowed,
 )
 from .oracle import QuadratureSpec, overlap_table
@@ -55,20 +56,13 @@ class CheckResult:
         }
 
 
-def _reference_matrix(rytov: float, w_variant: str | None = None,
-                      gamma_scale: float = 1.0,
+def _reference_matrix(rytov: float, w_variant: str = DEFAULT_W_VARIANT,
                       strength_coeff: float = DEFAULT_STRENGTH_COEFF):
-    cfg = reference.reference_config()
-    gamma = gamma_scale * turbulence_strength(rytov, strength_coeff)
-    kwargs = {} if w_variant is None else {"w_variant": w_variant}
-    consts = derive_constants(cfg, gamma, **kwargs)
-    turb = TurbulenceSpec.from_rytov(rytov, strength_coeff=strength_coeff).resolve(cfg)
-    return probability_matrix(DEFAULT_ORDERING, consts,
-                              reference_value=reference.CALIBRATION_REFERENCE,
-                              turbulence=turb)
+    turb = TurbulenceSpec.from_rytov(rytov, strength_coeff=strength_coeff)
+    return build_matrix(reference.reference_config(), turb, w_variant=w_variant)
 
 
-def check_vacuum_golden(w_variant: str | None = None) -> CheckResult:
+def check_vacuum_golden(w_variant: str = DEFAULT_W_VARIANT) -> CheckResult:
     """All 100 vacuum entries within tolerance; zero entries at noise level."""
     t0 = time.perf_counter()
     matrix = _reference_matrix(0.0, w_variant)
@@ -93,12 +87,10 @@ def check_vacuum_golden(w_variant: str | None = None) -> CheckResult:
     )
 
 
-def check_turbulence_golden(gamma_scale: float = 1.0,
-                            strength_coeff: float = DEFAULT_STRENGTH_COEFF) -> CheckResult:
+def check_turbulence_golden(strength_coeff: float = DEFAULT_STRENGTH_COEFF) -> CheckResult:
     """All 100 turbulence entries within tolerance at the reference rytov."""
     t0 = time.perf_counter()
     matrix = _reference_matrix(reference.REFERENCE_RYTOV,
-                               gamma_scale=gamma_scale,
                                strength_coeff=strength_coeff)
     elapsed = time.perf_counter() - t0
     golden = reference.TURBULENCE_MATRIX
@@ -236,15 +228,7 @@ def check_symmetry_factorization() -> CheckResult:
 
 
 def _trend_series(pair: ModePair, grid=SWEEP_GRID) -> list[float]:
-    cfg = reference.reference_config()
-    vac = derive_constants(cfg)
-    scale = reference.CALIBRATION_REFERENCE / joint_probability(
-        ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), vac)
-    out = []
-    for s2 in grid:
-        consts = derive_constants(cfg, turbulence_strength(s2))
-        out.append(scale * joint_probability(pair, consts))
-    return out
+    return rytov_sweep(reference.reference_config(), grid, [pair])[0]
 
 
 def check_trend_allowed() -> CheckResult:

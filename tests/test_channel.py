@@ -201,10 +201,3 @@ class TestDeriveConstants:
     def test_negative_gamma_rejected(self, ref_cfg):
         with pytest.raises(DomainError):
             derive_constants(ref_cfg, -0.01)
-
-    def test_a1_is_stored(self, vac_consts):
-        u = vac_consts.k / (4 * vac_consts.distance)
-        lam0 = vac_consts.lambda0
-        assert vac_consts.a1 == pytest.approx(
-            u * (lam0 / (1 + lam0 ** 2) - 1j), rel=1e-14
-        )

@@ -7,6 +7,7 @@ import pytest
 from hgspdc import reference
 from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, EXIT_VALIDATION, main
 from hgspdc.serialization import parse_matrix_csv
+from hgspdc.channel import DEFAULT_STRENGTH_COEFF
 from hgspdc.validate import check_turbulence_golden
 
 
@@ -118,6 +119,14 @@ class TestConfigFile:
         code, _, err = run(capsys, "matrix", "--config", str(cfg))
         assert code == EXIT_PARAMS
 
+    @pytest.mark.parametrize("command", ["matrix", "sweep", "rank"])
+    def test_unknown_normalization_exit_2(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("normalize=unit\nrytov=0.02\n")
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == EXIT_PARAMS
+        assert "unknown normalization" in err
+
     def test_flag_overrides_conflicting_file_group(self, capsys, tmp_path):
         # --rytov must shadow a cn2 value coming from the file
         cfg = tmp_path / "run.cfg"
@@ -213,4 +222,5 @@ class TestValidateCommand:
         # a 10% gamma perturbation breaks the turbulence fixture while the
         # vacuum fixture (gamma-independent) keeps passing
         assert check_turbulence_golden().passed
-        assert not check_turbulence_golden(gamma_scale=1.1).passed
+        assert not check_turbulence_golden(
+            strength_coeff=1.1 * DEFAULT_STRENGTH_COEFF).passed

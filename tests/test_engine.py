@@ -10,13 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hgspdc import reference
-from hgspdc.channel import derive_constants, turbulence_strength
+from hgspdc.channel import TurbulenceSpec, derive_constants, turbulence_strength
 from hgspdc.engine import (
     DEFAULT_ORDERING,
     ModeIndex,
     ModePair,
     NORMALIZATION_RAW,
     _pi_cached,
+    build_matrix,
     expand_modes,
     f_kernel,
     joint_probability,
@@ -24,6 +25,7 @@ from hgspdc.engine import (
     parse_mode,
     pi_factor,
     probability_matrix,
+    rytov_sweep,
     selection_rule_allowed,
     sigma,
 )
@@ -221,8 +223,6 @@ class TestPiFactor:
     def test_max_order_guard(self, vac_consts):
         with pytest.raises(DomainError):
             pi_factor(11, 0, vac_consts)
-        with pytest.raises(DomainError):
-            pi_factor(2, 5, vac_consts, max_order=4)
 
     def test_vacuum_forbidden_orders_vanish(self, vac_consts):
         peak = pi_factor(0, 0, vac_consts)
@@ -366,6 +366,12 @@ class TestProbabilityMatrix:
                 reference_pair=ModePair(ModeIndex(0, 0), ModeIndex(0, 1)),
             )
 
+    def test_turbulence_gamma_must_match_consts(self, ref_cfg, turb_consts):
+        # metadata resolved for vacuum must not label a turbulent matrix
+        vacuum = TurbulenceSpec.vacuum().resolve(ref_cfg)
+        with pytest.raises(DomainError):
+            probability_matrix(DEFAULT_ORDERING, turb_consts, turbulence=vacuum)
+
     def test_value_lookup(self, vac_consts):
         m = probability_matrix(DEFAULT_ORDERING, vac_consts)
         assert m.value(ModeIndex(0, 0), ModeIndex(0, 2)) == m.values[0][3]
@@ -397,3 +403,43 @@ class TestProbabilityMatrix:
         serial = tuple(pi_factor(mu, nu, consts)
                        for mu in range(4) for nu in range(4))
         assert serial == results[0]
+
+
+class TestChannelPath:
+    def test_build_matrix_matches_long_form(self, ref_cfg):
+        spec = TurbulenceSpec.from_rytov(reference.REFERENCE_RYTOV)
+        turb = spec.resolve(ref_cfg)
+        long_form = probability_matrix(
+            DEFAULT_ORDERING, derive_constants(ref_cfg, turb.gamma), turbulence=turb)
+        m = build_matrix(ref_cfg, spec)
+        assert m.values == long_form.values
+        assert m.normalization == long_form.normalization
+        assert m.turbulence == turb
+
+    def test_sweep_matches_matrix_entries(self, ref_cfg):
+        # a calibrated sweep point is the matching entry of the calibrated
+        # matrix at that rytov: both share one calibration factor
+        pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)),
+                 ModePair(ModeIndex(0, 0), ModeIndex(0, 2)),
+                 ModePair(ModeIndex(1, 2), ModeIndex(2, 1))]
+        grid = [0.0, 0.02, 0.07]
+        series = rytov_sweep(ref_cfg, grid, pairs)
+        for k, s2 in enumerate(grid):
+            m = build_matrix(ref_cfg, TurbulenceSpec.from_rytov(s2))
+            for pair, values in zip(pairs, series):
+                assert values[k] == m.value(pair.signal, pair.idler)
+
+    def test_raw_sweep_is_unscaled(self, ref_cfg, turb_consts):
+        pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 1))
+        (series,) = rytov_sweep(ref_cfg, [reference.REFERENCE_RYTOV], [pair],
+                                normalization=NORMALIZATION_RAW)
+        assert series == [joint_probability(pair, turb_consts)]
+
+    @pytest.mark.parametrize("grid,normalization", [
+        ([], "calibrated"), ([-0.01, 0.0], "calibrated"),
+        ([0.02, 0.01], "calibrated"), ([0.0], "unit"),
+    ])
+    def test_sweep_rejects_bad_input(self, ref_cfg, grid, normalization):
+        pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 0))
+        with pytest.raises(DomainError):
+            rytov_sweep(ref_cfg, grid, [pair], normalization=normalization)

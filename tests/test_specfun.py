@@ -16,7 +16,6 @@ from hgspdc.specfun import (
     gamma_half,
     hyp2f1_real,
     hyp2f1_terminating,
-    pochhammer,
 )
 
 mp.mp.dps = 50
@@ -69,24 +68,6 @@ class TestGammaHalf:
     def test_against_mpmath(self, twice):
         assert gamma_half(HalfInteger(twice)) == pytest.approx(
             float(mp.gamma(mp.mpf(twice) / 2)), rel=1e-14
-        )
-
-
-class TestPochhammer:
-    def test_examples(self):
-        assert pochhammer(-0.5, 2) == pytest.approx(-0.25, rel=1e-15)
-        assert pochhammer(3.0, 0) == 1.0
-        assert pochhammer(1.0, 4) == 24.0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(DomainError):
-            pochhammer(1.0, -1)
-
-    @given(st.integers(-8, 8), st.integers(0, 12))
-    def test_recurrence(self, c2, n):
-        c = c2 / 2
-        assert pochhammer(c, n + 1) == pytest.approx(
-            pochhammer(c, n) * (c + n), rel=1e-12, abs=1e-300
         )
 
 
