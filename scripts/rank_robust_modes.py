@@ -8,6 +8,7 @@ alphabet that keeps crosstalk low over a given channel.
 
 import argparse
 
+from hgspdc.channel import TurbulenceSpec
 from hgspdc.cli import RunConfig, cmd_rank
 from hgspdc.engine import expand_modes
 
@@ -19,7 +20,8 @@ def main():
                         help="include modes with m+n up to this")
     args = parser.parse_args()
 
-    cfg = RunConfig(rytov=args.rytov, modes=tuple(expand_modes(args.max_sum)))
+    cfg = RunConfig(turbulence=TurbulenceSpec.from_rytov(args.rytov),
+                    modes=tuple(expand_modes(args.max_sum)))
     raise SystemExit(cmd_rank(cfg))
 
 

@@ -8,7 +8,9 @@ Default pairs: the retained (00,00) channel and the leaking (00,01) channel.
 import argparse
 
 from hgspdc import reference
-from hgspdc.engine import NORMALIZATION_CALIBRATED, ModePair, parse_mode, rytov_sweep
+from hgspdc.cli import _parse_pair
+from hgspdc.engine import NORMALIZATION_CALIBRATED, rytov_sweep
+from hgspdc.errors import DomainError
 from hgspdc.serialization import sweep_params, sweep_to_csv
 
 
@@ -23,14 +25,15 @@ def main():
     if args.steps < 2:
         parser.error(f"--steps must be at least 2, got {args.steps}")
 
-    pairs = []
-    for token in args.pairs.split():
-        s, i = token.split(":")
-        pairs.append(ModePair(parse_mode(s), parse_mode(i)))
     grid = [args.max_rytov * k / (args.steps - 1) for k in range(args.steps)]
 
     cfg = reference.reference_config()
-    series = {f"P{p.label()}": v for p, v in zip(pairs, rytov_sweep(cfg, grid, pairs))}
+    try:
+        pairs = [_parse_pair(token) for token in args.pairs.split()]
+        series = {f"P{p.label()}": v
+                  for p, v in zip(pairs, rytov_sweep(cfg, grid, pairs))}
+    except DomainError as exc:
+        parser.error(str(exc))
 
     text = sweep_to_csv(grid, series, sweep_params(cfg, NORMALIZATION_CALIBRATED))
     with open(args.output, "w") as fh:

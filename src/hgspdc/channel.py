@@ -11,7 +11,7 @@ a frozen value object safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, RegimeError
 
@@ -134,10 +134,6 @@ class TurbulenceSpec:
     def from_cn2(cls, cn2: float, **kw) -> "TurbulenceSpec":
         return cls(cn2=cn2, **kw)
 
-    @property
-    def is_vacuum(self) -> bool:
-        return (self.cn2 or 0.0) == 0.0 and (self.rytov or 0.0) == 0.0
-
     def resolve(self, cfg: OpticalConfig) -> "ResolvedTurbulence":
         """Fill in whichever of cn2 / rytov was not given, and gamma."""
         if self.cn2 is None and self.rytov is None:
@@ -165,17 +161,22 @@ class ResolvedTurbulence:
 class DerivedConstants:
     """The complete constant cascade feeding the overlap kernels.
 
-    a2, a3, b1..b4, c1..c4 are the quadratic-form coefficients of the
-    ensemble-averaged detection integral (units 1/m^2 except the
-    dimensionless c4); zeta is the complex Fresnel squeeze factor.
+    Fields:
+    - cfg: the link geometry the cascade was derived from; wavelength,
+      distance, wavenumber, W0 and the Fresnel ratio are read from it;
+    - w [m], w_variant: the receiver-plane mode scale and how it was chosen;
+    - zeta: the complex Fresnel squeeze factor;
+    - gamma: the dimensionless turbulence strength;
+    - a2, a3, b1..b4, c1..c4: the quadratic-form coefficients of the
+      ensemble-averaged detection integral (units 1/m^2 except the
+      dimensionless c4).
     """
 
-    wavelength: float   # [m]
-    distance: float     # [m]
-    k: float            # wavenumber [1/m]
-    lambda0: float      # Fresnel ratio, dimensionless
-    w0: float           # effective pump width [m]
-    w: float            # receiver-plane mode scale [m]
+    # cfg is left out of the hash: the cascade values below already depend
+    # on the whole geometry, and the kernel caches hash these constants on
+    # every lookup, where a nested hash would slow each cached call
+    cfg: OpticalConfig = field(hash=False)
+    w: float
     w_variant: str
     zeta: complex
     gamma: float
@@ -237,8 +238,7 @@ def derive_constants(
         raise DomainError(f"unknown w_variant {w_variant!r}")
 
     return DerivedConstants(
-        wavelength=cfg.wavelength, distance=z, k=k, lambda0=lam0,
-        w0=w0, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
+        cfg=cfg, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
         a2=a2, a3=a3, b1=b1, b2=b2, b3=b3, b4=b4,
         c1=c1, c2=c2, c3=c3, c4=c4,
     )

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import reference, serialization, validate
@@ -42,21 +41,12 @@ DEFAULT_GRID = validate.SWEEP_GRID
 class RunConfig:
     """Resolved run parameters shared by the subcommands."""
 
-    wavelength: float = reference.REFERENCE_WAVELENGTH
-    distance: float = reference.REFERENCE_DISTANCE
-    pump_waist: float = reference.REFERENCE_W0 / math.sqrt(2.0)
-    cn2: float | None = None
-    rytov: float | None = None
+    optical: OpticalConfig = field(default_factory=reference.reference_config)
+    turbulence: TurbulenceSpec = TurbulenceSpec()
     modes: tuple[ModeIndex, ...] = DEFAULT_ORDERING
     normalization: str = NORMALIZATION_CALIBRATED
     fmt: str | None = None
     output: str | None = None
-
-    def optical(self) -> OpticalConfig:
-        return OpticalConfig(self.wavelength, self.distance, self.pump_waist)
-
-    def turbulence(self) -> TurbulenceSpec:
-        return TurbulenceSpec(cn2=self.cn2, rytov=self.rytov)
 
 
 def _read_config_file(path: str) -> dict:
@@ -106,21 +96,14 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         return {k: file_vals.get(k) for k in keys}
 
     cfg = RunConfig()
-    wavelength = pick("wavelength", float)
-    if wavelength is not None:
-        cfg.wavelength = wavelength
-    distance = pick("distance", float)
-    if distance is not None:
-        cfg.distance = distance
-    pump = pick("pump_waist", float)
-    if pump is not None:
-        cfg.pump_waist = pump
+    geometry = {key: pick(key, float)
+                for key in ("wavelength", "distance", "pump_waist")}
+    cfg.optical = replace(cfg.optical, **{k: v for k, v in geometry.items()
+                                          if v is not None})
 
     turb = pick_group("cn2", "rytov")
-    if turb["cn2"] is not None and turb["rytov"] is not None:
-        raise DomainError("give either cn2 or rytov, not both")
-    cfg.cn2 = float(turb["cn2"]) if turb["cn2"] is not None else None
-    cfg.rytov = float(turb["rytov"]) if turb["rytov"] is not None else None
+    cfg.turbulence = TurbulenceSpec(**{k: float(v) for k, v in turb.items()
+                                       if v is not None})
 
     grid = pick_group("modes", "max_sum")
     if grid["modes"] is not None and grid["max_sum"] is not None:
@@ -152,7 +135,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _compute_matrix(cfg: RunConfig):
-    return build_matrix(cfg.optical(), cfg.turbulence(), cfg.modes,
+    return build_matrix(cfg.optical, cfg.turbulence, cfg.modes,
                         normalization=cfg.normalization)
 
 
@@ -172,10 +155,9 @@ def cmd_matrix(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, grid: list[float], pairs: list[ModePair]) -> int:
-    optical = cfg.optical()
-    values = rytov_sweep(optical, grid, pairs, normalization=cfg.normalization)
+    values = rytov_sweep(cfg.optical, grid, pairs, normalization=cfg.normalization)
     series = {f"P{p.label()}": v for p, v in zip(pairs, values)}
-    params = serialization.sweep_params(optical, cfg.normalization)
+    params = serialization.sweep_params(cfg.optical, cfg.normalization)
     emit = serialization.sweep_to_json if cfg.fmt == "json" else serialization.sweep_to_csv
     _emit(emit(list(grid), series, params), cfg.output)
     return EXIT_OK
@@ -190,7 +172,7 @@ _NOTABLE = {
 
 def cmd_rank(cfg: RunConfig) -> int:
     turb_matrix = _compute_matrix(cfg)
-    vac_matrix = _compute_matrix(replace(cfg, cn2=None, rytov=None))
+    vac_matrix = _compute_matrix(replace(cfg, turbulence=TurbulenceSpec()))
 
     retained, leaking = [], []
     n = len(cfg.modes)
@@ -323,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
             pairs = [_parse_pair(tok) for tok in args.pairs.split()]
             return cmd_sweep(cfg, grid, pairs)
         if args.command == "rank":
-            if cfg.cn2 is None and cfg.rytov is None:
+            if cfg.turbulence == TurbulenceSpec():
                 raise DomainError("rank needs a turbulent channel: give --rytov or --cn2")
             return cmd_rank(cfg)
         raise DomainError(f"unknown command {args.command!r}")

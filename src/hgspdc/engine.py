@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .channel import (
-    DEFAULT_STRENGTH_COEFF,
     DEFAULT_W_VARIANT,
     DerivedConstants,
     OpticalConfig,
@@ -53,10 +52,6 @@ class ModeIndex:
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise DomainError(f"mode orders must be nonnegative, got ({self.m}, {self.n})")
-
-    @property
-    def total_order(self) -> int:
-        return self.m + self.n
 
     def label(self) -> str:
         if self.m <= 9 and self.n <= 9:
@@ -224,7 +219,7 @@ def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
             terms.append(f1 * f3.conjugate() * kk)
     total = _compensated_sum(terms)
     pref = 1.0 / (
-        consts.wavelength ** 2 * consts.distance ** 2
+        consts.cfg.wavelength ** 2 * consts.cfg.distance ** 2
         * math.sqrt(math.pi * consts.b1)
         * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu)
     )
@@ -280,13 +275,13 @@ class Normalization:
     """How a matrix was scaled.
 
     calibrated mode rescales every entry by one global factor chosen so the
-    reference pair (in vacuum, over the same geometry) lands on
-    reference_value; raw_reference_value reports the unscaled magnitude so
-    the absolute scale stays inspectable.
+    vacuum entry of reference_pair, always (00,00), over the same geometry
+    lands on reference_value; raw_reference_value reports the unscaled
+    magnitude so the absolute scale stays inspectable.
     """
 
     mode: str
-    reference_pair: ModePair | None
+    reference_pair: ModePair
     reference_value: float | None
     calibration_factor: float
     raw_reference_value: float
@@ -318,16 +313,14 @@ class ProbabilityMatrix:
 
 
 def _calibration_factor(consts: DerivedConstants,
-                        reference_pair: ModePair = _ANCHOR_PAIR,
                         reference_value: float = CALIBRATION_REFERENCE) -> float:
-    """The global factor that maps the reference pair, evaluated in vacuum
-    over the geometry and w_variant of consts, onto reference_value."""
-    cfg = OpticalConfig.from_w0(consts.wavelength, consts.distance, consts.w0)
-    vac = derive_constants(cfg, 0.0, consts.w_variant)
-    anchor = joint_probability(reference_pair, vac)
+    """The global factor that maps the anchor pair (00,00), evaluated in
+    vacuum over the geometry and w_variant of consts, onto reference_value."""
+    vac = derive_constants(consts.cfg, 0.0, consts.w_variant)
+    anchor = joint_probability(_ANCHOR_PAIR, vac)
     if anchor <= 0.0:
         raise CalibrationError(
-            f"calibration reference {reference_pair.label()} is {anchor}; "
+            f"calibration reference {_ANCHOR_PAIR.label()} is {anchor}; "
             "cannot normalize"
         )
     return reference_value / anchor
@@ -342,14 +335,13 @@ def probability_matrix(
     modes,
     consts: DerivedConstants,
     normalization: str = NORMALIZATION_CALIBRATED,
-    reference_pair: ModePair = _ANCHOR_PAIR,
     reference_value: float = CALIBRATION_REFERENCE,
     turbulence: ResolvedTurbulence | None = None,
 ) -> ProbabilityMatrix:
     """Fill the grid of joint probabilities for every ordered mode pair.
 
     With calibrated normalization all entries are rescaled by the single
-    global factor that maps the vacuum reference pair onto reference_value,
+    global factor that maps the vacuum (00,00) entry onto reference_value,
     so matrices for different turbulence strengths stay mutually comparable.
     turbulence, when given, must carry the gamma that consts was derived for.
     """
@@ -358,9 +350,7 @@ def probability_matrix(
         raise DomainError("mode list must be nonempty")
     _check_normalization(normalization)
     if turbulence is None and consts.gamma == 0.0:
-        turbulence = ResolvedTurbulence(cn2=0.0, rytov=0.0,
-                                        strength_coeff=DEFAULT_STRENGTH_COEFF,
-                                        gamma=0.0)
+        turbulence = TurbulenceSpec().resolve(consts.cfg)
     if turbulence is not None and turbulence.gamma != consts.gamma:
         raise DomainError(
             f"turbulence metadata has gamma={turbulence.gamma!r} but the "
@@ -369,15 +359,15 @@ def probability_matrix(
 
     raw = [[joint_probability(ModePair(s, i), consts) for i in ordering]
            for s in ordering]
-    raw_ref = joint_probability(reference_pair, consts)
+    raw_ref = joint_probability(_ANCHOR_PAIR, consts)
 
     if normalization == NORMALIZATION_CALIBRATED:
-        factor = _calibration_factor(consts, reference_pair, reference_value)
-        norm = Normalization(NORMALIZATION_CALIBRATED, reference_pair,
+        factor = _calibration_factor(consts, reference_value)
+        norm = Normalization(NORMALIZATION_CALIBRATED, _ANCHOR_PAIR,
                              reference_value, factor, raw_ref)
     else:
         factor = 1.0
-        norm = Normalization(NORMALIZATION_RAW, reference_pair, None, 1.0, raw_ref)
+        norm = Normalization(NORMALIZATION_RAW, _ANCHOR_PAIR, None, 1.0, raw_ref)
 
     peak = max(max(abs(v) for v in row) for row in raw)
     floor = -_NEGATIVE_CLAMP * peak

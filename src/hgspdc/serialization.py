@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 
 from .channel import DEFAULT_STRENGTH_COEFF, DEFAULT_W_VARIANT, OpticalConfig
 from .engine import ProbabilityMatrix
@@ -24,9 +23,9 @@ def matrix_params(matrix: ProbabilityMatrix) -> dict:
     c = matrix.consts
     t = matrix.turbulence
     params = {
-        "wavelength_m": c.wavelength,
-        "distance_m": c.distance,
-        "pump_waist_m": c.w0 / math.sqrt(2.0),
+        "wavelength_m": c.cfg.wavelength,
+        "distance_m": c.cfg.distance,
+        "pump_waist_m": c.cfg.pump_waist,
         "cn2": t.cn2 if t is not None else None,
         "rytov": t.rytov if t is not None else None,
         "gamma": c.gamma,
@@ -41,7 +40,7 @@ def _normalization_obj(matrix: ProbabilityMatrix) -> dict:
     n = matrix.normalization
     return {
         "mode": n.mode,
-        "reference_pair": n.reference_pair.label() if n.reference_pair else None,
+        "reference_pair": n.reference_pair.label(),
         "reference_value": n.reference_value,
         "calibration_factor": n.calibration_factor,
         "raw_reference_value": n.raw_reference_value,

@@ -121,8 +121,8 @@ class TestTurbulenceSpec:
 
 class TestDeriveConstants:
     def test_fresnel_and_zeta(self, vac_consts):
-        assert vac_consts.lambda0 == pytest.approx(0.12732395447, rel=1e-10)
-        lam0 = vac_consts.lambda0
+        assert vac_consts.cfg.fresnel_ratio == pytest.approx(0.12732395447, rel=1e-10)
+        lam0 = vac_consts.cfg.fresnel_ratio
         assert vac_consts.zeta == pytest.approx(
             (1 + lam0 ** 2) / (1 + lam0 ** 2 + 1j * lam0), rel=1e-15
         )
@@ -131,19 +131,19 @@ class TestDeriveConstants:
         # Lambda0 -> 0+ gives zeta -> 1
         cfg = OpticalConfig.from_w0(LAM, 1.0, 10.0)
         consts = derive_constants(cfg)
-        assert consts.lambda0 < 1e-8
+        assert consts.cfg.fresnel_ratio < 1e-8
         assert consts.zeta == pytest.approx(1.0, abs=1e-7)
 
     def test_vacuum_im_a2_closed_form(self, vac_consts):
         # gamma = 0 collapses Im A2 to -(k/z) Lambda0^2 / (1 + Lambda0^2)
-        u = vac_consts.k / vac_consts.distance
-        lam0 = vac_consts.lambda0
+        u = vac_consts.cfg.wavenumber / vac_consts.cfg.distance
+        lam0 = vac_consts.cfg.fresnel_ratio
         assert vac_consts.a2.imag == pytest.approx(
             -u * lam0 ** 2 / (1 + lam0 ** 2), rel=1e-12
         )
 
     def test_vacuum_a3_vanishes(self, vac_consts):
-        scale = vac_consts.k / vac_consts.distance
+        scale = vac_consts.cfg.wavenumber / vac_consts.cfg.distance
         assert abs(vac_consts.a3) < 1e-12 * scale
         assert vac_consts.c1 == pytest.approx(vac_consts.c2, rel=1e-12)
 
@@ -163,7 +163,7 @@ class TestDeriveConstants:
         eps = derive_constants(ref_cfg, 1e-8)
         # a3 is exactly zero in vacuum, so continuity is measured against the
         # cascade's natural magnitude k/z rather than the component itself
-        unit = exact.k / exact.distance
+        unit = exact.cfg.wavenumber / exact.cfg.distance
         for name in ("b1", "b2", "b3", "b4", "a2", "a3", "c1", "c2", "c3", "c4"):
             v0 = getattr(exact, name)
             v1 = getattr(eps, name)
@@ -177,7 +177,7 @@ class TestDeriveConstants:
         # halve wavelength (k doubles) and halve W0^2 to keep Lambda0
         scaled_cfg = OpticalConfig.from_w0(LAM / 2, Z, 0.1 / math.sqrt(2))
         scaled = derive_constants(scaled_cfg, 0.01)
-        assert scaled.lambda0 == pytest.approx(base.lambda0, rel=1e-14)
+        assert scaled.cfg.fresnel_ratio == pytest.approx(base.cfg.fresnel_ratio, rel=1e-14)
         assert scaled.zeta == pytest.approx(base.zeta, rel=1e-14)
         assert scaled.c4 == pytest.approx(base.c4, rel=1e-12)
         for name in ("a3", "b1", "b4", "c1", "c2", "c3"):
@@ -192,7 +192,7 @@ class TestDeriveConstants:
     def test_w_variants(self, ref_cfg):
         prop = derive_constants(ref_cfg, 0.0, W_VARIANT_PROPAGATED)
         waist = derive_constants(ref_cfg, 0.0, W_VARIANT_WAIST)
-        lam0 = prop.lambda0
+        lam0 = prop.cfg.fresnel_ratio
         assert prop.w == pytest.approx(0.1 * math.sqrt(1 + lam0 ** 2), rel=1e-14)
         assert waist.w == pytest.approx(0.1, rel=1e-14)
         with pytest.raises(DomainError):

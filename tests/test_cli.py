@@ -62,6 +62,18 @@ class TestMatrixCommand:
         assert doc["matrix"][0][0] == 0.31307
         assert doc["params"]["gamma"] == 0.0
 
+    def test_pump_waist_reported_as_given_json(self, capsys):
+        code, out, _ = run(capsys, "matrix", "--pump-waist", "0.045",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["params"]["pump_waist_m"] == 0.045
+
+    def test_pump_waist_reported_as_given_csv(self, capsys):
+        code, out, _ = run(capsys, "matrix", "--pump-waist", "0.09",
+                           "--format", "csv")
+        assert code == EXIT_OK
+        assert parse_matrix_csv(out)["params"]["pump_waist_m"] == "0.09"
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = run(capsys, "matrix", "--rytov", "-0.5")
         assert code == EXIT_PARAMS

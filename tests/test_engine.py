@@ -97,7 +97,7 @@ def oracle_pi(mu, nu, consts):
                             mu + nu - k1 - l1, mu + nu - k3 - l3, consts)
                         total += term
                         scale += abs(term)
-        pref = 1 / (mp.mpf(consts.wavelength) ** 2 * mp.mpf(consts.distance) ** 2
+        pref = 1 / (mp.mpf(consts.cfg.wavelength) ** 2 * mp.mpf(consts.cfg.distance) ** 2
                     * mp.sqrt(mp.pi * mp.mpf(consts.b1))
                     * mp.factorial(mu) * mp.factorial(nu) * mp.mpf(2) ** (mu + nu))
         return pref * total, pref * scale
@@ -358,13 +358,13 @@ class TestProbabilityMatrix:
         with pytest.raises(DomainError):
             probability_matrix([], vac_consts)
 
-    def test_calibration_error_on_zero_reference(self, vac_consts):
-        # a vacuum-forbidden reference pair anchors at zero
+    def test_calibration_error_on_zero_reference(self, vac_consts, monkeypatch):
+        # an anchor that evaluates to zero cannot normalize the matrix
+        import hgspdc.engine as engine
+
+        monkeypatch.setattr(engine, "joint_probability", lambda pair, consts: 0.0)
         with pytest.raises(CalibrationError):
-            probability_matrix(
-                DEFAULT_ORDERING, vac_consts,
-                reference_pair=ModePair(ModeIndex(0, 0), ModeIndex(0, 1)),
-            )
+            probability_matrix(DEFAULT_ORDERING, vac_consts)
 
     def test_turbulence_gamma_must_match_consts(self, ref_cfg, turb_consts):
         # metadata resolved for vacuum must not label a turbulent matrix

@@ -44,10 +44,13 @@ def test_turbulence_sweep_matches_cli(tmp_path):
     assert (tmp_path / "script.csv").read_text() == cli_path.read_text()
 
 
-@pytest.mark.parametrize("steps", ["1", "0"])
-def test_turbulence_sweep_rejects_too_few_steps(tmp_path, steps):
-    proc = run_script("turbulence_sweep.py", "--steps", steps,
-                      "--output", "out.csv", cwd=tmp_path)
+@pytest.mark.parametrize("args", [
+    ["--steps", "1"], ["--steps", "0"],
+    ["--pairs", "00-01"], ["--max-rytov", "-0.1"],
+], ids=["1", "0", "pairs-00-01", "max-rytov-negative"])
+def test_turbulence_sweep_rejects_too_few_steps(tmp_path, args):
+    proc = run_script("turbulence_sweep.py", *args, "--output", "out.csv",
+                      cwd=tmp_path)
     assert proc.returncode == EXIT_PARAMS
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out.csv").exists()

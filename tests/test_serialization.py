@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hgspdc import reference
-from hgspdc.channel import TurbulenceSpec
-from hgspdc.engine import DEFAULT_ORDERING, probability_matrix
+from hgspdc.channel import OpticalConfig, TurbulenceSpec
+from hgspdc.engine import DEFAULT_ORDERING, build_matrix, probability_matrix
 from hgspdc.serialization import (
     CSV_SIGNIFICANT_DIGITS,
     format_matrix_table,
@@ -49,6 +49,19 @@ class TestMatrixJson:
         for key in ("wavelength_m", "distance_m", "pump_waist_m", "rytov",
                     "gamma", "w_variant", "normalization"):
             assert key in params
+
+    @given(st.floats(min_value=1e-7, max_value=1e-5),
+           st.floats(min_value=100.0, max_value=1e5),
+           st.floats(min_value=1e-3, max_value=1.0))
+    def test_geometry_round_trips(self, wavelength, distance, pump_waist):
+        # the geometry a matrix reports is the one it was built from,
+        # not a value rebuilt from W0
+        cfg = OpticalConfig(wavelength, distance, pump_waist)
+        m = build_matrix(cfg, TurbulenceSpec.vacuum(), DEFAULT_ORDERING[:1])
+        assert m.consts.cfg == cfg
+        params = matrix_params(m)
+        assert (params["wavelength_m"], params["distance_m"],
+                params["pump_waist_m"]) == (wavelength, distance, pump_waist)
 
 
 class TestMatrixCsv:
