@@ -8,9 +8,9 @@ Default pairs: the retained (00,00) channel and the leaking (00,01) channel.
 import argparse
 
 from hgspdc import reference
-from hgspdc.cli import _parse_pair
+from hgspdc.cli import EXIT_NUMERICAL, _parse_pair
 from hgspdc.engine import NORMALIZATION_CALIBRATED, rytov_sweep
-from hgspdc.errors import DomainError
+from hgspdc.errors import DomainError, NumericalError
 from hgspdc.serialization import sweep_params, sweep_to_csv
 
 
@@ -34,6 +34,8 @@ def main():
                   for p, v in zip(pairs, rytov_sweep(cfg, grid, pairs))}
     except DomainError as exc:
         parser.error(str(exc))
+    except NumericalError as exc:
+        parser.exit(EXIT_NUMERICAL, f"error: numerical failure: {exc}\n")
 
     text = sweep_to_csv(grid, series, sweep_params(cfg, NORMALIZATION_CALIBRATED))
     with open(args.output, "w") as fh:

@@ -11,7 +11,7 @@ a frozen value object safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
 
@@ -172,10 +172,7 @@ class DerivedConstants:
       dimensionless c4).
     """
 
-    # cfg is left out of the hash: the cascade values below already depend
-    # on the whole geometry, and the kernel caches hash these constants on
-    # every lookup, where a nested hash would slow each cached call
-    cfg: OpticalConfig = field(hash=False)
+    cfg: OpticalConfig
     w: float
     w_variant: str
     zeta: complex

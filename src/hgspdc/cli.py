@@ -76,6 +76,13 @@ def _parse_pair(token: str) -> ModePair:
     return ModePair(parse_mode(parts[0]), parse_mode(parts[1]))
 
 
+def _number(cast, key: str, text):
+    try:
+        return cast(text)
+    except ValueError:
+        raise DomainError(f"{key} must be a number, got {text!r}") from None
+
+
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
@@ -84,7 +91,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         if flag_val is not None:
             return flag_val
         if key in file_vals:
-            return cast(file_vals[key])
+            return _number(cast, key, file_vals[key])
         return None
 
     def pick_group(*keys):
@@ -102,7 +109,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
                                           if v is not None})
 
     turb = pick_group("cn2", "rytov")
-    cfg.turbulence = TurbulenceSpec(**{k: float(v) for k, v in turb.items()
+    cfg.turbulence = TurbulenceSpec(**{k: _number(float, k, v) for k, v in turb.items()
                                        if v is not None})
 
     grid = pick_group("modes", "max_sum")
@@ -111,7 +118,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     if grid["modes"] is not None:
         cfg.modes = _parse_modes_arg(str(grid["modes"]))
     elif grid["max_sum"] is not None:
-        cfg.modes = tuple(expand_modes(int(grid["max_sum"])))
+        cfg.modes = tuple(expand_modes(_number(int, "max_sum", grid["max_sum"])))
 
     normalize = pick("normalize", str)
     if normalize is not None:
@@ -300,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "matrix":
             return cmd_matrix(cfg)
         if args.command == "sweep":
-            grid = ([float(tok) for tok in args.grid.split(",")]
+            grid = ([_number(float, "grid value", tok) for tok in args.grid.split(",")]
                     if args.grid else list(DEFAULT_GRID))
             pairs = [_parse_pair(tok) for tok in args.pairs.split()]
             return cmd_sweep(cfg, grid, pairs)

@@ -7,10 +7,11 @@ build_matrix and rytov_sweep are the one path from channel inputs
 (geometry plus turbulence) to calibrated probabilities; the CLI, the
 validation suite and the scripts all go through them.
 
-The quadruple sum in pi_factor mixes alternating signs, so terms are
-accumulated in descending magnitude with Neumaier-compensated addition.
-pi_factor values are memoized per constant set; all functions are pure, and
-cache fills are idempotent, so concurrent use is safe.
+Pi is a quadratic form in the per-order sums of F, since k_kernel reads only
+total orders, and a matrix reads its entries from one table of the distinct
+Pi it needs. The sums mix signs, so they go through math.fsum, which rounds
+exactly. pi_factor values are memoized per constant set; all functions are
+pure, and cache fills are idempotent, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -72,10 +73,11 @@ def parse_mode(token: str) -> ModeIndex:
     """Parse 'mn' two-digit tokens (or 'm,n' for orders above 9)."""
     token = token.strip()
     if "," in token:
-        parts = token.split(",")
-        if len(parts) != 2:
-            raise DomainError(f"cannot parse mode token {token!r}")
-        return ModeIndex(int(parts[0]), int(parts[1]))
+        try:
+            m, n = map(int, token.split(","))
+        except ValueError:
+            raise DomainError(f"cannot parse mode token {token!r}") from None
+        return ModeIndex(m, n)
     if len(token) != 2 or not token.isdigit():
         raise DomainError(f"cannot parse mode token {token!r} (expected two digits)")
     return ModeIndex(int(token[0]), int(token[1]))
@@ -104,25 +106,9 @@ def sigma(k: int, l: int) -> int:
     return (-1) ** k + (-1) ** l
 
 
-def _neumaier(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 def _compensated_sum(terms: list[complex]) -> complex:
-    ordered = sorted(terms, key=abs, reverse=True)
-    return complex(
-        _neumaier([t.real for t in ordered]),
-        _neumaier([t.imag for t in ordered]),
-    )
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
 
 
 def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> complex:
@@ -206,18 +192,17 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
 
 @lru_cache(maxsize=None)
 def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
-    terms: list[complex] = []
-    fvals: dict[tuple[int, int], complex] = {}
-    for k1 in range(mu + 1):
-        for l1 in range(nu + 1):
-            if sigma(k1, l1) == 0:
-                continue
-            fvals[(k1, l1)] = f_kernel(mu, nu, k1, l1, consts)
-    for (k1, l1), f1 in fvals.items():
-        for (k3, l3), f3 in fvals.items():
-            kk = k_kernel(mu + nu - k1 - l1, mu + nu - k3 - l3, consts)
-            terms.append(f1 * f3.conjugate() * kk)
-    total = _compensated_sum(terms)
+    # F(k, l) vanishes unless k and l share parity, so only even k + l = s
+    # occur, and k_kernel reads only the total orders N - s and N - t:
+    # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t)
+    n = mu + nu
+    g = [_compensated_sum([f_kernel(mu, nu, k, s - k, consts)
+                           for k in range(max(0, s - nu), min(mu, s) + 1)])
+         for s in range(0, n + 1, 2)]
+    total = _compensated_sum([
+        gs * gt.conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)
+        for a, gs in enumerate(g) for b, gt in enumerate(g)
+    ])
     pref = 1.0 / (
         consts.cfg.wavelength ** 2 * consts.cfg.distance ** 2
         * math.sqrt(math.pi * consts.b1)
@@ -236,7 +221,7 @@ def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
 
 
 def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
-    """Per-axis probability factor: the quadruple kernel sum with prefactor.
+    """Per-axis probability factor: the kernel quadratic form with prefactor.
 
     Symmetric in (mu, nu); the memo key is sorted so the symmetry is exact.
     """
@@ -326,6 +311,17 @@ def _calibration_factor(consts: DerivedConstants,
     return reference_value / anchor
 
 
+def _clamp_and_scale(rows: list[list[float]], factor: float) -> list[list[float]]:
+    """Scale raw probabilities by factor. Entries negative by at most
+    _NEGATIVE_CLAMP of the largest magnitude in rows are roundoff and become
+    0; a deeper negative entry raises NumericalError."""
+    peak = max((abs(v) for row in rows for v in row), default=0.0)
+    deep = [v for row in rows for v in row if v < -_NEGATIVE_CLAMP * peak]
+    if deep:
+        raise NumericalError(f"entry {deep[0]} is negative beyond the floor")
+    return [[0.0 if v < 0.0 else v * factor for v in row] for row in rows]
+
+
 def _check_normalization(normalization: str) -> None:
     if normalization not in (NORMALIZATION_RAW, NORMALIZATION_CALIBRATED):
         raise DomainError(f"unknown normalization {normalization!r}")
@@ -357,9 +353,16 @@ def probability_matrix(
             f"constants were derived for gamma={consts.gamma!r}"
         )
 
-    raw = [[joint_probability(ModePair(s, i), consts) for i in ordering]
-           for s in ordering]
-    raw_ref = joint_probability(_ANCHOR_PAIR, consts)
+    # one pi_factor call per distinct sorted (mu, nu) the grid reads: pairs
+    # of m orders, pairs of n orders and the (00,00) anchor's (0, 0)
+    keys = {(0, 0)}
+    for axis in ({s.m for s in ordering}, {s.n for s in ordering}):
+        keys.update((min(a, b), max(a, b)) for a in axis for b in axis)
+    pi = {}
+    for a, b in sorted(keys):
+        pi[a, b] = pi[b, a] = pi_factor(a, b, consts)
+    raw = [[pi[s.m, i.m] * pi[s.n, i.n] for i in ordering] for s in ordering]
+    raw_ref = pi[0, 0] * pi[0, 0]
 
     if normalization == NORMALIZATION_CALIBRATED:
         factor = _calibration_factor(consts, reference_value)
@@ -369,19 +372,8 @@ def probability_matrix(
         factor = 1.0
         norm = Normalization(NORMALIZATION_RAW, _ANCHOR_PAIR, None, 1.0, raw_ref)
 
-    peak = max(max(abs(v) for v in row) for row in raw)
-    floor = -_NEGATIVE_CLAMP * peak
-    values = []
-    for row in raw:
-        out = []
-        for v in row:
-            if floor <= v < 0.0:
-                v = 0.0
-            elif v < floor:
-                raise NumericalError(f"matrix entry {v} is negative beyond the floor")
-            out.append(v * factor)
-        values.append(tuple(out))
-    return ProbabilityMatrix(ordering, tuple(values), consts, norm, turbulence)
+    values = tuple(map(tuple, _clamp_and_scale(raw, factor)))
+    return ProbabilityMatrix(ordering, values, consts, norm, turbulence)
 
 
 def build_matrix(
@@ -422,5 +414,6 @@ def rytov_sweep(
               for s2 in grid]
     factor = (_calibration_factor(points[0])
               if normalization == NORMALIZATION_CALIBRATED else 1.0)
-    return [[factor * joint_probability(pair, consts) for consts in points]
-            for pair in pairs]
+    return _clamp_and_scale(
+        [[joint_probability(pair, consts) for consts in points] for pair in pairs],
+        factor)

@@ -181,9 +181,9 @@ def check_symmetry_factorization() -> CheckResult:
     """Exchange symmetry and the factorization cross-identity, orders <= 3,
     in vacuum and at the reference turbulence.
 
-    The cross-identity products are assembled through joint_probability so
-    the memoized assembly path is what gets exercised, not just the raw
-    per-axis factors.
+    The products come from joint_probability, the per-pair path that sweeps
+    and the calibration anchor take; matrices read the same per-axis factors
+    from a table, which test_engine checks entry by entry against it.
     """
     cfg = reference.reference_config()
     worst = 0.0

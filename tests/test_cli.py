@@ -75,9 +75,11 @@ class TestMatrixCommand:
         assert parse_matrix_csv(out)["params"]["pump_waist_m"] == "0.09"
 
     def test_invalid_params_exit_2(self, capsys):
-        code, _, err = run(capsys, "matrix", "--rytov", "-0.5")
-        assert code == EXIT_PARAMS
-        assert "invalid parameters" in err
+        for argv in (["matrix", "--rytov", "-0.5"], ["sweep", "--grid", "a,b"],
+                     ["sweep", "--pairs", "a,b:00"]):
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_PARAMS, argv
+            assert "invalid parameters" in err
 
     def test_conflicting_mode_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -127,9 +129,10 @@ class TestConfigFile:
 
     def test_malformed_line_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("rytov 0.02\n")
-        code, _, err = run(capsys, "matrix", "--config", str(cfg))
-        assert code == EXIT_PARAMS
+        for text in ("rytov 0.02\n", "max_sum=x\n", "rytov=x\n"):
+            cfg.write_text(text)
+            code, _, err = run(capsys, "matrix", "--config", str(cfg))
+            assert code == EXIT_PARAMS, text
 
     @pytest.mark.parametrize("command", ["matrix", "sweep", "rank"])
     def test_unknown_normalization_exit_2(self, capsys, tmp_path, command):
@@ -170,6 +173,13 @@ class TestSweepCommand:
         p0001 = [float(r[2]) for r in rows]
         assert all(a > b for a, b in zip(p0000, p0000[1:]))
         assert p0001[0] < 1e-10 and all(a < b for a, b in zip(p0001, p0001[1:]))
+
+    def test_negative_probability_exit_3(self, capsys):
+        # the vacuum P(90,10,0) is roundoff 1e-6 of the series peak below
+        # zero, far past the 1e-12 floor; the sweep rejects it as a matrix would
+        code, out, err = run(capsys, "sweep", "--grid", "0,0.01", "--pairs", "9,0:10,0")
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err and out == ""
 
     def test_descending_grid_exit_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--grid", "0.02,0.01")

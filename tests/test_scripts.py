@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hgspdc import reference
-from hgspdc.cli import EXIT_OK, EXIT_PARAMS, main
+from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,13 +46,21 @@ def test_turbulence_sweep_matches_cli(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["--steps", "1"], ["--steps", "0"],
-    ["--pairs", "00-01"], ["--max-rytov", "-0.1"],
-], ids=["1", "0", "pairs-00-01", "max-rytov-negative"])
+    ["--pairs", "00-01"], ["--max-rytov", "-0.1"], ["--pairs", "a,b:00"],
+], ids=["1", "0", "pairs-00-01", "max-rytov-negative", "pairs-a,b:00"])
 def test_turbulence_sweep_rejects_too_few_steps(tmp_path, args):
     proc = run_script("turbulence_sweep.py", *args, "--output", "out.csv",
                       cwd=tmp_path)
     assert proc.returncode == EXIT_PARAMS
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_turbulence_sweep_numerical_failure(tmp_path):
+    proc = run_script("turbulence_sweep.py", "--pairs", "9,0:10,0",
+                      "--output", "out.csv", cwd=tmp_path)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert "numerical failure" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out.csv").exists()
 
 
