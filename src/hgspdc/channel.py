@@ -216,7 +216,9 @@ def derive_constants(
     b3 = u * (1 / (2 * lam0) + gamma - 1j)
     b4 = u * (1 / lam0 + 2 * gamma)
     a2 = -b2 ** 2 / (4 * b1) + b3 + u * lam0 / (1 + lam0 ** 2)
-    a3 = -abs(b2) ** 2 / (2 * b1) + b4
+    # -|b2|^2 / (2 b1) + b4 in closed form, free of its cancellation: exactly
+    # 0 in vacuum, so there c1 == c2 holds bitwise
+    a3 = u * gamma * (6 / lam0 + 2 * lam0 + 3 * gamma) / ((1 + lam0 ** 2) / lam0 + 2 * gamma)
     c1 = a2.real - a3 / 2
     c2 = a2.real + a3 / 2
     c3 = a2.imag

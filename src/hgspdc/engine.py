@@ -7,17 +7,22 @@ build_matrix and rytov_sweep are the one path from channel inputs
 (geometry plus turbulence) to calibrated probabilities; the CLI, the
 validation suite and the scripts all go through them.
 
-Pi is a quadratic form in the per-order sums of F, since k_kernel reads only
-total orders, and a matrix reads its entries from one table of the distinct
-Pi it needs. The sums mix signs, so they go through math.fsum, which rounds
-exactly. pi_factor values are memoized per constant set; all functions are
-pure, and cache fills are idempotent, so concurrent use is safe.
+k_kernel is one sum over s = p + q of integer Krawtchouk weights times a
+bracket h(s, a + b - s); pairing s with a + b - s evaluates each bracket
+once and makes the vacuum selection-rule zeros exact. Pi is a quadratic
+form in the per-order sums of F, since k_kernel reads only total orders,
+and a matrix reads its entries from one table of the distinct Pi it needs.
+The sums mix signs, so they go through math.fsum, which rounds exactly.
+k_kernel and pi_factor values are memoized in two bounded caches that keep
+the most recent constant sets; all functions are pure, and cache fills are
+idempotent, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,9 +40,15 @@ from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 
 DEFAULT_MAX_ORDER = 10
 
-# below this the removable 1/c3 singularity in k_kernel switches to its
-# first-order expansion in c3
+# below this the removable 1/c3 singularity in the k_kernel bracket switches
+# to its first-order expansion in c3
 _SMALL_C3_FACTOR = 1e-6
+
+# One constant set reads at most 221 K(a, b) (a, b <= 2 * DEFAULT_MAX_ORDER,
+# a + b even) and 66 Pi(mu <= nu <= DEFAULT_MAX_ORDER); each cache holds 16
+# such sets whole, such as 8 channels and their 8 vacuum calibration anchors.
+_K_CACHE_SIZE = 16 * 221
+_PI_CACHE_SIZE = 16 * 66
 
 _IMAG_RTOL = 1e-10
 _NEGATIVE_CLAMP = 1e-12
@@ -134,63 +145,63 @@ def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> comp
     return val
 
 
-@lru_cache(maxsize=None)
-def _hyp(a: float, b: float, c: float, x: float) -> float:
-    return hyp2f1_real(a, b, c, x)
+def _bracket(s: int, t: int, consts: DerivedConstants) -> complex:
+    """The k_kernel bracket h(s, t) for s + t even; symmetric in (s, t).
+
+    The odd bracket carries 1/c3 but is O(c3); below the small-c3 threshold
+    it is evaluated through its first-order expansion so the removable
+    singularity never amplifies roundoff.
+    """
+    c1, c2, c3, c4 = consts.c1, consts.c2, consts.c3, consts.c4
+    if s % 2 == 0:
+        g = gamma_half(HalfInteger(1 + s)) * gamma_half(HalfInteger(1 + t))
+        return 4 * math.sqrt(c1 / c2) * g * hyp2f1_real((1 + s) / 2, (1 + t) / 2, 0.5, c4)
+    g = gamma_half(HalfInteger(2 + s)) * gamma_half(HalfInteger(2 + t))
+    if abs(c3) < _SMALL_C3_FACTOR * (c1 + c2):
+        return 4j * g * c3 * ((3 + s + t) - (2 + s) * (2 + t)) / (c2 * (1 + s) * (1 + t))
+    hi = hyp2f1_real((2 + s) / 2, (2 + t) / 2, 0.5, c4)
+    lo = hyp2f1_real((2 + s) / 2, (2 + t) / 2, -0.5, c4)
+    return 4j * g * (
+        (4 * c1 * c2 + c3 ** 2 * (4 + s + t)) * hi - (4 * c1 * c2 + c3 ** 2) * lo
+    ) / (c2 * c3 * (1 + s) * (1 + t))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_K_CACHE_SIZE)
 def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
-    """Second overlap kernel, the double sum over (p, q).
+    """Second overlap kernel, one sum over s = p + q with n = a + b, t = n - s:
 
-    The first bracket term needs p+q and a+b-p-q both even, the second and
-    third both odd, so the kernel vanishes identically for odd a + b. The
-    odd terms each carry 1/c3 but their sum is O(c3); below the small-c3
-    threshold they are evaluated through the first-order expansion so the
-    removable singularity never amplifies roundoff.
+    K = 1/4 2^(-n/2) c1^(-1) (c1 c2)^(-n/4) sum_s kappa_s rho^(s-t) h(s, t)
+
+    with rho = (c2/c1)^(1/4), h the bracket and kappa_s the integer
+    [x^s] (1+x)^a (x-1)^b, a Krawtchouk value (DLMF 18.19). The bracket
+    vanishes unless s and t share parity, so K vanishes for odd a + b. Since
+    kappa_(n-s) = (-1)^b kappa_s and h is symmetric, the s and n - s terms
+    share one bracket; their weights cancel exactly when c1 == c2, as in
+    vacuum, so K(odd, odd) is then exactly 0.
     """
     if a < 0 or b < 0:
         raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
-    c1, c2, c3, c4 = consts.c1, consts.c2, consts.c3, consts.c4
-    small_c3 = abs(c3) < _SMALL_C3_FACTOR * (c1 + c2)
-    terms: list[complex] = []
-    for p in range(a + 1):
-        for q in range(b + 1):
-            s = p + q
-            t = a + b - p - q
-            pre = (
-                math.comb(a, p) * math.comb(b, q) * (-1) ** (b - q)
-                * c1 ** (-(2 + s) / 2) * c2 ** (-t / 2)
-            )
-            if s % 2 == 0 and t % 2 == 0:
-                g = gamma_half(HalfInteger(1 + s)) * gamma_half(HalfInteger(1 + t))
-                bracket = (
-                    sigma(0, s) * sigma(0, t) * math.sqrt(c1 / c2) * g
-                    * _hyp((1 + s) / 2, (1 + t) / 2, 0.5, c4)
-                )
-            elif s % 2 == 1 and t % 2 == 1:
-                sig2 = sigma(1, s) * sigma(1, t)
-                g = gamma_half(HalfInteger(2 + s)) * gamma_half(HalfInteger(2 + t))
-                if small_c3:
-                    bracket = 1j * sig2 * g * c3 * (
-                        (3 + a + b) - (2 + s) * (2 + t)
-                    ) / (c2 * (1 + s) * (1 + t))
-                else:
-                    hi = _hyp((2 + s) / 2, (2 + t) / 2, 0.5, c4)
-                    lo = _hyp((2 + s) / 2, (2 + t) / 2, -0.5, c4)
-                    bracket = 1j * sig2 * g * (
-                        (4 * c1 * c2 + c3 ** 2 * (4 + a + b)) * hi
-                        - (4 * c1 * c2 + c3 ** 2) * lo
-                    ) / (c2 * c3 * (1 + s) * (1 + t))
-            else:
-                continue
-            terms.append(pre * bracket)
-    if not terms:
+    n = a + b
+    if n % 2:
         return 0.0 + 0.0j
-    return 0.25 * (0.5 ** ((a + b) / 2)) * _compensated_sum(terms)
+    c1, c2 = consts.c1, consts.c2
+    rho = (c2 / c1) ** 0.25
+    sign = (-1) ** b
+    terms: list[complex] = []
+    # kappa runs through kappa_s by the recurrence read off from
+    # (x^2 - 1) f' = (n x + b - a) f for f = (1+x)^a (x-1)^b:
+    # (s+1) kappa_(s+1) = (a - b) kappa_s + (s - 1 - n) kappa_(s-1)
+    kappa_prev, kappa = 0, sign
+    for s in range(n // 2 + 1):
+        t = n - s
+        weight = kappa * (rho ** (s - t) + sign * rho ** (t - s) if s < t else 1.0)
+        if weight:
+            terms.append(weight * _bracket(s, t, consts))
+        kappa_prev, kappa = kappa, ((a - b) * kappa + (s - 1 - n) * kappa_prev) // (s + 1)
+    return 0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4) * _compensated_sum(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PI_CACHE_SIZE)
 def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
     # F(k, l) vanishes unless k and l share parity, so only even k + l = s
     # occur, and k_kernel reads only the total orders N - s and N - t:
@@ -311,14 +322,18 @@ def _calibration_factor(consts: DerivedConstants,
     return reference_value / anchor
 
 
-def _clamp_and_scale(rows: list[list[float]], factor: float) -> list[list[float]]:
+def _clamp_and_scale(rows: list[list[float]], factor: float,
+                     entry: Callable[[int, int], str]) -> list[list[float]]:
     """Scale raw probabilities by factor. Entries negative by at most
     _NEGATIVE_CLAMP of the largest magnitude in rows are roundoff and become
-    0; a deeper negative entry raises NumericalError."""
-    peak = max((abs(v) for row in rows for v in row), default=0.0)
-    deep = [v for row in rows for v in row if v < -_NEGATIVE_CLAMP * peak]
-    if deep:
-        raise NumericalError(f"entry {deep[0]} is negative beyond the floor")
+    0; a deeper negative entry raises NumericalError, which names it by
+    entry(row, column) and gives its scaled value."""
+    floor = -_NEGATIVE_CLAMP * max((abs(v) for row in rows for v in row), default=0.0)
+    for i, row in enumerate(rows):
+        low = min(row)
+        if low < floor:
+            raise NumericalError(f"P{entry(i, row.index(low))} = {low * factor:.6g} "
+                                 "is negative beyond the floor")
     return [[0.0 if v < 0.0 else v * factor for v in row] for row in rows]
 
 
@@ -372,7 +387,8 @@ def probability_matrix(
         factor = 1.0
         norm = Normalization(NORMALIZATION_RAW, _ANCHOR_PAIR, None, 1.0, raw_ref)
 
-    values = tuple(map(tuple, _clamp_and_scale(raw, factor)))
+    values = tuple(map(tuple, _clamp_and_scale(
+        raw, factor, lambda i, j: ModePair(ordering[i], ordering[j]).label())))
     return ProbabilityMatrix(ordering, values, consts, norm, turbulence)
 
 
@@ -410,10 +426,11 @@ def rytov_sweep(
     if grid != sorted(grid):
         raise DomainError("sweep grid must be ascending")
     _check_normalization(normalization)
+    pairs = list(pairs)
     points = [derive_constants(cfg, TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma)
               for s2 in grid]
     factor = (_calibration_factor(points[0])
               if normalization == NORMALIZATION_CALIBRATED else 1.0)
     return _clamp_and_scale(
         [[joint_probability(pair, consts) for consts in points] for pair in pairs],
-        factor)
+        factor, lambda i, j: f"{pairs[i].label()} at rytov {grid[j]}")

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from hgspdc import reference
-from hgspdc.channel import derive_constants, turbulence_strength
+from hgspdc.channel import OpticalConfig, derive_constants, turbulence_strength
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +19,13 @@ def vac_consts(ref_cfg):
 @pytest.fixture(scope="session")
 def turb_consts(ref_cfg):
     return derive_constants(ref_cfg, turbulence_strength(reference.REFERENCE_RYTOV))
+
+
+@pytest.fixture(scope="session")
+def near_field_cfgs(ref_cfg):
+    """Fresnel ratio -> the reference wavelength and distance with the W0
+    that gives it; near field, a cancelling cascade loses c1 == c2 in vacuum."""
+    return {lam0: OpticalConfig.from_w0(
+                ref_cfg.wavelength, ref_cfg.distance,
+                math.sqrt(2 * ref_cfg.distance / (ref_cfg.wavenumber * lam0)))
+            for lam0 in (1e-2, 4.7e-4, 3.5e-4, 3e-5)}

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from hgspdc import reference
+from hgspdc import engine, reference
 from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, EXIT_VALIDATION, main
 from hgspdc.serialization import parse_matrix_csv
 from hgspdc.channel import DEFAULT_STRENGTH_COEFF
+from hgspdc.engine import ModePair, parse_mode, selection_rule_allowed
 from hgspdc.validate import check_turbulence_golden
 
 
@@ -55,6 +56,17 @@ class TestMatrixCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["ordering"] == ["00", "01", "10"]
+
+    @pytest.mark.parametrize("max_sum", ["8", "9", "10"])
+    def test_high_order_vacuum_zeros_exact(self, capsys, max_sum):
+        code, out, _ = run(capsys, "matrix", "--max-sum", max_sum, "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        modes = [parse_mode(label) for label in doc["ordering"]]
+        for s, row in zip(modes, doc["matrix"]):
+            for i, v in zip(modes, row):
+                if not selection_rule_allowed(ModePair(s, i)):
+                    assert v == 0.0, (s, i)
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "matrix", "--format", "json")
@@ -174,12 +186,23 @@ class TestSweepCommand:
         assert all(a > b for a, b in zip(p0000, p0000[1:]))
         assert p0001[0] < 1e-10 and all(a < b for a, b in zip(p0001, p0001[1:]))
 
-    def test_negative_probability_exit_3(self, capsys):
-        # the vacuum P(90,10,0) is roundoff 1e-6 of the series peak below
-        # zero, far past the 1e-12 floor; the sweep rejects it as a matrix would
+    def test_negative_probability_exit_3(self, capsys, monkeypatch):
+        # a probability 1e-6 of the series peak below zero is far past the
+        # 1e-12 floor; the sweep rejects it as a matrix would
+        values = iter([1.0, 1.0, -1e-6])
+        monkeypatch.setattr(engine, "joint_probability",
+                            lambda pair, consts: next(values))
         code, out, err = run(capsys, "sweep", "--grid", "0,0.01", "--pairs", "9,0:10,0")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and out == ""
+
+    def test_vacuum_forbidden_high_orders(self, capsys):
+        # vacuum P(90,10,0) is forbidden, so exactly 0
+        code, out, _ = run(capsys, "sweep", "--grid", "0,0.01", "--pairs", "9,0:10,0")
+        assert code == EXIT_OK
+        rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")]
+        assert [float(v) for v in rows[1]] == [0.0, 0.0]
+        assert float(rows[2][1]) > 0.0
 
     def test_descending_grid_exit_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--grid", "0.02,0.01")
@@ -212,8 +235,8 @@ class TestRankCommand:
         code, out, _ = run(capsys, "rank", "--rytov", "0", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
-        # forbidden entries cancel to numerical noise in vacuum
-        assert all(r["p_turb"] < 1e-10 * 0.31307 for r in doc["leakage"])
+        # forbidden entries are exactly 0 in vacuum
+        assert all(r["p_turb"] == 0.0 for r in doc["leakage"])
 
     def test_missing_turbulence_exit_2(self, capsys):
         code, _, err = run(capsys, "rank")

@@ -174,9 +174,17 @@ class TestKKernel:
                 k_kernel(a, b, turb_consts).conjugate(), rel=1e-13
             )
 
-    def test_vacuum_1_1_vanishes(self, vac_consts):
-        # c1 = c2 in vacuum collapses the even bracket difference
-        assert abs(k_kernel(1, 1, vac_consts)) < 1e-12 * abs(k_kernel(0, 0, vac_consts))
+    def test_vacuum_1_1_vanishes(self, vac_consts, near_field_cfgs):
+        # c1 = c2 in vacuum: the s and a + b - s terms cancel exactly
+        for consts in (vac_consts, *map(derive_constants, near_field_cfgs.values())):
+            assert k_kernel(1, 1, consts) == 0
+
+    # the worst-conditioned orders of a Pi(10, 10) table
+    @pytest.mark.parametrize("a,b,rytov", [(20, 18, 0.01), (20, 20, 0.02)])
+    def test_high_orders_against_oracle(self, ref_cfg, a, b, rytov):
+        consts = derive_constants(ref_cfg, turbulence_strength(rytov))
+        want = complex(oracle_k(a, b, consts))
+        assert k_kernel(a, b, consts) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_small_c3_expansion_matches_exact(self, turb_consts):
         # shrink c3 below the guard threshold; the engine switches to the
@@ -230,10 +238,13 @@ class TestPiFactor:
         with pytest.raises(DomainError):
             pi_factor(11, 0, vac_consts)
 
-    def test_vacuum_forbidden_orders_vanish(self, vac_consts):
-        peak = pi_factor(0, 0, vac_consts)
-        for mu, nu in ((0, 1), (1, 2), (0, 3), (2, 3)):
-            assert abs(pi_factor(mu, nu, vac_consts)) < 1e-10 * peak
+    def test_vacuum_forbidden_orders_vanish(self, vac_consts, near_field_cfgs):
+        # every Pi with odd mu + nu is a sum of vacuum K(odd, odd), each
+        # exactly 0, at the reference geometry and in near field alike
+        for consts in (vac_consts, *map(derive_constants, near_field_cfgs.values())):
+            for mu in range(11):
+                for nu in range(1 - mu % 2, 11, 2):
+                    assert pi_factor(mu, nu, consts) == 0.0, (mu, nu)
 
 
 class TestJointProbability:
@@ -370,6 +381,14 @@ class TestProbabilityMatrix:
         with pytest.raises(CalibrationError):
             probability_matrix(DEFAULT_ORDERING, vac_consts)
 
+    def test_failure_names_entry(self, vac_consts, monkeypatch):
+        # the first deep negative entry in row order is (00,01); the error
+        # gives its calibrated value, not the raw one
+        monkeypatch.setattr(engine, "pi_factor",
+                            lambda mu, nu, consts: -1e-3 if {mu, nu} == {0, 1} else 1.0)
+        with pytest.raises(NumericalError, match=r"P\(00,01\) = -0.00031307 "):
+            probability_matrix(DEFAULT_ORDERING, vac_consts)
+
     def test_turbulence_gamma_must_match_consts(self, ref_cfg, turb_consts):
         # metadata resolved for vacuum must not label a turbulent matrix
         vacuum = TurbulenceSpec.vacuum().resolve(ref_cfg)
@@ -461,6 +480,17 @@ class TestChannelPath:
                                 normalization=NORMALIZATION_RAW)
         assert series == [joint_probability(pair, turb_consts)]
 
+    def test_sweep_caches_stay_bounded(self, ref_cfg):
+        # 500 points of four pairs read more kernels than either cache holds
+        pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
+        k_kernel.cache_clear()
+        _pi_cached.cache_clear()
+        rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
+        for cache in (k_kernel, _pi_cached):
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.misses > info.maxsize >= info.currsize
+
     def test_sweep_clamps_like_a_matrix(self, ref_cfg, monkeypatch):
         # roundoff below zero within 1e-12 of the series peak reads as 0; a
         # deeper negative probability is a numerical failure
@@ -476,6 +506,17 @@ class TestChannelPath:
         assert sweep(-1e-13) == [[1.0, 0.0]]
         with pytest.raises(NumericalError):
             sweep(-1e-11)
+
+    def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, monkeypatch):
+        # the error gives the calibrated value, not the raw one
+        bad = ModePair(ModeIndex(9, 0), ModeIndex(10, 0))
+        monkeypatch.setattr(
+            engine, "joint_probability",
+            lambda pair, consts: -1e-6 if pair == bad and consts.gamma else 1.0)
+        pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), bad]
+        with pytest.raises(NumericalError,
+                           match=r"P\(90,10,0\) at rytov 0.01 = -3.1307e-07 "):
+            rytov_sweep(ref_cfg, [0.0, 0.01], pairs)
 
     @pytest.mark.parametrize("grid,normalization", [
         ([], "calibrated"), ([-0.01, 0.0], "calibrated"),

@@ -3,13 +3,14 @@ CLI subcommands they share their code path with."""
 
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hgspdc import reference
+from hgspdc import engine, reference
 from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,12 +57,29 @@ def test_turbulence_sweep_rejects_too_few_steps(tmp_path, args):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_turbulence_sweep_numerical_failure(tmp_path):
+def test_turbulence_sweep_numerical_failure(tmp_path, monkeypatch, capsys):
+    # in-process, so that a probability 1e-6 of the series peak below zero
+    # can be injected
+    monkeypatch.setattr(engine, "joint_probability",
+                        lambda pair, consts: -1e-6 if consts.gamma else 1.0)
+    monkeypatch.setattr(sys, "argv", ["turbulence_sweep.py", "--pairs", "9,0:10,0",
+                                      "--output", "out.csv"])
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "turbulence_sweep.py"), run_name="__main__")
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_NUMERICAL
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_turbulence_sweep_vacuum_forbidden_high_orders(tmp_path):
     proc = run_script("turbulence_sweep.py", "--pairs", "9,0:10,0",
                       "--output", "out.csv", cwd=tmp_path)
-    assert proc.returncode == EXIT_NUMERICAL
-    assert "numerical failure" in proc.stderr and "Traceback" not in proc.stderr
-    assert not (tmp_path / "out.csv").exists()
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = [ln.split(",") for ln in (tmp_path / "out.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert [float(v) for v in rows[1]] == [0.0, 0.0]
 
 
 def test_rank_robust_modes_matches_cli(capsys):
