@@ -21,18 +21,25 @@ The triple integral is tensor-product Gauss-Legendre over a truncated
 window: the r contraction is the matrix product E diag(w g) E^T with
 E[i, j] = exp[i k/(2z) (x_i - r_j)^2], after which every A(mu, nu) is a
 small quadratic form in the same kernel matrix.
+
+numpy is a declared dependency of the package, but only this oracle uses it,
+and it is imported inside the functions that build arrays: importing hgspdc
+(or running the matrix, sweep and rank commands) never loads numpy; the first
+call to overlap_table, vacuum_overlap_1d or vacuum_probability_oracle does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import OpticalConfig
 from .engine import ModePair
 from .errors import DomainError, QuadratureResolutionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MIN_NODES = 64
 DEFAULT_NODES = 512
@@ -95,6 +102,8 @@ class QuadratureSpec:
 
 
 def _hermite(n: int, y: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     h0 = np.ones_like(y)
     if n == 0:
         return h0
@@ -105,6 +114,8 @@ def _hermite(n: int, y: np.ndarray) -> np.ndarray:
 
 
 def _detection_mode(n: int, x: np.ndarray, waist: float, phase_rate: float) -> np.ndarray:
+    import numpy as np
+
     norm = (2.0 / math.pi) ** 0.25 / math.sqrt(waist * 2.0 ** n * math.factorial(n))
     return (norm * _hermite(n, math.sqrt(2.0) * x / waist)
             * np.exp(-(x / waist) ** 2 + 1j * phase_rate * x ** 2))
@@ -112,6 +123,8 @@ def _detection_mode(n: int, x: np.ndarray, waist: float, phase_rate: float) -> n
 
 def _overlap_grid(cfg: OpticalConfig, spec: QuadratureSpec, max_order: int) -> np.ndarray:
     """All A(mu, nu) for mu, nu <= max_order at the given resolution."""
+    import numpy as np
+
     waist = spec.resolved_waist(cfg)
     phase_rate = detection_phase_rate(cfg)
     kappa = cfg.wavenumber / (2.0 * cfg.distance)
@@ -158,7 +171,7 @@ def overlap_table(cfg: OpticalConfig, spec: QuadratureSpec | None = None,
             max_order,
         )
         scale = abs(fine[0, 0])
-        drift = np.abs(table - fine) / scale
+        drift = abs(table - fine) / scale
         if drift.max() > CONVERGENCE_RTOL:
             raise QuadratureResolutionError(
                 f"node doubling moved overlaps by {drift.max():.2e} relative "

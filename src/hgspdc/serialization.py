@@ -2,13 +2,16 @@
 
 CSV matrices carry '#'-prefixed key=value header lines (wavelength_m,
 distance_m, pump_waist_m, rytov, gamma, w_variant, normalization, ...), a
-label row/column, and cells with 12 significant digits. JSON carries full
-float precision (round-trips bit-exactly through json) with params, ordering,
-matrix and normalization objects.
+label row/column, and cells with 12 significant digits. Rows go through the
+stdlib csv module with minimal quoting, so a label holding a comma (the
+order-10 mode 0,10, the sweep series P(00,01)) is one quoted field. JSON
+carries full float precision (round-trips bit-exactly through json) with
+params, ordering, matrix and normalization objects.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 
@@ -70,9 +73,10 @@ def matrix_to_csv(matrix: ProbabilityMatrix) -> str:
     out.write(f"# calibration_factor={norm['calibration_factor']}\n")
     out.write(f"# raw_reference_value={norm['raw_reference_value']}\n")
     labels = [m.label() for m in matrix.ordering]
-    out.write("signal\\idler," + ",".join(labels) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["signal\\idler", *labels])
     for label, row in zip(labels, matrix.values):
-        out.write(label + "," + ",".join(_CSV_FMT % v for v in row) + "\n")
+        writer.writerow([label, *(_CSV_FMT % v for v in row)])
     return out.getvalue()
 
 
@@ -86,8 +90,7 @@ def parse_matrix_json(text: str) -> dict:
 def parse_matrix_csv(text: str) -> dict:
     """Parse the CSV emission: header params, labels, and the value grid."""
     params: dict = {}
-    labels: list[str] = []
-    rows: list[list[float]] = []
+    table: list[str] = []
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -95,11 +98,10 @@ def parse_matrix_csv(text: str) -> dict:
             key, _, val = line[1:].strip().partition("=")
             params[key.strip()] = val.strip()
             continue
-        cells = line.split(",")
-        if not labels:
-            labels = cells[1:]
-            continue
-        rows.append([float(v) for v in cells[1:]])
+        table.append(line)
+    cells = list(csv.reader(table))
+    labels = cells[0][1:] if cells else []
+    rows = [[float(v) for v in row[1:]] for row in cells[1:]]
     return {"params": params, "ordering": labels, "matrix": rows}
 
 
@@ -132,10 +134,10 @@ def sweep_to_csv(grid: list[float], series: dict[str, list[float]],
     for key, val in (params or {}).items():
         if val is not None:
             out.write(f"# {key}={val}\n")
-    out.write("rytov," + ",".join(series.keys()) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["rytov", *series])
     for i, s2 in enumerate(grid):
-        out.write(_CSV_FMT % s2 + ","
-                  + ",".join(_CSV_FMT % series[k][i] for k in series) + "\n")
+        writer.writerow([_CSV_FMT % s2, *(_CSV_FMT % series[k][i] for k in series)])
     return out.getvalue()
 
 

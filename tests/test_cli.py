@@ -1,5 +1,6 @@
 """CLI end-to-end: subcommands, exit codes, config files, determinism."""
 
+import csv
 import json
 
 import pytest
@@ -9,7 +10,7 @@ from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, EXIT_VALIDATION, ma
 from hgspdc.serialization import parse_matrix_csv
 from hgspdc.channel import DEFAULT_STRENGTH_COEFF
 from hgspdc.engine import ModePair, parse_mode, selection_rule_allowed
-from hgspdc.validate import check_turbulence_golden
+from hgspdc.validate import check_turbulence_golden, run_checks
 
 
 def run(capsys, *argv):
@@ -50,6 +51,18 @@ class TestMatrixCommand:
         assert code == EXIT_OK
         lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert len(lines) == 2  # header row + one mode row
+
+    def test_max_sum_10_csv_round_trip(self, capsys):
+        # order-10 labels such as 0,10 hold a comma and must stay one field
+        code, out, _ = run(capsys, "matrix", "--max-sum", "10", "--format", "csv")
+        assert code == EXIT_OK
+        doc = parse_matrix_csv(out)
+        want = [m.label() for m in engine.expand_modes(10)]
+        assert len(want) == 66 and "0,10" in want
+        assert doc["ordering"] == want
+        assert len(doc["matrix"]) == 66
+        assert all(len(row) == 66 for row in doc["matrix"])
+        assert doc["matrix"][0][0] == pytest.approx(0.31307, rel=1e-10)
 
     def test_max_sum_expansion(self, capsys):
         code, out, _ = run(capsys, "matrix", "--max-sum", "1", "--format", "json")
@@ -170,11 +183,22 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "sweep", "--grid", "0")
         assert code == EXIT_OK
         lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
-        assert lines[0] == "rytov,P(00,00),P(00,01)"
+        assert lines[0] == 'rytov,"P(00,00)","P(00,01)"'
         assert len(lines) == 2
         row = lines[1].split(",")
         assert float(row[1]) == pytest.approx(0.31307, rel=1e-10)
         assert float(row[2]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_csv_header_one_field_per_pair(self, capsys):
+        pairs = "00:00 00:01 0,10:10,0"
+        code, out, _ = run(capsys, "sweep", "--grid", "0,0.01", "--pairs", pairs)
+        assert code == EXIT_OK
+        lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        rows = list(csv.reader(lines))
+        names = [ModePair(parse_mode(s), parse_mode(i)).label()
+                 for s, i in (tok.split(":") for tok in pairs.split())]
+        assert rows[0] == ["rytov"] + [f"P{label}" for label in names]
+        assert all(len(row) == 1 + len(names) for row in rows)
 
     def test_trend_columns(self, capsys):
         code, out, _ = run(capsys, "sweep", "--grid", "0,0.01,0.02,0.03",
@@ -262,6 +286,16 @@ class TestValidateCommand:
         failing = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failing == ["trend_forbidden_increasing"]
         assert "PASS  turbulence_golden" in out
+
+    def test_every_check_reports_elapsed(self, capsys, tmp_path):
+        results = run_checks()
+        assert all(r.elapsed_s is not None and r.elapsed_s >= 0.0 for r in results)
+        report = tmp_path / "report.json"
+        run(capsys, "validate", "--output", str(report))
+        checks = json.loads(report.read_text())["checks"]
+        assert [c["name"] for c in checks] == [r.name for r in results]
+        assert all(c["elapsed_s"] is not None and c["elapsed_s"] >= 0.0
+                   for c in checks)
 
     def test_gamma_sensitivity_probe(self):
         # a 10% gamma perturbation breaks the turbulence fixture while the

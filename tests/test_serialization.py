@@ -108,7 +108,7 @@ class TestSweep:
                   "P(00,01)": [2.0 * g for g in grid]}
         text = sweep_to_csv(grid, series)
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        assert lines[0] == "rytov,P(00,00),P(00,01)"
+        assert lines[0] == 'rytov,"P(00,00)","P(00,01)"'
         assert len(lines) == 1 + len(grid)
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(grid[0], rel=1e-11)
