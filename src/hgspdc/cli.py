@@ -28,6 +28,7 @@ from .engine import (
     selection_rule_allowed,
 )
 from .errors import DomainError, NumericalError
+from .oracle import DEFAULT_NODES, MAX_NODES, MIN_NODES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -292,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--vacuum-only", action="store_true",
                        help="skip turbulence fixtures")
     p_val.add_argument("--output", type=str, help="write a JSON report here")
-    p_val.add_argument("--nodes", type=int, default=512,
-                       help="oracle quadrature nodes per axis")
+    p_val.add_argument("--nodes", type=int, default=DEFAULT_NODES,
+                       help=f"oracle quadrature nodes per axis, {MIN_NODES} to "
+                            f"{MAX_NODES}; the convergence check also runs "
+                            f"at twice this")
     return parser
 
 

@@ -18,9 +18,15 @@ k / (4 R(z)) with R(z) = z (1 + 1/Lambda0^2). This convention reproduces the
 closed form's vacuum ratios through high order and is recorded in metadata.
 
 The triple integral is tensor-product Gauss-Legendre over a truncated
-window: the r contraction is the matrix product E diag(w g) E^T with
-E[i, j] = exp[i k/(2z) (x_i - r_j)^2], after which every A(mu, nu) is a
-small quadratic form in the same kernel matrix.
+window, with the r nodes equal to the x nodes. The kernel
+E[i, j] = exp[i k/(2z) (x_i - r_j)^2] is contracted with the mode vectors
+first: proj = M E, where row mu of M holds the weighted conjugate mode
+h_mu*(x_i) w_i, and then A = proj diag(w g) proj^T. E is built and consumed
+a fixed block of rows at a time, so no nodes x nodes array is ever held:
+memory is O((max_order + block) * nodes) and time O(max_order * nodes^2),
+against O(nodes^3) for forming E diag(w g) E^T first. The nodes and weights
+come from Newton's method on the three-term Legendre recurrence, also
+O(nodes^2), rather than an O(nodes^3) eigenvalue solve.
 
 numpy is a declared dependency of the package, but only this oracle uses it,
 and it is imported inside the functions that build arrays: importing hgspdc
@@ -48,6 +54,10 @@ WINDOW_RADII = 5.0
 #: node doubling must move results by less than this (relative)
 CONVERGENCE_RTOL = 1e-4
 MAX_ORACLE_ORDER = 4
+#: the convergence check runs at twice this; time grows as nodes^2
+MAX_NODES = 4096
+#: kernel rows built at a time: 64 x 2 * MAX_NODES complex values is 8 MB
+_KERNEL_BLOCK = 64
 
 
 def detection_waist(cfg: OpticalConfig) -> float:
@@ -79,6 +89,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < MIN_NODES:
             raise DomainError(f"nodes must be >= {MIN_NODES}, got {self.nodes}")
+        if self.nodes > MAX_NODES:
+            raise DomainError(f"nodes must be <= {MAX_NODES}, got {self.nodes}")
         if self.half_width <= 0:
             raise DomainError("half_width must be positive")
 
@@ -121,8 +133,47 @@ def _detection_mode(n: int, x: np.ndarray, waist: float, phase_rate: float) -> n
             * np.exp(-(x / waist) ** 2 + 1j * phase_rate * x ** 2))
 
 
-def _overlap_grid(cfg: OpticalConfig, spec: QuadratureSpec, max_order: int) -> np.ndarray:
-    """All A(mu, nu) for mu, nu <= max_order at the given resolution."""
+def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    import numpy as np
+
+    prev, cur = np.ones_like(x), x.copy()
+    for j in range(2, n + 1):
+        xp = x * cur
+        prev, cur = cur, xp + (j - 1) / j * (xp - prev)
+    return cur, n * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method from Tricomi's initial guesses, on the non-negative half
+    of the nodes only, mirrored so the rule is exactly symmetric.
+    """
+    import numpy as np
+
+    k = np.arange((n + 1) // 2, 0, -1)
+    x = ((1.0 - 1.0 / (8 * n ** 2) + 1.0 / (8 * n ** 3))
+         * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
+    for _ in range(100):
+        p, dp = _legendre_with_derivative(n, x)
+        step = p / dp
+        x -= step
+        if np.abs(step).max() <= 4 * np.finfo(float).eps:
+            break
+    _, dp = _legendre_with_derivative(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+    if n % 2:  # the middle node of an odd rule is exactly 0
+        x[0] = 0.0
+    lower = slice(n % 2, None)
+    return (np.concatenate((-x[lower][::-1], x)),
+            np.concatenate((w[lower][::-1], w)))
+
+
+def _overlap_grid(cfg: OpticalConfig, spec: QuadratureSpec, max_order: int,
+                  nodes: int) -> np.ndarray:
+    """All A(mu, nu) for mu, nu <= max_order on spec's window with the given
+    node count (spec.nodes, or twice it for the convergence pass)."""
     import numpy as np
 
     waist = spec.resolved_waist(cfg)
@@ -130,21 +181,24 @@ def _overlap_grid(cfg: OpticalConfig, spec: QuadratureSpec, max_order: int) -> n
     kappa = cfg.wavenumber / (2.0 * cfg.distance)
     pump = cfg.pump_waist
 
-    nodes, weights = np.polynomial.legendre.leggauss(spec.nodes)
-    x = spec.half_width * nodes
-    wx = spec.half_width * weights
-
-    kernel = np.exp(1j * kappa * (x[:, None] - x[None, :]) ** 2)
+    unit_x, unit_w = _gauss_legendre(nodes)
+    x = spec.half_width * unit_x
+    wx = spec.half_width * unit_w
     pump_w = wx * np.exp(-(x / pump) ** 2)
-    contracted = (kernel * pump_w[None, :]) @ kernel.T
 
-    modes = [np.conj(_detection_mode(n, x, waist, phase_rate)) * wx
-             for n in range(max_order + 1)]
+    modes = np.array([np.conj(_detection_mode(n, x, waist, phase_rate)) * wx
+                      for n in range(max_order + 1)])
+    proj = np.zeros(modes.shape, dtype=complex)
+    for start in range(0, nodes, _KERNEL_BLOCK):
+        rows = slice(start, start + _KERNEL_BLOCK)
+        kernel = np.exp(1j * kappa * (x[rows, None] - x[None, :]) ** 2)
+        proj += modes[:, rows] @ kernel
+
+    weighted = proj * pump_w
     out = np.empty((max_order + 1, max_order + 1), dtype=complex)
     for mu in range(max_order + 1):
-        left = modes[mu] @ contracted
         for nu in range(mu, max_order + 1):
-            out[mu, nu] = out[nu, mu] = left @ modes[nu]
+            out[mu, nu] = out[nu, mu] = weighted[mu] @ proj[nu]
     return out
 
 
@@ -164,12 +218,9 @@ def overlap_table(cfg: OpticalConfig, spec: QuadratureSpec | None = None,
     if spec is None:
         spec = QuadratureSpec.for_config(cfg, max_order=max_order)
     spec.check_window(cfg, max_order)
-    table = _overlap_grid(cfg, spec, max_order)
+    table = _overlap_grid(cfg, spec, max_order, spec.nodes)
     if check_convergence:
-        fine = _overlap_grid(
-            cfg, QuadratureSpec(spec.half_width, 2 * spec.nodes, spec.waist),
-            max_order,
-        )
+        fine = _overlap_grid(cfg, spec, max_order, 2 * spec.nodes)
         scale = abs(fine[0, 0])
         drift = abs(table - fine) / scale
         if drift.max() > CONVERGENCE_RTOL:

@@ -8,6 +8,7 @@ for every criterion.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -141,6 +142,9 @@ def check_oracle(nodes: int = 512) -> CheckResult:
     """Quadrature oracle reproduces the engine's vacuum ratios (orders <= 2)
     and is self-converged under node doubling.
 
+    The overlap table is computed at nodes and again at 2 * nodes; each pass
+    costs O(nodes^2) time and O(nodes) memory (see oracle.py), and nodes
+    above oracle.MAX_NODES raise DomainError before any array is built.
     elapsed_s includes the one-time numpy import on the first oracle call
     of a process: the oracle is the only part of the package that loads it.
     """
@@ -191,7 +195,6 @@ def check_symmetry_factorization() -> CheckResult:
     """
     cfg = reference.reference_config()
     worst = 0.0
-    rng = range(4)
     for rytov in (0.0, reference.REFERENCE_RYTOV):
         consts = derive_constants(cfg, turbulence_strength(rytov))
         modes = expand_modes(3)
@@ -201,30 +204,17 @@ def check_symmetry_factorization() -> CheckResult:
                 q = joint_probability(ModePair(i, s), consts)
                 if p != 0.0 or q != 0.0:
                     worst = max(worst, abs(p - q) / max(abs(p), abs(q)))
-        joint = {}
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    for d in rng:
-                        joint[(a, b, c, d)] = joint_probability(
-                            ModePair(ModeIndex(a, b), ModeIndex(c, d)), consts)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    for d in rng:
-                        p1 = joint[(a, b, c, d)]
-                        for a2 in rng:
-                            for b2 in rng:
-                                for c2 in rng:
-                                    for d2 in rng:
-                                        lhs = p1 * joint[(a2, b2, c2, d2)]
-                                        rhs = (joint[(a, b2, c, d2)]
-                                               * joint[(a2, b, c2, d)])
-                                        if lhs != 0.0 or rhs != 0.0:
-                                            worst = max(
-                                                worst,
-                                                abs(lhs - rhs) / max(abs(lhs), abs(rhs)),
-                                            )
+        joint = {
+            (a, b, c, d): joint_probability(
+                ModePair(ModeIndex(a, b), ModeIndex(c, d)), consts)
+            for a, b, c, d in itertools.product(range(4), repeat=4)
+        }
+        for (a, b, c, d), p1 in joint.items():
+            for (a2, b2, c2, d2), p2 in joint.items():
+                lhs = p1 * p2
+                rhs = joint[a, b2, c, d2] * joint[a2, b, c2, d]
+                if lhs != rhs:  # equal products, zero or not, deviate by 0
+                    worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return CheckResult(
         "symmetry_factorization", worst <= 1e-10, worst,
         f"worst relative deviation {worst:.2e} (tol 1e-10)",

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hgspdc import engine, reference
+from hgspdc import engine, oracle, reference
 from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, EXIT_VALIDATION, main
 from hgspdc.serialization import parse_matrix_csv
 from hgspdc.channel import DEFAULT_STRENGTH_COEFF
@@ -303,3 +303,13 @@ class TestValidateCommand:
         assert check_turbulence_golden().passed
         assert not check_turbulence_golden(
             strength_coeff=1.1 * DEFAULT_STRENGTH_COEFF).passed
+
+    def test_node_count_above_cap_exit_2(self, capsys, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran for a rejected node count")
+
+        monkeypatch.setattr(oracle, "_overlap_grid", no_quadrature)
+        code, _, err = run(capsys, "validate", "--vacuum-only",
+                           "--nodes", str(oracle.MAX_NODES + 1))
+        assert code == EXIT_PARAMS
+        assert "invalid parameters" in err
