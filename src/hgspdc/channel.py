@@ -1,8 +1,8 @@
-"""Physical channel parameters and the derived constant cascade.
+"""Physical channel parameters and the constants of the closed form.
 
 Turns wavelength / distance / pump waist plus a turbulence strength into the
-full set of constants consumed by the overlap engine: the Fresnel ratio, the
-complex squeeze factor zeta, and the quadratic-form coefficients A*, B*, C*.
+constants the overlap kernels read: zeta, w, b1 and c1..c4, each in a closed
+form free of cancellation (see DerivedConstants).
 
 Everything here is a pure function over immutable inputs; DerivedConstants is
 a frozen value object safe to share between threads.
@@ -10,8 +10,9 @@ a frozen value object safe to share between threads.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import DomainError, RegimeError
 
@@ -42,7 +43,7 @@ class OpticalConfig:
     """Geometry of the link: wavelength, propagation distance, pump waist.
 
     pump_waist is the amplitude spot size of the pump at the crystal; the
-    effective width W0 entering the constant cascade is sqrt(2) * pump_waist.
+    effective width W0 entering the constants is sqrt(2) * pump_waist.
     The wavenumber is always derived from the wavelength, never stored.
     """
 
@@ -51,11 +52,9 @@ class OpticalConfig:
     pump_waist: float  # [m]
 
     def __post_init__(self):
-        if self.wavelength <= 0 or self.distance <= 0 or self.pump_waist <= 0:
-            raise DomainError(
-                "wavelength, distance and pump_waist must all be positive, got "
-                f"({self.wavelength}, {self.distance}, {self.pump_waist})"
-            )
+        if not all(0 < v < math.inf for v in astuple(self)):
+            raise DomainError("wavelength, distance and pump_waist must all be "
+                              f"positive and finite, got {astuple(self)}")
 
     @property
     def wavenumber(self) -> float:
@@ -117,10 +116,10 @@ class TurbulenceSpec:
     def __post_init__(self):
         if self.cn2 is not None and self.rytov is not None:
             raise DomainError("give either cn2 or rytov, not both")
-        if self.cn2 is not None and self.cn2 < 0:
-            raise DomainError(f"cn2 must be >= 0, got {self.cn2}")
-        if self.rytov is not None and self.rytov < 0:
-            raise DomainError(f"rytov must be >= 0, got {self.rytov}")
+        for name in ("cn2", "rytov", "strength_coeff"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {value}")
 
     @classmethod
     def vacuum(cls) -> "TurbulenceSpec":
@@ -135,16 +134,20 @@ class TurbulenceSpec:
         return cls(cn2=cn2, **kw)
 
     def resolve(self, cfg: OpticalConfig) -> "ResolvedTurbulence":
-        """Fill in whichever of cn2 / rytov was not given, and gamma."""
-        if self.cn2 is None and self.rytov is None:
-            cn2, ryt = 0.0, 0.0
-        elif self.rytov is None:
-            cn2 = self.cn2
-            ryt = rytov_variance(cn2, cfg.wavelength, cfg.distance)
-        else:
-            ryt = self.rytov
-            cn2 = rytov_to_cn2(ryt, cfg.wavelength, cfg.distance)
-        gamma = turbulence_strength(ryt, self.strength_coeff)
+        """Fill in whichever of cn2 / rytov was not given, and gamma;
+        DomainError if a power of the input leaves the float range."""
+        try:
+            if self.cn2 is None and self.rytov is None:
+                cn2, ryt = 0.0, 0.0
+            elif self.rytov is None:
+                cn2 = self.cn2
+                ryt = rytov_variance(cn2, cfg.wavelength, cfg.distance)
+            else:
+                ryt = self.rytov
+                cn2 = rytov_to_cn2(ryt, cfg.wavelength, cfg.distance)
+            gamma = turbulence_strength(ryt, self.strength_coeff)
+        except OverflowError:
+            raise DomainError(f"{self} leaves the float range over {cfg}") from None
         return ResolvedTurbulence(cn2=cn2, rytov=ryt,
                                   strength_coeff=self.strength_coeff, gamma=gamma)
 
@@ -159,17 +162,22 @@ class ResolvedTurbulence:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """The complete constant cascade feeding the overlap kernels.
+    """The constants the overlap kernels read.
 
     Fields:
-    - cfg: the link geometry the cascade was derived from; wavelength,
+    - cfg: the link geometry the constants were derived from; wavelength,
       distance, wavenumber, W0 and the Fresnel ratio are read from it;
     - w [m], w_variant: the receiver-plane mode scale and how it was chosen;
     - zeta: the complex Fresnel squeeze factor;
     - gamma: the dimensionless turbulence strength;
-    - a2, a3, b1..b4, c1..c4: the quadratic-form coefficients of the
-      ensemble-averaged detection integral (units 1/m^2 except the
-      dimensionless c4).
+    - b1, a3 = c2 - c1, c1..c3 [1/m^2] and c4: the quadratic-form coefficients
+      of the ensemble-averaged detection integral. With u = k/z, L = Lambda0
+      and d = 1 + L^2 + 2 gamma L: b1 = u d / (2 L), c1 = u L (1/d + 1/(1 + L^2)),
+      a3 = u gamma (6 + 2 L^2 + 3 gamma L) / d, c3 = -u L (L + 3 gamma) / d and
+      c4 = -c3^2 / (4 c1 c2). The paper's cascade B1..B4, A2 reaches
+      c1,2 = Re A2 -/+ a3/2 and c3 = Im A2 by subtracting nearly equal terms
+      at small Lambda0; these forms add terms of one sign, so nothing cancels,
+      and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
     """
 
     cfg: OpticalConfig
@@ -177,12 +185,8 @@ class DerivedConstants:
     w_variant: str
     zeta: complex
     gamma: float
-    a2: complex
     a3: float
     b1: float
-    b2: complex
-    b3: complex
-    b4: float
     c1: float
     c2: float
     c3: float
@@ -194,50 +198,40 @@ def derive_constants(
     gamma: float = 0.0,
     w_variant: str = DEFAULT_W_VARIANT,
 ) -> DerivedConstants:
-    """Populate the full cascade from geometry and turbulence strength.
+    """The constants of the closed form for a geometry and turbulence strength.
 
     Raises RegimeError when c1 or c2 is not positive (parameters outside the
-    validity region of the closed form) and DomainError for gamma < 0 or a
-    vanishing Fresnel ratio.
+    validity region of the closed form) and DomainError when gamma is negative
+    or not finite, w_variant is unknown or a constant leaves the float range.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    k = cfg.wavenumber
-    z = cfg.distance
-    w0 = cfg.w0
-    lam0 = cfg.fresnel_ratio
-    if lam0 == 0.0:
-        raise DomainError("Fresnel ratio is zero; the cascade divides by it")
-
-    zeta = (1 + lam0 ** 2) / (1 + lam0 ** 2 + 1j * lam0)
-    u = k / z
-    b1 = u * (1 / (2 * lam0) + lam0 / 2 + gamma)
-    b2 = u * (1 / lam0 - gamma - 1j)
-    b3 = u * (1 / (2 * lam0) + gamma - 1j)
-    b4 = u * (1 / lam0 + 2 * gamma)
-    a2 = -b2 ** 2 / (4 * b1) + b3 + u * lam0 / (1 + lam0 ** 2)
-    # -|b2|^2 / (2 b1) + b4 in closed form, free of its cancellation: exactly
-    # 0 in vacuum, so there c1 == c2 holds bitwise
-    a3 = u * gamma * (6 / lam0 + 2 * lam0 + 3 * gamma) / ((1 + lam0 ** 2) / lam0 + 2 * gamma)
-    c1 = a2.real - a3 / 2
-    c2 = a2.real + a3 / 2
-    c3 = a2.imag
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
+    if w_variant not in (W_VARIANT_PROPAGATED, W_VARIANT_WAIST):
+        raise DomainError(f"unknown w_variant {w_variant!r}")
+    try:
+        lam0 = cfg.fresnel_ratio
+        zeta = (1 + lam0 ** 2) / (1 + lam0 ** 2 + 1j * lam0)
+        u = cfg.wavenumber / cfg.distance
+        d = 1 + lam0 ** 2 + 2 * gamma * lam0
+        b1 = u * d / (2 * lam0)
+        a3 = u * gamma * (6 + 2 * lam0 ** 2 + 3 * gamma * lam0) / d
+        c1 = u * lam0 * (1 / d + 1 / (1 + lam0 ** 2))
+        c2 = c1 + a3
+        c3 = -u * lam0 * (lam0 + 3 * gamma) / d
+        c4 = -c3 ** 2 / (4 * c1 * c2)
+        w = cfg.w0
+        if w_variant == W_VARIANT_PROPAGATED:
+            w *= math.sqrt(1 + lam0 ** 2)
+        finite = all(map(cmath.isfinite, (zeta, b1, c1, c2, c3, c4, w)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise DomainError(f"{cfg} at gamma={gamma} gives constants that are zero, "
+                          "infinite or beyond the float range")
     if c1 <= 0 or c2 <= 0:
         raise RegimeError(
             f"c1={c1:.6g}, c2={c2:.6g}: outside the validity region "
             f"(gamma={gamma}, Lambda0={lam0})"
         )
-    c4 = -c3 ** 2 / (4 * c1 * c2)
-
-    if w_variant == W_VARIANT_PROPAGATED:
-        w = w0 * math.sqrt(1 + lam0 ** 2)
-    elif w_variant == W_VARIANT_WAIST:
-        w = w0
-    else:
-        raise DomainError(f"unknown w_variant {w_variant!r}")
-
-    return DerivedConstants(
-        cfg=cfg, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
-        a2=a2, a3=a3, b1=b1, b2=b2, b3=b3, b4=b4,
-        c1=c1, c2=c2, c3=c3, c4=c4,
-    )
+    return DerivedConstants(cfg=cfg, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
+                            a3=a3, b1=b1, c1=c1, c2=c2, c3=c3, c4=c4)

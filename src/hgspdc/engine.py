@@ -40,10 +40,6 @@ from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 
 DEFAULT_MAX_ORDER = 10
 
-# below this the removable 1/c3 singularity in the k_kernel bracket switches
-# to its first-order expansion in c3
-_SMALL_C3_FACTOR = 1e-6
-
 # One constant set reads at most 221 K(a, b) (a, b <= 2 * DEFAULT_MAX_ORDER,
 # a + b even) and 66 Pi(mu <= nu <= DEFAULT_MAX_ORDER); each cache holds 16
 # such sets whole, such as 8 channels and their 8 vacuum calibration anchors.
@@ -148,22 +144,21 @@ def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> comp
 def _bracket(s: int, t: int, consts: DerivedConstants) -> complex:
     """The k_kernel bracket h(s, t) for s + t even; symmetric in (s, t).
 
-    The odd bracket carries 1/c3 but is O(c3); below the small-c3 threshold
-    it is evaluated through its first-order expansion so the removable
-    singularity never amplifies roundoff.
+    The paper's odd bracket divides 2F1(.; 1/2; c4) - 2F1(.; -1/2; c4) by c3.
+    Gauss's contiguous relation (DLMF 15.5(ii)) turns that difference into
+    4abz 2F1(a+1, b+1; 3/2; z) at z = c4 = -c3^2 / (4 c1 c2), so the odd
+    bracket is c3 times a factor smooth through c3 = 0: no 1/c3, no branch.
     """
     c1, c2, c3, c4 = consts.c1, consts.c2, consts.c3, consts.c4
     if s % 2 == 0:
         g = gamma_half(HalfInteger(1 + s)) * gamma_half(HalfInteger(1 + t))
         return 4 * math.sqrt(c1 / c2) * g * hyp2f1_real((1 + s) / 2, (1 + t) / 2, 0.5, c4)
     g = gamma_half(HalfInteger(2 + s)) * gamma_half(HalfInteger(2 + t))
-    if abs(c3) < _SMALL_C3_FACTOR * (c1 + c2):
-        return 4j * g * c3 * ((3 + s + t) - (2 + s) * (2 + t)) / (c2 * (1 + s) * (1 + t))
-    hi = hyp2f1_real((2 + s) / 2, (2 + t) / 2, 0.5, c4)
-    lo = hyp2f1_real((2 + s) / 2, (2 + t) / 2, -0.5, c4)
-    return 4j * g * (
-        (4 * c1 * c2 + c3 ** 2 * (4 + s + t)) * hi - (4 * c1 * c2 + c3 ** 2) * lo
-    ) / (c2 * c3 * (1 + s) * (1 + t))
+    lo = hyp2f1_real((2 + s) / 2, (2 + t) / 2, 0.5, c4)
+    hi = hyp2f1_real((4 + s) / 2, (4 + t) / 2, 1.5, c4)
+    return 4j * g * c3 * (
+        (3 + s + t) * lo - (2 + s) * (2 + t) * (1 - c4) * hi
+    ) / (c2 * (1 + s) * (1 + t))
 
 
 @lru_cache(maxsize=_K_CACHE_SIZE)
@@ -235,6 +230,7 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
     """Per-axis probability factor: the kernel quadratic form with prefactor.
 
     Symmetric in (mu, nu); the memo key is sorted so the symmetry is exact.
+    NumericalError if a kernel term leaves the float range (c2/c1 huge).
     """
     if mu < 0 or nu < 0:
         raise DomainError(f"orders must be nonnegative, got ({mu}, {nu})")
@@ -243,7 +239,11 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
             f"order {max(mu, nu)} exceeds max_order={DEFAULT_MAX_ORDER}; the "
             "paraxial closed form degrades for high orders"
         )
-    return _pi_cached(min(mu, nu), max(mu, nu), consts)
+    try:
+        return _pi_cached(min(mu, nu), max(mu, nu), consts)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(f"pi_factor({mu}, {nu}) leaves the float range at "
+                             f"c1={consts.c1:.6g}, c2={consts.c2:.6g}") from None
 
 
 def joint_probability(pair: ModePair, consts: DerivedConstants) -> float:
@@ -420,13 +420,14 @@ def rytov_sweep(
     Only the requested pairs are evaluated at each grid point; calibrated
     series share the factor a calibrated matrix over the same geometry uses.
     """
-    grid = list(grid)
+    grid, pairs = list(grid), list(pairs)
     if not grid:
         raise DomainError("sweep grid is empty")
+    if not pairs:
+        raise DomainError("sweep pair list is empty")
     if grid != sorted(grid):
         raise DomainError("sweep grid must be ascending")
     _check_normalization(normalization)
-    pairs = list(pairs)
     points = [derive_constants(cfg, TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma)
               for s2 in grid]
     factor = (_calibration_factor(points[0])

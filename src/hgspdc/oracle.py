@@ -77,35 +77,31 @@ def mode_radius(order: int, waist: float) -> float:
     return waist * math.sqrt(order + 1.0)
 
 
+def check_node_count(nodes: int) -> None:
+    if not MIN_NODES <= nodes <= MAX_NODES:
+        raise DomainError(f"nodes must be from {MIN_NODES} to {MAX_NODES}, got {nodes}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre resolution: window half-width, nodes per axis, and the
-    detection-plane mode waist setting the transverse scale."""
+    """Gauss-Legendre resolution: window half-width and nodes per axis. The
+    transverse scale is the detection waist of the configuration."""
 
     half_width: float
     nodes: int = DEFAULT_NODES
-    waist: float | None = None  # None: propagated beam radius
 
     def __post_init__(self):
-        if self.nodes < MIN_NODES:
-            raise DomainError(f"nodes must be >= {MIN_NODES}, got {self.nodes}")
-        if self.nodes > MAX_NODES:
-            raise DomainError(f"nodes must be <= {MAX_NODES}, got {self.nodes}")
+        check_node_count(self.nodes)
         if self.half_width <= 0:
             raise DomainError("half_width must be positive")
 
     @classmethod
     def for_config(cls, cfg: OpticalConfig, nodes: int = DEFAULT_NODES,
                    max_order: int = MAX_ORACLE_ORDER) -> "QuadratureSpec":
-        w = detection_waist(cfg)
-        return cls(half_width=WINDOW_RADII * mode_radius(max_order, w),
-                   nodes=nodes, waist=w)
-
-    def resolved_waist(self, cfg: OpticalConfig) -> float:
-        return self.waist if self.waist is not None else detection_waist(cfg)
+        return cls(WINDOW_RADII * mode_radius(max_order, detection_waist(cfg)), nodes)
 
     def check_window(self, cfg: OpticalConfig, max_order: int) -> None:
-        need = WINDOW_RADII * mode_radius(max_order, self.resolved_waist(cfg))
+        need = WINDOW_RADII * mode_radius(max_order, detection_waist(cfg))
         if self.half_width < need:
             raise DomainError(
                 f"half_width {self.half_width:.4g} m is below {WINDOW_RADII}x the "
@@ -176,7 +172,7 @@ def _overlap_grid(cfg: OpticalConfig, spec: QuadratureSpec, max_order: int,
     node count (spec.nodes, or twice it for the convergence pass)."""
     import numpy as np
 
-    waist = spec.resolved_waist(cfg)
+    waist = detection_waist(cfg)
     phase_rate = detection_phase_rate(cfg)
     kappa = cfg.wavenumber / (2.0 * cfg.distance)
     pump = cfg.pump_waist

@@ -31,7 +31,13 @@ from .engine import (
     rytov_sweep,
     selection_rule_allowed,
 )
-from .oracle import QuadratureSpec, overlap_table
+from .oracle import (
+    QuadratureSpec,
+    check_node_count,
+    detection_waist,
+    overlap_table,
+    vacuum_probability_oracle,
+)
 from .specfun import SQRT_PI, HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 
 SWEEP_GRID = tuple(round(0.01 * i, 10) for i in range(11))
@@ -154,21 +160,16 @@ def check_oracle(nodes: int = 512) -> CheckResult:
     spec = QuadratureSpec.for_config(cfg, nodes=nodes, max_order=2)
     table = overlap_table(cfg, spec, max_order=2, check_convergence=True)
     anchor_engine = pi_factor(0, 0, consts) ** 2
-    anchor_oracle = abs(table[0, 0]) ** 4
     worst = 0.0
     zero_worst = 0.0
-    for ms in range(3):
-        for ns in range(3):
-            for mi in range(3):
-                for ni in range(3):
-                    pair = ModePair(ModeIndex(ms, ns), ModeIndex(mi, ni))
-                    eng = joint_probability(pair, consts) / anchor_engine
-                    orc = (abs(table[ms, mi]) ** 2 * abs(table[ns, ni]) ** 2
-                           / anchor_oracle)
-                    if selection_rule_allowed(pair):
-                        worst = max(worst, abs(orc / eng - 1.0))
-                    else:
-                        zero_worst = max(zero_worst, orc)
+    for ms, ns, mi, ni in itertools.product(range(3), repeat=4):
+        pair = ModePair(ModeIndex(ms, ns), ModeIndex(mi, ni))
+        eng = joint_probability(pair, consts) / anchor_engine
+        orc = vacuum_probability_oracle(pair, cfg, table=table)
+        if selection_rule_allowed(pair):
+            worst = max(worst, abs(orc / eng - 1.0))
+        else:
+            zero_worst = max(zero_worst, orc)
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-2 and zero_worst <= 1e-6 and elapsed < 60.0
     return CheckResult(
@@ -177,7 +178,7 @@ def check_oracle(nodes: int = 512) -> CheckResult:
         f"oracle residue {zero_worst:.2e}; nodes={nodes}",
         elapsed,
         extras={
-            "detection_waist_m": spec.resolved_waist(cfg),
+            "detection_waist_m": detection_waist(cfg),
             "detection_phase_rate": "k/(4R), half the propagated-beam curvature",
             "pump_width_m": cfg.pump_waist,
             "half_width_m": spec.half_width,
@@ -364,8 +365,10 @@ _TURBULENCE_CHECKS = {check_turbulence_golden, check_symmetry_factorization,
 def run_checks(vacuum_only: bool = False, oracle_nodes: int = 512) -> list[CheckResult]:
     """Run every check (only the vacuum ones if vacuum_only) in order.
 
-    A check that does not time itself gets its whole call as elapsed_s.
+    A check that does not time itself gets its whole call as elapsed_s. An
+    oracle node count out of range raises DomainError before any check runs.
     """
+    check_node_count(oracle_nodes)
     results = []
     for fn in ALL_CHECKS:
         if vacuum_only and fn in _TURBULENCE_CHECKS:

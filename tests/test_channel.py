@@ -25,6 +25,22 @@ from hgspdc.errors import DomainError
 LAM, Z = 0.8e-6, 5000.0
 
 
+def cascade_mp(cfg, gamma):
+    """b1 and c1..c3 through the paper's cascade B1..B4, A2, a3 at 50 digits,
+    where its cancellations cost nothing."""
+    with mp.workdps(50):
+        u = mp.mpf(cfg.wavenumber) / mp.mpf(cfg.distance)
+        lam0 = mp.mpf(cfg.fresnel_ratio)
+        b1 = u * (1 / (2 * lam0) + lam0 / 2 + gamma)
+        b2 = u * mp.mpc(1 / lam0 - gamma, -1)
+        b3 = u * mp.mpc(1 / (2 * lam0) + gamma, -1)
+        b4 = u * (1 / lam0 + 2 * gamma)
+        a2 = -b2 ** 2 / (4 * b1) + b3 + u * lam0 / (1 + lam0 ** 2)
+        a3 = -abs(b2) ** 2 / (2 * b1) + b4
+        return {"b1": float(b1), "c1": float(a2.real - a3 / 2),
+                "c2": float(a2.real + a3 / 2), "c3": float(a2.imag)}
+
+
 class TestOpticalConfig:
     def test_derived_quantities(self, ref_cfg):
         assert ref_cfg.wavenumber == pytest.approx(2 * math.pi / 0.8e-6, rel=1e-15)
@@ -38,6 +54,12 @@ class TestOpticalConfig:
         for bad in ((0, Z, 0.1), (LAM, -1, 0.1), (LAM, Z, 0.0)):
             with pytest.raises(DomainError):
                 OpticalConfig(*bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        for args in ((bad, Z, 0.1), (LAM, bad, 0.1), (LAM, Z, bad)):
+            with pytest.raises(DomainError):
+                OpticalConfig(*args)
 
     def test_from_w0(self):
         cfg = OpticalConfig.from_w0(LAM, Z, 0.1)
@@ -107,6 +129,17 @@ class TestTurbulenceSpec:
         with pytest.raises(DomainError):
             TurbulenceSpec(cn2=1e-16, rytov=0.02)
 
+    @pytest.mark.parametrize("name", ["cn2", "rytov", "strength_coeff"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_rejected(self, name, bad):
+        with pytest.raises(DomainError):
+            TurbulenceSpec(**{name: bad})
+
+    def test_overflow_raises_domain_error(self, ref_cfg):
+        # (1e300)^(6/5) leaves the float range inside the strength law
+        with pytest.raises(DomainError):
+            TurbulenceSpec.from_rytov(1e300).resolve(ref_cfg)
+
     def test_vacuum(self, ref_cfg):
         resolved = TurbulenceSpec.vacuum().resolve(ref_cfg)
         assert resolved.cn2 == resolved.rytov == resolved.gamma == 0.0
@@ -136,10 +169,10 @@ class TestDeriveConstants:
         assert consts.zeta == pytest.approx(1.0, abs=1e-7)
 
     def test_vacuum_im_a2_closed_form(self, vac_consts):
-        # gamma = 0 collapses Im A2 to -(k/z) Lambda0^2 / (1 + Lambda0^2)
+        # gamma = 0 collapses c3 = Im A2 to -(k/z) Lambda0^2 / (1 + Lambda0^2)
         u = vac_consts.cfg.wavenumber / vac_consts.cfg.distance
         lam0 = vac_consts.cfg.fresnel_ratio
-        assert vac_consts.a2.imag == pytest.approx(
+        assert vac_consts.c3 == pytest.approx(
             -u * lam0 ** 2 / (1 + lam0 ** 2), rel=1e-12
         )
 
@@ -162,6 +195,16 @@ class TestDeriveConstants:
             want = float(-abs(b2) ** 2 / (2 * b1) + b4)
         assert derive_constants(cfg, gamma).a3 == pytest.approx(want, rel=1e-15, abs=0)
 
+    def test_closed_forms_against_cascade(self, ref_cfg, near_field_cfgs):
+        # a float evaluation of the cascade loses up to 4e-8 relative at
+        # Lambda0 = 3e-5; the closed forms stay within a few ulp
+        for cfg in (ref_cfg, *near_field_cfgs.values()):
+            for gamma in (0.0, 1e-6, turbulence_strength(0.02)):
+                got = derive_constants(cfg, gamma)
+                for name, want in cascade_mp(cfg, gamma).items():
+                    assert getattr(got, name) == pytest.approx(want, rel=2e-15, abs=0), (
+                        cfg.fresnel_ratio, gamma, name)
+
     def test_c_invariants_over_gamma_range(self, ref_cfg):
         for gamma in (0.0, 1e-4, 0.005, 0.02, 0.05):
             c = derive_constants(ref_cfg, gamma)
@@ -179,7 +222,7 @@ class TestDeriveConstants:
         # a3 is exactly zero in vacuum, so continuity is measured against the
         # cascade's natural magnitude k/z rather than the component itself
         unit = exact.cfg.wavenumber / exact.cfg.distance
-        for name in ("b1", "b2", "b3", "b4", "a2", "a3", "c1", "c2", "c3", "c4"):
+        for name in ("b1", "a3", "c1", "c2", "c3", "c4"):
             v0 = getattr(exact, name)
             v1 = getattr(eps, name)
             scale = max(abs(v0), abs(v1), unit)
@@ -195,11 +238,7 @@ class TestDeriveConstants:
         assert scaled.cfg.fresnel_ratio == pytest.approx(base.cfg.fresnel_ratio, rel=1e-14)
         assert scaled.zeta == pytest.approx(base.zeta, rel=1e-14)
         assert scaled.c4 == pytest.approx(base.c4, rel=1e-12)
-        for name in ("a3", "b1", "b4", "c1", "c2", "c3"):
-            assert getattr(scaled, name) == pytest.approx(
-                2 * getattr(base, name), rel=1e-12
-            )
-        for name in ("a2", "b2", "b3"):
+        for name in ("a3", "b1", "c1", "c2", "c3"):
             assert getattr(scaled, name) == pytest.approx(
                 2 * getattr(base, name), rel=1e-12
             )
@@ -216,3 +255,17 @@ class TestDeriveConstants:
     def test_negative_gamma_rejected(self, ref_cfg):
         with pytest.raises(DomainError):
             derive_constants(ref_cfg, -0.01)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, ref_cfg, gamma):
+        with pytest.raises(DomainError):
+            derive_constants(ref_cfg, gamma)
+
+    @pytest.mark.parametrize("cfg", [
+        OpticalConfig(LAM, Z, 1e200),    # W0^2 overflows
+        OpticalConfig(LAM, Z, 1e-200),   # W0^2 underflows: Lambda0 divides by 0
+        OpticalConfig(1e-300, Z, 0.1),   # b1 = u d / (2 Lambda0) is infinite
+    ])
+    def test_constants_out_of_float_range_rejected(self, cfg):
+        with pytest.raises(DomainError):
+            derive_constants(cfg)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hgspdc import engine, oracle, reference
+from hgspdc import engine, oracle, reference, validate
 from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, EXIT_VALIDATION, main
 from hgspdc.serialization import parse_matrix_csv
 from hgspdc.channel import DEFAULT_STRENGTH_COEFF
@@ -105,6 +105,25 @@ class TestMatrixCommand:
             code, _, err = run(capsys, *argv)
             assert code == EXIT_PARAMS, argv
             assert "invalid parameters" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--rytov", "nan"], ["matrix", "--rytov", "inf"],
+        ["matrix", "--wavelength", "nan"], ["matrix", "--distance", "inf"],
+        ["matrix", "--cn2", "inf"], ["matrix", "--cn2", "1e300"],
+        ["matrix", "--wavelength", "1e-300"], ["sweep", "--grid", "0,nan"],
+        ["matrix", "--rytov", "1e300"], ["matrix", "--pump-waist", "1e200"],
+        ["sweep", "--pairs", ""],
+    ])
+    def test_non_finite_channel_input_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_PARAMS
+        assert "invalid parameters" in err and "Traceback" not in err
+
+    def test_kernel_overflow_exit_3(self, capsys):
+        # far beyond weak turbulence the powers of c2/c1 in K overflow
+        code, _, err = run(capsys, "matrix", "--rytov", "1e30", "--max-sum", "10")
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err and "Traceback" not in err
 
     def test_conflicting_mode_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -311,5 +330,15 @@ class TestValidateCommand:
         monkeypatch.setattr(oracle, "_overlap_grid", no_quadrature)
         code, _, err = run(capsys, "validate", "--vacuum-only",
                            "--nodes", str(oracle.MAX_NODES + 1))
+        assert code == EXIT_PARAMS
+        assert "invalid parameters" in err
+
+    @pytest.mark.parametrize("nodes", [10, oracle.MAX_NODES + 1])
+    def test_node_count_checked_before_any_check(self, capsys, monkeypatch, nodes):
+        def not_run():
+            raise AssertionError("a check ran before the node count was checked")
+
+        monkeypatch.setattr(validate, "ALL_CHECKS", (not_run,) * len(validate.ALL_CHECKS))
+        code, _, err = run(capsys, "validate", "--nodes", str(nodes))
         assert code == EXIT_PARAMS
         assert "invalid parameters" in err

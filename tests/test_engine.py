@@ -1,6 +1,7 @@
 """Overlap engine: kernels against independent high-precision oracles,
 symmetries, selection rules, matrix assembly and golden regression."""
 
+import cmath
 import dataclasses
 import math
 from unittest import mock
@@ -11,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgspdc import engine, reference
-from hgspdc.channel import TurbulenceSpec, derive_constants, turbulence_strength
+from hgspdc.channel import (
+    OpticalConfig,
+    TurbulenceSpec,
+    derive_constants,
+    turbulence_strength,
+)
 from hgspdc.engine import (
     DEFAULT_ORDERING,
     ModeIndex,
@@ -187,9 +193,9 @@ class TestKKernel:
         assert k_kernel(a, b, consts) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_small_c3_expansion_matches_exact(self, turb_consts):
-        # shrink c3 below the guard threshold; the engine switches to the
-        # first-order expansion, which must match the exact bracket evaluated
-        # at high precision (where the cancellation costs nothing)
+        # shrink c3 to 5e-7 (c1 + c2), where the printed odd bracket cancels
+        # in double precision; the engine's form has no such cancellation
+        # and must match the printed bracket evaluated at high precision
         c1, c2 = turb_consts.c1, turb_consts.c2
         tiny = 0.5e-6 * (c1 + c2)
         consts = dataclasses.replace(
@@ -202,13 +208,38 @@ class TestKKernel:
     def test_small_c3_path_is_continuous(self, turb_consts):
         c1, c2 = turb_consts.c1, turb_consts.c2
         values = []
-        for factor in (1.5e-6, 0.9e-6):  # straddle the 1e-6 threshold
+        for factor in (1.5e-6, 0.9e-6):  # c3 values a factor 1.7 apart
             c3 = factor * (c1 + c2)
             consts = dataclasses.replace(
                 turb_consts, c3=c3, c4=-c3 ** 2 / (4 * c1 * c2))
             values.append(k_kernel(3, 1, consts))
         rel = abs(values[0] - values[1]) / abs(values[0])
         assert rel < 1e-5
+
+    # the pairs where the printed odd bracket lost most near field
+    @pytest.mark.parametrize("lam0,rytov", [(3e-5, 0.0), (3e-5, 0.02), (1e-6, 0.1)])
+    def test_near_field_against_oracle(self, ref_cfg, lam0, rytov):
+        w0 = math.sqrt(2 * ref_cfg.distance / (ref_cfg.wavenumber * lam0))
+        cfg = OpticalConfig.from_w0(ref_cfg.wavelength, ref_cfg.distance, w0)
+        consts = derive_constants(cfg, turbulence_strength(rytov))
+        pairs = [(0, 4), (0, 10), (8, 10)] + ([(1, 9)] if rytov else [])
+        for a, b in pairs:
+            with mp.workdps(40):
+                want = complex(oracle_k(a, b, consts))
+            assert k_kernel(a, b, consts) == pytest.approx(want, rel=1e-13, abs=0), (a, b)
+
+    def test_odd_bracket_smooth_through_zero_c3(self, turb_consts):
+        # Im K is first order in c3 and Re K second order, so at c3 = 0 K is
+        # real and equals Re K at a tiny c3
+        c1, c2 = turb_consts.c1, turb_consts.c2
+        tiny = 1e-12 * (c1 + c2)
+        zero = dataclasses.replace(turb_consts, c3=0.0, c4=0.0)
+        near = dataclasses.replace(turb_consts, c3=tiny, c4=-tiny ** 2 / (4 * c1 * c2))
+        for a, b in ((1, 1), (3, 1)):
+            at_zero, at_tiny = k_kernel(a, b, zero), k_kernel(a, b, near)
+            assert cmath.isfinite(at_zero) and at_zero.imag == 0.0
+            assert at_zero.real == pytest.approx(at_tiny.real, rel=1e-13, abs=0)
+            assert abs(at_tiny.imag) <= 1e-11 * abs(at_tiny)
 
 
 class TestPiFactor:

@@ -129,7 +129,7 @@ class TestVacuumProbabilityOracle:
         spec = QuadratureSpec.for_config(ref_cfg, nodes=512, max_order=2)
         coarse = overlap_table(ref_cfg, spec, max_order=2, check_convergence=False)
         fine = overlap_table(
-            ref_cfg, QuadratureSpec(spec.half_width, 1024, spec.waist),
+            ref_cfg, QuadratureSpec(spec.half_width, 1024),
             max_order=2, check_convergence=False,
         )
         scale = abs(fine[0, 0])
@@ -172,7 +172,8 @@ class TestOverlapGrid:
         pump_w = wx * np.exp(-(x / ref_cfg.pump_waist) ** 2)
         contracted = (kernel * pump_w) @ kernel.T
         modes = np.array([
-            np.conj(_detection_mode(n, x, spec.waist, detection_phase_rate(ref_cfg))) * wx
+            np.conj(_detection_mode(n, x, detection_waist(ref_cfg),
+                                    detection_phase_rate(ref_cfg))) * wx
             for n in range(order + 1)])
         dense = modes @ contracted @ modes.T
 
