@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import astuple, dataclass
 
 from .errors import DomainError, RegimeError
@@ -76,29 +77,60 @@ class OpticalConfig:
         return cls(wavelength, distance, w0 / math.sqrt(2.0))
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_path(wavelength: float, distance: float) -> None:
+    if not (0 < wavelength < math.inf and 0 < distance < math.inf):
+        raise DomainError("wavelength and distance must be positive and finite, "
+                          f"got {wavelength} and {distance}")
+
+
+def _in_float_range(law: str, compute: Callable[[], float]) -> float:
+    """compute(), or DomainError if it overflows, divides by an underflowed
+    zero or comes out infinite."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{law} leaves the float range")
+    return value
+
+
 def rytov_variance(cn2: float, wavelength: float, distance: float) -> float:
-    """Plane-wave Rytov variance 1.23 * Cn^2 * k^(7/6) * z^(11/6)."""
-    if cn2 < 0:
-        raise DomainError(f"cn2 must be >= 0, got {cn2}")
-    if wavelength <= 0 or distance <= 0:
-        raise DomainError("wavelength and distance must be positive")
+    """Plane-wave Rytov variance 1.23 * Cn^2 * k^(7/6) * z^(11/6).
+
+    DomainError if cn2 is negative or not finite, wavelength or distance is
+    not positive and finite, or the variance leaves the float range.
+    """
+    _check_nonnegative("cn2", cn2)
+    _check_path(wavelength, distance)
     k = 2.0 * math.pi / wavelength
-    return RYTOV_COEFF * cn2 * k ** (7.0 / 6.0) * distance ** (11.0 / 6.0)
+    return _in_float_range(
+        f"rytov_variance({cn2}, {wavelength}, {distance})",
+        lambda: RYTOV_COEFF * cn2 * k ** (7.0 / 6.0) * distance ** (11.0 / 6.0))
 
 
 def rytov_to_cn2(rytov: float, wavelength: float, distance: float) -> float:
-    """Algebraic inverse of rytov_variance."""
-    if rytov < 0:
-        raise DomainError(f"rytov must be >= 0, got {rytov}")
+    """Algebraic inverse of rytov_variance, with the same DomainErrors."""
+    _check_nonnegative("rytov", rytov)
+    _check_path(wavelength, distance)
     k = 2.0 * math.pi / wavelength
-    return rytov / (RYTOV_COEFF * k ** (7.0 / 6.0) * distance ** (11.0 / 6.0))
+    return _in_float_range(
+        f"rytov_to_cn2({rytov}, {wavelength}, {distance})",
+        lambda: rytov / (RYTOV_COEFF * k ** (7.0 / 6.0) * distance ** (11.0 / 6.0)))
 
 
 def turbulence_strength(rytov: float, coefficient: float = DEFAULT_STRENGTH_COEFF) -> float:
-    """Dimensionless strength gamma = coefficient * rytov^(6/5)."""
-    if rytov < 0:
-        raise DomainError(f"rytov must be >= 0, got {rytov}")
-    return coefficient * rytov ** 1.2
+    """Dimensionless strength gamma = coefficient * rytov^(6/5); DomainError
+    if an input is negative or not finite, or gamma leaves the float range."""
+    _check_nonnegative("rytov", rytov)
+    _check_nonnegative("coefficient", coefficient)
+    return _in_float_range(f"turbulence_strength({rytov}, {coefficient})",
+                           lambda: coefficient * rytov ** 1.2)
 
 
 @dataclass(frozen=True)
@@ -117,9 +149,8 @@ class TurbulenceSpec:
         if self.cn2 is not None and self.rytov is not None:
             raise DomainError("give either cn2 or rytov, not both")
         for name in ("cn2", "rytov", "strength_coeff"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise DomainError(f"{name} must be finite and >= 0, got {value}")
+            if (value := getattr(self, name)) is not None:
+                _check_nonnegative(name, value)
 
     @classmethod
     def vacuum(cls) -> "TurbulenceSpec":
@@ -136,18 +167,15 @@ class TurbulenceSpec:
     def resolve(self, cfg: OpticalConfig) -> "ResolvedTurbulence":
         """Fill in whichever of cn2 / rytov was not given, and gamma;
         DomainError if a power of the input leaves the float range."""
-        try:
-            if self.cn2 is None and self.rytov is None:
-                cn2, ryt = 0.0, 0.0
-            elif self.rytov is None:
-                cn2 = self.cn2
-                ryt = rytov_variance(cn2, cfg.wavelength, cfg.distance)
-            else:
-                ryt = self.rytov
-                cn2 = rytov_to_cn2(ryt, cfg.wavelength, cfg.distance)
-            gamma = turbulence_strength(ryt, self.strength_coeff)
-        except OverflowError:
-            raise DomainError(f"{self} leaves the float range over {cfg}") from None
+        if self.cn2 is None and self.rytov is None:
+            cn2, ryt = 0.0, 0.0
+        elif self.rytov is None:
+            cn2 = self.cn2
+            ryt = rytov_variance(cn2, cfg.wavelength, cfg.distance)
+        else:
+            ryt = self.rytov
+            cn2 = rytov_to_cn2(ryt, cfg.wavelength, cfg.distance)
+        gamma = turbulence_strength(ryt, self.strength_coeff)
         return ResolvedTurbulence(cn2=cn2, rytov=ryt,
                                   strength_coeff=self.strength_coeff, gamma=gamma)
 

@@ -13,9 +13,18 @@ once and makes the vacuum selection-rule zeros exact. Pi is a quadratic
 form in the per-order sums of F, since k_kernel reads only total orders,
 and a matrix reads its entries from one table of the distinct Pi it needs.
 The sums mix signs, so they go through math.fsum, which rounds exactly.
-k_kernel and pi_factor values are memoized in two bounded caches that keep
-the most recent constant sets; all functions are pure, and cache fills are
-idempotent, so concurrent use is safe.
+
+Four bounded lru_caches keep each kernel value once, each keyed on the
+inputs its layer reads:
+- _f_sums: the per-order F sums g_s of one (mu, nu), keyed on (mu, nu,
+  zeta, w); zeta and w depend only on the geometry, so every Rytov value
+  over one geometry, and its vacuum calibration anchor, share them;
+- _brackets: the brackets h(s, n - s) of one even total order n, keyed on
+  (n, c1, c2, c3, c4); every K(a, b) with a + b = n reads the same row;
+- k_kernel: K(a, b), keyed on (a, b, constants);
+- _pi_cached: Pi(mu, nu), keyed on (mu <= nu, constants).
+Each keeps the most recent entries; all functions are pure, and cache
+fills are idempotent, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -41,10 +50,14 @@ from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 DEFAULT_MAX_ORDER = 10
 
 # One constant set reads at most 221 K(a, b) (a, b <= 2 * DEFAULT_MAX_ORDER,
-# a + b even) and 66 Pi(mu <= nu <= DEFAULT_MAX_ORDER); each cache holds 16
-# such sets whole, such as 8 channels and their 8 vacuum calibration anchors.
+# a + b even), so 21 bracket rows (even n <= 4 * DEFAULT_MAX_ORDER), and
+# 66 Pi(mu <= nu <= DEFAULT_MAX_ORDER), so 66 rows of F sums; each cache
+# holds 16 such sets whole, such as 8 channels and their 8 vacuum
+# calibration anchors.
 _K_CACHE_SIZE = 16 * 221
+_BRACKET_CACHE_SIZE = 16 * 21
 _PI_CACHE_SIZE = 16 * 66
+_F_CACHE_SIZE = 16 * 66
 
 _IMAG_RTOL = 1e-10
 _NEGATIVE_CLAMP = 1e-12
@@ -126,22 +139,34 @@ def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> comp
     """
     if not (0 <= k <= mu and 0 <= l <= nu):
         raise DomainError(f"indices out of range: mu={mu}, nu={nu}, k={k}, l={l}")
+    return _f_term(mu, nu, k, l, consts.zeta, consts.w)
+
+
+def _f_term(mu: int, nu: int, k: int, l: int, zeta: complex, w: float) -> complex:
+    # f_kernel past its index check; F reads only zeta and w
     sig = sigma(k, l)
     if sig == 0:
         return 0.0 + 0.0j
-    zeta = consts.zeta
     # k + l is even past the sigma guard, so i^(k+l) is the real sign
     # (-1)^((k+l)/2)
     i_power = -1 if (k + l) % 4 == 2 else 1
     val = math.comb(mu, k) * math.comb(nu, l) * 2 ** (mu + nu) * sig
     val = val * i_power * gamma_half(HalfInteger(k + l + 1))
-    val *= (math.sqrt(2.0) / consts.w) ** (mu + nu - k - l)
+    val *= (math.sqrt(2.0) / w) ** (mu + nu - k - l)
     val *= cmath.sqrt(1 - zeta) * cmath.sqrt(zeta) ** (k + l)
     val *= hyp2f1_terminating(k, l, HalfInteger(1 - k - l), 1 / (2 * zeta))
     return val
 
 
-def _bracket(s: int, t: int, consts: DerivedConstants) -> complex:
+@lru_cache(maxsize=_F_CACHE_SIZE)
+def _f_sums(mu: int, nu: int, zeta: complex, w: float) -> tuple[complex, ...]:
+    """g_s = sum of F(k, s - k) over k, for even s = 0, 2, ..., mu + nu."""
+    return tuple(_compensated_sum([_f_term(mu, nu, k, s - k, zeta, w)
+                                   for k in range(max(0, s - nu), min(mu, s) + 1)])
+                 for s in range(0, mu + nu + 1, 2))
+
+
+def _bracket(s: int, t: int, c1: float, c2: float, c3: float, c4: float) -> complex:
     """The k_kernel bracket h(s, t) for s + t even; symmetric in (s, t).
 
     The paper's odd bracket divides 2F1(.; 1/2; c4) - 2F1(.; -1/2; c4) by c3.
@@ -149,7 +174,6 @@ def _bracket(s: int, t: int, consts: DerivedConstants) -> complex:
     4abz 2F1(a+1, b+1; 3/2; z) at z = c4 = -c3^2 / (4 c1 c2), so the odd
     bracket is c3 times a factor smooth through c3 = 0: no 1/c3, no branch.
     """
-    c1, c2, c3, c4 = consts.c1, consts.c2, consts.c3, consts.c4
     if s % 2 == 0:
         g = gamma_half(HalfInteger(1 + s)) * gamma_half(HalfInteger(1 + t))
         return 4 * math.sqrt(c1 / c2) * g * hyp2f1_real((1 + s) / 2, (1 + t) / 2, 0.5, c4)
@@ -159,6 +183,12 @@ def _bracket(s: int, t: int, consts: DerivedConstants) -> complex:
     return 4j * g * c3 * (
         (3 + s + t) * lo - (2 + s) * (2 + t) * (1 - c4) * hi
     ) / (c2 * (1 + s) * (1 + t))
+
+
+@lru_cache(maxsize=_BRACKET_CACHE_SIZE)
+def _brackets(n: int, c1: float, c2: float, c3: float, c4: float) -> tuple[complex, ...]:
+    """The row h(s, n - s), s = 0..n/2, that every K(a, b) with a + b = n reads."""
+    return tuple(_bracket(s, n - s, c1, c2, c3, c4) for s in range(n // 2 + 1))
 
 
 @lru_cache(maxsize=_K_CACHE_SIZE)
@@ -182,6 +212,7 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
     c1, c2 = consts.c1, consts.c2
     rho = (c2 / c1) ** 0.25
     sign = (-1) ** b
+    h = _brackets(n, c1, c2, consts.c3, consts.c4)
     terms: list[complex] = []
     # kappa runs through kappa_s by the recurrence read off from
     # (x^2 - 1) f' = (n x + b - a) f for f = (1+x)^a (x-1)^b:
@@ -191,7 +222,7 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
         t = n - s
         weight = kappa * (rho ** (s - t) + sign * rho ** (t - s) if s < t else 1.0)
         if weight:
-            terms.append(weight * _bracket(s, t, consts))
+            terms.append(weight * h[s])
         kappa_prev, kappa = kappa, ((a - b) * kappa + (s - 1 - n) * kappa_prev) // (s + 1)
     return 0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4) * _compensated_sum(terms)
 
@@ -202,9 +233,7 @@ def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
     # occur, and k_kernel reads only the total orders N - s and N - t:
     # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t)
     n = mu + nu
-    g = [_compensated_sum([f_kernel(mu, nu, k, s - k, consts)
-                           for k in range(max(0, s - nu), min(mu, s) + 1)])
-         for s in range(0, n + 1, 2)]
+    g = _f_sums(mu, nu, consts.zeta, consts.w)
     total = _compensated_sum([
         gs * gt.conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)
         for a, gs in enumerate(g) for b, gt in enumerate(g)

@@ -124,6 +124,42 @@ class TestTurbulenceStrength:
             turbulence_strength(-0.1)
 
 
+class TestStrengthLawErrors:
+    """The public strength-law functions fail with DomainError, never with a
+    bare arithmetic error or a nan, complex or infinite value."""
+
+    @pytest.mark.parametrize("wavelength,distance", [(-8e-7, Z), (LAM, 0.0)])
+    def test_rytov_to_cn2_checks_path(self, wavelength, distance):
+        # a negative wavelength gave a complex cn2, a zero distance a bare
+        # ZeroDivisionError
+        with pytest.raises(DomainError):
+            rytov_to_cn2(0.01, wavelength, distance)
+
+    @pytest.mark.parametrize("law,args", [
+        (rytov_variance, (math.nan, LAM, Z)), (rytov_variance, (1e-16, math.nan, Z)),
+        (rytov_variance, (1e-16, LAM, math.inf)), (rytov_to_cn2, (math.nan, LAM, Z)),
+        (rytov_to_cn2, (0.01, LAM, math.nan)), (turbulence_strength, (math.nan,)),
+        (turbulence_strength, (math.inf,)), (turbulence_strength, (0.01, math.nan)),
+    ])
+    def test_non_finite_input_rejected(self, law, args):
+        with pytest.raises(DomainError):
+            law(*args)
+
+    @pytest.mark.parametrize("law,args", [
+        (turbulence_strength, (1e300,)),        # rytov^(6/5) overflows
+        (rytov_variance, (1e-16, 1e-300, Z)),   # k^(7/6) overflows
+        (rytov_variance, (1e300, LAM, Z)),      # the product is infinite
+        (rytov_to_cn2, (0.01, 1e300, Z)),       # k^(7/6) underflows to 0
+    ])
+    def test_float_range_exit_is_domain_error(self, law, args):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            law(*args)
+
+    def test_resolve_reports_vanishing_denominator(self):
+        with pytest.raises(DomainError):
+            TurbulenceSpec.from_rytov(0.01).resolve(OpticalConfig(1e300, Z, 0.1))
+
+
 class TestTurbulenceSpec:
     def test_mutually_exclusive(self):
         with pytest.raises(DomainError):

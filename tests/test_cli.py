@@ -113,6 +113,8 @@ class TestMatrixCommand:
         ["matrix", "--wavelength", "1e-300"], ["sweep", "--grid", "0,nan"],
         ["matrix", "--rytov", "1e300"], ["matrix", "--pump-waist", "1e200"],
         ["sweep", "--pairs", ""],
+        # k^(7/6) underflows to 0 in rytov_to_cn2
+        ["matrix", "--rytov", "0.01", "--wavelength", "1e300"],
     ])
     def test_non_finite_channel_input_exit_2(self, capsys, argv):
         code, _, err = run(capsys, *argv)

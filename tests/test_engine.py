@@ -481,6 +481,98 @@ class TestProbabilityMatrix:
         assert serial == results[0]
 
 
+def _fsum(terms):
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def _clear_engine_caches():
+    for cache in (k_kernel, _pi_cached, engine._brackets, engine._f_sums):
+        cache.cache_clear()
+
+
+class TestKernelTables:
+    # a raw matrix over orders <= M reads the bracket rows of every even total
+    # order n <= 4 M; row n holds n/2 + 1 brackets, and an even bracket costs
+    # one hyp2f1_real call and an odd one two: 341 for M = 10, 40 for M = 3
+    # (3229 and 112 with one bracket call per K term)
+    @pytest.mark.parametrize("max_sum,real_calls", [(10, 341), (3, 40)])
+    def test_each_kernel_value_once(self, ref_cfg, max_sum, real_calls):
+        modes = expand_modes(max_sum)
+        _clear_engine_caches()
+        with mock.patch.object(engine, "hyp2f1_real", wraps=engine.hyp2f1_real) as real, \
+                mock.patch.object(engine, "hyp2f1_terminating",
+                                  wraps=engine.hyp2f1_terminating) as terminating:
+            probability_matrix(modes, derive_constants(ref_cfg, turbulence_strength(0.05)),
+                               normalization=NORMALIZATION_RAW)
+            assert real.call_count == real_calls
+            # F reads only the geometry: a second Rytov value reuses its sums
+            terminating.reset_mock()
+            probability_matrix(modes, derive_constants(ref_cfg, turbulence_strength(0.06)),
+                               normalization=NORMALIZATION_RAW)
+            assert terminating.call_count == 0
+
+    def test_k_kernel_equals_per_term_brackets(self, ref_cfg, near_field_cfgs):
+        def per_term(a, b, c):
+            # one _bracket call per K term; kappa_s from its binomial sum
+            n = a + b
+            if n % 2:
+                return 0.0 + 0.0j
+            rho = (c.c2 / c.c1) ** 0.25
+            sign = (-1) ** b
+            terms = []
+            for s in range(n // 2 + 1):
+                t = n - s
+                kappa = sum(math.comb(a, p) * math.comb(b, s - p) * (-1) ** (b - s + p)
+                            for p in range(max(0, s - b), min(a, s) + 1))
+                weight = kappa * (rho ** (s - t) + sign * rho ** (t - s) if s < t else 1.0)
+                if weight:
+                    terms.append(weight * engine._bracket(s, t, c.c1, c.c2, c.c3, c.c4))
+            return 0.25 * 0.5 ** (n / 2) / c.c1 * (c.c1 * c.c2) ** (-n / 4) * _fsum(terms)
+
+        cfgs = [ref_cfg, *near_field_cfgs.values()]
+        _clear_engine_caches()
+        for consts in [derive_constants(cfg, gamma) for cfg in cfgs
+                       for gamma in (0.0, turbulence_strength(0.02))]:
+            for a in range(21):
+                for b in range(21):
+                    assert k_kernel(a, b, consts) == per_term(a, b, consts), (a, b)
+
+    def test_pi_factor_equals_per_call_f_sums(self, vac_consts, turb_consts):
+        _clear_engine_caches()
+        for consts in (vac_consts, turb_consts):
+            for mu in range(11):
+                for nu in range(mu, 11):
+                    n = mu + nu
+                    g = [_fsum([f_kernel(mu, nu, k, s - k, consts)
+                                for k in range(max(0, s - nu), min(mu, s) + 1)])
+                         for s in range(0, n + 1, 2)]
+                    form = _fsum([gs * gt.conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)
+                                  for a, gs in enumerate(g) for b, gt in enumerate(g)])
+                    pref = 1.0 / (
+                        consts.cfg.wavelength ** 2 * consts.cfg.distance ** 2
+                        * math.sqrt(math.pi * consts.b1)
+                        * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu))
+                    want = (pref * form).real
+                    if -1e-12 <= want < 0.0:
+                        want = 0.0
+                    assert pi_factor(mu, nu, consts) == want, (mu, nu)
+
+    def test_tables_stay_bounded(self, ref_cfg):
+        # 500 sweep points read 7 bracket rows each; more than 16 geometries
+        # of 66 F-sum rows each overflow the F-sum table
+        pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
+        _clear_engine_caches()
+        rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
+        for k in range(20):
+            cfg = OpticalConfig.from_w0(ref_cfg.wavelength, ref_cfg.distance, 0.1 + 0.005 * k)
+            probability_matrix(expand_modes(10), derive_constants(cfg),
+                               normalization=NORMALIZATION_RAW)
+        for cache in (engine._brackets, engine._f_sums):
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.misses > info.maxsize >= info.currsize
+
+
 class TestChannelPath:
     def test_build_matrix_matches_long_form(self, ref_cfg):
         spec = TurbulenceSpec.from_rytov(reference.REFERENCE_RYTOV)
