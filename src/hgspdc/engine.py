@@ -10,18 +10,25 @@ validation suite and the scripts all go through them.
 k_kernel is one sum over s = p + q of integer Krawtchouk weights times a
 bracket h(s, a + b - s); pairing s with a + b - s evaluates each bracket
 once and makes the vacuum selection-rule zeros exact. Pi is a quadratic
-form in the per-order sums of F, since k_kernel reads only total orders,
+form in the per-order sums g_s of F, since k_kernel reads only total orders,
 and a matrix reads its entries from one table of the distinct Pi it needs.
-The sums mix signs, so they go through math.fsum, which rounds exactly.
+K(b, a) is the exact conjugate of K(a, b), so the form is real term pair by
+term pair and Pi reads one triangle of K. Each g_s is one geometry factor
+times a polynomial with exact, geometry-free coefficients. The sums mix
+signs, so they go through math.fsum, which rounds exactly.
 
-Four bounded lru_caches keep each kernel value once, each keyed on the
-inputs its layer reads:
+Six bounded lru_caches keep each kernel value once, each keyed on the
+inputs its layer reads. Two hold geometry-free numbers, built on first use:
+- _gamma_half: Gamma(j/2), the same floats specfun.gamma_half returns;
+- _f_coefficients: the polynomial coefficients of the F sums of one
+  (mu <= nu <= DEFAULT_MAX_ORDER), so at most 66 rows.
+Four hold values of one geometry or constant set:
 - _f_sums: the per-order F sums g_s of one (mu, nu), keyed on (mu, nu,
   zeta, w); zeta and w depend only on the geometry, so every Rytov value
   over one geometry, and its vacuum calibration anchor, share them;
 - _brackets: the brackets h(s, n - s) of one even total order n, keyed on
   (n, c1, c2, c3, c4); every K(a, b) with a + b = n reads the same row;
-- k_kernel: K(a, b), keyed on (a, b, constants);
+- k_kernel: K(a, b), keyed on (a, b, constants); Pi reads only a >= b;
 - _pi_cached: Pi(mu, nu), keyed on (mu <= nu, constants).
 Each keeps the most recent entries; all functions are pure, and cache
 fills are idempotent, so concurrent use is safe.
@@ -49,17 +56,19 @@ from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 
 DEFAULT_MAX_ORDER = 10
 
-# One constant set reads at most 221 K(a, b) (a, b <= 2 * DEFAULT_MAX_ORDER,
-# a + b even), so 21 bracket rows (even n <= 4 * DEFAULT_MAX_ORDER), and
-# 66 Pi(mu <= nu <= DEFAULT_MAX_ORDER), so 66 rows of F sums; each cache
-# holds 16 such sets whole, such as 8 channels and their 8 vacuum
-# calibration anchors.
-_K_CACHE_SIZE = 16 * 221
+# One constant set reads at most 121 K(a, b) (b <= a <= 2 * DEFAULT_MAX_ORDER,
+# a + b even: Pi reads one triangle), so 21 bracket rows (even n <=
+# 4 * DEFAULT_MAX_ORDER), and 66 Pi(mu <= nu <= DEFAULT_MAX_ORDER), so 66 rows
+# of F sums; each cache holds 16 such sets whole, such as 8 channels and their
+# 8 vacuum calibration anchors. The geometry-free tables hold every entry
+# those orders read: 66 coefficient rows and Gamma(j/2) for odd j <= 41.
+_K_CACHE_SIZE = 16 * 121
 _BRACKET_CACHE_SIZE = 16 * 21
 _PI_CACHE_SIZE = 16 * 66
 _F_CACHE_SIZE = 16 * 66
+_F_ROWS = (DEFAULT_MAX_ORDER + 1) * (DEFAULT_MAX_ORDER + 2) // 2
+_GAMMA_CACHE_SIZE = 2 * DEFAULT_MAX_ORDER + 1
 
-_IMAG_RTOL = 1e-10
 _NEGATIVE_CLAMP = 1e-12
 
 
@@ -135,35 +144,88 @@ def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> comp
     """First overlap kernel; exactly 0 whenever sigma(k, l) vanishes.
 
     The sigma guard also means Gamma and the terminating hypergeometric are
-    only ever evaluated at even k + l.
+    only ever evaluated at even k + l. This per-term form is the reference
+    that the per-order polynomial sums in _f_sums are tested against.
     """
     if not (0 <= k <= mu and 0 <= l <= nu):
         raise DomainError(f"indices out of range: mu={mu}, nu={nu}, k={k}, l={l}")
-    return _f_term(mu, nu, k, l, consts.zeta, consts.w)
-
-
-def _f_term(mu: int, nu: int, k: int, l: int, zeta: complex, w: float) -> complex:
-    # f_kernel past its index check; F reads only zeta and w
     sig = sigma(k, l)
     if sig == 0:
         return 0.0 + 0.0j
+    zeta = consts.zeta
     # k + l is even past the sigma guard, so i^(k+l) is the real sign
     # (-1)^((k+l)/2)
     i_power = -1 if (k + l) % 4 == 2 else 1
     val = math.comb(mu, k) * math.comb(nu, l) * 2 ** (mu + nu) * sig
     val = val * i_power * gamma_half(HalfInteger(k + l + 1))
-    val *= (math.sqrt(2.0) / w) ** (mu + nu - k - l)
+    val *= (math.sqrt(2.0) / consts.w) ** (mu + nu - k - l)
     val *= cmath.sqrt(1 - zeta) * cmath.sqrt(zeta) ** (k + l)
     val *= hyp2f1_terminating(k, l, HalfInteger(1 - k - l), 1 / (2 * zeta))
     return val
 
 
+@lru_cache(maxsize=_GAMMA_CACHE_SIZE)
+def _gamma_half(twice: int) -> float:
+    """gamma_half(twice / 2), the same float: the Gamma values F and the
+    brackets read depend on no geometry, so each is computed once."""
+    return gamma_half(HalfInteger(twice))
+
+
+def _kappa(j: int, m: int, m2: int) -> int:
+    """[x^j] (1 - x)^m (1 + x)^m2, a Krawtchouk value (DLMF 18.19)."""
+    return sum((-1) ** p * math.comb(m, p) * math.comb(m2, j - p)
+               for p in range(max(0, j - m2), min(m, j) + 1))
+
+
+@lru_cache(maxsize=_F_ROWS)
+def _f_coefficients(mu: int, nu: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    """Per even s = 0, 2, ..., mu + nu: Gamma((s+1)/2) and the coefficients
+    of the polynomial Q_s(y) that the F sum g_s reduces to, y = (1 - zeta)/zeta.
+
+    Summing F(k, s - k) over k collects the terminating 2F1 series by power
+    of x = 1/(2 zeta) into P_s(x) with P_s[n] = 2 (-1)^n n! C(mu, n) C(nu, n)
+    kappa_(s-2n)(mu-n, nu-n) / ((1-s)/2)_n. Q_s(y) = P_s((1 + y)/2): for the
+    closed-form zeta, y = i Lambda0 / (1 + Lambda0^2) is small in both the near
+    and the far field, where P_s cancels heavily at x near 1/2 and Q_s does
+    not. Over the common denominator 2^N ((1-s)/2)_N each coefficient is one
+    int / int division, which Python rounds correctly.
+    """
+    rows = []
+    for s in range(0, mu + nu + 1, 2):
+        top = min(mu, nu, s // 2)
+        # P_s[n] 2^(-n) = nums[n] / pochs[n], pochs[n] = prod_(j<n) (1 - s + 2j)
+        nums, pochs = [], [1]
+        for n in range(top + 1):
+            nums.append(2 * (-1) ** n * math.factorial(n) * math.comb(mu, n) * math.comb(nu, n)
+                        * _kappa(s - 2 * n, mu - n, nu - n))
+            pochs.append(pochs[-1] * (1 - s + 2 * n))
+        den = pochs[top]
+        rows.append((_gamma_half(s + 1), tuple(
+            sum(math.comb(n, j) * nums[n] * (den // pochs[n]) for n in range(j, top + 1)) / den
+            for j in range(top + 1))))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=_F_CACHE_SIZE)
 def _f_sums(mu: int, nu: int, zeta: complex, w: float) -> tuple[complex, ...]:
-    """g_s = sum of F(k, s - k) over k, for even s = 0, 2, ..., mu + nu."""
-    return tuple(_compensated_sum([_f_term(mu, nu, k, s - k, zeta, w)
-                                   for k in range(max(0, s - nu), min(mu, s) + 1)])
-                 for s in range(0, mu + nu + 1, 2))
+    """g_s = sum of F(k, s - k) over k, for even s = 0, 2, ..., mu + nu.
+
+    Every term of g_s shares 2^(mu+nu) i^s Gamma((s+1)/2) (sqrt2/w)^(mu+nu-s)
+    sqrt(1 - zeta) sqrt(zeta)^s; the rest is Q_s((1 - zeta)/zeta), by Horner.
+    """
+    y = (1 - zeta) / zeta
+    root = cmath.sqrt(zeta)
+    front = 2 ** (mu + nu) * cmath.sqrt(1 - zeta)
+    scale = math.sqrt(2.0) / w
+    sums = []
+    for s, (gamma, coeffs) in zip(range(0, mu + nu + 1, 2), _f_coefficients(mu, nu)):
+        poly = 0j
+        for c in reversed(coeffs):
+            poly = poly * y + c
+        # i^s is the real sign (-1)^(s/2) for even s
+        sign = -gamma if s % 4 else gamma
+        sums.append(sign * scale ** (mu + nu - s) * front * root ** s * poly)
+    return tuple(sums)
 
 
 def _bracket(s: int, t: int, c1: float, c2: float, c3: float, c4: float) -> complex:
@@ -175,9 +237,9 @@ def _bracket(s: int, t: int, c1: float, c2: float, c3: float, c4: float) -> comp
     bracket is c3 times a factor smooth through c3 = 0: no 1/c3, no branch.
     """
     if s % 2 == 0:
-        g = gamma_half(HalfInteger(1 + s)) * gamma_half(HalfInteger(1 + t))
+        g = _gamma_half(1 + s) * _gamma_half(1 + t)
         return 4 * math.sqrt(c1 / c2) * g * hyp2f1_real((1 + s) / 2, (1 + t) / 2, 0.5, c4)
-    g = gamma_half(HalfInteger(2 + s)) * gamma_half(HalfInteger(2 + t))
+    g = _gamma_half(2 + s) * _gamma_half(2 + t)
     lo = hyp2f1_real((2 + s) / 2, (2 + t) / 2, 0.5, c4)
     hi = hyp2f1_real((4 + s) / 2, (4 + t) / 2, 1.5, c4)
     return 4j * g * c3 * (
@@ -231,25 +293,25 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
 def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
     # F(k, l) vanishes unless k and l share parity, so only even k + l = s
     # occur, and k_kernel reads only the total orders N - s and N - t:
-    # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t)
+    # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t). K(b, a) is the exact
+    # conjugate of K(a, b), so the (s, t) and (t, s) terms are conjugates and
+    # the form is real: the diagonal once, each pair s < t as its real part
+    # twice. fsum adds exactly, so this is the full sum's real part bitwise,
+    # and a total past the float range still raises OverflowError.
     n = mu + nu
     g = _f_sums(mu, nu, consts.zeta, consts.w)
-    total = _compensated_sum([
-        gs * gt.conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)
-        for a, gs in enumerate(g) for b, gt in enumerate(g)
-    ])
+    terms = []
+    for a, ga in enumerate(g):
+        terms.append((ga * ga.conjugate() * k_kernel(n - 2 * a, n - 2 * a, consts)).real)
+        for b in range(a + 1, len(g)):
+            pair = (ga * g[b].conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)).real
+            terms += (pair, pair)
     pref = 1.0 / (
         consts.cfg.wavelength ** 2 * consts.cfg.distance ** 2
         * math.sqrt(math.pi * consts.b1)
         * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu)
     )
-    value = pref * total
-    if abs(value.imag) > _IMAG_RTOL * abs(value.real) + 1e-300:
-        raise NumericalError(
-            f"pi_factor({mu}, {nu}) lost realness: {value!r} "
-            "(kernel bug or regime violation)"
-        )
-    result = value.real
+    result = pref * math.fsum(terms)
     if -_NEGATIVE_CLAMP <= result < 0.0:
         result = 0.0
     return result

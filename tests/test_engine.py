@@ -4,6 +4,7 @@ symmetries, selection rules, matrix assembly and golden regression."""
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 from unittest import mock
 
 import mpmath as mp
@@ -37,6 +38,7 @@ from hgspdc.engine import (
     sigma,
 )
 from hgspdc.errors import CalibrationError, DomainError, NumericalError
+from hgspdc.specfun import HalfInteger, gamma_half
 
 mp.mp.dps = 50
 
@@ -486,8 +488,15 @@ def _fsum(terms):
 
 
 def _clear_engine_caches():
-    for cache in (k_kernel, _pi_cached, engine._brackets, engine._f_sums):
+    for cache in (k_kernel, _pi_cached, engine._brackets, engine._f_sums,
+                  engine._f_coefficients, engine._gamma_half):
         cache.cache_clear()
+
+
+def _per_order_f_sums(mu, nu, f):
+    """The per-order sums g_s = sum_k f(k, s - k), s = 0, 2, ..., mu + nu."""
+    return [[f(k, s - k) for k in range(max(0, s - nu), min(mu, s) + 1)]
+            for s in range(0, mu + nu + 1, 2)]
 
 
 class TestKernelTables:
@@ -501,15 +510,31 @@ class TestKernelTables:
         _clear_engine_caches()
         with mock.patch.object(engine, "hyp2f1_real", wraps=engine.hyp2f1_real) as real, \
                 mock.patch.object(engine, "hyp2f1_terminating",
-                                  wraps=engine.hyp2f1_terminating) as terminating:
+                                  wraps=engine.hyp2f1_terminating) as terminating, \
+                mock.patch.object(engine, "gamma_half", wraps=engine.gamma_half) as gamma:
             probability_matrix(modes, derive_constants(ref_cfg, turbulence_strength(0.05)),
                                normalization=NORMALIZATION_RAW)
             assert real.call_count == real_calls
+            # the F sums are polynomials with precomputed coefficients
+            assert terminating.call_count == 0
+            # Pi reads one triangle of K: K(p, q), q <= p <= 2 M, p + q even
+            top = 2 * max_sum
+            assert k_kernel.cache_info().misses == sum(
+                1 for p in range(top + 1) for q in range(p + 1) if (p - q) % 2 == 0)
             # F reads only the geometry: a second Rytov value reuses its sums
-            terminating.reset_mock()
+            f_misses = engine._f_sums.cache_info().misses
             probability_matrix(modes, derive_constants(ref_cfg, turbulence_strength(0.06)),
                                normalization=NORMALIZATION_RAW)
-            assert terminating.call_count == 0
+            assert engine._f_sums.cache_info().misses == f_misses
+            # with the geometry-free tables warm, a fresh geometry computes
+            # no Gamma value and no terminating 2F1 either
+            real.reset_mock()
+            gamma.reset_mock()
+            cfg = OpticalConfig.from_w0(1.55e-6, 2e4, 0.005)
+            probability_matrix(modes, derive_constants(cfg, turbulence_strength(0.05)),
+                               normalization=NORMALIZATION_RAW)
+            assert (real.call_count, gamma.call_count, terminating.call_count) == (
+                real_calls, 0, 0)
 
     def test_k_kernel_equals_per_term_brackets(self, ref_cfg, near_field_cfgs):
         def per_term(a, b, c):
@@ -537,15 +562,24 @@ class TestKernelTables:
                 for b in range(21):
                     assert k_kernel(a, b, consts) == per_term(a, b, consts), (a, b)
 
-    def test_pi_factor_equals_per_call_f_sums(self, vac_consts, turb_consts):
+    def test_k_kernel_conjugate_symmetric(self, ref_cfg, near_field_cfgs):
+        # Pi reads one triangle of K and takes the other as its conjugate
+        cfgs = [ref_cfg, *near_field_cfgs.values()]
+        for consts in [derive_constants(cfg, gamma) for cfg in cfgs
+                       for gamma in (0.0, turbulence_strength(0.02))]:
+            for a in range(21):
+                for b in range(a):
+                    assert k_kernel(b, a, consts) == k_kernel(a, b, consts).conjugate(), (a, b)
+
+    def test_pi_factor_equals_full_double_sum(self, vac_consts, turb_consts):
+        # the triangle form, summed in reals, is bitwise the real part of the
+        # full complex double sum over s and t
         _clear_engine_caches()
         for consts in (vac_consts, turb_consts):
             for mu in range(11):
                 for nu in range(mu, 11):
                     n = mu + nu
-                    g = [_fsum([f_kernel(mu, nu, k, s - k, consts)
-                                for k in range(max(0, s - nu), min(mu, s) + 1)])
-                         for s in range(0, n + 1, 2)]
+                    g = engine._f_sums(mu, nu, consts.zeta, consts.w)
                     form = _fsum([gs * gt.conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)
                                   for a, gs in enumerate(g) for b, gt in enumerate(g)])
                     pref = 1.0 / (
@@ -556,6 +590,55 @@ class TestKernelTables:
                     if -1e-12 <= want < 0.0:
                         want = 0.0
                     assert pi_factor(mu, nu, consts) == want, (mu, nu)
+
+    def test_f_sums_match_per_term_f_kernel(self, vac_consts, turb_consts):
+        for consts in (vac_consts, turb_consts):
+            for mu in range(11):
+                for nu in range(mu, 11):
+                    want = [_fsum(terms) for terms in _per_order_f_sums(
+                        mu, nu, lambda k, l: f_kernel(mu, nu, k, l, consts))]
+                    got = engine._f_sums(mu, nu, consts.zeta, consts.w)
+                    top = max(map(abs, want))
+                    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-14 * top, (mu, nu)
+
+    def test_f_coefficients_exact(self):
+        # row s holds Q_s(y) = P_s((1 + y)/2), P_s(x) the exact expansion of
+        # sum_k C(mu, k) C(nu, l) sigma(k, l) 2F1(-k, -l; (1-s)/2; x), l = s - k
+        def hyp_coefficients(k, l, c):
+            out, term = [], Fraction(1)
+            for n in range(min(k, l) + 1):
+                out.append(term)
+                term = term * (n - k) * (n - l) / ((c + n) * (n + 1))
+            return out
+
+        for mu in range(11):
+            for nu in range(mu, 11):
+                rows = engine._f_coefficients(mu, nu)
+                assert len(rows) == (mu + nu) // 2 + 1
+                for (gamma, coeffs), s in zip(rows, range(0, mu + nu + 1, 2)):
+                    assert gamma == gamma_half(HalfInteger(s + 1))
+                    p = [Fraction(0)] * len(coeffs)
+                    for k in range(max(0, s - nu), min(mu, s) + 1):
+                        w = math.comb(mu, k) * math.comb(nu, s - k) * sigma(k, s - k)
+                        for n, h in enumerate(hyp_coefficients(k, s - k, Fraction(1 - s, 2))):
+                            p[n] += w * h
+                    q = [sum(math.comb(n, j) * p[n] / 2 ** n for n in range(j, len(p)))
+                         for j in range(len(p))]
+                    assert coeffs == tuple(map(float, q)), (mu, nu, s)
+
+    def test_f_sums_against_oracle(self, ref_cfg, near_field_cfgs):
+        # relative to the row maximum, at the reference geometry, in near field
+        # and in far field (Fresnel ratio ~395)
+        cfgs = [ref_cfg, *near_field_cfgs.values(), OpticalConfig.from_w0(1.55e-6, 2e4, 0.005)]
+        for consts in map(derive_constants, cfgs):
+            for mu in range(11):
+                for nu in range(mu, 11):
+                    want = [mp.fsum(terms) for terms in _per_order_f_sums(
+                        mu, nu, lambda k, l: oracle_f(mu, nu, k, l, consts))]
+                    got = engine._f_sums(mu, nu, consts.zeta, consts.w)
+                    top = max(map(abs, want))
+                    err = max(abs(x - y) for x, y in zip(got, want)) / top
+                    assert err <= 2e-15, (consts.cfg.fresnel_ratio, mu, nu, float(err))
 
     def test_tables_stay_bounded(self, ref_cfg):
         # 500 sweep points read 7 bracket rows each; more than 16 geometries
@@ -571,6 +654,9 @@ class TestKernelTables:
             info = cache.cache_info()
             assert info.maxsize is not None
             assert info.misses > info.maxsize >= info.currsize
+        # the geometry-free tables hold every row the orders read, each built once
+        for cache, rows in ((engine._f_coefficients, 66), (engine._gamma_half, 21)):
+            assert cache.cache_info()[1:] == (rows, rows, rows)
 
 
 class TestChannelPath:

@@ -54,3 +54,13 @@ def test_validate_loads_numpy_and_oracle_agrees(tmp_path):
     """)
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
     assert checks["oracle_agreement"]["passed"] is True
+
+
+def test_import_builds_no_table_row():
+    # the geometry-free coefficient and Gamma tables fill on first use
+    assert not numpy_loaded_after("""
+        import hgspdc
+        from hgspdc import engine
+        assert engine._f_coefficients.cache_info().currsize == 0
+        assert engine._gamma_half.cache_info().currsize == 0
+    """)
