@@ -17,30 +17,39 @@ term pair and Pi reads one triangle of K. Each g_s is one geometry factor
 times a polynomial with exact, geometry-free coefficients. The sums mix
 signs, so they go through math.fsum, which rounds exactly.
 
-Six bounded lru_caches keep each kernel value once, each keyed on the
-inputs its layer reads. Two hold geometry-free numbers, built on first use:
+Bounded caches keep each kernel value once. Four lru_caches are keyed on
+the inputs their layer reads. Two hold geometry-free numbers, built on
+first use:
 - _gamma_half: Gamma(j/2), the same floats specfun.gamma_half returns;
 - _f_coefficients: the polynomial coefficients of the F sums of one
   (mu <= nu <= DEFAULT_MAX_ORDER), so at most 66 rows.
-Four hold values of one geometry or constant set:
+Two are keyed on floats, so constant sets share their rows:
 - _f_sums: the per-order F sums g_s of one (mu, nu), keyed on (mu, nu,
   zeta, w); zeta and w depend only on the geometry, so every Rytov value
   over one geometry, and its vacuum calibration anchor, share them;
 - _brackets: the brackets h(s, n - s) of one even total order n, keyed on
-  (n, c1, c2, c3, c4); every K(a, b) with a + b = n reads the same row;
-- k_kernel: K(a, b), keyed on (a, b, constants); Pi reads only a >= b;
-- _pi_cached: Pi(mu, nu), keyed on (mu <= nu, constants).
-Each keeps the most recent entries; all functions are pure, and cache
-fills are idempotent, so concurrent use is safe.
+  (n, c1, c2, c3, c4); every K(a, b) with a + b = n reads the same row.
+K and Pi live in table sets, one per constant set. _tables(consts), an
+lru_cache of 16 sets, is the one place a DerivedConstants is hashed. A set
+holds two int-keyed dicts: K(a, b) for b <= a <= 2 * DEFAULT_MAX_ORDER with
+a + b even (at most 121 entries) and Pi(mu <= nu <= DEFAULT_MAX_ORDER) (at
+most 66). A Pi fill reads K from its own set, so a matrix hashes its
+constants once per distinct Pi it needs; table_info() reports the hits,
+misses and sizes. Each cache keeps the most recent entries; all functions
+are pure, and table fills are idempotent stores, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import weakref
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from operator import mul
 
 from .channel import (
     DEFAULT_W_VARIANT,
@@ -56,17 +65,19 @@ from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 
 DEFAULT_MAX_ORDER = 10
 
-# One constant set reads at most 121 K(a, b) (b <= a <= 2 * DEFAULT_MAX_ORDER,
-# a + b even: Pi reads one triangle), so 21 bracket rows (even n <=
-# 4 * DEFAULT_MAX_ORDER), and 66 Pi(mu <= nu <= DEFAULT_MAX_ORDER), so 66 rows
-# of F sums; each cache holds 16 such sets whole, such as 8 channels and their
-# 8 vacuum calibration anchors. The geometry-free tables hold every entry
-# those orders read: 66 coefficient rows and Gamma(j/2) for odd j <= 41.
-_K_CACHE_SIZE = 16 * 121
-_BRACKET_CACHE_SIZE = 16 * 21
-_PI_CACHE_SIZE = 16 * 66
-_F_CACHE_SIZE = 16 * 66
+# One constant set reads at most (DEFAULT_MAX_ORDER + 1)^2 = 121 K(a, b)
+# (b <= a <= 2 * DEFAULT_MAX_ORDER, a + b even: Pi reads one triangle), so 21
+# bracket rows (even n <= 4 * DEFAULT_MAX_ORDER), and 66 Pi(mu <= nu <=
+# DEFAULT_MAX_ORDER), so 66 rows of F sums; 16 table sets are held whole, such
+# as 8 channels and their 8 vacuum calibration anchors, and the float-keyed
+# caches hold as many rows. The geometry-free tables hold every entry those
+# orders read: 66 coefficient rows and Gamma(j/2) for odd j <= 41.
+_SETS = 16
+_K_TOP = 2 * DEFAULT_MAX_ORDER
+_K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
 _F_ROWS = (DEFAULT_MAX_ORDER + 1) * (DEFAULT_MAX_ORDER + 2) // 2
+_BRACKET_CACHE_SIZE = _SETS * 21
+_F_CACHE_SIZE = _SETS * _F_ROWS
 _GAMMA_CACHE_SIZE = 2 * DEFAULT_MAX_ORDER + 1
 
 _NEGATIVE_CLAMP = 1e-12
@@ -253,24 +264,70 @@ def _brackets(n: int, c1: float, c2: float, c3: float, c4: float) -> tuple[compl
     return tuple(_bracket(s, n - s, c1, c2, c3, c4) for s in range(n // 2 + 1))
 
 
-@lru_cache(maxsize=_K_CACHE_SIZE)
-def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
-    """Second overlap kernel, one sum over s = p + q with n = a + b, t = n - s:
+class _Tables:
+    """The K and Pi values of one constant set, keyed on ints: k[a, b] for
+    b <= a <= 2 * DEFAULT_MAX_ORDER with a + b even, pi[mu, nu] for
+    mu <= nu <= DEFAULT_MAX_ORDER."""
 
-    K = 1/4 2^(-n/2) c1^(-1) (c1 c2)^(-n/4) sum_s kappa_s rho^(s-t) h(s, t)
+    __slots__ = ("consts", "k", "pi", "__weakref__")
 
-    with rho = (c2/c1)^(1/4), h the bracket and kappa_s the integer
-    [x^s] (1+x)^a (x-1)^b, a Krawtchouk value (DLMF 18.19). The bracket
-    vanishes unless s and t share parity, so K vanishes for odd a + b. Since
-    kappa_(n-s) = (-1)^b kappa_s and h is symmetric, the s and n - s terms
-    share one bracket; their weights cancel exactly when c1 == c2, as in
-    vacuum, so K(odd, odd) is then exactly 0.
-    """
-    if a < 0 or b < 0:
-        raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
+    def __init__(self, consts: DerivedConstants):
+        self.consts = consts
+        self.k: dict[tuple[int, int], complex] = {}
+        self.pi: dict[tuple[int, int], float] = {}
+
+
+class _Counts:
+    """Table lookups and fills since the last _clear_tables. These are
+    statistics: concurrent fills may undercount them, never the values."""
+
+    __slots__ = ("k_lookups", "k_misses", "pi_lookups", "pi_misses")
+
+    def __init__(self):
+        self.k_lookups = self.k_misses = self.pi_lookups = self.pi_misses = 0
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+TableInfo = namedtuple("TableInfo", "sets k pi")
+
+_counts = _Counts()
+# every table set alive: the ones _tables holds and any a caller still holds
+_live: weakref.WeakSet[_Tables] = weakref.WeakSet()
+
+
+@lru_cache(maxsize=_SETS)
+def _tables(consts: DerivedConstants) -> _Tables:
+    """The table set of consts: the one place a constant set is hashed."""
+    tables = _Tables(consts)
+    _live.add(tables)
+    return tables
+
+
+def _clear_tables() -> None:
+    """Drop every table set and zero the table counts."""
+    global _counts
+    _tables.cache_clear()
+    _counts = _Counts()
+
+
+def table_info() -> TableInfo:
+    """Hits, misses, current size and bound of the set cache, the K tables
+    and the Pi tables. K and Pi count since the last _clear_tables, and
+    their sizes sum over the sets alive."""
+    live = list(_live)
+    c = _counts
+    return TableInfo(
+        _tables.cache_info(),
+        CacheInfo(c.k_lookups - c.k_misses, c.k_misses, _SETS * _K_ENTRIES,
+                  sum(len(t.k) for t in live)),
+        CacheInfo(c.pi_lookups - c.pi_misses, c.pi_misses, _SETS * _F_ROWS,
+                  sum(len(t.pi) for t in live)),
+    )
+
+
+def _k_value(a: int, b: int, consts: DerivedConstants) -> complex:
+    """The k_kernel sum for even a + b, computed without a table."""
     n = a + b
-    if n % 2:
-        return 0.0 + 0.0j
     c1, c2 = consts.c1, consts.c2
     rho = (c2 / c1) ** 0.25
     sign = (-1) ** b
@@ -289,8 +346,54 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
     return 0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4) * _compensated_sum(terms)
 
 
-@lru_cache(maxsize=_PI_CACHE_SIZE)
-def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
+def _k_entry(tables: _Tables, a: int, b: int) -> complex:
+    """K(a, b) from one table set, b <= a <= 2 * DEFAULT_MAX_ORDER, a + b even."""
+    value = tables.k.get((a, b))
+    if value is None:
+        _counts.k_misses += 1
+        value = tables.k[a, b] = _k_value(a, b, tables.consts)
+    return value
+
+
+def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
+    """Second overlap kernel, one sum over s = p + q with n = a + b, t = n - s:
+
+    K = 1/4 2^(-n/2) c1^(-1) (c1 c2)^(-n/4) sum_s kappa_s rho^(s-t) h(s, t)
+
+    with rho = (c2/c1)^(1/4), h the bracket and kappa_s the integer
+    [x^s] (1+x)^a (x-1)^b, a Krawtchouk value (DLMF 18.19). The bracket
+    vanishes unless s and t share parity, so K vanishes for odd a + b. Since
+    kappa_(n-s) = (-1)^b kappa_s and h is symmetric, the s and n - s terms
+    share one bracket; their weights cancel exactly when c1 == c2, as in
+    vacuum, so K(odd, odd) is then exactly 0.
+
+    Reads the table set of consts, which holds the triangle b <= a: K(b, a)
+    is returned as the exact conjugate of K(a, b), and an order above
+    2 * DEFAULT_MAX_ORDER is computed without being stored, so no call grows
+    a table past the entries Pi reads.
+    """
+    if a < 0 or b < 0:
+        raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
+    if (a + b) % 2:
+        return 0.0 + 0.0j
+    if max(a, b) > _K_TOP:
+        return _k_value(a, b, consts)
+    _counts.k_lookups += 1
+    if a < b:
+        return _k_entry(_tables(consts), b, a).conjugate()
+    return _k_entry(_tables(consts), a, b)
+
+
+def _k_cache_info() -> CacheInfo:
+    """k_kernel.cache_info(), as for an lru_cache: the K tables' counts."""
+    return table_info().k
+
+
+k_kernel.cache_info = _k_cache_info
+k_kernel.cache_clear = _clear_tables
+
+
+def _pi_value(mu: int, nu: int, tables: _Tables) -> float:
     # F(k, l) vanishes unless k and l share parity, so only even k + l = s
     # occur, and k_kernel reads only the total orders N - s and N - t:
     # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t). K(b, a) is the exact
@@ -298,13 +401,16 @@ def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
     # the form is real: the diagonal once, each pair s < t as its real part
     # twice. fsum adds exactly, so this is the full sum's real part bitwise,
     # and a total past the float range still raises OverflowError.
+    consts = tables.consts
     n = mu + nu
     g = _f_sums(mu, nu, consts.zeta, consts.w)
+    # the triangle's K reads, counted at once rather than one by one
+    _counts.k_lookups += len(g) * (len(g) + 1) // 2
     terms = []
     for a, ga in enumerate(g):
-        terms.append((ga * ga.conjugate() * k_kernel(n - 2 * a, n - 2 * a, consts)).real)
+        terms.append((ga * ga.conjugate() * _k_entry(tables, n - 2 * a, n - 2 * a)).real)
         for b in range(a + 1, len(g)):
-            pair = (ga * g[b].conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)).real
+            pair = (ga * g[b].conjugate() * _k_entry(tables, n - 2 * a, n - 2 * b)).real
             terms += (pair, pair)
     pref = 1.0 / (
         consts.cfg.wavelength ** 2 * consts.cfg.distance ** 2
@@ -320,7 +426,7 @@ def _pi_cached(mu: int, nu: int, consts: DerivedConstants) -> float:
 def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
     """Per-axis probability factor: the kernel quadratic form with prefactor.
 
-    Symmetric in (mu, nu); the memo key is sorted so the symmetry is exact.
+    Symmetric in (mu, nu); the table key is sorted so the symmetry is exact.
     NumericalError if a kernel term leaves the float range (c2/c1 huge).
     """
     if mu < 0 or nu < 0:
@@ -330,11 +436,18 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
             f"order {max(mu, nu)} exceeds max_order={DEFAULT_MAX_ORDER}; the "
             "paraxial closed form degrades for high orders"
         )
-    try:
-        return _pi_cached(min(mu, nu), max(mu, nu), consts)
-    except (OverflowError, ZeroDivisionError):
-        raise NumericalError(f"pi_factor({mu}, {nu}) leaves the float range at "
-                             f"c1={consts.c1:.6g}, c2={consts.c2:.6g}") from None
+    key = (mu, nu) if mu <= nu else (nu, mu)
+    tables = _tables(consts)
+    _counts.pi_lookups += 1
+    value = tables.pi.get(key)
+    if value is None:
+        _counts.pi_misses += 1
+        try:
+            value = tables.pi[key] = _pi_value(*key, tables)
+        except (OverflowError, ZeroDivisionError):
+            raise NumericalError(f"pi_factor({mu}, {nu}) leaves the float range at "
+                                 f"c1={consts.c1:.6g}, c2={consts.c2:.6g}") from None
+    return value
 
 
 def joint_probability(pair: ModePair, consts: DerivedConstants) -> float:
@@ -461,14 +574,22 @@ def probability_matrix(
 
     # one pi_factor call per distinct sorted (mu, nu) the grid reads: pairs
     # of m orders, pairs of n orders and the (00,00) anchor's (0, 0)
-    keys = {(0, 0)}
-    for axis in ({s.m for s in ordering}, {s.n for s in ordering}):
-        keys.update((min(a, b), max(a, b)) for a in axis for b in axis)
-    pi = {}
-    for a, b in sorted(keys):
-        pi[a, b] = pi[b, a] = pi_factor(a, b, consts)
-    raw = [[pi[s.m, i.m] * pi[s.n, i.n] for i in ordering] for s in ordering]
-    raw_ref = pi[0, 0] * pi[0, 0]
+    ms = [s.m for s in ordering]
+    ns = [s.n for s in ordering]
+    m_orders, n_orders = sorted(set(ms)), sorted(set(ns))
+    keys = sorted({(0, 0), *combinations_with_replacement(m_orders, 2),
+                   *combinations_with_replacement(n_orders, 2)})
+    found = [pi_factor(a, b, consts) for a, b in keys]
+    pi: dict[int, dict[int, float]] = {a: {} for a in {0, *m_orders, *n_orders}}
+    for (a, b), value in zip(keys, found):
+        pi[a][b] = pi[b][a] = value
+    # row s is pi[s.m][i.m] * pi[s.n][i.n] over the idlers i, from one
+    # gathered column per distinct order; the rows are lazy, and one of the
+    # two paths below reads each once
+    col_m = {a: list(map(pi[a].__getitem__, ms)) for a in m_orders}
+    col_n = {b: list(map(pi[b].__getitem__, ns)) for b in n_orders}
+    raw = [map(mul, col_m[m], col_n[n]) for m, n in zip(ms, ns)]
+    raw_ref = pi[0][0] * pi[0][0]
 
     if normalization == NORMALIZATION_CALIBRATED:
         factor = _calibration_factor(consts, reference_value)
@@ -478,8 +599,14 @@ def probability_matrix(
         factor = 1.0
         norm = Normalization(NORMALIZATION_RAW, _ANCHOR_PAIR, None, 1.0, raw_ref)
 
-    values = tuple(map(tuple, _clamp_and_scale(
-        raw, factor, lambda i, j: ModePair(ordering[i], ordering[j]).label())))
+    if min(found) >= 0.0:
+        # every entry is a product of nonnegatives, so there is nothing to
+        # clamp; a NaN Pi, which min may skip, gives NaN entries either way
+        values = tuple([tuple(map(factor.__mul__, row)) for row in raw])
+    else:
+        values = tuple(map(tuple, _clamp_and_scale(
+            list(map(list, raw)), factor,
+            lambda i, j: ModePair(ordering[i], ordering[j]).label())))
     return ProbabilityMatrix(ordering, values, consts, norm, turbulence)
 
 
@@ -523,6 +650,10 @@ def rytov_sweep(
               for s2 in grid]
     factor = (_calibration_factor(points[0])
               if normalization == NORMALIZATION_CALIBRATED else 1.0)
-    return _clamp_and_scale(
-        [[joint_probability(pair, consts) for consts in points] for pair in pairs],
-        factor, lambda i, j: f"{pairs[i].label()} at rytov {grid[j]}")
+    # point by point, so each point's table set is looked up while it is hot
+    series: list[list[float]] = [[] for _ in pairs]
+    for consts in points:
+        for row, pair in zip(series, pairs):
+            row.append(joint_probability(pair, consts))
+    return _clamp_and_scale(series, factor,
+                            lambda i, j: f"{pairs[i].label()} at rytov {grid[j]}")

@@ -4,6 +4,7 @@ symmetries, selection rules, matrix assembly and golden regression."""
 import cmath
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -24,7 +25,6 @@ from hgspdc.engine import (
     ModeIndex,
     ModePair,
     NORMALIZATION_RAW,
-    _pi_cached,
     build_matrix,
     expand_modes,
     f_kernel,
@@ -36,6 +36,7 @@ from hgspdc.engine import (
     rytov_sweep,
     selection_rule_allowed,
     sigma,
+    table_info,
 )
 from hgspdc.errors import CalibrationError, DomainError, NumericalError
 from hgspdc.specfun import HalfInteger, gamma_half
@@ -422,6 +423,60 @@ class TestProbabilityMatrix:
         with pytest.raises(NumericalError, match=r"P\(00,01\) = -0.00031307 "):
             probability_matrix(DEFAULT_ORDERING, vac_consts)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.builds(ModeIndex, st.integers(0, 10), st.integers(0, 10)),
+                    min_size=1, max_size=12, unique=True),
+           st.sampled_from([0.0, 0.02, 0.1]), st.booleans())
+    def test_fast_path_equals_clamp_and_scale(self, ref_cfg, modes, rytov, calibrated):
+        # with no negative Pi a matrix skips the floor scan; its entries are
+        # bitwise the ones the scan path gives
+        consts = derive_constants(ref_cfg, turbulence_strength(rytov))
+        normalization = "calibrated" if calibrated else NORMALIZATION_RAW
+        m = probability_matrix(modes, consts, normalization=normalization)
+        assert _bits(m.values) == _bits(_scan_path(modes, consts, normalization))
+
+    def test_floor_scan_runs_only_for_a_negative_pi(self, turb_consts, monkeypatch):
+        modes = expand_modes(10)
+        with mock.patch.object(engine, "_clamp_and_scale",
+                               wraps=engine._clamp_and_scale) as scan:
+            probability_matrix(modes, turb_consts)
+            assert scan.call_count == 0
+            # a deep negative still fails on a large grid, naming its entry
+            monkeypatch.setattr(engine, "pi_factor",
+                                lambda mu, nu, consts: -1e-3 if {mu, nu} == {0, 1} else 1.0)
+            with pytest.raises(NumericalError, match=r"P\(00,01\) = -0.00031307 "):
+                probability_matrix(modes, turb_consts)
+            assert scan.call_count == 1
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    def test_roundoff_negative_pi_reads_zero(self, vac_consts, monkeypatch, scale):
+        # a Pi of -1e-13 of the peak Pi makes entries -1e-13 of the peak entry
+        monkeypatch.setattr(engine, "pi_factor",
+                            lambda mu, nu, consts: -1e-13 * scale if {mu, nu} == {0, 1}
+                            else scale)
+        modes = expand_modes(10)
+        m = probability_matrix(modes, vac_consts)
+        assert m.value(ModeIndex(0, 0), ModeIndex(0, 1)) == 0.0
+        assert m.value(ModeIndex(0, 0), ModeIndex(1, 0)) == 0.0
+        assert m.value(ModeIndex(0, 0), ModeIndex(0, 0)) == pytest.approx(0.31307, rel=1e-15)
+        assert _bits(m.values) == _bits(_scan_path(modes, vac_consts, "calibrated"))
+
+    @pytest.mark.parametrize("nan_at,negative", [
+        ((0, 0), False), ((1, 2), False), ((1, 2), True), ((0, 0), True)])
+    def test_nan_pi_matches_scan_path(self, vac_consts, monkeypatch, nan_at, negative):
+        # min over the Pi values skips a NaN unless it comes first; either way
+        # the matrix is the scan path's
+        def fake(mu, nu, consts):
+            if (min(mu, nu), max(mu, nu)) == nan_at:
+                return math.nan
+            return -1e-13 if negative and {mu, nu} == {0, 3} else 0.5
+
+        monkeypatch.setattr(engine, "pi_factor", fake)
+        modes = expand_modes(4)
+        for normalization in ("calibrated", NORMALIZATION_RAW):
+            m = probability_matrix(modes, vac_consts, normalization=normalization)
+            assert _bits(m.values) == _bits(_scan_path(modes, vac_consts, normalization))
+
     def test_turbulence_gamma_must_match_consts(self, ref_cfg, turb_consts):
         # metadata resolved for vacuum must not label a turbulent matrix
         vacuum = TurbulenceSpec.vacuum().resolve(ref_cfg)
@@ -458,10 +513,10 @@ class TestProbabilityMatrix:
         # a 10-mode matrix costs O(N) distinct pi evaluations, not O(N^2):
         # orders 0..3 per axis make 10 sorted (mu, nu) combinations
         consts = derive_constants(ref_cfg, turbulence_strength(0.0171))
-        _pi_cached.cache_clear()
+        engine._clear_tables()
         probability_matrix(DEFAULT_ORDERING, consts,
                            normalization=NORMALIZATION_RAW)
-        assert _pi_cached.cache_info().misses == 10
+        assert table_info().pi.misses == 10
 
     def test_concurrent_fills_are_consistent(self, ref_cfg):
         # idempotent cache writes: hammering the same evaluations from
@@ -469,18 +524,40 @@ class TestProbabilityMatrix:
         from concurrent.futures import ThreadPoolExecutor
 
         consts = derive_constants(ref_cfg, turbulence_strength(0.0137))
-        _pi_cached.cache_clear()
+        engine._clear_tables()
 
         def table(_):
             return tuple(pi_factor(mu, nu, consts)
                          for mu in range(4) for nu in range(4))
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(table, range(16)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(table, range(16), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         assert all(r == results[0] for r in results)
+        # one set, holding the 10 sorted (mu, nu) once each
+        assert len(engine._tables(consts).pi) == 10
+        engine._clear_tables()
         serial = tuple(pi_factor(mu, nu, consts)
                        for mu in range(4) for nu in range(4))
         assert serial == results[0]
+
+
+def _bits(values):
+    """Entries as hex strings: equal bitwise, NaN and the sign of zero included."""
+    return [[float(v).hex() for v in row] for row in values]
+
+
+def _scan_path(modes, consts, normalization):
+    """The matrix with every entry through _clamp_and_scale: per-pair
+    products of whatever pi_factor the engine module holds."""
+    raw = [[joint_probability(ModePair(s, i), consts) for i in modes] for s in modes]
+    factor = (engine._calibration_factor(consts) if normalization == "calibrated"
+              else 1.0)
+    return engine._clamp_and_scale(raw, factor, lambda i, j: f"{i},{j}")
 
 
 def _fsum(terms):
@@ -488,8 +565,9 @@ def _fsum(terms):
 
 
 def _clear_engine_caches():
-    for cache in (k_kernel, _pi_cached, engine._brackets, engine._f_sums,
-                  engine._f_coefficients, engine._gamma_half):
+    engine._clear_tables()
+    for cache in (engine._brackets, engine._f_sums, engine._f_coefficients,
+                  engine._gamma_half):
         cache.cache_clear()
 
 
@@ -659,6 +737,53 @@ class TestKernelTables:
             assert cache.cache_info()[1:] == (rows, rows, rows)
 
 
+    def test_public_k_kernel_calls_stay_in_the_triangle(self, ref_cfg):
+        # K(a < b) reads the stored K(b, a), odd a + b stores nothing and an
+        # order above 2 * DEFAULT_MAX_ORDER is computed without being stored
+        _clear_engine_caches()
+        sets = [derive_constants(ref_cfg, turbulence_strength(0.005 * k)) for k in range(18)]
+        for consts in sets[:2]:
+            for a in range(41):
+                for b in range(41):
+                    got = k_kernel(a, b, consts)
+                    if (a + b) % 2:
+                        assert got == 0
+                    elif max(a, b) > 20:
+                        assert got == engine._k_value(a, b, consts)
+            for mu in range(11):
+                for nu in range(11):
+                    pi_factor(mu, nu, consts)
+            tables = engine._tables(consts)
+            assert sorted(tables.k) == [(a, b) for a in range(21) for b in range(a + 1)
+                                        if (a + b) % 2 == 0]
+            assert len(tables.k) == 121 and len(tables.pi) == 66
+            del tables  # a set a caller holds stays alive past eviction
+        for consts in sets[2:]:
+            k_kernel(3, 5, consts)
+            pi_factor(10, 10, consts)
+        info = table_info()
+        assert info.sets.maxsize == 16 and info.sets.currsize == 16
+        assert len(engine._live) <= 16
+        assert all(len(t.k) <= 121 and len(t.pi) <= 66 for t in engine._live)
+        assert info.k.currsize <= info.k.maxsize == 16 * 121
+        assert info.pi.currsize <= info.pi.maxsize == 16 * 66
+
+    def test_k_kernel_cache_info_counts_the_tables(self, vac_consts):
+        _clear_engine_caches()
+        assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
+        k_kernel(2, 0, vac_consts)
+        k_kernel(0, 2, vac_consts)
+        k_kernel(1, 2, vac_consts)
+        assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
+        # Pi(1, 1) reads the triangle K(2, 2), K(2, 0), K(0, 0): two new
+        pi_factor(1, 1, vac_consts)
+        assert k_kernel.cache_info() == (2, 3, 16 * 121, 3)
+        assert table_info().pi == (0, 1, 16 * 66, 1)
+        k_kernel.cache_clear()
+        assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
+        assert table_info().sets.currsize == 0
+
+
 class TestChannelPath:
     def test_build_matrix_matches_long_form(self, ref_cfg):
         spec = TurbulenceSpec.from_rytov(reference.REFERENCE_RYTOV)
@@ -692,13 +817,21 @@ class TestChannelPath:
     def test_sweep_caches_stay_bounded(self, ref_cfg):
         # 500 points of four pairs read more kernels than either cache holds
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
-        k_kernel.cache_clear()
-        _pi_cached.cache_clear()
+        engine._clear_tables()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
-        for cache in (k_kernel, _pi_cached):
-            info = cache.cache_info()
+        for info in (table_info().k, table_info().pi):
             assert info.maxsize is not None
             assert info.misses > info.maxsize >= info.currsize
+
+    def test_sweep_fills_each_pi_once_per_point(self, ref_cfg):
+        # point by point: one table set per grid point, which the vacuum
+        # calibration anchor shares with the rytov-0 point, and four Pi each
+        pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
+        engine._clear_tables()
+        rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
+        info = table_info()
+        assert info.sets.misses == 500
+        assert info.pi.misses == 4 * 500
 
     def test_sweep_clamps_like_a_matrix(self, ref_cfg, monkeypatch):
         # roundoff below zero within 1e-12 of the series peak reads as 0; a
