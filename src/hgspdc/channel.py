@@ -5,17 +5,20 @@ constants the overlap kernels read: zeta, w, b1 and c1..c4, each in a closed
 form free of cancellation (see DerivedConstants).
 
 Everything here is a pure function over immutable inputs; DerivedConstants is
-a frozen value object safe to share between threads.
+a frozen value object safe to share between threads, and the kernel tables
+the engine keeps on it only ever gain values computed from its own fields.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Callable
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
+from functools import lru_cache
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 
 RYTOV_COEFF = 1.23  # plane-wave Rytov variance prefactor
 
@@ -126,11 +129,16 @@ def rytov_to_cn2(rytov: float, wavelength: float, distance: float) -> float:
 
 def turbulence_strength(rytov: float, coefficient: float = DEFAULT_STRENGTH_COEFF) -> float:
     """Dimensionless strength gamma = coefficient * rytov^(6/5); DomainError
-    if an input is negative or not finite, or gamma leaves the float range."""
+    if an input is negative or not finite, gamma leaves the float range or
+    rytov > 1: the closed form holds for weak fluctuations, sigma_R^2 <= 1
+    (Andrews & Phillips, Laser Beam Propagation through Random Media, ch. 8)."""
     _check_nonnegative("rytov", rytov)
     _check_nonnegative("coefficient", coefficient)
-    return _in_float_range(f"turbulence_strength({rytov}, {coefficient})",
-                           lambda: coefficient * rytov ** 1.2)
+    gamma = _in_float_range(f"turbulence_strength({rytov}, {coefficient})",
+                            lambda: coefficient * rytov ** 1.2)
+    if rytov > 1.0:
+        raise DomainError(f"rytov {rytov} is beyond the weak-fluctuation range, rytov <= 1")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -206,6 +214,9 @@ class DerivedConstants:
       c1,2 = Re A2 -/+ a3/2 and c3 = Im A2 by subtracting nearly equal terms
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
+    - k, pi, brackets: the engine's kernel tables of this set (see engine.py);
+      equality, hashing and repr ignore them, and dataclasses.replace starts
+      a copy with empty tables.
     """
 
     cfg: OpticalConfig
@@ -219,6 +230,9 @@ class DerivedConstants:
     c2: float
     c3: float
     c4: float
+    k: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    pi: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def derive_constants(
@@ -228,14 +242,22 @@ def derive_constants(
 ) -> DerivedConstants:
     """The constants of the closed form for a geometry and turbulence strength.
 
-    Raises RegimeError when c1 or c2 is not positive (parameters outside the
-    validity region of the closed form) and DomainError when gamma is negative
-    or not finite, w_variant is unknown or a constant leaves the float range.
+    One of the 16 most recently derived sets is returned as is, tables and
+    all. c1 and c2 are positive by construction. DomainError when gamma is
+    negative or not finite, w_variant is unknown or a constant leaves the
+    float range.
     """
-    if not 0 <= gamma < math.inf:
+    # the bound also rejects an int that no float holds
+    if not 0 <= gamma <= sys.float_info.max:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     if w_variant not in (W_VARIANT_PROPAGATED, W_VARIANT_WAIST):
         raise DomainError(f"unknown w_variant {w_variant!r}")
+    # one float key, -0.0 read as 0.0, for every spelling of one gamma
+    return _derived(cfg, float(gamma) + 0.0, w_variant)
+
+
+@lru_cache(maxsize=16)
+def _derived(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstants:
     try:
         lam0 = cfg.fresnel_ratio
         zeta = (1 + lam0 ** 2) / (1 + lam0 ** 2 + 1j * lam0)
@@ -256,10 +278,5 @@ def derive_constants(
     if not finite:
         raise DomainError(f"{cfg} at gamma={gamma} gives constants that are zero, "
                           "infinite or beyond the float range")
-    if c1 <= 0 or c2 <= 0:
-        raise RegimeError(
-            f"c1={c1:.6g}, c2={c2:.6g}: outside the validity region "
-            f"(gamma={gamma}, Lambda0={lam0})"
-        )
     return DerivedConstants(cfg=cfg, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
                             a3=a3, b1=b1, c1=c1, c2=c2, c3=c3, c4=c4)

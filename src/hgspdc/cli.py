@@ -228,7 +228,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = 512) -> int:
+def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NODES) -> int:
     results = validate.run_checks(vacuum_only=vacuum_only, oracle_nodes=nodes)
     report = {
         "passed": all(r.passed for r in results),

@@ -17,26 +17,24 @@ term pair and Pi reads one triangle of K. Each g_s is one geometry factor
 times a polynomial with exact, geometry-free coefficients. The sums mix
 signs, so they go through math.fsum, which rounds exactly.
 
-Bounded caches keep each kernel value once. Four lru_caches are keyed on
+Bounded caches keep each kernel value once. Three lru_caches are keyed on
 the inputs their layer reads. Two hold geometry-free numbers, built on
 first use:
 - _gamma_half: Gamma(j/2), the same floats specfun.gamma_half returns;
 - _f_coefficients: the polynomial coefficients of the F sums of one
   (mu <= nu <= DEFAULT_MAX_ORDER), so at most 66 rows.
-Two are keyed on floats, so constant sets share their rows:
+One is keyed on floats, so constant sets share its rows:
 - _f_sums: the per-order F sums g_s of one (mu, nu), keyed on (mu, nu,
   zeta, w); zeta and w depend only on the geometry, so every Rytov value
-  over one geometry, and its vacuum calibration anchor, share them;
-- _brackets: the brackets h(s, n - s) of one even total order n, keyed on
-  (n, c1, c2, c3, c4); every K(a, b) with a + b = n reads the same row.
-K and Pi live in table sets, one per constant set. _tables(consts), an
-lru_cache of 16 sets, is the one place a DerivedConstants is hashed. A set
-holds two int-keyed dicts: K(a, b) for b <= a <= 2 * DEFAULT_MAX_ORDER with
-a + b even (at most 121 entries) and Pi(mu <= nu <= DEFAULT_MAX_ORDER) (at
-most 66). A Pi fill reads K from its own set, so a matrix hashes its
-constants once per distinct Pi it needs; table_info() reports the hits,
-misses and sizes. Each cache keeps the most recent entries; all functions
-are pure, and table fills are idempotent stores, so concurrent use is safe.
+  over one geometry, and its vacuum calibration anchor, share them.
+Each DerivedConstants owns the rest, in three dicts keyed on ints: k holds
+K(a, b) for b <= a <= 2 * DEFAULT_MAX_ORDER with a + b even (at most 121
+entries), pi holds Pi(mu <= nu <= DEFAULT_MAX_ORDER) (at most 66) and
+brackets the rows h(s, n - s) of each even total order n that K reads (at
+most 21). derive_constants keeps the 16 most recent sets, so no lookup here
+hashes a constant set; table_info() reports the hits, misses and sizes.
+Each cache keeps the most recent entries; all functions are pure, and table
+fills are idempotent stores, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ from .channel import (
     OpticalConfig,
     ResolvedTurbulence,
     TurbulenceSpec,
+    _derived,
     derive_constants,
 )
 from .errors import CalibrationError, DomainError, NumericalError
@@ -68,15 +67,14 @@ DEFAULT_MAX_ORDER = 10
 # One constant set reads at most (DEFAULT_MAX_ORDER + 1)^2 = 121 K(a, b)
 # (b <= a <= 2 * DEFAULT_MAX_ORDER, a + b even: Pi reads one triangle), so 21
 # bracket rows (even n <= 4 * DEFAULT_MAX_ORDER), and 66 Pi(mu <= nu <=
-# DEFAULT_MAX_ORDER), so 66 rows of F sums; 16 table sets are held whole, such
-# as 8 channels and their 8 vacuum calibration anchors, and the float-keyed
-# caches hold as many rows. The geometry-free tables hold every entry those
-# orders read: 66 coefficient rows and Gamma(j/2) for odd j <= 41.
-_SETS = 16
+# DEFAULT_MAX_ORDER), so 66 rows of F sums. derive_constants holds 16 sets
+# whole, such as 8 channels and their 8 vacuum calibration anchors, and the
+# F-sum cache holds as many rows. The geometry-free tables hold every entry
+# those orders read: 66 coefficient rows and Gamma(j/2) for odd j <= 41.
+_SETS = _derived.cache_info().maxsize
 _K_TOP = 2 * DEFAULT_MAX_ORDER
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
 _F_ROWS = (DEFAULT_MAX_ORDER + 1) * (DEFAULT_MAX_ORDER + 2) // 2
-_BRACKET_CACHE_SIZE = _SETS * 21
 _F_CACHE_SIZE = _SETS * _F_ROWS
 _GAMMA_CACHE_SIZE = 2 * DEFAULT_MAX_ORDER + 1
 
@@ -258,25 +256,6 @@ def _bracket(s: int, t: int, c1: float, c2: float, c3: float, c4: float) -> comp
     ) / (c2 * (1 + s) * (1 + t))
 
 
-@lru_cache(maxsize=_BRACKET_CACHE_SIZE)
-def _brackets(n: int, c1: float, c2: float, c3: float, c4: float) -> tuple[complex, ...]:
-    """The row h(s, n - s), s = 0..n/2, that every K(a, b) with a + b = n reads."""
-    return tuple(_bracket(s, n - s, c1, c2, c3, c4) for s in range(n // 2 + 1))
-
-
-class _Tables:
-    """The K and Pi values of one constant set, keyed on ints: k[a, b] for
-    b <= a <= 2 * DEFAULT_MAX_ORDER with a + b even, pi[mu, nu] for
-    mu <= nu <= DEFAULT_MAX_ORDER."""
-
-    __slots__ = ("consts", "k", "pi", "__weakref__")
-
-    def __init__(self, consts: DerivedConstants):
-        self.consts = consts
-        self.k: dict[tuple[int, int], complex] = {}
-        self.pi: dict[tuple[int, int], float] = {}
-
-
 class _Counts:
     """Table lookups and fills since the last _clear_tables. These are
     statistics: concurrent fills may undercount them, never the values."""
@@ -291,33 +270,31 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 TableInfo = namedtuple("TableInfo", "sets k pi")
 
 _counts = _Counts()
-# every table set alive: the ones _tables holds and any a caller still holds
-_live: weakref.WeakSet[_Tables] = weakref.WeakSet()
-
-
-@lru_cache(maxsize=_SETS)
-def _tables(consts: DerivedConstants) -> _Tables:
-    """The table set of consts: the one place a constant set is hashed."""
-    tables = _Tables(consts)
-    _live.add(tables)
-    return tables
+# every constant set with filled tables, by identity, derive_constants held or
+# not; a set joins on its first K fill, which every Pi fill makes
+_live: weakref.WeakValueDictionary[int, DerivedConstants] = weakref.WeakValueDictionary()
 
 
 def _clear_tables() -> None:
-    """Drop every table set and zero the table counts."""
+    """Drop the derived sets, empty every live set's tables, zero the counts."""
     global _counts
-    _tables.cache_clear()
+    _derived.cache_clear()
+    for consts in list(_live.values()):
+        consts.k.clear()
+        consts.pi.clear()
+        consts.brackets.clear()
+    _live.clear()
     _counts = _Counts()
 
 
 def table_info() -> TableInfo:
-    """Hits, misses, current size and bound of the set cache, the K tables
-    and the Pi tables. K and Pi count since the last _clear_tables, and
-    their sizes sum over the sets alive."""
-    live = list(_live)
+    """Hits, misses, current size and bound of the derived constant sets, the
+    K tables and the Pi tables. K and Pi count since the last _clear_tables,
+    and their sizes sum over the sets alive."""
+    live = list(_live.values())
     c = _counts
     return TableInfo(
-        _tables.cache_info(),
+        _derived.cache_info(),
         CacheInfo(c.k_lookups - c.k_misses, c.k_misses, _SETS * _K_ENTRIES,
                   sum(len(t.k) for t in live)),
         CacheInfo(c.pi_lookups - c.pi_misses, c.pi_misses, _SETS * _F_ROWS,
@@ -326,12 +303,18 @@ def table_info() -> TableInfo:
 
 
 def _k_value(a: int, b: int, consts: DerivedConstants) -> complex:
-    """The k_kernel sum for even a + b, computed without a table."""
+    """The k_kernel sum for even a + b, computed without a K table; its
+    bracket row is stored on consts only for orders the K table holds."""
     n = a + b
     c1, c2 = consts.c1, consts.c2
+    h = consts.brackets.get(n)
+    if h is None:
+        # the row h(s, n - s), s = 0..n/2, that every K(a, b) with a + b = n reads
+        h = tuple(_bracket(s, n - s, c1, c2, consts.c3, consts.c4) for s in range(n // 2 + 1))
+        if max(a, b) <= _K_TOP:
+            consts.brackets[n] = h
     rho = (c2 / c1) ** 0.25
     sign = (-1) ** b
-    h = _brackets(n, c1, c2, consts.c3, consts.c4)
     terms: list[complex] = []
     # kappa runs through kappa_s by the recurrence read off from
     # (x^2 - 1) f' = (n x + b - a) f for f = (1+x)^a (x-1)^b:
@@ -346,12 +329,14 @@ def _k_value(a: int, b: int, consts: DerivedConstants) -> complex:
     return 0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4) * _compensated_sum(terms)
 
 
-def _k_entry(tables: _Tables, a: int, b: int) -> complex:
-    """K(a, b) from one table set, b <= a <= 2 * DEFAULT_MAX_ORDER, a + b even."""
-    value = tables.k.get((a, b))
+def _k_entry(consts: DerivedConstants, a: int, b: int) -> complex:
+    """K(a, b) from the table of consts, b <= a <= 2 * DEFAULT_MAX_ORDER, a + b even."""
+    value = consts.k.get((a, b))
     if value is None:
         _counts.k_misses += 1
-        value = tables.k[a, b] = _k_value(a, b, tables.consts)
+        if not consts.k:
+            _live[id(consts)] = consts
+        value = consts.k[a, b] = _k_value(a, b, consts)
     return value
 
 
@@ -367,7 +352,7 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
     share one bracket; their weights cancel exactly when c1 == c2, as in
     vacuum, so K(odd, odd) is then exactly 0.
 
-    Reads the table set of consts, which holds the triangle b <= a: K(b, a)
+    Reads the K table of consts, which holds the triangle b <= a: K(b, a)
     is returned as the exact conjugate of K(a, b), and an order above
     2 * DEFAULT_MAX_ORDER is computed without being stored, so no call grows
     a table past the entries Pi reads.
@@ -380,20 +365,16 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
         return _k_value(a, b, consts)
     _counts.k_lookups += 1
     if a < b:
-        return _k_entry(_tables(consts), b, a).conjugate()
-    return _k_entry(_tables(consts), a, b)
+        return _k_entry(consts, b, a).conjugate()
+    return _k_entry(consts, a, b)
 
 
-def _k_cache_info() -> CacheInfo:
-    """k_kernel.cache_info(), as for an lru_cache: the K tables' counts."""
-    return table_info().k
-
-
-k_kernel.cache_info = _k_cache_info
+# k_kernel.cache_info() and .cache_clear(), as for an lru_cache, over the K tables
+k_kernel.cache_info = lambda: table_info().k
 k_kernel.cache_clear = _clear_tables
 
 
-def _pi_value(mu: int, nu: int, tables: _Tables) -> float:
+def _pi_value(mu: int, nu: int, consts: DerivedConstants) -> float:
     # F(k, l) vanishes unless k and l share parity, so only even k + l = s
     # occur, and k_kernel reads only the total orders N - s and N - t:
     # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t). K(b, a) is the exact
@@ -401,16 +382,15 @@ def _pi_value(mu: int, nu: int, tables: _Tables) -> float:
     # the form is real: the diagonal once, each pair s < t as its real part
     # twice. fsum adds exactly, so this is the full sum's real part bitwise,
     # and a total past the float range still raises OverflowError.
-    consts = tables.consts
     n = mu + nu
     g = _f_sums(mu, nu, consts.zeta, consts.w)
     # the triangle's K reads, counted at once rather than one by one
     _counts.k_lookups += len(g) * (len(g) + 1) // 2
     terms = []
     for a, ga in enumerate(g):
-        terms.append((ga * ga.conjugate() * _k_entry(tables, n - 2 * a, n - 2 * a)).real)
+        terms.append((ga * ga.conjugate() * _k_entry(consts, n - 2 * a, n - 2 * a)).real)
         for b in range(a + 1, len(g)):
-            pair = (ga * g[b].conjugate() * _k_entry(tables, n - 2 * a, n - 2 * b)).real
+            pair = (ga * g[b].conjugate() * _k_entry(consts, n - 2 * a, n - 2 * b)).real
             terms += (pair, pair)
     pref = 1.0 / (
         consts.cfg.wavelength ** 2 * consts.cfg.distance ** 2
@@ -437,13 +417,12 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
             "paraxial closed form degrades for high orders"
         )
     key = (mu, nu) if mu <= nu else (nu, mu)
-    tables = _tables(consts)
     _counts.pi_lookups += 1
-    value = tables.pi.get(key)
+    value = consts.pi.get(key)
     if value is None:
         _counts.pi_misses += 1
         try:
-            value = tables.pi[key] = _pi_value(*key, tables)
+            value = consts.pi[key] = _pi_value(*key, consts)
         except (OverflowError, ZeroDivisionError):
             raise NumericalError(f"pi_factor({mu}, {nu}) leaves the float range at "
                                  f"c1={consts.c1:.6g}, c2={consts.c2:.6g}") from None
@@ -646,13 +625,14 @@ def rytov_sweep(
     if grid != sorted(grid):
         raise DomainError("sweep grid must be ascending")
     _check_normalization(normalization)
-    points = [derive_constants(cfg, TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma)
-              for s2 in grid]
-    factor = (_calibration_factor(points[0])
+    gammas = [TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma for s2 in grid]
+    factor = (_calibration_factor(derive_constants(cfg))
               if normalization == NORMALIZATION_CALIBRATED else 1.0)
-    # point by point, so each point's table set is looked up while it is hot
+    # point by point, each point's constant set derived in turn, so a long
+    # grid holds no more sets than derive_constants keeps
     series: list[list[float]] = [[] for _ in pairs]
-    for consts in points:
+    for gamma in gammas:
+        consts = derive_constants(cfg, gamma)
         for row, pair in zip(series, pairs):
             row.append(joint_probability(pair, consts))
     return _clamp_and_scale(series, factor,

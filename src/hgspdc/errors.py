@@ -19,7 +19,7 @@ class NumericalError(RuntimeError):
 
 
 class RegimeError(NumericalError):
-    """Derived constants left the validity region of the closed form."""
+    """Not raised: a channel beyond the weak-fluctuation range is a DomainError."""
 
 
 class QuadratureResolutionError(NumericalError):

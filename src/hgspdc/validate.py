@@ -32,6 +32,7 @@ from .engine import (
     selection_rule_allowed,
 )
 from .oracle import (
+    DEFAULT_NODES,
     QuadratureSpec,
     check_node_count,
     detection_waist,
@@ -144,7 +145,7 @@ def check_selection_rules() -> CheckResult:
     )
 
 
-def check_oracle(nodes: int = 512) -> CheckResult:
+def check_oracle(nodes: int = DEFAULT_NODES) -> CheckResult:
     """Quadrature oracle reproduces the engine's vacuum ratios (orders <= 2)
     and is self-converged under node doubling.
 
@@ -362,7 +363,8 @@ _TURBULENCE_CHECKS = {check_turbulence_golden, check_symmetry_factorization,
                       check_robust_ordering}
 
 
-def run_checks(vacuum_only: bool = False, oracle_nodes: int = 512) -> list[CheckResult]:
+def run_checks(vacuum_only: bool = False,
+               oracle_nodes: int = DEFAULT_NODES) -> list[CheckResult]:
     """Run every check (only the vacuum ones if vacuum_only) in order.
 
     A check that does not time itself gets its whole call as elapsed_s. An

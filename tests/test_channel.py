@@ -1,5 +1,6 @@
 """Channel parameter cascade: Rytov variance, strength law, derived constants."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -122,6 +123,16 @@ class TestTurbulenceStrength:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             turbulence_strength(-0.1)
+
+    def test_weak_fluctuation_bound(self, ref_cfg):
+        # the closed form holds for rytov <= 1, the bound included; every
+        # Rytov or Cn^2 input goes through the strength law
+        assert turbulence_strength(1.0) == DEFAULT_STRENGTH_COEFF
+        for fail in (lambda: turbulence_strength(1.0000001),
+                     lambda: TurbulenceSpec.from_rytov(2.0).resolve(ref_cfg),
+                     lambda: TurbulenceSpec.from_cn2(1e-10).resolve(ref_cfg)):
+            with pytest.raises(DomainError, match="weak-fluctuation range, rytov <= 1"):
+                fail()
 
 
 class TestStrengthLawErrors:
@@ -288,11 +299,34 @@ class TestDeriveConstants:
         with pytest.raises(DomainError):
             derive_constants(ref_cfg, 0.0, "collimated")
 
+    def test_one_set_per_channel(self, ref_cfg):
+        # every spelling of one channel returns one object, whose gamma is a
+        # float, so its tables stay warm across calls
+        vac = derive_constants(ref_cfg)
+        for same in (derive_constants(ref_cfg, 0), derive_constants(ref_cfg, 0.0),
+                     derive_constants(ref_cfg, -0.0), derive_constants(ref_cfg, gamma=0),
+                     derive_constants(ref_cfg, 0.0, W_VARIANT_PROPAGATED),
+                     derive_constants(cfg=ref_cfg, w_variant=W_VARIANT_PROPAGATED)):
+            assert same is vac
+        assert type(vac.gamma) is float and math.copysign(1.0, vac.gamma) == 1.0
+        turb = derive_constants(ref_cfg, 0.02)
+        assert turb is derive_constants(ref_cfg, gamma=0.02)
+        assert turb is not vac
+        assert derive_constants(ref_cfg, 0.0, W_VARIANT_WAIST) is not vac
+
+    def test_tables_are_not_part_of_the_value(self, ref_cfg):
+        consts = derive_constants(ref_cfg, 0.03)
+        copy = dataclasses.replace(consts)
+        copy.pi[0, 0] = 1.0
+        assert copy == consts and hash(copy) == hash(consts)
+        assert "pi=" not in repr(copy)
+        assert copy.pi is not consts.pi
+
     def test_negative_gamma_rejected(self, ref_cfg):
         with pytest.raises(DomainError):
             derive_constants(ref_cfg, -0.01)
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 10 ** 400])
     def test_non_finite_gamma_rejected(self, ref_cfg, gamma):
         with pytest.raises(DomainError):
             derive_constants(ref_cfg, gamma)

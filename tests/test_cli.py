@@ -122,10 +122,20 @@ class TestMatrixCommand:
         assert "invalid parameters" in err and "Traceback" not in err
 
     def test_kernel_overflow_exit_3(self, capsys):
-        # far beyond weak turbulence the powers of c2/c1 in K overflow
-        code, _, err = run(capsys, "matrix", "--rytov", "1e30", "--max-sum", "10")
+        # inside the weak-fluctuation range, but at a 1e-40 m link c2/c1 is
+        # ~2e45 and the powers of c2/c1 in K overflow
+        code, _, err = run(capsys, "matrix", "--distance", "1e-40", "--rytov", "1",
+                           "--max-sum", "10")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--rytov", "1e20"], ["--rytov", "1.0000001"],
+                                      ["--cn2", "1e-10"]])
+    def test_strong_turbulence_exit_2(self, capsys, argv):
+        # the closed form holds for weak fluctuations only, rytov <= 1
+        code, _, err = run(capsys, "matrix", *argv)
+        assert code == EXIT_PARAMS
+        assert "weak-fluctuation range" in err and "rytov <= 1" in err
 
     def test_conflicting_mode_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

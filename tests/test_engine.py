@@ -3,6 +3,8 @@ symmetries, selection rules, matrix assembly and golden regression."""
 
 import cmath
 import dataclasses
+import functools
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from hgspdc import engine, reference
 from hgspdc.channel import (
+    DerivedConstants,
     OpticalConfig,
     TurbulenceSpec,
     derive_constants,
@@ -63,31 +66,38 @@ def oracle_f(mu, nu, k, l, consts):
 def oracle_k(a, b, consts):
     c1, c2 = mp.mpf(consts.c1), mp.mpf(consts.c2)
     c3, c4 = mp.mpf(consts.c3), mp.mpf(consts.c4)
+
+    @functools.cache
+    def bracket(s):
+        # the printed bracket reads s = p + q and t = a + b - s only
+        t = a + b - s
+        sig0 = (1 + (-1) ** s) * (1 + (-1) ** t)
+        sig1 = (-1 + (-1) ** s) * (-1 + (-1) ** t)
+        value = mp.mpc(0)
+        if sig0:
+            value += (sig0 * mp.sqrt(c1 / c2)
+                      * mp.gamma(mp.mpf(1 + s) / 2) * mp.gamma(mp.mpf(1 + t) / 2)
+                      * mp.hyp2f1(mp.mpf(1 + s) / 2, mp.mpf(1 + t) / 2,
+                                  mp.mpf(1) / 2, c4))
+        if sig1:
+            g2 = mp.gamma(mp.mpf(2 + s) / 2) * mp.gamma(mp.mpf(2 + t) / 2)
+            den = c2 * c3 * (1 + s) * (1 + t)
+            value -= (mp.mpc(0, 1) * sig1 * (4 * c1 * c2 + c3 ** 2) / den * g2
+                      * mp.hyp2f1(mp.mpf(2 + s) / 2, mp.mpf(2 + t) / 2,
+                                  -mp.mpf(1) / 2, c4))
+            value += (mp.mpc(0, 1) * sig1
+                      * (4 * c1 * c2 + c3 ** 2 * (4 + a + b)) / den * g2
+                      * mp.hyp2f1(mp.mpf(2 + s) / 2, mp.mpf(2 + t) / 2,
+                                  mp.mpf(1) / 2, c4))
+        return value
+
     total = mp.mpc(0)
     for p in range(a + 1):
         for q in range(b + 1):
             s, t = p + q, a + b - p - q
             pre = (mp.binomial(a, p) * mp.binomial(b, q) * (-1) ** (b - q)
                    * (1 / mp.sqrt(c1)) ** (2 + s) * (1 / mp.sqrt(c2)) ** t)
-            sig0 = (1 + (-1) ** s) * (1 + (-1) ** t)
-            sig1 = (-1 + (-1) ** s) * (-1 + (-1) ** t)
-            bracket = mp.mpc(0)
-            if sig0:
-                bracket += (sig0 * mp.sqrt(c1 / c2)
-                            * mp.gamma(mp.mpf(1 + s) / 2) * mp.gamma(mp.mpf(1 + t) / 2)
-                            * mp.hyp2f1(mp.mpf(1 + s) / 2, mp.mpf(1 + t) / 2,
-                                        mp.mpf(1) / 2, c4))
-            if sig1:
-                g2 = mp.gamma(mp.mpf(2 + s) / 2) * mp.gamma(mp.mpf(2 + t) / 2)
-                den = c2 * c3 * (1 + s) * (1 + t)
-                bracket -= (mp.mpc(0, 1) * sig1 * (4 * c1 * c2 + c3 ** 2) / den * g2
-                            * mp.hyp2f1(mp.mpf(2 + s) / 2, mp.mpf(2 + t) / 2,
-                                        -mp.mpf(1) / 2, c4))
-                bracket += (mp.mpc(0, 1) * sig1
-                            * (4 * c1 * c2 + c3 ** 2 * (4 + a + b)) / den * g2
-                            * mp.hyp2f1(mp.mpf(2 + s) / 2, mp.mpf(2 + t) / 2,
-                                        mp.mpf(1) / 2, c4))
-            total += pre * bracket
+            total += pre * bracket(s)
     return mp.mpf(1) / 4 * (1 / mp.sqrt(2)) ** (a + b) * total
 
 
@@ -218,6 +228,36 @@ class TestKKernel:
             values.append(k_kernel(3, 1, consts))
         rel = abs(values[0] - values[1]) / abs(values[0])
         assert rel < 1e-5
+
+    # test_high_orders_against_oracle's pairs and odd pairs of the same total
+    # orders, in far field (Lambda0 = 1): the worst error is 1.4e-15
+    @pytest.mark.parametrize("rytov", [0.0, 0.02])
+    def test_far_field_against_oracle(self, ref_cfg, rytov):
+        w0 = math.sqrt(2 * ref_cfg.distance / ref_cfg.wavenumber)
+        cfg = OpticalConfig.from_w0(ref_cfg.wavelength, ref_cfg.distance, w0)
+        consts = derive_constants(cfg, turbulence_strength(rytov))
+        assert cfg.fresnel_ratio == pytest.approx(1.0, rel=1e-15)
+        for a, b in ((20, 18), (20, 20), (19, 19), (19, 1), (11, 9)):
+            want = complex(oracle_k(a, b, consts))
+            # in vacuum K(odd, odd) is exactly 0 and the oracle leaves noise:
+            # the floor is 1e-13 of the even K of the same total order
+            floor = 1e-13 * abs(complex(oracle_k(a + 1, b - 1, consts))) if a % 2 else 0
+            assert k_kernel(a, b, consts) == pytest.approx(
+                want, rel=1e-13, abs=0 if rytov else floor), (a, b)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "far-field K cancels at large |c4|: at Lambda0 = 395, rytov 0.02 "
+        "(c4 = -1316) K(20, 20) reads 0.165 against 1.2e-30 from oracle_k. "
+        "Worst relative K error over K(20, 18), K(20, 20), K(19, 19), K(19, 1), "
+        "K(10, 0) and K(11, 9) at rytov 0.02: 1.1e-15 at Lambda0 = 1, 2e-3 at "
+        "Lambda0 = 10, 5e10 at Lambda0 = 50, 1e23 at Lambda0 = 200; the "
+        "highorder benchmark draws Lambda0 up to ~200"))
+    def test_far_field_k_cancellation(self):
+        consts = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
+                                  turbulence_strength(0.02))
+        with mp.workdps(40):
+            want = complex(oracle_k(20, 20, consts))
+        assert k_kernel(20, 20, consts) == pytest.approx(want, rel=1e-13, abs=0)
 
     # the pairs where the printed odd bracket lost most near field
     @pytest.mark.parametrize("lam0,rytov", [(3e-5, 0.0), (3e-5, 0.02), (1e-6, 0.1)])
@@ -539,7 +579,7 @@ class TestProbabilityMatrix:
             sys.setswitchinterval(interval)
         assert all(r == results[0] for r in results)
         # one set, holding the 10 sorted (mu, nu) once each
-        assert len(engine._tables(consts).pi) == 10
+        assert len(consts.pi) == 10
         engine._clear_tables()
         serial = tuple(pi_factor(mu, nu, consts)
                        for mu in range(4) for nu in range(4))
@@ -566,8 +606,7 @@ def _fsum(terms):
 
 def _clear_engine_caches():
     engine._clear_tables()
-    for cache in (engine._brackets, engine._f_sums, engine._f_coefficients,
-                  engine._gamma_half):
+    for cache in (engine._f_sums, engine._f_coefficients, engine._gamma_half):
         cache.cache_clear()
 
 
@@ -724,11 +763,17 @@ class TestKernelTables:
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         _clear_engine_caches()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
+        # at most 16 sets are alive, each with at most its 21 bracket rows
+        live = list(engine._live.values())
+        assert len(live) <= 16
+        assert all(len(c.brackets) <= 21 for c in live)
+        del live
         for k in range(20):
             cfg = OpticalConfig.from_w0(ref_cfg.wavelength, ref_cfg.distance, 0.1 + 0.005 * k)
             probability_matrix(expand_modes(10), derive_constants(cfg),
                                normalization=NORMALIZATION_RAW)
-        for cache in (engine._brackets, engine._f_sums):
+        assert all(len(c.brackets) <= 21 for c in engine._live.values())
+        for cache in (engine._f_sums,):
             info = cache.cache_info()
             assert info.maxsize is not None
             assert info.misses > info.maxsize >= info.currsize
@@ -741,8 +786,8 @@ class TestKernelTables:
         # K(a < b) reads the stored K(b, a), odd a + b stores nothing and an
         # order above 2 * DEFAULT_MAX_ORDER is computed without being stored
         _clear_engine_caches()
-        sets = [derive_constants(ref_cfg, turbulence_strength(0.005 * k)) for k in range(18)]
-        for consts in sets[:2]:
+        for k in range(2):
+            consts = derive_constants(ref_cfg, turbulence_strength(0.005 * k))
             for a in range(41):
                 for b in range(41):
                     got = k_kernel(a, b, consts)
@@ -753,20 +798,56 @@ class TestKernelTables:
             for mu in range(11):
                 for nu in range(11):
                     pi_factor(mu, nu, consts)
-            tables = engine._tables(consts)
-            assert sorted(tables.k) == [(a, b) for a in range(21) for b in range(a + 1)
+            assert sorted(consts.k) == [(a, b) for a in range(21) for b in range(a + 1)
                                         if (a + b) % 2 == 0]
-            assert len(tables.k) == 121 and len(tables.pi) == 66
-            del tables  # a set a caller holds stays alive past eviction
-        for consts in sets[2:]:
+            assert len(consts.k) == 121 and len(consts.pi) == 66
+            # the bracket rows of every even total order K reads, no more
+            assert sorted(consts.brackets) == list(range(0, 41, 2))
+        for k in range(2, 18):
+            consts = derive_constants(ref_cfg, turbulence_strength(0.005 * k))
             k_kernel(3, 5, consts)
             pi_factor(10, 10, consts)
+        del consts
         info = table_info()
         assert info.sets.maxsize == 16 and info.sets.currsize == 16
-        assert len(engine._live) <= 16
-        assert all(len(t.k) <= 121 and len(t.pi) <= 66 for t in engine._live)
+        live = list(engine._live.values())
+        assert len(live) <= 16
+        assert all(len(t.k) <= 121 and len(t.pi) <= 66 for t in live)
         assert info.k.currsize <= info.k.maxsize == 16 * 121
         assert info.pi.currsize <= info.pi.maxsize == 16 * 66
+
+    def test_fresh_copy_starts_empty_and_agrees(self, turb_consts):
+        # dataclasses.replace makes a set with empty tables, whose values are
+        # bitwise those of the derived set, and so is its matrix
+        for mu in range(11):
+            for nu in range(mu, 11):
+                pi_factor(mu, nu, turb_consts)
+        copy = dataclasses.replace(turb_consts)
+        assert copy is not turb_consts
+        assert (copy.k, copy.pi, copy.brackets) == ({}, {}, {})
+        assert all(pi_factor(mu, nu, copy) == turb_consts.pi[mu, nu]
+                   for mu, nu in turb_consts.pi)
+        modes = expand_modes(10)
+        assert _bits(probability_matrix(modes, dataclasses.replace(turb_consts)).values) == \
+            _bits(probability_matrix(modes, turb_consts).values)
+
+    def test_cache_clear_empties_sets_a_caller_holds(self, ref_cfg):
+        held = derive_constants(ref_cfg, turbulence_strength(0.031))
+        copy = dataclasses.replace(held)
+        for consts in (held, copy):
+            pi_factor(2, 3, consts)
+            k_kernel(4, 2, consts)
+        k_kernel.cache_clear()
+        assert derive_constants(ref_cfg, turbulence_strength(0.031)) is not held
+        for consts in (held, copy):
+            assert (consts.k, consts.pi, consts.brackets) == ({}, {}, {})
+            pi_factor(2, 3, consts)
+            k_kernel(4, 2, consts)
+        info = table_info()
+        assert (info.pi.hits, info.pi.misses) == (0, 2)
+        # Pi(2, 3) reads six K of odd total order, and K(4, 2) is a seventh
+        assert (info.k.hits, info.k.misses) == (0, 2 * 7)
+        assert info.k.currsize == 2 * 7 and info.pi.currsize == 2
 
     def test_k_kernel_cache_info_counts_the_tables(self, vac_consts):
         _clear_engine_caches()
@@ -822,6 +903,28 @@ class TestChannelPath:
         for info in (table_info().k, table_info().pi):
             assert info.maxsize is not None
             assert info.misses > info.maxsize >= info.currsize
+
+    def test_sweep_keeps_at_most_16_sets_alive(self, ref_cfg, monkeypatch):
+        # each point's set is derived inside the loop, so at its last point
+        # a 500-point sweep holds no more sets than derive_constants keeps
+        def alive():
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, DerivedConstants)]
+
+        pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
+        engine._clear_tables()
+        before = alive()  # held, so no new set can reuse their ids
+        old = set(map(id, before))
+        last, counts, joint = turbulence_strength(0.1), [], engine.joint_probability
+
+        def count_at_last_point(pair, consts):
+            if consts.gamma == last and pair == pairs[-1]:
+                counts.append(sum(id(o) not in old for o in alive()))
+            return joint(pair, consts)
+
+        monkeypatch.setattr(engine, "joint_probability", count_at_last_point)
+        rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
+        assert len(counts) == 1 and 0 < counts[0] <= 16
 
     def test_sweep_fills_each_pi_once_per_point(self, ref_cfg):
         # point by point: one table set per grid point, which the vacuum
