@@ -15,7 +15,7 @@ import cmath
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import lru_cache
 
 from .errors import DomainError
@@ -215,8 +215,8 @@ class DerivedConstants:
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
     - k, pi, brackets: the engine's kernel tables of this set (see engine.py);
-      equality, hashing and repr ignore them, and dataclasses.replace starts
-      a copy with empty tables.
+      equality, hashing and repr ignore them, and dataclasses.replace, copy
+      and pickle start a copy with empty tables.
     """
 
     cfg: OpticalConfig
@@ -234,6 +234,9 @@ class DerivedConstants:
     pi: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __reduce__(self):
+        return DerivedConstants, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
 
 def derive_constants(
     cfg: OpticalConfig,
@@ -242,10 +245,10 @@ def derive_constants(
 ) -> DerivedConstants:
     """The constants of the closed form for a geometry and turbulence strength.
 
-    One of the 16 most recently derived sets is returned as is, tables and
-    all. c1 and c2 are positive by construction. DomainError when gamma is
-    negative or not finite, w_variant is unknown or a constant leaves the
-    float range.
+    One of the DERIVED_SETS most recently derived sets is returned as is,
+    tables and all. c1 and c2 are positive by construction. DomainError when
+    gamma is negative or not finite, w_variant is unknown or a constant
+    leaves the float range.
     """
     # the bound also rejects an int that no float holds
     if not 0 <= gamma <= sys.float_info.max:
@@ -256,7 +259,18 @@ def derive_constants(
     return _derived(cfg, float(gamma) + 0.0, w_variant)
 
 
-@lru_cache(maxsize=16)
+DERIVED_SETS = 16
+
+
+def derive_cache_info(clear: bool = False):
+    """Hits, misses, bound and size of the derive_constants cache; with
+    clear, the cache is emptied first."""
+    if clear:
+        _derived.cache_clear()
+    return _derived.cache_info()
+
+
+@lru_cache(maxsize=DERIVED_SETS)
 def _derived(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstants:
     try:
         lam0 = cfg.fresnel_ratio

@@ -32,7 +32,9 @@ K(a, b) for b <= a <= 2 * DEFAULT_MAX_ORDER with a + b even (at most 121
 entries), pi holds Pi(mu <= nu <= DEFAULT_MAX_ORDER) (at most 66) and
 brackets the rows h(s, n - s) of each even total order n that K reads (at
 most 21). derive_constants keeps the 16 most recent sets, so no lookup here
-hashes a constant set; table_info() reports the hits, misses and sizes.
+hashes a constant set, and at most 16 sets hold tables: a set's first K fill
+past that empties the tables of the set that filled first, even one a caller
+still holds. table_info() reports the hits, misses and sizes.
 Each cache keeps the most recent entries; all functions are pure, and table
 fills are idempotent stores, so concurrent use is safe.
 """
@@ -51,11 +53,12 @@ from operator import mul
 
 from .channel import (
     DEFAULT_W_VARIANT,
+    DERIVED_SETS,
     DerivedConstants,
     OpticalConfig,
     ResolvedTurbulence,
     TurbulenceSpec,
-    _derived,
+    derive_cache_info,
     derive_constants,
 )
 from .errors import CalibrationError, DomainError, NumericalError
@@ -67,15 +70,15 @@ DEFAULT_MAX_ORDER = 10
 # One constant set reads at most (DEFAULT_MAX_ORDER + 1)^2 = 121 K(a, b)
 # (b <= a <= 2 * DEFAULT_MAX_ORDER, a + b even: Pi reads one triangle), so 21
 # bracket rows (even n <= 4 * DEFAULT_MAX_ORDER), and 66 Pi(mu <= nu <=
-# DEFAULT_MAX_ORDER), so 66 rows of F sums. derive_constants holds 16 sets
-# whole, such as 8 channels and their 8 vacuum calibration anchors, and the
-# F-sum cache holds as many rows. The geometry-free tables hold every entry
-# those orders read: 66 coefficient rows and Gamma(j/2) for odd j <= 41.
-_SETS = _derived.cache_info().maxsize
+# DEFAULT_MAX_ORDER), so 66 rows of F sums. At most DERIVED_SETS = 16 sets
+# hold tables, as derive_constants keeps 16, such as 8 channels and their 8
+# vacuum calibration anchors, and the F-sum cache holds as many rows. The
+# geometry-free tables hold every entry those orders read: 66 coefficient
+# rows and Gamma(j/2) for odd j <= 41.
 _K_TOP = 2 * DEFAULT_MAX_ORDER
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
 _F_ROWS = (DEFAULT_MAX_ORDER + 1) * (DEFAULT_MAX_ORDER + 2) // 2
-_F_CACHE_SIZE = _SETS * _F_ROWS
+_F_CACHE_SIZE = DERIVED_SETS * _F_ROWS
 _GAMMA_CACHE_SIZE = 2 * DEFAULT_MAX_ORDER + 1
 
 _NEGATIVE_CLAMP = 1e-12
@@ -270,19 +273,34 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 TableInfo = namedtuple("TableInfo", "sets k pi")
 
 _counts = _Counts()
-# every constant set with filled tables, by identity, derive_constants held or
-# not; a set joins on its first K fill, which every Pi fill makes
+# the constant sets with filled tables, by identity and in the order they
+# joined, derive_constants held or not; a set not in it joins on a K miss,
+# which every Pi fill of an empty set makes
 _live: weakref.WeakValueDictionary[int, DerivedConstants] = weakref.WeakValueDictionary()
+
+
+def _empty(*sets: DerivedConstants) -> None:
+    for consts in sets:
+        consts.k.clear()
+        consts.pi.clear()
+        consts.brackets.clear()
+
+
+def _join(consts: DerivedConstants) -> None:
+    """Track consts as a table owner; past DERIVED_SETS owners, empty the
+    tables of the one that joined first, even if a caller holds it."""
+    _live[id(consts)] = consts
+    while len(_live) > DERIVED_SETS:
+        oldest = _live.pop(next(iter(_live)), None)
+        if oldest is not None:  # None if it died after iter found it
+            _empty(oldest)
 
 
 def _clear_tables() -> None:
     """Drop the derived sets, empty every live set's tables, zero the counts."""
     global _counts
-    _derived.cache_clear()
-    for consts in list(_live.values()):
-        consts.k.clear()
-        consts.pi.clear()
-        consts.brackets.clear()
+    derive_cache_info(clear=True)
+    _empty(*_live.values())
     _live.clear()
     _counts = _Counts()
 
@@ -294,10 +312,10 @@ def table_info() -> TableInfo:
     live = list(_live.values())
     c = _counts
     return TableInfo(
-        _derived.cache_info(),
-        CacheInfo(c.k_lookups - c.k_misses, c.k_misses, _SETS * _K_ENTRIES,
+        derive_cache_info(),
+        CacheInfo(c.k_lookups - c.k_misses, c.k_misses, DERIVED_SETS * _K_ENTRIES,
                   sum(len(t.k) for t in live)),
-        CacheInfo(c.pi_lookups - c.pi_misses, c.pi_misses, _SETS * _F_ROWS,
+        CacheInfo(c.pi_lookups - c.pi_misses, c.pi_misses, DERIVED_SETS * _F_ROWS,
                   sum(len(t.pi) for t in live)),
     )
 
@@ -334,8 +352,8 @@ def _k_entry(consts: DerivedConstants, a: int, b: int) -> complex:
     value = consts.k.get((a, b))
     if value is None:
         _counts.k_misses += 1
-        if not consts.k:
-            _live[id(consts)] = consts
+        if id(consts) not in _live:
+            _join(consts)
         value = consts.k[a, b] = _k_value(a, b, consts)
     return value
 

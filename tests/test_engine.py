@@ -2,10 +2,12 @@
 symmetries, selection rules, matrix assembly and golden regression."""
 
 import cmath
+import copy
 import dataclasses
 import functools
 import gc
 import math
+import pickle
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -786,8 +788,8 @@ class TestKernelTables:
         # K(a < b) reads the stored K(b, a), odd a + b stores nothing and an
         # order above 2 * DEFAULT_MAX_ORDER is computed without being stored
         _clear_engine_caches()
-        for k in range(2):
-            consts = derive_constants(ref_cfg, turbulence_strength(0.005 * k))
+        sets = [derive_constants(ref_cfg, turbulence_strength(0.005 * k)) for k in range(18)]
+        for consts in sets[:2]:
             for a in range(41):
                 for b in range(41):
                     got = k_kernel(a, b, consts)
@@ -803,43 +805,56 @@ class TestKernelTables:
             assert len(consts.k) == 121 and len(consts.pi) == 66
             # the bracket rows of every even total order K reads, no more
             assert sorted(consts.brackets) == list(range(0, 41, 2))
-        for k in range(2, 18):
-            consts = derive_constants(ref_cfg, turbulence_strength(0.005 * k))
+        first = sets[0].pi[10, 10]
+        for consts in sets[2:]:
             k_kernel(3, 5, consts)
             pi_factor(10, 10, consts)
-        del consts
         info = table_info()
         assert info.sets.maxsize == 16 and info.sets.currsize == 16
-        live = list(engine._live.values())
-        assert len(live) <= 16
-        assert all(len(t.k) <= 121 and len(t.pi) <= 66 for t in live)
+        assert len(engine._live) <= 16
+        assert all(len(t.k) <= 121 and len(t.pi) <= 66 for t in engine._live.values())
         assert info.k.currsize <= info.k.maxsize == 16 * 121
         assert info.pi.currsize <= info.pi.maxsize == 16 * 66
+        # the sets held here are the tables' owners: the two that filled
+        # first were emptied when the 17th and 18th filled
+        assert all((c.k, c.pi, c.brackets) == ({}, {}, {}) for c in sets[:2])
+        assert sum(len(c.k) for c in sets) == info.k.currsize
+        assert sum(len(c.pi) for c in sets) == info.pi.currsize
+        # an emptied set fills again, and empties the set that filled next
+        assert pi_factor(10, 10, sets[0]) == first
+        assert sets[0].pi and not sets[2].pi and len(engine._live) == 16
 
-    def test_fresh_copy_starts_empty_and_agrees(self, turb_consts):
-        # dataclasses.replace makes a set with empty tables, whose values are
-        # bitwise those of the derived set, and so is its matrix
+    @pytest.mark.parametrize("make", [
+        dataclasses.replace, copy.copy, copy.deepcopy,
+        lambda c: pickle.loads(pickle.dumps(c))], ids=["replace", "copy", "deepcopy", "pickle"])
+    def test_fresh_copy_starts_empty_and_agrees(self, turb_consts, make):
+        # a copy starts with empty tables, whose values are bitwise those of
+        # the derived set, and so is its matrix
         for mu in range(11):
             for nu in range(mu, 11):
                 pi_factor(mu, nu, turb_consts)
-        copy = dataclasses.replace(turb_consts)
-        assert copy is not turb_consts
-        assert (copy.k, copy.pi, copy.brackets) == ({}, {}, {})
-        assert all(pi_factor(mu, nu, copy) == turb_consts.pi[mu, nu]
+        fresh = make(turb_consts)
+        assert fresh is not turb_consts and fresh == turb_consts
+        assert (fresh.k, fresh.pi, fresh.brackets) == ({}, {}, {})
+        assert all(pi_factor(mu, nu, fresh) == turb_consts.pi[mu, nu]
                    for mu, nu in turb_consts.pi)
+        # it owns tables of its own, which cache_clear empties too
+        assert fresh.pi is not turb_consts.pi and id(fresh) in engine._live
+        k_kernel.cache_clear()
+        assert (fresh.k, fresh.pi, fresh.brackets) == ({}, {}, {})
         modes = expand_modes(10)
         assert _bits(probability_matrix(modes, dataclasses.replace(turb_consts)).values) == \
             _bits(probability_matrix(modes, turb_consts).values)
 
     def test_cache_clear_empties_sets_a_caller_holds(self, ref_cfg):
         held = derive_constants(ref_cfg, turbulence_strength(0.031))
-        copy = dataclasses.replace(held)
-        for consts in (held, copy):
+        fresh = dataclasses.replace(held)
+        for consts in (held, fresh):
             pi_factor(2, 3, consts)
             k_kernel(4, 2, consts)
         k_kernel.cache_clear()
         assert derive_constants(ref_cfg, turbulence_strength(0.031)) is not held
-        for consts in (held, copy):
+        for consts in (held, fresh):
             assert (consts.k, consts.pi, consts.brackets) == ({}, {}, {})
             pi_factor(2, 3, consts)
             k_kernel(4, 2, consts)
