@@ -15,7 +15,7 @@ import cmath
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .errors import DomainError
@@ -56,9 +56,10 @@ class OpticalConfig:
     pump_waist: float  # [m]
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in astuple(self)):
+        values = (self.wavelength, self.distance, self.pump_waist)
+        if not all(0 < v < math.inf for v in values):
             raise DomainError("wavelength, distance and pump_waist must all be "
-                              f"positive and finite, got {astuple(self)}")
+                              f"positive and finite, got {values}")
 
     @property
     def wavenumber(self) -> float:

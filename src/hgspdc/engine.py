@@ -17,12 +17,13 @@ term pair and Pi reads one triangle of K. Each g_s is one geometry factor
 times a polynomial with exact, geometry-free coefficients. The sums mix
 signs, so they go through math.fsum, which rounds exactly.
 
-Bounded caches keep each kernel value once. Three lru_caches are keyed on
-the inputs their layer reads. Two hold geometry-free numbers, built on
+Bounded caches keep each kernel value once. Five lru_caches are keyed on
+the inputs their layer reads. Four hold geometry-free numbers, built on
 first use:
 - _gamma_half: Gamma(j/2), the same floats specfun.gamma_half returns;
 - _f_coefficients: the polynomial coefficients of the F sums of one
-  (mu <= nu <= DEFAULT_MAX_ORDER), so at most 66 rows.
+  (mu <= nu <= DEFAULT_MAX_ORDER), so at most 66 rows;
+- _bracket_coefficients, _kappas: K's bracket polynomials and weights.
 One is keyed on floats, so constant sets share its rows:
 - _f_sums: the per-order F sums g_s of one (mu, nu), keyed on (mu, nu,
   zeta, w); zeta and w depend only on the geometry, so every Rytov value
@@ -30,13 +31,13 @@ One is keyed on floats, so constant sets share its rows:
 Each DerivedConstants owns the rest, in three dicts keyed on ints: k holds
 K(a, b) for b <= a <= 2 * DEFAULT_MAX_ORDER with a + b even (at most 121
 entries), pi holds Pi(mu <= nu <= DEFAULT_MAX_ORDER) (at most 66) and
-brackets the rows h(s, n - s) of each even total order n that K reads (at
-most 21). derive_constants keeps the 16 most recent sets, so no lookup here
-hashes a constant set, and at most 16 sets hold tables: a set's first K fill
-past that empties the tables of the set that filled first, even one a caller
-still holds. table_info() reports the hits, misses and sizes.
-Each cache keeps the most recent entries; all functions are pure, and table
-fills are idempotent stores, so concurrent use is safe.
+brackets the h(s, n - s) and K weights of each even total order n K reads
+(at most 21). derive_constants keeps the 16 most recent sets, so no lookup
+here hashes a constant set, and at most 16 sets hold tables: a set's first K
+fill past that empties the tables of the set that filled first, even one a
+caller still holds. table_info() reports the hits, misses and sizes. Each
+cache keeps the most recent entries; all functions are pure, and table fills
+are idempotent stores, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .channel import (
 )
 from .errors import CalibrationError, DomainError, NumericalError
 from .reference import CALIBRATION_REFERENCE
-from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
+from .specfun import HalfInteger, gamma_half, hyp2f1_terminating
 
 DEFAULT_MAX_ORDER = 10
 
@@ -73,8 +74,8 @@ DEFAULT_MAX_ORDER = 10
 # DEFAULT_MAX_ORDER), so 66 rows of F sums. At most DERIVED_SETS = 16 sets
 # hold tables, as derive_constants keeps 16, such as 8 channels and their 8
 # vacuum calibration anchors, and the F-sum cache holds as many rows. The
-# geometry-free tables hold every entry those orders read: 66 coefficient
-# rows and Gamma(j/2) for odd j <= 41.
+# geometry-free tables hold every row those orders read: 66 + 21 coefficient
+# rows, 121 Krawtchouk rows and Gamma(j/2) for odd j <= 41.
 _K_TOP = 2 * DEFAULT_MAX_ORDER
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
 _F_ROWS = (DEFAULT_MAX_ORDER + 1) * (DEFAULT_MAX_ORDER + 2) // 2
@@ -189,6 +190,12 @@ def _kappa(j: int, m: int, m2: int) -> int:
                for p in range(max(0, j - m2), min(m, j) + 1))
 
 
+@lru_cache(maxsize=_K_ENTRIES)
+def _kappas(a: int, b: int) -> tuple[int, ...]:
+    """The Krawtchouk weights kappa_s of K(a, b) (see k_kernel), s <= (a+b)/2."""
+    return tuple((-1) ** b * _kappa(s, b, a) for s in range((a + b) // 2 + 1))
+
+
 @lru_cache(maxsize=_F_ROWS)
 def _f_coefficients(mu: int, nu: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
     """Per even s = 0, 2, ..., mu + nu: Gamma((s+1)/2) and the coefficients
@@ -240,23 +247,53 @@ def _f_sums(mu: int, nu: int, zeta: complex, w: float) -> tuple[complex, ...]:
     return tuple(sums)
 
 
-def _bracket(s: int, t: int, c1: float, c2: float, c3: float, c4: float) -> complex:
-    """The k_kernel bracket h(s, t) for s + t even; symmetric in (s, t).
+@lru_cache(maxsize=_K_TOP + 1)
+def _bracket_coefficients(n: int) -> tuple[tuple[float, tuple[float, ...], ...], ...]:
+    """Per s = 0..n/2: h(s, n - s)'s front factor, exponent b and polynomial P
+    in x - x0, x0 = 0, 1/2, 1, highest power first, each coefficient exact over
+    one denominator and rounded once. Pfaff on b (DLMF 15.8.1) leaves (1 - c4)^(-b)
+    P(x), x = c4 / (c4 - 1): P = 2F1(-s/2, b; 1/2; x), b = (1 + t)/2, for even s
+    and, by Gauss's contiguous relations, -2F1(-(s-1)/2, b; 3/2; x), b = (2 + t)/2."""
+    rows = []
+    for s in range(n // 2 + 1):
+        odd = s % 2
+        m, twice_b, twice_c = s // 2, 1 + n - s + odd, 1 + 2 * odd
+        # (b)_j (-m)_j / ((c)_j j!) = nums[j] / (dens[m] 2^m)
+        dens = [math.prod((twice_c + 2 * i) * (i + 1) for i in range(j)) for j in range(m + 1)]
+        nums = [math.prod((twice_b + 2 * i) * (i - m) for i in range(j)) * (dens[m] // d) << m
+                for j, d in enumerate(dens)]
+        # x^j = sum_k C(j, k) x0^(j - k) (x - x0)^k with x0 = r / 2
+        centred = (tuple(sum((math.comb(j, k) * r ** (j - k) * nums[j]) >> (j - k)
+                             for j in range(k, m + 1)) / (dens[m] << m)
+                         for k in reversed(range(m + 1))) for r in (0, 1, 2))
+        front = (-1) ** odd * 4 * _gamma_half(1 + s + odd) * _gamma_half(twice_b)
+        rows.append((front, twice_b / 2, *centred))
+    return tuple(rows)
 
-    The paper's odd bracket divides 2F1(.; 1/2; c4) - 2F1(.; -1/2; c4) by c3.
-    Gauss's contiguous relation (DLMF 15.5(ii)) turns that difference into
-    4abz 2F1(a+1, b+1; 3/2; z) at z = c4 = -c3^2 / (4 c1 c2), so the odd
-    bracket is c3 times a factor smooth through c3 = 0: no 1/c3, no branch.
-    """
-    if s % 2 == 0:
-        g = _gamma_half(1 + s) * _gamma_half(1 + t)
-        return 4 * math.sqrt(c1 / c2) * g * hyp2f1_real((1 + s) / 2, (1 + t) / 2, 0.5, c4)
-    g = _gamma_half(2 + s) * _gamma_half(2 + t)
-    lo = hyp2f1_real((2 + s) / 2, (2 + t) / 2, 0.5, c4)
-    hi = hyp2f1_real((4 + s) / 2, (4 + t) / 2, 1.5, c4)
-    return 4j * g * c3 * (
-        (3 + s + t) * lo - (2 + s) * (2 + t) * (1 - c4) * hi
-    ) / (c2 * (1 + s) * (1 + t))
+
+def _bracket_row(n: int, consts: DerivedConstants) -> tuple[tuple, tuple, tuple]:
+    """h(s, n - s), s = 0..n/2, read by each K(a, b) with a + b = n, and the
+    K weights rho^(s-t) +- rho^(t-s) (+ for even b; 1.0 at s = t). The odd h
+    is c3 times a factor smooth through c3 = 0. Horner runs about the x0
+    nearest x: powers of x cancel past c4 = -1/3, and x nears 1 past -3."""
+    c1, c2, c3, c4 = consts.c1, consts.c2, consts.c3, consts.c4
+    big = 1 - c4
+    # 1 - c4 = big (1 + tail), Knuth's two-sum: big's rounding is not raised to b
+    tail = ((1 - (big - (big - 1))) + (-c4 - (big - 1))) / big
+    centre = (c4 < -1 / 3) + (c4 < -3)
+    v = (-c4, -(1 + c4) / 2, -1.0)[centre] / big
+    root = math.sqrt(c1 / c2)
+    h = []
+    for s, (front, b, *centred) in enumerate(_bracket_coefficients(n)):
+        poly = 0.0
+        for c in centred[centre]:
+            poly = poly * v + c
+        value = front * big ** -b * (1 - b * tail) * poly
+        h.append(value * root if s % 2 == 0 else 1j * value * c3 / c2)
+    rho = (c2 / c1) ** 0.25
+    powers = [(rho ** (2 * s - n), rho ** (n - 2 * s)) for s in range(n // 2)]
+    return (tuple(h), (*[up + down for up, down in powers], 1.0),
+            (*[up - down for up, down in powers], 1.0))
 
 
 class _Counts:
@@ -324,26 +361,14 @@ def _k_value(a: int, b: int, consts: DerivedConstants) -> complex:
     """The k_kernel sum for even a + b, computed without a K table; its
     bracket row is stored on consts only for orders the K table holds."""
     n = a + b
-    c1, c2 = consts.c1, consts.c2
-    h = consts.brackets.get(n)
-    if h is None:
-        # the row h(s, n - s), s = 0..n/2, that every K(a, b) with a + b = n reads
-        h = tuple(_bracket(s, n - s, c1, c2, consts.c3, consts.c4) for s in range(n // 2 + 1))
+    row = consts.brackets.get(n)
+    if row is None:
+        row = _bracket_row(n, consts)
         if max(a, b) <= _K_TOP:
-            consts.brackets[n] = h
-    rho = (c2 / c1) ** 0.25
-    sign = (-1) ** b
-    terms: list[complex] = []
-    # kappa runs through kappa_s by the recurrence read off from
-    # (x^2 - 1) f' = (n x + b - a) f for f = (1+x)^a (x-1)^b:
-    # (s+1) kappa_(s+1) = (a - b) kappa_s + (s - 1 - n) kappa_(s-1)
-    kappa_prev, kappa = 0, sign
-    for s in range(n // 2 + 1):
-        t = n - s
-        weight = kappa * (rho ** (s - t) + sign * rho ** (t - s) if s < t else 1.0)
-        if weight:
-            terms.append(weight * h[s])
-        kappa_prev, kappa = kappa, ((a - b) * kappa + (s - 1 - n) * kappa_prev) // (s + 1)
+            consts.brackets[n] = row
+    terms = [weight * h for weight, h in zip(map(mul, _kappas(a, b), row[1 + b % 2]), row[0])
+             if weight]
+    c1, c2 = consts.c1, consts.c2
     return 0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4) * _compensated_sum(terms)
 
 

@@ -53,8 +53,10 @@ class TestOpticalConfig:
 
     def test_positivity_enforced(self):
         for bad in ((0, Z, 0.1), (LAM, -1, 0.1), (LAM, Z, 0.0)):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError) as err:
                 OpticalConfig(*bad)
+            assert str(err.value) == ("wavelength, distance and pump_waist must all be "
+                                      f"positive and finite, got {bad}")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):

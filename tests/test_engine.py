@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgspdc import engine, reference
+from hgspdc import engine, reference, specfun
 from hgspdc.channel import (
     DerivedConstants,
     OpticalConfig,
@@ -65,41 +65,58 @@ def oracle_f(mu, nu, k, l, consts):
     return val
 
 
-def oracle_k(a, b, consts):
-    c1, c2 = mp.mpf(consts.c1), mp.mpf(consts.c2)
-    c3, c4 = mp.mpf(consts.c3), mp.mpf(consts.c4)
+def _mp_hyp2f1(a, b, c, z):
+    """mp.hyp2f1 for the brackets' z = c4 <= 0. Past z = -1 mpmath continues
+    through 1/z, ~0.1 s a call when a - b is an integer, so there Pfaff's
+    transformation on a (DLMF 15.8.1) maps z into [1/2, 1), where c - b is a
+    nonpositive integer and the series terminates. The engine transforms on b."""
+    if z >= -1:
+        return mp.hyp2f1(a, b, c, z)
+    return (1 - z) ** -a * mp.hyp2f1(a, c - b, c, z / (z - 1))
 
-    @functools.cache
-    def bracket(s):
-        # the printed bracket reads s = p + q and t = a + b - s only
-        t = a + b - s
+
+@functools.lru_cache(maxsize=None)
+def _oracle_bracket(s, t, c1, c2, c3, c4, prec):
+    # the printed bracket; it reads s = p + q and t = a + b - s only
+    with mp.workprec(prec):
+        c1, c2, c3, c4 = map(mp.mpf, (c1, c2, c3, c4))
         sig0 = (1 + (-1) ** s) * (1 + (-1) ** t)
         sig1 = (-1 + (-1) ** s) * (-1 + (-1) ** t)
         value = mp.mpc(0)
         if sig0:
             value += (sig0 * mp.sqrt(c1 / c2)
                       * mp.gamma(mp.mpf(1 + s) / 2) * mp.gamma(mp.mpf(1 + t) / 2)
-                      * mp.hyp2f1(mp.mpf(1 + s) / 2, mp.mpf(1 + t) / 2,
+                      * _mp_hyp2f1(mp.mpf(1 + s) / 2, mp.mpf(1 + t) / 2,
                                   mp.mpf(1) / 2, c4))
         if sig1:
             g2 = mp.gamma(mp.mpf(2 + s) / 2) * mp.gamma(mp.mpf(2 + t) / 2)
             den = c2 * c3 * (1 + s) * (1 + t)
             value -= (mp.mpc(0, 1) * sig1 * (4 * c1 * c2 + c3 ** 2) / den * g2
-                      * mp.hyp2f1(mp.mpf(2 + s) / 2, mp.mpf(2 + t) / 2,
+                      * _mp_hyp2f1(mp.mpf(2 + s) / 2, mp.mpf(2 + t) / 2,
                                   -mp.mpf(1) / 2, c4))
             value += (mp.mpc(0, 1) * sig1
-                      * (4 * c1 * c2 + c3 ** 2 * (4 + a + b)) / den * g2
-                      * mp.hyp2f1(mp.mpf(2 + s) / 2, mp.mpf(2 + t) / 2,
+                      * (4 * c1 * c2 + c3 ** 2 * (4 + s + t)) / den * g2
+                      * _mp_hyp2f1(mp.mpf(2 + s) / 2, mp.mpf(2 + t) / 2,
                                   mp.mpf(1) / 2, c4))
         return value
 
+
+def oracle_bracket(s, t, consts):
+    """The printed K bracket h(s, t) at the working precision; each value is
+    computed once per constant set and precision."""
+    return _oracle_bracket(min(s, t), max(s, t), consts.c1, consts.c2, consts.c3,
+                           consts.c4, mp.mp.prec)
+
+
+def oracle_k(a, b, consts):
+    c1, c2 = mp.mpf(consts.c1), mp.mpf(consts.c2)
     total = mp.mpc(0)
     for p in range(a + 1):
         for q in range(b + 1):
             s, t = p + q, a + b - p - q
             pre = (mp.binomial(a, p) * mp.binomial(b, q) * (-1) ** (b - q)
                    * (1 / mp.sqrt(c1)) ** (2 + s) * (1 / mp.sqrt(c2)) ** t)
-            total += pre * bracket(s)
+            total += pre * oracle_bracket(s, t, consts)
     return mp.mpf(1) / 4 * (1 / mp.sqrt(2)) ** (a + b) * total
 
 
@@ -119,10 +136,14 @@ def oracle_pi(mu, nu, consts):
                             mu + nu - k1 - l1, mu + nu - k3 - l3, consts)
                         total += term
                         scale += abs(term)
-        pref = 1 / (mp.mpf(consts.cfg.wavelength) ** 2 * mp.mpf(consts.cfg.distance) ** 2
-                    * mp.sqrt(mp.pi * mp.mpf(consts.b1))
-                    * mp.factorial(mu) * mp.factorial(nu) * mp.mpf(2) ** (mu + nu))
+        pref = _oracle_pref(mu, nu, consts)
         return pref * total, pref * scale
+
+
+def _oracle_pref(mu, nu, consts):
+    return 1 / (mp.mpf(consts.cfg.wavelength) ** 2 * mp.mpf(consts.cfg.distance) ** 2
+                * mp.sqrt(mp.pi * mp.mpf(consts.b1))
+                * mp.factorial(mu) * mp.factorial(nu) * mp.mpf(2) ** (mu + nu))
 
 
 class TestSigma:
@@ -247,19 +268,48 @@ class TestKKernel:
             assert k_kernel(a, b, consts) == pytest.approx(
                 want, rel=1e-13, abs=0 if rytov else floor), (a, b)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "far-field K cancels at large |c4|: at Lambda0 = 395, rytov 0.02 "
-        "(c4 = -1316) K(20, 20) reads 0.165 against 1.2e-30 from oracle_k. "
-        "Worst relative K error over K(20, 18), K(20, 20), K(19, 19), K(19, 1), "
-        "K(10, 0) and K(11, 9) at rytov 0.02: 1.1e-15 at Lambda0 = 1, 2e-3 at "
-        "Lambda0 = 10, 5e10 at Lambda0 = 50, 1e23 at Lambda0 = 200; the "
-        "highorder benchmark draws Lambda0 up to ~200"))
-    def test_far_field_k_cancellation(self):
-        consts = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
+    # far field at large |c4| (c4 = -1316 at Lambda0 = 395, rytov 0.02, where
+    # K(20, 20) is 1.2e-30), where the bracket polynomials are evaluated about
+    # x = 1; the highorder benchmark draws Lambda0 <= 3.5 only
+    @pytest.mark.parametrize("lam0", [10, 50, 200, 395])
+    def test_far_field_k_cancellation(self, lam0):
+        wavelength, distance = 1.55e-6, 2e4
+        w0 = math.sqrt(distance * wavelength / (math.pi * lam0))
+        consts = derive_constants(OpticalConfig.from_w0(wavelength, distance, w0),
                                   turbulence_strength(0.02))
-        with mp.workdps(40):
-            want = complex(oracle_k(20, 20, consts))
-        assert k_kernel(20, 20, consts) == pytest.approx(want, rel=1e-13, abs=0)
+        assert consts.cfg.fresnel_ratio == pytest.approx(lam0, rel=1e-14)
+        for a, b in ((20, 18), (20, 20), (19, 19), (19, 1), (10, 0), (11, 9)):
+            want = complex(oracle_k(a, b, consts))
+            assert k_kernel(a, b, consts) == pytest.approx(want, rel=1e-13, abs=0), (a, b)
+
+    def test_oracle_shortcut_is_mpmath_hyp2f1(self):
+        # the oracle's Pfaff-transformed 2F1 past z = -1 against mpmath's own,
+        # at bracket parameters of row n = 40 at Lambda0 = 395, rytov 0.02
+        z = mp.mpf(derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
+                                    turbulence_strength(0.02)).c4)
+        assert z < -1000
+        for a, b, c in ((1, 41, 1), (11, 31, 1), (21, 23, -1), (21, 21, 1)):
+            a, b, c = mp.mpf(a) / 2, mp.mpf(b) / 2, mp.mpf(c) / 2
+            want = mp.hyp2f1(a, b, c, z)
+            assert abs(_mp_hyp2f1(a, b, c, z) - want) <= mp.mpf(10) ** -40 * abs(want)
+
+    # every bracket row K reads, against the printed bracket, in near field and
+    # on each side of the centre switches at c4 = -1/3 (Lambda0 ~ 2.3) and
+    # c4 = -3 (Lambda0 ~ 7 to 10): error within 1e-13 of the row's largest
+    # bracket (worst 3.1e-14, at Lambda0 = 10, rytov 0.1, c4 = -3.03)
+    @pytest.mark.parametrize("lam0", [3e-5, 1e-2, 0.127, 1, 3, 5, 10, 50, 395])
+    def test_bracket_rows_against_oracle(self, ref_cfg, lam0):
+        w0 = math.sqrt(2 * ref_cfg.distance / (ref_cfg.wavenumber * lam0))
+        cfg = OpticalConfig.from_w0(ref_cfg.wavelength, ref_cfg.distance, w0)
+        for rytov in (0.0, 0.02, 0.1):
+            consts = derive_constants(cfg, turbulence_strength(rytov))
+            for n in range(0, 41, 2):
+                want = [complex(oracle_bracket(s, n - s, consts)) for s in range(n // 2 + 1)]
+                top = max(map(abs, want))
+                got = engine._bracket_row(n, consts)[0]
+                assert len(got) == len(want)
+                for s, (x, y) in enumerate(zip(got, want)):
+                    assert abs(x - y) <= 1e-13 * top, (rytov, n, s, abs(x - y) / top)
 
     # the pairs where the printed odd bracket lost most near field
     @pytest.mark.parametrize("lam0,rytov", [(3e-5, 0.0), (3e-5, 0.02), (1e-6, 0.1)])
@@ -309,6 +359,21 @@ class TestPiFactor:
             else:
                 # entry cancels to zero; the engine must sit at noise level
                 assert abs(got) < 1e-12 * float(scale)
+
+    # far field, Lambda0 = 395 and rytov 0.02 (c4 = -1316): Pi(9, 10) is well
+    # conditioned, yet K that lost its digits there put it 1.4e-6 off
+    def test_far_field_against_oracle(self):
+        consts = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
+                                  turbulence_strength(0.02))
+        mu, nu = 9, 10
+        # oracle_pi's sum, grouped by the total orders N - s, N - t K reads
+        g = [mp.fsum(terms) for terms in _per_order_f_sums(
+            mu, nu, lambda k, l: oracle_f(mu, nu, k, l, consts))]
+        form = mp.fsum(ga * mp.conj(gb) * oracle_k(mu + nu - 2 * a, mu + nu - 2 * b, consts)
+                       for a, ga in enumerate(g) for b, gb in enumerate(g))
+        want = _oracle_pref(mu, nu, consts) * form
+        assert abs(want.imag) < 1e-30 * abs(want)
+        assert pi_factor(mu, nu, consts) == pytest.approx(float(want.real), rel=1e-13, abs=0)
 
     def test_max_order_guard(self, vac_consts):
         with pytest.raises(DomainError):
@@ -608,7 +673,8 @@ def _fsum(terms):
 
 def _clear_engine_caches():
     engine._clear_tables()
-    for cache in (engine._f_sums, engine._f_coefficients, engine._gamma_half):
+    for cache in (engine._f_sums, engine._f_coefficients, engine._gamma_half,
+                  engine._bracket_coefficients, engine._kappas):
         cache.cache_clear()
 
 
@@ -619,45 +685,51 @@ def _per_order_f_sums(mu, nu, f):
 
 
 class TestKernelTables:
-    # a raw matrix over orders <= M reads the bracket rows of every even total
-    # order n <= 4 M; row n holds n/2 + 1 brackets, and an even bracket costs
-    # one hyp2f1_real call and an odd one two: 341 for M = 10, 40 for M = 3
-    # (3229 and 112 with one bracket call per K term)
-    @pytest.mark.parametrize("max_sum,real_calls", [(10, 341), (3, 40)])
-    def test_each_kernel_value_once(self, ref_cfg, max_sum, real_calls):
+    # a raw matrix over orders <= M reads the 2 M + 1 bracket rows of every
+    # even total order n <= 4 M; row n holds n/2 + 1 brackets, each a
+    # polynomial with geometry-free coefficients, so no 2F1 series runs
+    @pytest.mark.parametrize("max_sum", [10, 3])
+    def test_each_kernel_value_once(self, ref_cfg, max_sum):
         modes = expand_modes(max_sum)
         _clear_engine_caches()
-        with mock.patch.object(engine, "hyp2f1_real", wraps=engine.hyp2f1_real) as real, \
+        with mock.patch.object(specfun, "_hyp2f1_series",
+                               wraps=specfun._hyp2f1_series) as series, \
                 mock.patch.object(engine, "hyp2f1_terminating",
                                   wraps=engine.hyp2f1_terminating) as terminating, \
                 mock.patch.object(engine, "gamma_half", wraps=engine.gamma_half) as gamma:
             probability_matrix(modes, derive_constants(ref_cfg, turbulence_strength(0.05)),
                                normalization=NORMALIZATION_RAW)
-            assert real.call_count == real_calls
+            assert not hasattr(engine, "hyp2f1_real")
+            assert series.call_count == 0
             # the F sums are polynomials with precomputed coefficients
             assert terminating.call_count == 0
             # Pi reads one triangle of K: K(p, q), q <= p <= 2 M, p + q even
             top = 2 * max_sum
             assert k_kernel.cache_info().misses == sum(
                 1 for p in range(top + 1) for q in range(p + 1) if (p - q) % 2 == 0)
+            assert engine._bracket_coefficients.cache_info().currsize == 2 * max_sum + 1
             # F reads only the geometry: a second Rytov value reuses its sums
             f_misses = engine._f_sums.cache_info().misses
             probability_matrix(modes, derive_constants(ref_cfg, turbulence_strength(0.06)),
                                normalization=NORMALIZATION_RAW)
             assert engine._f_sums.cache_info().misses == f_misses
-            # with the geometry-free tables warm, a fresh geometry computes
-            # no Gamma value and no terminating 2F1 either
-            real.reset_mock()
+            # with the geometry-free tables warm, a fresh geometry, here one
+            # in far field (c4 < -1), computes no Gamma value, no 2F1 and no
+            # coefficient row
             gamma.reset_mock()
-            cfg = OpticalConfig.from_w0(1.55e-6, 2e4, 0.005)
-            probability_matrix(modes, derive_constants(cfg, turbulence_strength(0.05)),
-                               normalization=NORMALIZATION_RAW)
-            assert (real.call_count, gamma.call_count, terminating.call_count) == (
-                real_calls, 0, 0)
+            tables = (engine._bracket_coefficients, engine._kappas, engine._f_coefficients)
+            built = [cache.cache_info().misses for cache in tables]
+            consts = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
+                                      turbulence_strength(0.05))
+            assert consts.c4 < -1
+            probability_matrix(modes, consts, normalization=NORMALIZATION_RAW)
+            assert (series.call_count, gamma.call_count, terminating.call_count) == (0, 0, 0)
+            assert [cache.cache_info().misses for cache in tables] == built
 
     def test_k_kernel_equals_per_term_brackets(self, ref_cfg, near_field_cfgs):
         def per_term(a, b, c):
-            # one _bracket call per K term; kappa_s from its binomial sum
+            # each K term reads its bracket from the row; kappa_s from its
+            # binomial sum and the weight from rho, term by term
             n = a + b
             if n % 2:
                 return 0.0 + 0.0j
@@ -670,7 +742,7 @@ class TestKernelTables:
                             for p in range(max(0, s - b), min(a, s) + 1))
                 weight = kappa * (rho ** (s - t) + sign * rho ** (t - s) if s < t else 1.0)
                 if weight:
-                    terms.append(weight * engine._bracket(s, t, c.c1, c.c2, c.c3, c.c4))
+                    terms.append(weight * engine._bracket_row(n, c)[0][s])
             return 0.25 * 0.5 ** (n / 2) / c.c1 * (c.c1 * c.c2) ** (-n / 4) * _fsum(terms)
 
         cfgs = [ref_cfg, *near_field_cfgs.values()]
@@ -745,6 +817,42 @@ class TestKernelTables:
                          for j in range(len(p))]
                     assert coeffs == tuple(map(float, q)), (mu, nu, s)
 
+    def test_bracket_coefficients_exact(self):
+        # row n, entry s: the front 4 Gamma Gamma (negated for odd s), b and
+        # 2F1(-m, b; c; x) re-centred at 0, 1/2 and 1, each coefficient the
+        # correctly rounded exact one; for odd s, the combination of the two
+        # Pfaff-transformed 2F1 of the contiguous relation is that polynomial
+        def hyp(m, b, c):
+            out, term = [], Fraction(1)
+            for j in range(m + 1):
+                out.append(term)
+                term = term * (b + j) * (j - m) / ((c + j) * (j + 1))
+            return out
+
+        half = Fraction(1, 2)
+        for n in range(0, 41, 2):
+            rows = engine._bracket_coefficients(n)
+            assert len(rows) == n // 2 + 1
+            for s, (front, b, *centred) in enumerate(rows):
+                t = n - s
+                assert b == (1 + t + s % 2) / 2
+                if s % 2 == 0:
+                    p = hyp(s // 2, (1 + t) * half, half)
+                    g = gamma_half(HalfInteger(1 + s)), gamma_half(HalfInteger(1 + t))
+                    assert front == 4 * g[0] * g[1]
+                else:
+                    p = hyp(s // 2, (2 + t) * half, 3 * half)
+                    g = gamma_half(HalfInteger(2 + s)), gamma_half(HalfInteger(2 + t))
+                    assert front == -4 * g[0] * g[1]
+                    lo = hyp((1 + s) // 2, (2 + t) * half, half)
+                    hi = hyp((1 + s) // 2, (4 + t) * half, 3 * half)
+                    assert [(3 + s + t) * x - (2 + s) * (2 + t) * y for x, y in zip(lo, hi)] == \
+                        [-(1 + s) * (1 + t) * x for x in p] + [0]
+                for x0, coeffs in zip((0, half, 1), centred):
+                    q = [sum(math.comb(j, k) * x0 ** (j - k) * p[j] for j in range(k, len(p)))
+                         for k in range(len(p))]
+                    assert coeffs == tuple(map(float, reversed(q))), (n, s, x0)
+
     def test_f_sums_against_oracle(self, ref_cfg, near_field_cfgs):
         # relative to the row maximum, at the reference geometry, in near field
         # and in far field (Fresnel ratio ~395)
@@ -780,7 +888,8 @@ class TestKernelTables:
             assert info.maxsize is not None
             assert info.misses > info.maxsize >= info.currsize
         # the geometry-free tables hold every row the orders read, each built once
-        for cache, rows in ((engine._f_coefficients, 66), (engine._gamma_half, 21)):
+        for cache, rows in ((engine._f_coefficients, 66), (engine._gamma_half, 21),
+                            (engine._bracket_coefficients, 21), (engine._kappas, 121)):
             assert cache.cache_info()[1:] == (rows, rows, rows)
 
 
