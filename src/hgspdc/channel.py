@@ -215,9 +215,12 @@ class DerivedConstants:
       c1,2 = Re A2 -/+ a3/2 and c3 = Im A2 by subtracting nearly equal terms
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
-    - k, pi, brackets: the engine's kernel tables of this set (see engine.py);
-      equality, hashing and repr ignore them, and dataclasses.replace, copy
-      and pickle start a copy with empty tables.
+    - k, pi, brackets: the engine's kernel tables of this set (see engine.py):
+      k is K as two flat lower triangles, one per parity of a + b, with
+      K(2 i + p, 2 j + p) at i (i + 1) / 2 + j; pi and brackets are dicts of
+      Pi(mu <= nu) and of the K bracket rows per total order. Equality,
+      hashing and repr ignore them, and dataclasses.replace, copy and
+      pickle start a copy with empty tables.
     """
 
     cfg: OpticalConfig
@@ -231,7 +234,7 @@ class DerivedConstants:
     c2: float
     c3: float
     c4: float
-    k: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    k: list = field(default_factory=lambda: [(), ()], init=False, compare=False, repr=False)
     pi: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 

@@ -15,29 +15,28 @@ and a matrix reads its entries from one table of the distinct Pi it needs.
 K(b, a) is the exact conjugate of K(a, b), so the form is real term pair by
 term pair and Pi reads one triangle of K. Each g_s is one geometry factor
 times a polynomial with exact, geometry-free coefficients. The sums mix
-signs, so they go through math.fsum, which rounds exactly.
+signs, so they go through math.fsum, which rounds the exact sum in any order.
 
-Bounded caches keep each kernel value once. Five lru_caches are keyed on
-the inputs their layer reads. Four hold geometry-free numbers, built on
-first use:
-- _gamma_half: Gamma(j/2), the same floats specfun.gamma_half returns;
-- _f_coefficients: the polynomial coefficients of the F sums of one
-  (mu <= nu <= DEFAULT_MAX_ORDER), so at most 66 rows;
-- _bracket_coefficients, _kappas: K's bracket polynomials and weights.
-One is keyed on floats, so constant sets share its rows:
-- _f_sums: the per-order F sums g_s of one (mu, nu), keyed on (mu, nu,
-  zeta, w); zeta and w depend only on the geometry, so every Rytov value
-  over one geometry, and its vacuum calibration anchor, share them.
-Each DerivedConstants owns the rest, in three dicts keyed on ints: k holds
-K(a, b) for b <= a <= 2 * DEFAULT_MAX_ORDER with a + b even (at most 121
-entries), pi holds Pi(mu <= nu <= DEFAULT_MAX_ORDER) (at most 66) and
-brackets the h(s, n - s) and K weights of each even total order n K reads
-(at most 21). derive_constants keeps the 16 most recent sets, so no lookup
-here hashes a constant set, and at most 16 sets hold tables: a set's first K
-fill past that empties the tables of the set that filled first, even one a
-caller still holds. table_info() reports the hits, misses and sizes. Each
-cache keeps the most recent entries; all functions are pure, and table fills
-are idempotent stores, so concurrent use is safe.
+Bounded caches keep each kernel value once. Four lru_caches hold
+geometry-free numbers, built on first use: _gamma_half (Gamma(j/2), the
+floats specfun.gamma_half returns), _f_coefficients (the F-sum polynomials
+of one mu <= nu <= DEFAULT_MAX_ORDER, at most 66 rows), _bracket_coefficients
+and _kappas (K's bracket polynomials and weights). _f_sums, the g_s of one
+(mu, nu), is keyed on (mu, nu, zeta, w), which depend only on the geometry,
+so every Rytov value over one geometry and its vacuum anchor share them.
+Each DerivedConstants owns the rest. k holds K as two flat, row-major lower
+triangles, one per parity p: entry i (i + 1) / 2 + j, j <= i, is
+K(2 i + p, 2 j + p), so Pi(mu, nu) reads the leading (mu + nu) // 2 + 1 rows
+of parity (mu + nu) % 2 (at most 66 + 55 = 121 entries). A fill extends a
+triangle by whole rows in one assignment, so a concurrent reader sees the
+old triangle or the new one. pi holds Pi(mu <= nu) (at most 66), and
+brackets the h(s, n - s), K weights and K prefactor of each even total
+order n (at most 21). derive_constants keeps the 16 most recent sets, so no
+lookup here hashes a constant set, and at most 16 sets hold tables: a set's
+first K fill past that empties the tables of the set that filled first, even
+one a caller still holds. table_info() reports the hits, misses and sizes.
+All functions are pure and fills store values computed from the set's own
+fields, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from operator import mul
+from itertools import chain, combinations_with_replacement, compress
+from operator import attrgetter, mul
 
 from .channel import (
     DEFAULT_W_VARIANT,
@@ -68,19 +67,21 @@ from .specfun import HalfInteger, gamma_half, hyp2f1_terminating
 
 DEFAULT_MAX_ORDER = 10
 
-# One constant set reads at most (DEFAULT_MAX_ORDER + 1)^2 = 121 K(a, b)
-# (b <= a <= 2 * DEFAULT_MAX_ORDER, a + b even: Pi reads one triangle), so 21
-# bracket rows (even n <= 4 * DEFAULT_MAX_ORDER), and 66 Pi(mu <= nu <=
-# DEFAULT_MAX_ORDER), so 66 rows of F sums. At most DERIVED_SETS = 16 sets
-# hold tables, as derive_constants keeps 16, such as 8 channels and their 8
-# vacuum calibration anchors, and the F-sum cache holds as many rows. The
-# geometry-free tables hold every row those orders read: 66 + 21 coefficient
-# rows, 121 Krawtchouk rows and Gamma(j/2) for odd j <= 41.
+# One constant set reads at most 121 K, 21 bracket rows (even n <= 40) and
+# 66 Pi, so 66 rows of F sums; the F-sum cache holds those of the
+# DERIVED_SETS = 16 sets that hold tables. The geometry-free tables hold
+# every row those orders read, and Gamma(j/2) for odd j <= 41.
 _K_TOP = 2 * DEFAULT_MAX_ORDER
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
 _F_ROWS = (DEFAULT_MAX_ORDER + 1) * (DEFAULT_MAX_ORDER + 2) // 2
 _F_CACHE_SIZE = DERIVED_SETS * _F_ROWS
 _GAMMA_CACHE_SIZE = 2 * DEFAULT_MAX_ORDER + 1
+# the K triangles' cells in row-major order, (i, j, flat index), whose rows
+# 0..r are the first _ENTRIES[r + 1]
+_ENTRIES = tuple(r * (r + 1) // 2 for r in range(DEFAULT_MAX_ORDER + 2))
+_CELLS = tuple((i, j, _ENTRIES[i] + j) for i in range(DEFAULT_MAX_ORDER + 1) for j in range(i + 1))
+_OFF_DIAGONAL = tuple(i != j for i, j, _ in _CELLS)
+_real, _imag = attrgetter("real"), attrgetter("imag")
 
 _NEGATIVE_CLAMP = 1e-12
 
@@ -146,11 +147,6 @@ _ANCHOR_PAIR = ModePair(ModeIndex(0, 0), ModeIndex(0, 0))
 def sigma(k: int, l: int) -> int:
     """Parity factor (-1)^k + (-1)^l, one of -2, 0, 2."""
     return (-1) ** k + (-1) ** l
-
-
-def _compensated_sum(terms: list[complex]) -> complex:
-    return complex(math.fsum(t.real for t in terms),
-                   math.fsum(t.imag for t in terms))
 
 
 def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> complex:
@@ -271,9 +267,10 @@ def _bracket_coefficients(n: int) -> tuple[tuple[float, tuple[float, ...], ...],
     return tuple(rows)
 
 
-def _bracket_row(n: int, consts: DerivedConstants) -> tuple[tuple, tuple, tuple]:
-    """h(s, n - s), s = 0..n/2, read by each K(a, b) with a + b = n, and the
-    K weights rho^(s-t) +- rho^(t-s) (+ for even b; 1.0 at s = t). The odd h
+def _bracket_row(n: int, consts: DerivedConstants) -> tuple[tuple, tuple, tuple, float]:
+    """h(s, n - s), s = 0..n/2, read by each K(a, b) with a + b = n, the K
+    weights rho^(s-t) +- rho^(t-s) (+ for even b; 1.0 at s = t) and K's
+    prefactor 1/4 2^(-n/2) c1^(-1) (c1 c2)^(-n/4) (see k_kernel). The odd h
     is c3 times a factor smooth through c3 = 0. Horner runs about the x0
     nearest x: powers of x cancel past c4 = -1/3, and x nears 1 past -3."""
     c1, c2, c3, c4 = consts.c1, consts.c2, consts.c3, consts.c4
@@ -293,17 +290,18 @@ def _bracket_row(n: int, consts: DerivedConstants) -> tuple[tuple, tuple, tuple]
     rho = (c2 / c1) ** 0.25
     powers = [(rho ** (2 * s - n), rho ** (n - 2 * s)) for s in range(n // 2)]
     return (tuple(h), (*[up + down for up, down in powers], 1.0),
-            (*[up - down for up, down in powers], 1.0))
+            (*[up - down for up, down in powers], 1.0),
+            0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4))
 
 
 class _Counts:
-    """Table lookups and fills since the last _clear_tables. These are
-    statistics: concurrent fills may undercount them, never the values."""
+    """K reads of stored entries and entries filled, Pi lookups and fills, since
+    _clear_tables: statistics, which concurrent fills may miscount."""
 
-    __slots__ = ("k_lookups", "k_misses", "pi_lookups", "pi_misses")
+    __slots__ = ("k_hits", "k_misses", "pi_lookups", "pi_misses")
 
     def __init__(self):
-        self.k_lookups = self.k_misses = self.pi_lookups = self.pi_misses = 0
+        self.k_hits = self.k_misses = self.pi_lookups = self.pi_misses = 0
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -311,14 +309,14 @@ TableInfo = namedtuple("TableInfo", "sets k pi")
 
 _counts = _Counts()
 # the constant sets with filled tables, by identity and in the order they
-# joined, derive_constants held or not; a set not in it joins on a K miss,
+# joined, derive_constants held or not; a set not in it joins on a K fill,
 # which every Pi fill of an empty set makes
 _live: weakref.WeakValueDictionary[int, DerivedConstants] = weakref.WeakValueDictionary()
 
 
 def _empty(*sets: DerivedConstants) -> None:
     for consts in sets:
-        consts.k.clear()
+        consts.k[:] = ((), ())
         consts.pi.clear()
         consts.brackets.clear()
 
@@ -350,37 +348,40 @@ def table_info() -> TableInfo:
     c = _counts
     return TableInfo(
         derive_cache_info(),
-        CacheInfo(c.k_lookups - c.k_misses, c.k_misses, DERIVED_SETS * _K_ENTRIES,
-                  sum(len(t.k) for t in live)),
+        CacheInfo(c.k_hits, c.k_misses, DERIVED_SETS * _K_ENTRIES,
+                  sum(len(t.k[0]) + len(t.k[1]) for t in live)),
         CacheInfo(c.pi_lookups - c.pi_misses, c.pi_misses, DERIVED_SETS * _F_ROWS,
                   sum(len(t.pi) for t in live)),
     )
 
 
-def _k_value(a: int, b: int, consts: DerivedConstants) -> complex:
-    """The k_kernel sum for even a + b, computed without a K table; its
-    bracket row is stored on consts only for orders the K table holds."""
-    n = a + b
-    row = consts.brackets.get(n)
-    if row is None:
-        row = _bracket_row(n, consts)
-        if max(a, b) <= _K_TOP:
-            consts.brackets[n] = row
-    terms = [weight * h for weight, h in zip(map(mul, _kappas(a, b), row[1 + b % 2]), row[0])
-             if weight]
-    c1, c2 = consts.c1, consts.c2
-    return 0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4) * _compensated_sum(terms)
+def _k_values(cells, p: int, consts: DerivedConstants, rows: dict) -> list[complex]:
+    """The k_kernel sum K(2 i + p, 2 j + p) of each cell (i, j, _) in cells,
+    reading each bracket row from rows by total order, or storing it there."""
+    values = []
+    for i, j, _ in cells:
+        a, b = 2 * i + p, 2 * j + p
+        n = a + b
+        row = rows.get(n)
+        if row is None:
+            row = rows[n] = _bracket_row(n, consts)
+        terms = [weight * h for weight, h in zip(map(mul, _kappas(a, b), row[1 + b % 2]), row[0])
+                 if weight]
+        values.append(row[3] * complex(math.fsum(map(_real, terms)),
+                                       math.fsum(map(_imag, terms))))
+    return values
 
 
-def _k_entry(consts: DerivedConstants, a: int, b: int) -> complex:
-    """K(a, b) from the table of consts, b <= a <= 2 * DEFAULT_MAX_ORDER, a + b even."""
-    value = consts.k.get((a, b))
-    if value is None:
-        _counts.k_misses += 1
-        if id(consts) not in _live:
-            _join(consts)
-        value = consts.k[a, b] = _k_value(a, b, consts)
-    return value
+def _fill(consts: DerivedConstants, p: int, count: int) -> tuple[complex, ...]:
+    """consts's parity-p K triangle extended to its first count entries, whole
+    rows, and published in one assignment: never part of a row."""
+    old = consts.k[p]
+    tri = old + tuple(_k_values(_CELLS[len(old):count], p, consts, consts.brackets))
+    _counts.k_misses += count - len(old)
+    consts.k[p] = tri
+    if id(consts) not in _live:
+        _join(consts)
+    return tri
 
 
 def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
@@ -395,21 +396,24 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
     share one bracket; their weights cancel exactly when c1 == c2, as in
     vacuum, so K(odd, odd) is then exactly 0.
 
-    Reads the K table of consts, which holds the triangle b <= a: K(b, a)
-    is returned as the exact conjugate of K(a, b), and an order above
-    2 * DEFAULT_MAX_ORDER is computed without being stored, so no call grows
-    a table past the entries Pi reads.
+    Reads the K triangles of consts, which hold b <= a, K(b, a) being the
+    exact conjugate; a miss fills whole rows, and an order above
+    2 * DEFAULT_MAX_ORDER is computed without being stored.
     """
     if a < 0 or b < 0:
         raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
     if (a + b) % 2:
         return 0.0 + 0.0j
     if max(a, b) > _K_TOP:
-        return _k_value(a, b, consts)
-    _counts.k_lookups += 1
-    if a < b:
-        return _k_entry(consts, b, a).conjugate()
-    return _k_entry(consts, a, b)
+        return _k_values([(a // 2, b // 2, None)], a % 2, consts, {})[0]
+    i, p = divmod(max(a, b), 2)
+    cell = _ENTRIES[i] + min(a, b) // 2
+    tri = consts.k[p]
+    if cell < len(tri):
+        _counts.k_hits += 1
+    else:
+        tri = _fill(consts, p, _ENTRIES[i + 1])
+    return tri[cell] if a >= b else tri[cell].conjugate()
 
 
 # k_kernel.cache_info() and .cache_clear(), as for an lru_cache, over the K tables
@@ -420,27 +424,24 @@ k_kernel.cache_clear = _clear_tables
 def _pi_value(mu: int, nu: int, consts: DerivedConstants) -> float:
     # F(k, l) vanishes unless k and l share parity, so only even k + l = s
     # occur, and k_kernel reads only the total orders N - s and N - t:
-    # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t). K(b, a) is the exact
-    # conjugate of K(a, b), so the (s, t) and (t, s) terms are conjugates and
-    # the form is real: the diagonal once, each pair s < t as its real part
-    # twice. fsum adds exactly, so this is the full sum's real part bitwise,
-    # and a total past the float range still raises OverflowError.
+    # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t), which with G_i =
+    # g_(N//2 - i) reads K(2 i + p, 2 j + p), rows 0..N//2 of parity p = N % 2.
+    # K(b, a) is the exact conjugate of K(a, b), so the form is real: the
+    # diagonal once, each pair j < i as its real part twice. fsum adds
+    # exactly, so this is the full sum's real part bitwise.
     n = mu + nu
-    g = _f_sums(mu, nu, consts.zeta, consts.w)
-    # the triangle's K reads, counted at once rather than one by one
-    _counts.k_lookups += len(g) * (len(g) + 1) // 2
-    terms = []
-    for a, ga in enumerate(g):
-        terms.append((ga * ga.conjugate() * _k_entry(consts, n - 2 * a, n - 2 * a)).real)
-        for b in range(a + 1, len(g)):
-            pair = (ga * g[b].conjugate() * _k_entry(consts, n - 2 * a, n - 2 * b)).real
-            terms += (pair, pair)
-    pref = 1.0 / (
-        consts.cfg.wavelength ** 2 * consts.cfg.distance ** 2
-        * math.sqrt(math.pi * consts.b1)
-        * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu)
-    )
-    result = pref * math.fsum(terms)
+    p, count = n % 2, _ENTRIES[n // 2 + 1]
+    tri = consts.k[p]
+    _counts.k_hits += min(len(tri), count)
+    if len(tri) < count:
+        tri = _fill(consts, p, count)
+    g = _f_sums(mu, nu, consts.zeta, consts.w)[::-1]
+    gc = [x.conjugate() for x in g]
+    full = [(g[i] * gc[j] * tri[f]).real for i, j, f in _CELLS[:count]]
+    cfg = consts.cfg
+    pref = 1.0 / (cfg.wavelength ** 2 * cfg.distance ** 2 * math.sqrt(math.pi * consts.b1)
+                  * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu))
+    result = pref * math.fsum(chain(full, compress(full, _OFF_DIAGONAL)))
     if -_NEGATIVE_CLAMP <= result < 0.0:
         result = 0.0
     return result
@@ -450,7 +451,8 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
     """Per-axis probability factor: the kernel quadratic form with prefactor.
 
     Symmetric in (mu, nu); the table key is sorted so the symmetry is exact.
-    NumericalError if a kernel term leaves the float range (c2/c1 huge).
+    NumericalError if the value is not finite, which a kernel term that
+    leaves the float range (c2/c1 huge) makes: inf, or NaN from inf - inf.
     """
     if mu < 0 or nu < 0:
         raise DomainError(f"orders must be nonnegative, got ({mu}, {nu})")
@@ -465,10 +467,14 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
     if value is None:
         _counts.pi_misses += 1
         try:
-            value = consts.pi[key] = _pi_value(*key, consts)
-        except (OverflowError, ZeroDivisionError):
+            value = _pi_value(*key, consts)
+            finite = math.isfinite(value)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            finite = False
+        if not finite:
             raise NumericalError(f"pi_factor({mu}, {nu}) leaves the float range at "
-                                 f"c1={consts.c1:.6g}, c2={consts.c2:.6g}") from None
+                                 f"c1={consts.c1:.6g}, c2={consts.c2:.6g}")
+        consts.pi[key] = value
     return value
 
 
@@ -596,8 +602,7 @@ def probability_matrix(
 
     # one pi_factor call per distinct sorted (mu, nu) the grid reads: pairs
     # of m orders, pairs of n orders and the (00,00) anchor's (0, 0)
-    ms = [s.m for s in ordering]
-    ns = [s.n for s in ordering]
+    ms, ns = [s.m for s in ordering], [s.n for s in ordering]
     m_orders, n_orders = sorted(set(ms)), sorted(set(ns))
     keys = sorted({(0, 0), *combinations_with_replacement(m_orders, 2),
                    *combinations_with_replacement(n_orders, 2)})
@@ -606,28 +611,23 @@ def probability_matrix(
     for (a, b), value in zip(keys, found):
         pi[a][b] = pi[b][a] = value
     # row s is pi[s.m][i.m] * pi[s.n][i.n] over the idlers i, from one
-    # gathered column per distinct order; the rows are lazy, and one of the
-    # two paths below reads each once
+    # gathered column per distinct order
     col_m = {a: list(map(pi[a].__getitem__, ms)) for a in m_orders}
     col_n = {b: list(map(pi[b].__getitem__, ns)) for b in n_orders}
-    raw = [map(mul, col_m[m], col_n[n]) for m, n in zip(ms, ns)]
     raw_ref = pi[0][0] * pi[0][0]
 
-    if normalization == NORMALIZATION_CALIBRATED:
-        factor = _calibration_factor(consts, reference_value)
-        norm = Normalization(NORMALIZATION_CALIBRATED, _ANCHOR_PAIR,
-                             reference_value, factor, raw_ref)
-    else:
-        factor = 1.0
-        norm = Normalization(NORMALIZATION_RAW, _ANCHOR_PAIR, None, 1.0, raw_ref)
+    calibrated = normalization == NORMALIZATION_CALIBRATED
+    factor = _calibration_factor(consts, reference_value) if calibrated else 1.0
+    norm = Normalization(normalization, _ANCHOR_PAIR, reference_value if calibrated else None,
+                         factor, raw_ref)
 
     if min(found) >= 0.0:
-        # every entry is a product of nonnegatives, so there is nothing to
-        # clamp; a NaN Pi, which min may skip, gives NaN entries either way
-        values = tuple([tuple(map(factor.__mul__, row)) for row in raw])
+        # every entry is a product of nonnegatives: nothing to clamp
+        values = tuple([tuple([factor * (x * y) for x, y in zip(col_m[m], col_n[n])])
+                        for m, n in zip(ms, ns)])
     else:
         values = tuple(map(tuple, _clamp_and_scale(
-            list(map(list, raw)), factor,
+            [list(map(mul, col_m[m], col_n[n])) for m, n in zip(ms, ns)], factor,
             lambda i, j: ModePair(ordering[i], ordering[j]).label())))
     return ProbabilityMatrix(ordering, values, consts, norm, turbulence)
 

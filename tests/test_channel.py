@@ -319,10 +319,13 @@ class TestDeriveConstants:
     def test_tables_are_not_part_of_the_value(self, ref_cfg):
         consts = derive_constants(ref_cfg, 0.03)
         copy = dataclasses.replace(consts)
+        # a copy starts with two empty K triangles and empty dicts of its own
+        assert (copy.k, copy.pi, copy.brackets) == ([(), ()], {}, {})
         copy.pi[0, 0] = 1.0
+        copy.k[0] = (1j,)
         assert copy == consts and hash(copy) == hash(consts)
-        assert "pi=" not in repr(copy)
-        assert copy.pi is not consts.pi
+        assert "pi=" not in repr(copy) and "k=" not in repr(copy)
+        assert copy.pi is not consts.pi and copy.k is not consts.k
 
     def test_negative_gamma_rejected(self, ref_cfg):
         with pytest.raises(DomainError):

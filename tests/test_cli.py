@@ -129,6 +129,15 @@ class TestMatrixCommand:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and "Traceback" not in err
 
+    def test_nan_pi_exit_3(self, capsys):
+        # at a 1e-25 m link K(20, 20) is inf + nan j, so Pi(10, 10) is NaN:
+        # a numerical failure, not a matrix with nan entries
+        code, out, err = run(capsys, "matrix", "--distance", "1e-25", "--rytov", "1e-3",
+                             "--pump-waist", "7.0710678", "--max-sum", "10", "--format", "csv")
+        assert code == EXIT_NUMERICAL
+        assert "pi_factor(10, 10)" in err and "Traceback" not in err
+        assert "nan" not in out
+
     @pytest.mark.parametrize("argv", [["--rytov", "1e20"], ["--rytov", "1.0000001"],
                                       ["--cn2", "1e-10"]])
     def test_strong_turbulence_exit_2(self, capsys, argv):

@@ -8,6 +8,7 @@ import functools
 import gc
 import math
 import pickle
+import random
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -379,6 +380,30 @@ class TestPiFactor:
         with pytest.raises(DomainError):
             pi_factor(11, 0, vac_consts)
 
+    def test_nan_pi_is_a_numerical_error(self):
+        # at a 1e-25 m link rho ~ 4.8e7, so K(20, 20) is inf + nan j and
+        # Pi(10, 10) is NaN; it is refused, named with c1 and c2, and not stored
+        cfg = OpticalConfig(0.8e-6, 1e-25, 7.0710678)
+        consts = derive_constants(cfg, TurbulenceSpec.from_rytov(1e-3).resolve(cfg).gamma)
+        k = k_kernel(20, 20, consts)
+        assert math.isinf(k.real) and math.isnan(k.imag)
+        assert math.isfinite(pi_factor(9, 10, consts))
+        for _ in range(2):
+            with pytest.raises(NumericalError,
+                               match=r"pi_factor\(10, 10\) .* c1=0\.04, c2=2\.09805e\+29"):
+                pi_factor(10, 10, consts)
+            assert (10, 10) not in consts.pi
+        with pytest.raises(NumericalError, match=r"pi_factor\(10, 10\)"):
+            probability_matrix(expand_modes(10), consts)
+
+    def test_infinities_of_both_signs_are_a_numerical_error(self, turb_consts):
+        # fsum raises ValueError on -inf + inf
+        fresh = dataclasses.replace(turb_consts)
+        with mock.patch.object(engine.math, "fsum", side_effect=ValueError("-inf + inf in fsum")):
+            with pytest.raises(NumericalError, match=r"pi_factor\(3, 2\)"):
+                pi_factor(3, 2, fresh)
+        assert not fresh.pi
+
     def test_vacuum_forbidden_orders_vanish(self, vac_consts, near_field_cfgs):
         # every Pi with odd mu + nu is a sum of vacuum K(odd, odd), each
         # exactly 0, at the reference geometry and in near field alike
@@ -628,6 +653,7 @@ class TestProbabilityMatrix:
     def test_concurrent_fills_are_consistent(self, ref_cfg):
         # idempotent cache writes: hammering the same evaluations from
         # several threads must agree bitwise with the serial answer
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
         consts = derive_constants(ref_cfg, turbulence_strength(0.0137))
@@ -651,6 +677,50 @@ class TestProbabilityMatrix:
         serial = tuple(pi_factor(mu, nu, consts)
                        for mu in range(4) for nu in range(4))
         assert serial == results[0]
+
+        # 8 threads fill one fresh set's 66 Pi, each in its own order, while
+        # a ninth reads the triangles: each parity's length is always a
+        # whole number of rows, and the values are bitwise the serial ones
+        keys = [(mu, nu) for mu in range(11) for nu in range(mu, 11)]
+        base = derive_constants(ref_cfg, turbulence_strength(0.0421))
+        engine._clear_tables()
+        fresh = dataclasses.replace(base)
+        rows = {r * (r + 1) // 2 for r in range(12)}
+        seen, done = set(), threading.Event()
+
+        def watch():
+            while not done.is_set():
+                seen.add(tuple(map(len, fresh.k)))
+
+        def fill(seed):
+            order = list(keys)
+            random.Random(seed).shuffle(order)
+            for mu, nu in order:
+                pi_factor(mu, nu, fresh)
+            return {key: pi_factor(*key, fresh) for key in keys}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(fill, range(8), timeout=120))
+        finally:
+            done.set()
+            watcher.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not watcher.is_alive()
+        seen.add(tuple(map(len, fresh.k)))
+        assert all(even in rows and odd in rows for even, odd in seen), seen
+        serial = dataclasses.replace(base)
+        want = {key: pi_factor(*key, serial).hex() for key in keys}
+        assert all({k: v.hex() for k, v in r.items()} == want for r in results)
+        # a fill that raced a longer one may have published fewer rows, never
+        # other values
+        for tri, full in zip(fresh.k, serial.k):
+            assert [z.real.hex() + z.imag.hex() for z in tri] == \
+                [z.real.hex() + z.imag.hex() for z in full[:len(tri)]]
 
 
 def _bits(values):
@@ -762,11 +832,16 @@ class TestKernelTables:
                 for b in range(a):
                     assert k_kernel(b, a, consts) == k_kernel(a, b, consts).conjugate(), (a, b)
 
-    def test_pi_factor_equals_full_double_sum(self, vac_consts, turb_consts):
+    def test_pi_factor_equals_full_double_sum(self, vac_consts, turb_consts, near_field_cfgs):
         # the triangle form, summed in reals, is bitwise the real part of the
-        # full complex double sum over s and t
+        # full complex double sum over s and t: at the reference geometry, in
+        # near field (Lambda0 = 3e-5) and far field (Lambda0 ~ 395), in vacuum
+        # and at rytov 0.02 and 0.1
         _clear_engine_caches()
-        for consts in (vac_consts, turb_consts):
+        cfgs = (near_field_cfgs[3e-5], OpticalConfig.from_w0(1.55e-6, 2e4, 0.005))
+        for consts in (vac_consts, turb_consts, *[
+                derive_constants(cfg, turbulence_strength(rytov))
+                for cfg in cfgs for rytov in (0.0, 0.02, 0.1)]):
             for mu in range(11):
                 for nu in range(mu, 11):
                     n = mu + nu
@@ -781,6 +856,57 @@ class TestKernelTables:
                     if -1e-12 <= want < 0.0:
                         want = 0.0
                     assert pi_factor(mu, nu, consts) == want, (mu, nu)
+
+    def test_stored_k_equals_per_entry_sum(self, ref_cfg, near_field_cfgs):
+        # cell i (i + 1) / 2 + j of the parity-p triangle is K(2 i + p, 2 j + p),
+        # bitwise the per-entry sum: kappa times the weight row times the
+        # bracket row, fsum of the real and imaginary parts, then the prefactor
+        def per_entry(a, b, c):
+            n = a + b
+            h, even, odd = engine._bracket_row(n, c)[:3]
+            weights = [kappa * w for kappa, w in zip(engine._kappas(a, b), odd if b % 2 else even)]
+            terms = [w * x for w, x in zip(weights, h) if w]
+            return 0.25 * 0.5 ** (n / 2) / c.c1 * (c.c1 * c.c2) ** (-n / 4) * _fsum(terms)
+
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        _clear_engine_caches()
+        cfgs = [ref_cfg, *near_field_cfgs.values(), OpticalConfig.from_w0(1.55e-6, 2e4, 0.005)]
+        for consts in [derive_constants(cfg, turbulence_strength(rytov))
+                       for cfg in cfgs for rytov in (0.0, 0.02, 0.1)]:
+            for mu in range(11):
+                for nu in range(mu, 11):
+                    pi_factor(mu, nu, consts)
+            for p, rows in ((0, 11), (1, 10)):
+                want = [bits(per_entry(2 * i + p, 2 * j + p, consts))
+                        for i in range(rows) for j in range(i + 1)]
+                assert list(map(bits, consts.k[p])) == want, (consts.c4, p)
+
+    @pytest.mark.parametrize("rytov", [0.0, 0.03])
+    def test_fill_order_does_not_change_the_bits(self, ref_cfg, rytov):
+        # the triangles grow by whole rows in whatever order the Pi are
+        # asked for, and every order gives the same entries and matrix bits
+        keys = [(mu, nu) for mu in range(11) for nu in range(mu, 11)]
+        shuffled = list(keys)
+        random.Random(15).shuffle(shuffled)
+        _clear_engine_caches()
+        base = derive_constants(ref_cfg, turbulence_strength(rytov))
+        filled = []
+        for order in (keys, keys[::-1], shuffled):
+            consts = dataclasses.replace(base)
+            for mu, nu in order:
+                pi_factor(mu, nu, consts)
+            filled.append(consts)
+        first = filled[0]
+        for consts in filled[1:]:
+            assert [[(z.real.hex(), z.imag.hex()) for z in t] for t in consts.k] == \
+                [[(z.real.hex(), z.imag.hex()) for z in t] for t in first.k]
+            assert {k: v.hex() for k, v in consts.pi.items()} == \
+                {k: v.hex() for k, v in first.pi.items()}
+        modes = expand_modes(10)
+        assert all(_bits(probability_matrix(modes, c).values) ==
+                   _bits(probability_matrix(modes, first).values) for c in filled[1:])
 
     def test_f_sums_match_per_term_f_kernel(self, vac_consts, turb_consts):
         for consts in (vac_consts, turb_consts):
@@ -905,13 +1031,13 @@ class TestKernelTables:
                     if (a + b) % 2:
                         assert got == 0
                     elif max(a, b) > 20:
-                        assert got == engine._k_value(a, b, consts)
+                        assert got == engine._k_values([(a // 2, b // 2, None)], a % 2,
+                                                       consts, {})[0]
             for mu in range(11):
                 for nu in range(11):
                     pi_factor(mu, nu, consts)
-            assert sorted(consts.k) == [(a, b) for a in range(21) for b in range(a + 1)
-                                        if (a + b) % 2 == 0]
-            assert len(consts.k) == 121 and len(consts.pi) == 66
+            # the even triangle holds K(0..20, 0..20), the odd K(1..19, 1..19)
+            assert [len(t) for t in consts.k] == [66, 55] and len(consts.pi) == 66
             # the bracket rows of every even total order K reads, no more
             assert sorted(consts.brackets) == list(range(0, 41, 2))
         first = sets[0].pi[10, 10]
@@ -921,13 +1047,13 @@ class TestKernelTables:
         info = table_info()
         assert info.sets.maxsize == 16 and info.sets.currsize == 16
         assert len(engine._live) <= 16
-        assert all(len(t.k) <= 121 and len(t.pi) <= 66 for t in engine._live.values())
+        assert all(sum(map(len, t.k)) <= 121 and len(t.pi) <= 66 for t in engine._live.values())
         assert info.k.currsize <= info.k.maxsize == 16 * 121
         assert info.pi.currsize <= info.pi.maxsize == 16 * 66
         # the sets held here are the tables' owners: the two that filled
         # first were emptied when the 17th and 18th filled
-        assert all((c.k, c.pi, c.brackets) == ({}, {}, {}) for c in sets[:2])
-        assert sum(len(c.k) for c in sets) == info.k.currsize
+        assert all((c.k, c.pi, c.brackets) == ([(), ()], {}, {}) for c in sets[:2])
+        assert sum(len(t) for c in sets for t in c.k) == info.k.currsize
         assert sum(len(c.pi) for c in sets) == info.pi.currsize
         # an emptied set fills again, and empties the set that filled next
         assert pi_factor(10, 10, sets[0]) == first
@@ -944,13 +1070,13 @@ class TestKernelTables:
                 pi_factor(mu, nu, turb_consts)
         fresh = make(turb_consts)
         assert fresh is not turb_consts and fresh == turb_consts
-        assert (fresh.k, fresh.pi, fresh.brackets) == ({}, {}, {})
+        assert (fresh.k, fresh.pi, fresh.brackets) == ([(), ()], {}, {})
         assert all(pi_factor(mu, nu, fresh) == turb_consts.pi[mu, nu]
                    for mu, nu in turb_consts.pi)
         # it owns tables of its own, which cache_clear empties too
         assert fresh.pi is not turb_consts.pi and id(fresh) in engine._live
         k_kernel.cache_clear()
-        assert (fresh.k, fresh.pi, fresh.brackets) == ({}, {}, {})
+        assert (fresh.k, fresh.pi, fresh.brackets) == ([(), ()], {}, {})
         modes = expand_modes(10)
         assert _bits(probability_matrix(modes, dataclasses.replace(turb_consts)).values) == \
             _bits(probability_matrix(modes, turb_consts).values)
@@ -964,25 +1090,29 @@ class TestKernelTables:
         k_kernel.cache_clear()
         assert derive_constants(ref_cfg, turbulence_strength(0.031)) is not held
         for consts in (held, fresh):
-            assert (consts.k, consts.pi, consts.brackets) == ({}, {}, {})
+            assert (consts.k, consts.pi, consts.brackets) == ([(), ()], {}, {})
             pi_factor(2, 3, consts)
             k_kernel(4, 2, consts)
         info = table_info()
         assert (info.pi.hits, info.pi.misses) == (0, 2)
-        # Pi(2, 3) reads six K of odd total order, and K(4, 2) is a seventh
-        assert (info.k.hits, info.k.misses) == (0, 2 * 7)
-        assert info.k.currsize == 2 * 7 and info.pi.currsize == 2
+        # Pi(2, 3) fills the six K of odd rows 0..2, and K(4, 2) the six of
+        # even rows 0..2, its own row included
+        assert (info.k.hits, info.k.misses) == (0, 2 * 12)
+        assert info.k.currsize == 2 * 12 and info.pi.currsize == 2
 
     def test_k_kernel_cache_info_counts_the_tables(self, vac_consts):
         _clear_engine_caches()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
+        # a miss fills whole rows: K(2, 0) fills K(0, 0), K(2, 0) and K(2, 2)
         k_kernel(2, 0, vac_consts)
+        assert k_kernel.cache_info() == (0, 3, 16 * 121, 3)
+        # K(0, 2) is the conjugate of a stored entry; odd a + b reads nothing
         k_kernel(0, 2, vac_consts)
         k_kernel(1, 2, vac_consts)
-        assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
-        # Pi(1, 1) reads the triangle K(2, 2), K(2, 0), K(0, 0): two new
-        pi_factor(1, 1, vac_consts)
-        assert k_kernel.cache_info() == (2, 3, 16 * 121, 3)
+        assert k_kernel.cache_info() == (1, 3, 16 * 121, 3)
+        # Pi(1, 3) reads even rows 0..2: three stored entries and three new
+        pi_factor(1, 3, vac_consts)
+        assert k_kernel.cache_info() == (4, 6, 16 * 121, 6)
         assert table_info().pi == (0, 1, 16 * 66, 1)
         k_kernel.cache_clear()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
