@@ -50,6 +50,11 @@ class RunConfig:
     output: str | None = None
 
 
+#: the keys _build_run_config reads
+_CONFIG_KEYS = ("wavelength", "distance", "pump_waist", "cn2", "rytov",
+                "modes", "max_sum", "normalize", "format", "output")
+
+
 def _read_config_file(path: str) -> dict:
     values: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
@@ -59,7 +64,10 @@ def _read_config_file(path: str) -> dict:
         key, sep, val = line.partition("=")
         if not sep:
             raise DomainError(f"config line is not key=value: {raw!r}")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise DomainError(f"unknown config key {key!r}")
+        values[key] = val.strip()
     return values
 
 
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip turbulence fixtures")
     p_val.add_argument("--output", type=str, help="write a JSON report here")
     p_val.add_argument("--nodes", type=int, default=DEFAULT_NODES,
-                       help=f"oracle quadrature nodes per axis, {MIN_NODES} to "
+                       help=f"oracle quadrature nodes in r, {MIN_NODES} to "
                             f"{MAX_NODES}; the convergence check also runs "
                             f"at twice this")
     return parser

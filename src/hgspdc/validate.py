@@ -150,10 +150,9 @@ def check_oracle(nodes: int = DEFAULT_NODES) -> CheckResult:
     and is self-converged under node doubling.
 
     The overlap table is computed at nodes and again at 2 * nodes; each pass
-    costs O(nodes^2) time and O(nodes) memory (see oracle.py), and nodes
-    above oracle.MAX_NODES raise DomainError before any array is built.
-    elapsed_s includes the one-time numpy import on the first oracle call
-    of a process: the oracle is the only part of the package that loads it.
+    costs O(nodes) time and constant memory (see oracle.py), and nodes
+    outside oracle.MIN_NODES..MAX_NODES raise DomainError before any
+    quadrature runs.
     """
     t0 = time.perf_counter()
     cfg = reference.reference_config()

@@ -194,10 +194,12 @@ class TestConfigFile:
 
     def test_malformed_line_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        for text in ("rytov 0.02\n", "max_sum=x\n", "rytov=x\n"):
+        for text in ("rytov 0.02\n", "max_sum=x\n", "rytov=x\n",
+                     "wavelenght=1.55e-6\n"):
             cfg.write_text(text)
             code, _, err = run(capsys, "matrix", "--config", str(cfg))
             assert code == EXIT_PARAMS, text
+        assert "'wavelenght'" in err  # the unknown key is named
 
     @pytest.mark.parametrize("command", ["matrix", "sweep", "rank"])
     def test_unknown_normalization_exit_2(self, capsys, tmp_path, command):

@@ -6,15 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hgspdc import oracle
+from hgspdc import oracle, reference
+from hgspdc.channel import OpticalConfig, derive_constants
 from hgspdc.engine import ModeIndex, ModePair, pi_factor
 from hgspdc.errors import DomainError, QuadratureResolutionError
 from hgspdc.oracle import (
     MAX_NODES,
     MAX_ORACLE_ORDER,
     QuadratureSpec,
-    _detection_mode,
-    _gauss_legendre,
     _overlap_grid,
     detection_phase_rate,
     detection_waist,
@@ -23,6 +22,15 @@ from hgspdc.oracle import (
     vacuum_overlap_1d,
     vacuum_probability_oracle,
 )
+
+#: rounded Fresnel ratio -> geometry, from the near field to the far field
+GEOMETRIES = {
+    0.0048: OpticalConfig.from_w0(0.6e-6, 1e3, 0.2),
+    0.127: reference.reference_config(),
+    0.51: OpticalConfig.from_w0(0.8e-6, 2e4, 0.1),
+    0.99: OpticalConfig.from_w0(1.55e-6, 2e4, 0.1),
+    3.95: OpticalConfig.from_w0(1.55e-6, 2e4, 0.05),
+}
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +53,8 @@ class TestQuadratureSpec:
 
         def fake_grid(cfg, spec, max_order, nodes):
             counts.append(nodes)
-            return np.ones((max_order + 1, max_order + 1), dtype=complex)
+            return {(mu, nu): 1 + 0j for mu in range(max_order + 1)
+                    for nu in range(max_order + 1)}
 
         monkeypatch.setattr(oracle, "_overlap_grid", fake_grid)
         spec = QuadratureSpec.for_config(ref_cfg, nodes=MAX_NODES, max_order=2)
@@ -91,11 +100,13 @@ class TestOverlaps:
         one = vacuum_overlap_1d(0, 2, ref_cfg, check_convergence=False)
         assert one == pytest.approx(table[0, 2], rel=1e-12)
 
-    def test_unresolved_quadrature_raises(self, ref_cfg):
-        # 64 nodes cannot resolve the Fresnel oscillation over this window
-        spec = QuadratureSpec.for_config(ref_cfg, nodes=64, max_order=2)
+    def test_unresolved_quadrature_raises(self):
+        # in the far field the window reaches +-45 W0 but the pump only ~4 W0,
+        # so 64 nodes in r cannot resolve it
+        cfg = GEOMETRIES[3.95]
+        spec = QuadratureSpec.for_config(cfg, nodes=64, max_order=2)
         with pytest.raises(QuadratureResolutionError):
-            overlap_table(ref_cfg, spec, max_order=2, check_convergence=True)
+            overlap_table(cfg, spec, max_order=2, check_convergence=True)
 
 
 class TestVacuumProbabilityOracle:
@@ -109,6 +120,11 @@ class TestVacuumProbabilityOracle:
         pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 1))
         got = vacuum_probability_oracle(pair, ref_cfg, table=table)
         assert got < 1e-6
+
+    def test_table_below_pair_order(self, ref_cfg, table):
+        pair = ModePair(ModeIndex(3, 0), ModeIndex(1, 0))
+        with pytest.raises(DomainError, match=r"orders <= 2, .* needs order 3"):
+            vacuum_probability_oracle(pair, ref_cfg, table=table)
 
     def test_engine_agreement_orders_two(self, ref_cfg, vac_consts, table):
         anchor = pi_factor(0, 0, vac_consts) ** 2
@@ -138,48 +154,44 @@ class TestVacuumProbabilityOracle:
         assert drift < 1e-4
 
 
-class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [64, 512, 1024])
-    def test_nodes_match_numpy(self, n):
-        x, _ = _gauss_legendre(n)
-        ref_x, _ = np.polynomial.legendre.leggauss(n)
-        assert np.all(np.abs(x - ref_x) <= 4 * np.spacing(np.abs(ref_x)))
+def detection_mode(n, x, waist, phase_rate):
+    """The normalized 1-D detection mode h_n on the array x."""
+    norm = (2.0 / math.pi) ** 0.25 / math.sqrt(waist * 2.0 ** n * math.factorial(n))
+    hermite = np.polynomial.hermite.hermval(math.sqrt(2.0) * x / waist, [0] * n + [1])
+    return norm * hermite * np.exp(-(x / waist) ** 2 + 1j * phase_rate * x ** 2)
 
-    @pytest.mark.parametrize("n", [64, 512, 1024])
-    def test_weights_integrate_even_monomials(self, n):
-        x, w = _gauss_legendre(n)
-        assert w.sum() == pytest.approx(2.0, abs=1e-14)
-        # an n-node rule is exact for degree <= 2n - 1
-        for j in (1, 2, 5, 20, n // 4, n // 2, n - 1):
-            assert w @ x ** (2 * j) == pytest.approx(2.0 / (2 * j + 1), rel=1e-13)
 
-    def test_odd_count_is_symmetric_with_zero_node(self):
-        x, w = _gauss_legendre(65)
-        assert x[32] == 0.0
-        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+def dense_reference(cfg, spec, order):
+    """A(mu, nu) as the dense contraction M E diag(w g) E^T M^T on one
+    Gauss-Legendre grid in x1, x2 and r, with nodes x nodes matrices."""
+    unit_x, unit_w = np.polynomial.legendre.leggauss(spec.nodes)
+    x = spec.half_width * unit_x
+    wx = spec.half_width * unit_w
+    kappa = cfg.wavenumber / (2.0 * cfg.distance)
+    kernel = np.exp(1j * kappa * (x[:, None] - x[None, :]) ** 2)
+    pump_w = wx * np.exp(-(x / cfg.pump_waist) ** 2)
+    contracted = (kernel * pump_w) @ kernel.T
+    modes = np.array([
+        np.conj(detection_mode(n, x, detection_waist(cfg), detection_phase_rate(cfg))) * wx
+        for n in range(order + 1)])
+    return modes @ contracted @ modes.T
 
 
 class TestOverlapGrid:
-    def test_matches_dense_contraction(self, ref_cfg):
-        # the E diag(w g) E^T contraction, with its nodes x nodes matrices
-        order = 2
-        spec = QuadratureSpec.for_config(ref_cfg, nodes=512, max_order=order)
-        nodes, weights = _gauss_legendre(spec.nodes)
-        x = spec.half_width * nodes
-        wx = spec.half_width * weights
-        kappa = ref_cfg.wavenumber / (2.0 * ref_cfg.distance)
-        kernel = np.exp(1j * kappa * (x[:, None] - x[None, :]) ** 2)
-        pump_w = wx * np.exp(-(x / ref_cfg.pump_waist) ** 2)
-        contracted = (kernel * pump_w) @ kernel.T
-        modes = np.array([
-            np.conj(_detection_mode(n, x, detection_waist(ref_cfg),
-                                    detection_phase_rate(ref_cfg))) * wx
-            for n in range(order + 1)])
-        dense = modes @ contracted @ modes.T
-
-        got = _overlap_grid(ref_cfg, spec, order, spec.nodes)
-        assert np.abs(got - dense).max() <= 1e-12 * abs(dense[0, 0])
-        assert np.array_equal(got, got.T)
+    def test_matches_dense_contraction(self):
+        # the near-field geometry is left out: no Gauss-Legendre grid of at
+        # most 4096 nodes resolves its Fresnel kernel in x
+        order = MAX_ORACLE_ORDER
+        keys = [(mu, nu) for mu in range(order + 1) for nu in range(order + 1)]
+        for lam0 in (0.127, 0.51, 0.99, 3.95):
+            cfg = GEOMETRIES[lam0]
+            spec = QuadratureSpec.for_config(cfg, nodes=1024, max_order=order)
+            dense = dense_reference(cfg, spec, order)
+            got = _overlap_grid(cfg, spec, order, spec.nodes)
+            assert sorted(got) == keys
+            dev = max(abs(got[key] - dense[key]) for key in keys) / abs(dense[0, 0])
+            assert dev <= 1e-12, lam0
+            assert all(got[mu, nu] == got[nu, mu] for mu, nu in keys)
 
     def test_memory_stays_below_one_dense_kernel(self, ref_cfg):
         overlap_table(ref_cfg, max_order=1, check_convergence=False)  # warm imports
@@ -191,3 +203,28 @@ class TestOverlapGrid:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes
+
+
+_DRIFT = "the closed form's vacuum ratios drift from the oracle's as Lambda0 grows"
+
+
+@pytest.mark.parametrize("lam0, bound", [
+    (0.0048, 1e-9),  # measured 5.2e-10
+    (0.127, 1e-3),  # measured 2.4e-4
+    # criterion 4's tolerance; measured 2.0e-2, 5.2e-2 and 4.4e-1
+    pytest.param(0.51, 1e-2, marks=pytest.mark.xfail(strict=True, reason=_DRIFT)),
+    pytest.param(0.99, 1e-2, marks=pytest.mark.xfail(strict=True, reason=_DRIFT)),
+    pytest.param(3.95, 1e-2, marks=pytest.mark.xfail(strict=True, reason=_DRIFT)),
+])
+def test_vacuum_ratio_drift(lam0, bound):
+    # worst |oracle/closed - 1| over Pi(mu, nu)/Pi(0, 0), mu + nu even
+    cfg = GEOMETRIES[lam0]
+    assert cfg.fresnel_ratio == pytest.approx(lam0, rel=1e-2)
+    table = overlap_table(cfg, QuadratureSpec.for_config(cfg, nodes=512))
+    consts = derive_constants(cfg)
+    worst = max(
+        abs(abs(table[mu, nu] / table[0, 0]) ** 2
+            / (pi_factor(mu, nu, consts) / pi_factor(0, 0, consts)) - 1.0)
+        for mu in range(MAX_ORACLE_ORDER + 1) for nu in range(MAX_ORACLE_ORDER + 1)
+        if (mu + nu) % 2 == 0)
+    assert worst <= bound

@@ -1,7 +1,8 @@
-"""Start-up path: only the quadrature oracle loads numpy.
+"""Start-up path: no command, the oracle's included, loads numpy.
 
-Each case runs in a fresh interpreter, since numpy stays in sys.modules once
-any test in this process has loaded it.
+The package is stdlib only; numpy is a test extra. Each case runs in a fresh
+interpreter, since numpy stays in sys.modules once any test in this process
+has loaded it.
 """
 
 import json
@@ -46,9 +47,9 @@ def test_commands_leave_numpy_unloaded(argv):
     """)
 
 
-def test_validate_loads_numpy_and_oracle_agrees(tmp_path):
+def test_validate_leaves_numpy_unloaded_and_oracle_agrees(tmp_path):
     report = tmp_path / "report.json"
-    assert numpy_loaded_after(f"""
+    assert not numpy_loaded_after(f"""
         from hgspdc import cli
         assert cli.main(["validate", "--vacuum-only", "--output", {str(report)!r}]) == 0
     """)
