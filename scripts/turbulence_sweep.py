@@ -8,7 +8,7 @@ Default pairs: the retained (00,00) channel and the leaking (00,01) channel.
 import argparse
 
 from hgspdc import reference
-from hgspdc.cli import EXIT_NUMERICAL, _parse_pair
+from hgspdc.cli import EXIT_NUMERICAL, EXIT_PARAMS, _emit, _parse_pair
 from hgspdc.engine import NORMALIZATION_CALIBRATED, rytov_sweep
 from hgspdc.errors import DomainError, NumericalError
 from hgspdc.serialization import sweep_params, sweep_to_csv
@@ -38,8 +38,10 @@ def main():
         parser.exit(EXIT_NUMERICAL, f"error: numerical failure: {exc}\n")
 
     text = sweep_to_csv(grid, series, sweep_params(cfg, NORMALIZATION_CALIBRATED))
-    with open(args.output, "w") as fh:
-        fh.write(text)
+    try:
+        _emit(text, args.output)
+    except DomainError as exc:
+        parser.exit(EXIT_PARAMS, f"error: invalid parameters: {exc}\n")
     print(f"wrote {args.output} ({len(grid)} grid points, {len(pairs)} pairs)")
     for name, values in series.items():
         print(f"  {name}: {values[0]:.5f} -> {values[-1]:.5f}")

@@ -1,8 +1,8 @@
 """Command-line surface: matrices, turbulence sweeps, robust-mode ranking
 and the validation suite, with CSV/JSON output.
 
-Exit codes: 0 success, 1 validation failure, 2 invalid parameters,
-3 numerical failure.
+Exit codes: 0 success, 1 validation failure, 2 invalid parameters or an
+unusable config or output path, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -56,8 +56,13 @@ _CONFIG_KEYS = ("wavelength", "distance", "pump_waist", "cn2", "rytov",
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"cannot read config {path}: {reason}") from None
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -144,10 +149,13 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
+    if not output:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _compute_matrix(cfg: RunConfig):
@@ -249,7 +257,7 @@ def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NOD
         if not r.passed:
             print(f"      {r.detail}")
     if output:
-        Path(output).write_text(json.dumps(report, indent=2))
+        _emit(json.dumps(report, indent=2), output)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 

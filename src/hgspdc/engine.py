@@ -16,6 +16,9 @@ K(b, a) is the exact conjugate of K(a, b), so the form is real term pair by
 term pair and Pi reads one triangle of K. Each g_s is one geometry factor
 times a polynomial with exact, geometry-free coefficients. The sums mix
 signs, so they go through math.fsum, which rounds the exact sum in any order.
+Every Pi is judged once, against its own sum of |terms|: pi_factor returns
+a finite value >= 0 or raises NumericalError, so matrices and sweeps only
+multiply.
 
 Bounded caches keep each kernel value once. Four lru_caches hold
 geometry-free numbers, built on first use: _gamma_half (Gamma(j/2), the
@@ -45,11 +48,10 @@ import cmath
 import math
 import weakref
 from collections import namedtuple
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, compress
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 
 from .channel import (
     DEFAULT_W_VARIANT,
@@ -86,6 +88,14 @@ _real, _imag = attrgetter("real"), attrgetter("imag")
 _NEGATIVE_CLAMP = 1e-12
 
 
+def _orders(*orders) -> tuple[int, ...]:
+    """orders as ints by operator.index; DomainError for a non-integer."""
+    try:
+        return tuple(map(index, orders))
+    except TypeError:
+        raise DomainError(f"orders must be integers, got {orders}") from None
+
+
 @dataclass(frozen=True, order=True)
 class ModeIndex:
     """Transverse mode orders (m, n) along the two Cartesian axes."""
@@ -94,7 +104,7 @@ class ModeIndex:
     n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+        if min(_orders(self.m, self.n)) < 0:
             raise DomainError(f"mode orders must be nonnegative, got ({self.m}, {self.n})")
 
     def label(self) -> str:
@@ -131,6 +141,7 @@ def expand_modes(max_sum: int) -> list[ModeIndex]:
 
     This matches the reference ordering 00, 01, 10, 02, 11, 20, ...
     """
+    max_sum, = _orders(max_sum)
     if max_sum < 0:
         raise DomainError(f"max_sum must be >= 0, got {max_sum}")
     return [ModeIndex(m, s - m) for s in range(max_sum + 1) for m in range(s + 1)]
@@ -400,6 +411,7 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
     exact conjugate; a miss fills whole rows, and an order above
     2 * DEFAULT_MAX_ORDER is computed without being stored.
     """
+    a, b = _orders(a, b)
     if a < 0 or b < 0:
         raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
     if (a + b) % 2:
@@ -442,7 +454,14 @@ def _pi_value(mu: int, nu: int, consts: DerivedConstants) -> float:
     pref = 1.0 / (cfg.wavelength ** 2 * cfg.distance ** 2 * math.sqrt(math.pi * consts.b1)
                   * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu))
     result = pref * math.fsum(chain(full, compress(full, _OFF_DIAGONAL)))
-    if -_NEGATIVE_CLAMP <= result < 0.0:
+    if -math.inf < result < 0.0:
+        # Pi is a mean |overlap|^2: only roundoff makes it negative (-inf fails in pi_factor)
+        floor = _NEGATIVE_CLAMP * pref * math.fsum(
+            map(abs, chain(full, compress(full, _OFF_DIAGONAL))))
+        if result < -floor:
+            raise NumericalError(f"Pi({mu}, {nu}) = {result:.6g} is negative beyond the floor "
+                                 f"{floor:.3g} at gamma={consts.gamma:.6g}, "
+                                 f"Lambda0={cfg.fresnel_ratio:.6g}")
         result = 0.0
     return result
 
@@ -451,9 +470,12 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
     """Per-axis probability factor: the kernel quadratic form with prefactor.
 
     Symmetric in (mu, nu); the table key is sorted so the symmetry is exact.
-    NumericalError if the value is not finite, which a kernel term that
-    leaves the float range (c2/c1 huge) makes: inf, or NaN from inf - inf.
+    The one sign gate: a sum negative within _NEGATIVE_CLAMP of its sum of
+    |terms| reads 0.0. NumericalError if it is negative beyond that or not
+    finite, as a kernel term beyond the float range (c2/c1 huge) makes it.
     """
+    if type(mu) is not int or type(nu) is not int:  # ints, the hot lookups, skip the call
+        mu, nu = _orders(mu, nu)
     if mu < 0 or nu < 0:
         raise DomainError(f"orders must be nonnegative, got ({mu}, {nu})")
     if max(mu, nu) > DEFAULT_MAX_ORDER:
@@ -554,21 +576,6 @@ def _calibration_factor(consts: DerivedConstants,
     return reference_value / anchor
 
 
-def _clamp_and_scale(rows: list[list[float]], factor: float,
-                     entry: Callable[[int, int], str]) -> list[list[float]]:
-    """Scale raw probabilities by factor. Entries negative by at most
-    _NEGATIVE_CLAMP of the largest magnitude in rows are roundoff and become
-    0; a deeper negative entry raises NumericalError, which names it by
-    entry(row, column) and gives its scaled value."""
-    floor = -_NEGATIVE_CLAMP * max((abs(v) for row in rows for v in row), default=0.0)
-    for i, row in enumerate(rows):
-        low = min(row)
-        if low < floor:
-            raise NumericalError(f"P{entry(i, row.index(low))} = {low * factor:.6g} "
-                                 "is negative beyond the floor")
-    return [[0.0 if v < 0.0 else v * factor for v in row] for row in rows]
-
-
 def _check_normalization(normalization: str) -> None:
     if normalization not in (NORMALIZATION_RAW, NORMALIZATION_CALIBRATED):
         raise DomainError(f"unknown normalization {normalization!r}")
@@ -606,10 +613,9 @@ def probability_matrix(
     m_orders, n_orders = sorted(set(ms)), sorted(set(ns))
     keys = sorted({(0, 0), *combinations_with_replacement(m_orders, 2),
                    *combinations_with_replacement(n_orders, 2)})
-    found = [pi_factor(a, b, consts) for a, b in keys]
     pi: dict[int, dict[int, float]] = {a: {} for a in {0, *m_orders, *n_orders}}
-    for (a, b), value in zip(keys, found):
-        pi[a][b] = pi[b][a] = value
+    for a, b in keys:
+        pi[a][b] = pi[b][a] = pi_factor(a, b, consts)
     # row s is pi[s.m][i.m] * pi[s.n][i.n] over the idlers i, from one
     # gathered column per distinct order
     col_m = {a: list(map(pi[a].__getitem__, ms)) for a in m_orders}
@@ -621,14 +627,8 @@ def probability_matrix(
     norm = Normalization(normalization, _ANCHOR_PAIR, reference_value if calibrated else None,
                          factor, raw_ref)
 
-    if min(found) >= 0.0:
-        # every entry is a product of nonnegatives: nothing to clamp
-        values = tuple([tuple([factor * (x * y) for x, y in zip(col_m[m], col_n[n])])
-                        for m, n in zip(ms, ns)])
-    else:
-        values = tuple(map(tuple, _clamp_and_scale(
-            [list(map(mul, col_m[m], col_n[n])) for m, n in zip(ms, ns)], factor,
-            lambda i, j: ModePair(ordering[i], ordering[j]).label())))
+    values = tuple([tuple([factor * (x * y) for x, y in zip(col_m[m], col_n[n])])
+                    for m, n in zip(ms, ns)])
     return ProbabilityMatrix(ordering, values, consts, norm, turbulence)
 
 
@@ -673,10 +673,6 @@ def rytov_sweep(
               if normalization == NORMALIZATION_CALIBRATED else 1.0)
     # point by point, each point's constant set derived in turn, so a long
     # grid holds no more sets than derive_constants keeps
-    series: list[list[float]] = [[] for _ in pairs]
-    for gamma in gammas:
-        consts = derive_constants(cfg, gamma)
-        for row, pair in zip(series, pairs):
-            row.append(joint_probability(pair, consts))
-    return _clamp_and_scale(series, factor,
-                            lambda i, j: f"{pairs[i].label()} at rytov {grid[j]}")
+    points = [[factor * joint_probability(pair, consts) for pair in pairs]
+              for consts in (derive_constants(cfg, gamma) for gamma in gammas)]
+    return [list(series) for series in zip(*points)]

@@ -30,9 +30,11 @@ beta = -2 i kappa r, whose moments (DLMF 7.4) are
     m_0 = sqrt(pi/alpha) exp[beta^2 / (4 alpha)],
     m_(j+1) = (beta m_j + j m_(j-1)) / (2 alpha),
 
-and A(mu, nu) = int dr g(r) P_mu(r) P_nu(r). That integrand is smooth and
-negligible at the window's edge, so the trapezoid rule in r converges
-geometrically in the node count. Time is O(max_order^2 * nodes) and memory
+and A(mu, nu) = int dr g(r) P_mu(r) P_nu(r). |P_n| decays too, so the pump
+sets the r-window: +-sqrt(16 ln 10) ~ 6.07 pump waists, where g < 1e-16, at
+any order. The integrand is smooth, so the trapezoid rule converges
+geometrically: 64 nodes match 4096 within 3.5e-15 of |A(0, 0)| at every
+Lambda0 above, orders <= 4. Time is O(max_order^2 * nodes) and memory
 O(max_order^2), in pure Python.
 """
 
@@ -51,8 +53,8 @@ OverlapTable = dict[tuple[int, int], complex]
 
 MIN_NODES = 64
 DEFAULT_NODES = 512
-#: window must cover at least this many times the widest mode's radius
-WINDOW_RADII = 5.0
+#: the r-window's half-width in pump waists: beyond it g(r) < 1e-16
+WINDOW_PUMP_WAISTS = math.sqrt(16.0 * math.log(10.0))
 #: node doubling must move results by less than this (relative)
 CONVERGENCE_RTOL = 1e-4
 MAX_ORACLE_ORDER = 4
@@ -72,11 +74,6 @@ def detection_phase_rate(cfg: OpticalConfig) -> float:
     return cfg.wavenumber / (4.0 * radius)
 
 
-def mode_radius(order: int, waist: float) -> float:
-    """Transverse extent of a 1-D mode of the given order."""
-    return waist * math.sqrt(order + 1.0)
-
-
 def check_node_count(nodes: int) -> None:
     if not MIN_NODES <= nodes <= MAX_NODES:
         raise DomainError(f"nodes must be from {MIN_NODES} to {MAX_NODES}, got {nodes}")
@@ -85,7 +82,8 @@ def check_node_count(nodes: int) -> None:
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Trapezoid resolution: window half-width and nodes in r. The
-    transverse scale is the detection waist of the configuration."""
+    window is set by the pump, the only factor of the r-integrand that
+    decays (see the module docstring)."""
 
     half_width: float
     nodes: int = DEFAULT_NODES
@@ -96,17 +94,14 @@ class QuadratureSpec:
             raise DomainError("half_width must be positive")
 
     @classmethod
-    def for_config(cls, cfg: OpticalConfig, nodes: int = DEFAULT_NODES,
-                   max_order: int = MAX_ORACLE_ORDER) -> "QuadratureSpec":
-        return cls(WINDOW_RADII * mode_radius(max_order, detection_waist(cfg)), nodes)
+    def for_config(cls, cfg: OpticalConfig, nodes: int = DEFAULT_NODES) -> "QuadratureSpec":
+        return cls(WINDOW_PUMP_WAISTS * cfg.pump_waist, nodes)
 
-    def check_window(self, cfg: OpticalConfig, max_order: int) -> None:
-        need = WINDOW_RADII * mode_radius(max_order, detection_waist(cfg))
+    def check_window(self, cfg: OpticalConfig) -> None:
+        need = WINDOW_PUMP_WAISTS * cfg.pump_waist
         if self.half_width < need:
-            raise DomainError(
-                f"half_width {self.half_width:.4g} m is below {WINDOW_RADII}x the "
-                f"widest mode radius ({need:.4g} m)"
-            )
+            raise DomainError(f"half_width {self.half_width:.4g} m is below {need:.4g} m, "
+                              f"{WINDOW_PUMP_WAISTS:.3g} pump waists, where the pump is 1e-16")
 
 
 def _mode_polynomial(n: int, waist: float) -> list[tuple[int, float]]:
@@ -165,8 +160,8 @@ def overlap_table(cfg: OpticalConfig, spec: QuadratureSpec | None = None,
             f"oracle supports orders <= {MAX_ORACLE_ORDER} (quadrature cost guard)"
         )
     if spec is None:
-        spec = QuadratureSpec.for_config(cfg, max_order=max_order)
-    spec.check_window(cfg, max_order)
+        spec = QuadratureSpec.for_config(cfg)
+    spec.check_window(cfg)
     table = _overlap_grid(cfg, spec, max_order, spec.nodes)
     if check_convergence:
         fine = _overlap_grid(cfg, spec, max_order, 2 * spec.nodes)

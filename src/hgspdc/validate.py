@@ -157,7 +157,7 @@ def check_oracle(nodes: int = DEFAULT_NODES) -> CheckResult:
     t0 = time.perf_counter()
     cfg = reference.reference_config()
     consts = derive_constants(cfg)
-    spec = QuadratureSpec.for_config(cfg, nodes=nodes, max_order=2)
+    spec = QuadratureSpec.for_config(cfg, nodes=nodes)
     table = overlap_table(cfg, spec, max_order=2, check_convergence=True)
     anchor_engine = pi_factor(0, 0, consts) ** 2
     worst = 0.0

@@ -252,12 +252,10 @@ class TestSweepCommand:
         assert all(a > b for a, b in zip(p0000, p0000[1:]))
         assert p0001[0] < 1e-10 and all(a < b for a, b in zip(p0001, p0001[1:]))
 
-    def test_negative_probability_exit_3(self, capsys, monkeypatch):
-        # a probability 1e-6 of the series peak below zero is far past the
-        # 1e-12 floor; the sweep rejects it as a matrix would
-        values = iter([1.0, 1.0, -1e-6])
-        monkeypatch.setattr(engine, "joint_probability",
-                            lambda pair, consts: next(values))
+    def test_negative_probability_exit_3(self, capsys, negate_k):
+        # with K negated at rytov 0.01, Pi(9, 10) there is negative far past
+        # its floor; the sweep rejects it as a matrix would
+        negate_k(lambda p, consts: consts.gamma > 0)
         code, out, err = run(capsys, "sweep", "--grid", "0,0.01", "--pairs", "9,0:10,0")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and out == ""
@@ -307,6 +305,33 @@ class TestRankCommand:
     def test_missing_turbulence_exit_2(self, capsys):
         code, _, err = run(capsys, "rank")
         assert code == EXIT_PARAMS
+
+
+class TestPathErrors:
+    """A config file that cannot be read or an output path that cannot be
+    written is a parameter error, exit 2 with one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix"], ["sweep", "--grid", "0,0.01"], ["rank", "--rytov", "0.02"],
+        ["validate", "--vacuum-only", "--nodes", "64"]], ids=lambda argv: argv[0])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, _, err = run(capsys, *argv, "--output", str(path))
+        assert code == EXIT_PARAMS
+        assert err == f"error: invalid parameters: cannot write {path}: " \
+                      "No such file or directory\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exit_2(self, capsys, tmp_path, kind):
+        path = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+                "not-utf8": tmp_path / "binary.cfg"}[kind]
+        if kind == "not-utf8":
+            path.write_bytes(b"rytov=\xff\xfe\n")
+        code, out, err = run(capsys, "matrix", "--config", str(path))
+        assert code == EXIT_PARAMS and out == ""
+        assert err.startswith(f"error: invalid parameters: cannot read config {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestValidateCommand:

@@ -9,6 +9,7 @@ import gc
 import math
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -27,6 +28,7 @@ from hgspdc.channel import (
     turbulence_strength,
 )
 from hgspdc.engine import (
+    DEFAULT_MAX_ORDER,
     DEFAULT_ORDERING,
     ModeIndex,
     ModePair,
@@ -404,6 +406,34 @@ class TestPiFactor:
                 pi_factor(3, 2, fresh)
         assert not fresh.pi
 
+    @pytest.mark.parametrize("excess,error", [
+        (1.9e-12, None), (2.1e-12, r"Pi\(0, 3\) = -\S+ is negative beyond"),
+        (math.inf, r"pi_factor\(3, 0\) leaves the float range")])
+    def test_sign_gate_floor(self, turb_consts, monkeypatch, fill_k, excess, error):
+        # Pi(0, 3) sums to -2 excess of 4 of terms: within 1e-12 of their
+        # magnitude it is roundoff and reads 0.0, beyond it a named fault;
+        # -inf is not finite, never roundoff
+        _craft_pi_03(monkeypatch, fill_k, excess)
+        if error is None:
+            assert pi_factor(3, 0, turb_consts) == 0.0
+        else:
+            with pytest.raises(NumericalError, match=error):
+                pi_factor(3, 0, turb_consts)
+            assert (0, 3) not in turb_consts.pi
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.floats(0.6e-6, 1.6e-6), st.floats(1e3, 2e4), st.floats(0.05, 0.2),
+           st.floats(0.0, 1.0))
+    def test_every_pi_is_finite_and_nonnegative(self, wavelength, distance, w0, rytov):
+        # Pi is a mean |overlap|^2: over the documented range no sum is
+        # negative past its floor, so no pi_factor raises
+        cfg = OpticalConfig.from_w0(wavelength, distance, w0)
+        consts = derive_constants(cfg, TurbulenceSpec.from_rytov(rytov).resolve(cfg).gamma)
+        for mu in range(DEFAULT_MAX_ORDER + 1):
+            for nu in range(mu, DEFAULT_MAX_ORDER + 1):
+                value = pi_factor(mu, nu, consts)
+                assert math.isfinite(value) and value >= 0.0, (mu, nu)
+
     def test_vacuum_forbidden_orders_vanish(self, vac_consts, near_field_cfgs):
         # every Pi with odd mu + nu is a sum of vacuum K(odd, odd), each
         # exactly 0, at the reference geometry and in near field alike
@@ -510,6 +540,16 @@ class TestModeHandling:
         with pytest.raises(DomainError):
             ModeIndex(-1, 0)
 
+    @pytest.mark.parametrize("call", [
+        lambda c: pi_factor(1.0, 0, c), lambda c: pi_factor(0, 1.5, c),
+        lambda c: k_kernel(2.0, 0, c), lambda c: ModeIndex(1.5, 0),
+        lambda c: ModeIndex(0, "1"), lambda c: expand_modes(2.5),
+    ], ids=["pi_factor-1.0", "pi_factor-1.5", "k_kernel-2.0", "ModeIndex-1.5",
+            "ModeIndex-str", "expand_modes-2.5"])
+    def test_non_integer_orders_rejected(self, vac_consts, call):
+        with pytest.raises(DomainError, match="orders must be integers"):
+            call(vac_consts)
+
 
 class TestProbabilityMatrix:
     def test_single_mode_grid(self, vac_consts):
@@ -547,67 +587,27 @@ class TestProbabilityMatrix:
         with pytest.raises(CalibrationError):
             probability_matrix(DEFAULT_ORDERING, vac_consts)
 
-    def test_failure_names_entry(self, vac_consts, monkeypatch):
-        # the first deep negative entry in row order is (00,01); the error
-        # gives its calibrated value, not the raw one
-        monkeypatch.setattr(engine, "pi_factor",
-                            lambda mu, nu, consts: -1e-3 if {mu, nu} == {0, 1} else 1.0)
-        with pytest.raises(NumericalError, match=r"P\(00,01\) = -0.00031307 "):
-            probability_matrix(DEFAULT_ORDERING, vac_consts)
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.builds(ModeIndex, st.integers(0, 10), st.integers(0, 10)),
-                    min_size=1, max_size=12, unique=True),
-           st.sampled_from([0.0, 0.02, 0.1]), st.booleans())
-    def test_fast_path_equals_clamp_and_scale(self, ref_cfg, modes, rytov, calibrated):
-        # with no negative Pi a matrix skips the floor scan; its entries are
-        # bitwise the ones the scan path gives
-        consts = derive_constants(ref_cfg, turbulence_strength(rytov))
-        normalization = "calibrated" if calibrated else NORMALIZATION_RAW
-        m = probability_matrix(modes, consts, normalization=normalization)
-        assert _bits(m.values) == _bits(_scan_path(modes, consts, normalization))
-
-    def test_floor_scan_runs_only_for_a_negative_pi(self, turb_consts, monkeypatch):
-        modes = expand_modes(10)
-        with mock.patch.object(engine, "_clamp_and_scale",
-                               wraps=engine._clamp_and_scale) as scan:
-            probability_matrix(modes, turb_consts)
-            assert scan.call_count == 0
-            # a deep negative still fails on a large grid, naming its entry
-            monkeypatch.setattr(engine, "pi_factor",
-                                lambda mu, nu, consts: -1e-3 if {mu, nu} == {0, 1} else 1.0)
-            with pytest.raises(NumericalError, match=r"P\(00,01\) = -0.00031307 "):
-                probability_matrix(modes, turb_consts)
-            assert scan.call_count == 1
+    def test_failure_names_entry(self, ref_cfg, turb_consts, negate_k):
+        # with odd K negated, Pi(0, 1) is the first Pi the grid reads that
+        # is negative; the error names it, its floor, gamma and Lambda0
+        negate_k(lambda p, consts: p and consts.gamma > 0)
+        ok = re.escape(f"at gamma={turb_consts.gamma:.6g}, Lambda0={ref_cfg.fresnel_ratio:.6g}")
+        with pytest.raises(NumericalError, match=r"Pi\(0, 1\) = -\S+ is negative beyond "
+                                                 r"the floor \S+ " + ok):
+            probability_matrix(DEFAULT_ORDERING, turb_consts)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-7])
-    def test_roundoff_negative_pi_reads_zero(self, vac_consts, monkeypatch, scale):
-        # a Pi of -1e-13 of the peak Pi makes entries -1e-13 of the peak entry
-        monkeypatch.setattr(engine, "pi_factor",
-                            lambda mu, nu, consts: -1e-13 * scale if {mu, nu} == {0, 1}
-                            else scale)
-        modes = expand_modes(10)
-        m = probability_matrix(modes, vac_consts)
-        assert m.value(ModeIndex(0, 0), ModeIndex(0, 1)) == 0.0
-        assert m.value(ModeIndex(0, 0), ModeIndex(1, 0)) == 0.0
-        assert m.value(ModeIndex(0, 0), ModeIndex(0, 0)) == pytest.approx(0.31307, rel=1e-15)
-        assert _bits(m.values) == _bits(_scan_path(modes, vac_consts, "calibrated"))
-
-    @pytest.mark.parametrize("nan_at,negative", [
-        ((0, 0), False), ((1, 2), False), ((1, 2), True), ((0, 0), True)])
-    def test_nan_pi_matches_scan_path(self, vac_consts, monkeypatch, nan_at, negative):
-        # min over the Pi values skips a NaN unless it comes first; either way
-        # the matrix is the scan path's
-        def fake(mu, nu, consts):
-            if (min(mu, nu), max(mu, nu)) == nan_at:
-                return math.nan
-            return -1e-13 if negative and {mu, nu} == {0, 3} else 0.5
-
-        monkeypatch.setattr(engine, "pi_factor", fake)
-        modes = expand_modes(4)
-        for normalization in ("calibrated", NORMALIZATION_RAW):
-            m = probability_matrix(modes, vac_consts, normalization=normalization)
-            assert _bits(m.values) == _bits(_scan_path(modes, vac_consts, normalization))
+    def test_roundoff_negative_pi_reads_zero(self, turb_consts, monkeypatch, fill_k, scale):
+        # a Pi(0, 3) sum of -2e-13 scale against 4 scale of terms is roundoff
+        # at any scale: it reads 0, and so do the entries that read it
+        modes = [ModeIndex(0, 0), ModeIndex(0, 3)]
+        before = probability_matrix(modes, turb_consts).values
+        assert pi_factor(0, 3, turb_consts) > 0.0
+        _craft_pi_03(monkeypatch, fill_k, 1e-13, scale)
+        assert pi_factor(0, 3, turb_consts) == 0.0
+        m = probability_matrix(modes, turb_consts)
+        assert m.values[0][1] == m.values[1][0] == 0.0
+        assert m.values[0][0] == before[0][0] and m.values[1][1] == before[1][1]
 
     def test_turbulence_gamma_must_match_consts(self, ref_cfg, turb_consts):
         # metadata resolved for vacuum must not label a turbulent matrix
@@ -638,8 +638,7 @@ class TestProbabilityMatrix:
         assert calls == sorted(want)
         for s, row in zip(modes, m.values):
             for i, v in zip(modes, row):
-                p = joint_probability(ModePair(s, i), consts)
-                assert v == p or (v == 0.0 and p < 0.0)
+                assert v == joint_probability(ModePair(s, i), consts)
 
     def test_memoization_distinct_pi_count(self, ref_cfg):
         # a 10-mode matrix costs O(N) distinct pi evaluations, not O(N^2):
@@ -728,13 +727,17 @@ def _bits(values):
     return [[float(v).hex() for v in row] for row in values]
 
 
-def _scan_path(modes, consts, normalization):
-    """The matrix with every entry through _clamp_and_scale: per-pair
-    products of whatever pi_factor the engine module holds."""
-    raw = [[joint_probability(ModePair(s, i), consts) for i in modes] for s in modes]
-    factor = (engine._calibration_factor(consts) if normalization == "calibrated"
-              else 1.0)
-    return engine._clamp_and_scale(raw, factor, lambda i, j: f"{i},{j}")
+def _craft_pi_03(monkeypatch, fill_k, excess, scale=1.0):
+    """Make Pi(0, 3) of every set filled from now on pref * scale * (2 + 2 x),
+    x = -1 - excess, below the sign gate: F sums (1, 1) and odd K rows 0..1
+    (1, x, 1) times scale, so its terms are scale, scale and x scale twice,
+    about 4 scale in magnitude, and the floor about 4e-12 scale pref."""
+    f_sums = engine._f_sums
+    monkeypatch.setattr(engine, "_f_sums", lambda mu, nu, zeta, w:
+                        (1.0, 1.0) if (mu, nu) == (0, 3) else f_sums(mu, nu, zeta, w))
+    crafted = {0: scale, 1: (-1.0 - excess) * scale, 2: scale}
+    fill_k(lambda values, cells, p, consts:
+           [crafted.get(f, v) if p else v for v, (_, _, f) in zip(values, cells)])
 
 
 def _fsum(terms):
@@ -1190,31 +1193,27 @@ class TestChannelPath:
         assert info.sets.misses == 500
         assert info.pi.misses == 4 * 500
 
-    def test_sweep_clamps_like_a_matrix(self, ref_cfg, monkeypatch):
-        # roundoff below zero within 1e-12 of the series peak reads as 0; a
-        # deeper negative probability is a numerical failure
-        pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 1))
+    def test_sweep_clamps_like_a_matrix(self, ref_cfg, monkeypatch, fill_k):
+        # a Pi within the floor of its terms reads as 0 at every point; one
+        # beyond it is a numerical failure
+        pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 3))
 
-        def sweep(residue):
-            values = iter([1.0, residue])
-            monkeypatch.setattr(engine, "joint_probability",
-                                lambda pair, consts: next(values))
-            return rytov_sweep(ref_cfg, [0.0, 0.01], [pair],
-                               normalization=NORMALIZATION_RAW)
+        def sweep(excess):
+            _craft_pi_03(monkeypatch, fill_k, excess)
+            return rytov_sweep(ref_cfg, [0.0, 0.01], [pair], normalization=NORMALIZATION_RAW)
 
-        assert sweep(-1e-13) == [[1.0, 0.0]]
-        with pytest.raises(NumericalError):
-            sweep(-1e-11)
+        assert sweep(1e-13) == [[0.0, 0.0]]
+        with pytest.raises(NumericalError, match=r"Pi\(0, 3\)"):
+            sweep(1e-11)
 
-    def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, monkeypatch):
-        # the error gives the calibrated value, not the raw one
+    def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, negate_k):
+        # with odd K negated at rytov 0.01, the sweep stops at the first Pi
+        # of a pair there that is negative, named with that point's gamma
         bad = ModePair(ModeIndex(9, 0), ModeIndex(10, 0))
-        monkeypatch.setattr(
-            engine, "joint_probability",
-            lambda pair, consts: -1e-6 if pair == bad and consts.gamma else 1.0)
+        negate_k(lambda p, consts: p and consts.gamma > 0)
         pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), bad]
-        with pytest.raises(NumericalError,
-                           match=r"P\(90,10,0\) at rytov 0.01 = -3.1307e-07 "):
+        gamma = re.escape(f"gamma={turbulence_strength(0.01):.6g}, ")
+        with pytest.raises(NumericalError, match=r"Pi\(9, 10\) = -\S+ .* " + gamma):
             rytov_sweep(ref_cfg, [0.0, 0.01], pairs)
 
     @pytest.mark.parametrize("grid,normalization", [

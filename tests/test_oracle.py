@@ -17,7 +17,6 @@ from hgspdc.oracle import (
     _overlap_grid,
     detection_phase_rate,
     detection_waist,
-    mode_radius,
     overlap_table,
     vacuum_overlap_1d,
     vacuum_probability_oracle,
@@ -57,7 +56,7 @@ class TestQuadratureSpec:
                     for nu in range(max_order + 1)}
 
         monkeypatch.setattr(oracle, "_overlap_grid", fake_grid)
-        spec = QuadratureSpec.for_config(ref_cfg, nodes=MAX_NODES, max_order=2)
+        spec = QuadratureSpec.for_config(ref_cfg, nodes=MAX_NODES)
         overlap_table(ref_cfg, spec, max_order=2, check_convergence=True)
         assert counts == [MAX_NODES, 2 * MAX_NODES]
 
@@ -65,12 +64,15 @@ class TestQuadratureSpec:
         w = detection_waist(ref_cfg)
         tight = QuadratureSpec(half_width=2 * w, nodes=128)
         with pytest.raises(DomainError):
-            tight.check_window(ref_cfg, max_order=2)
+            tight.check_window(ref_cfg)
 
     def test_default_window_scales_with_order(self, ref_cfg):
-        spec = QuadratureSpec.for_config(ref_cfg, max_order=4)
-        w = detection_waist(ref_cfg)
-        assert spec.half_width == pytest.approx(5 * mode_radius(4, w), rel=1e-14)
+        # the window is set by the pump alone, where g(r) < 1e-16, at any
+        # order: sqrt(16 ln 10) ~ 6.07 pump waists, 0.429 m here
+        spec = QuadratureSpec.for_config(ref_cfg)
+        assert spec.half_width == pytest.approx(6.0697 * ref_cfg.pump_waist, rel=1e-4)
+        assert spec.half_width == pytest.approx(0.4292, rel=1e-4)
+        spec.check_window(ref_cfg)
 
     def test_order_cap(self, ref_cfg):
         with pytest.raises(DomainError):
@@ -101,12 +103,22 @@ class TestOverlaps:
         assert one == pytest.approx(table[0, 2], rel=1e-12)
 
     def test_unresolved_quadrature_raises(self):
-        # in the far field the window reaches +-45 W0 but the pump only ~4 W0,
-        # so 64 nodes in r cannot resolve it
+        # a window of +-45 W0 in the far field, where the pump reaches ~4 W0:
+        # 64 nodes in r cannot resolve it
         cfg = GEOMETRIES[3.95]
-        spec = QuadratureSpec.for_config(cfg, nodes=64, max_order=2)
+        spec = QuadratureSpec(45 * cfg.w0, nodes=64)
         with pytest.raises(QuadratureResolutionError):
             overlap_table(cfg, spec, max_order=2, check_convergence=True)
+
+    @pytest.mark.parametrize("nodes", [64, 128])
+    def test_far_field_converges_with_few_nodes(self, nodes):
+        # the pump's window at Lambda0 = 3.95: 64 and 128 nodes agree with
+        # 4096 to roundoff, and node doubling passes the check
+        cfg = GEOMETRIES[3.95]
+        got = overlap_table(cfg, QuadratureSpec.for_config(cfg, nodes=nodes))
+        want = overlap_table(cfg, QuadratureSpec.for_config(cfg, nodes=MAX_NODES),
+                             check_convergence=False)
+        assert max(abs(got[key] - want[key]) for key in want) <= 1e-14 * abs(want[0, 0])
 
 
 class TestVacuumProbabilityOracle:
@@ -142,7 +154,7 @@ class TestVacuumProbabilityOracle:
                             assert orc < 1e-6
 
     def test_convergence_under_node_doubling(self, ref_cfg):
-        spec = QuadratureSpec.for_config(ref_cfg, nodes=512, max_order=2)
+        spec = QuadratureSpec.for_config(ref_cfg, nodes=512)
         coarse = overlap_table(ref_cfg, spec, max_order=2, check_convergence=False)
         fine = overlap_table(
             ref_cfg, QuadratureSpec(spec.half_width, 1024),
@@ -161,12 +173,15 @@ def detection_mode(n, x, waist, phase_rate):
     return norm * hermite * np.exp(-(x / waist) ** 2 + 1j * phase_rate * x ** 2)
 
 
-def dense_reference(cfg, spec, order):
+def dense_reference(cfg, nodes, order):
     """A(mu, nu) as the dense contraction M E diag(w g) E^T M^T on one
-    Gauss-Legendre grid in x1, x2 and r, with nodes x nodes matrices."""
-    unit_x, unit_w = np.polynomial.legendre.leggauss(spec.nodes)
-    x = spec.half_width * unit_x
-    wx = spec.half_width * unit_w
+    Gauss-Legendre grid in x1, x2 and r, with nodes x nodes matrices, over
+    +-5 W sqrt(order + 1) with W the detection waist: wide enough for the
+    detection modes in x, and for the pump in r."""
+    half_width = 5 * detection_waist(cfg) * math.sqrt(order + 1)
+    unit_x, unit_w = np.polynomial.legendre.leggauss(nodes)
+    x = half_width * unit_x
+    wx = half_width * unit_w
     kappa = cfg.wavenumber / (2.0 * cfg.distance)
     kernel = np.exp(1j * kappa * (x[:, None] - x[None, :]) ** 2)
     pump_w = wx * np.exp(-(x / cfg.pump_waist) ** 2)
@@ -185,8 +200,8 @@ class TestOverlapGrid:
         keys = [(mu, nu) for mu in range(order + 1) for nu in range(order + 1)]
         for lam0 in (0.127, 0.51, 0.99, 3.95):
             cfg = GEOMETRIES[lam0]
-            spec = QuadratureSpec.for_config(cfg, nodes=1024, max_order=order)
-            dense = dense_reference(cfg, spec, order)
+            spec = QuadratureSpec.for_config(cfg, nodes=1024)
+            dense = dense_reference(cfg, spec.nodes, order)
             got = _overlap_grid(cfg, spec, order, spec.nodes)
             assert sorted(got) == keys
             dev = max(abs(got[key] - dense[key]) for key in keys) / abs(dense[0, 0])

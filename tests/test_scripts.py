@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hgspdc import engine, reference
+from hgspdc import reference
 from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,11 +57,10 @@ def test_turbulence_sweep_rejects_too_few_steps(tmp_path, args):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_turbulence_sweep_numerical_failure(tmp_path, monkeypatch, capsys):
-    # in-process, so that a probability 1e-6 of the series peak below zero
-    # can be injected
-    monkeypatch.setattr(engine, "joint_probability",
-                        lambda pair, consts: -1e-6 if consts.gamma else 1.0)
+def test_turbulence_sweep_numerical_failure(tmp_path, monkeypatch, capsys, negate_k):
+    # in-process, so that K negated at every turbulent point, and with it a
+    # Pi negative far past its floor, can be injected
+    negate_k(lambda p, consts: consts.gamma > 0)
     monkeypatch.setattr(sys, "argv", ["turbulence_sweep.py", "--pairs", "9,0:10,0",
                                       "--output", "out.csv"])
     monkeypatch.chdir(tmp_path)
@@ -71,6 +70,15 @@ def test_turbulence_sweep_numerical_failure(tmp_path, monkeypatch, capsys):
     assert exc.value.code == EXIT_NUMERICAL
     assert "numerical failure" in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_turbulence_sweep_unwritable_output(tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    proc = run_script("turbulence_sweep.py", "--output", str(path), cwd=tmp_path)
+    assert proc.returncode == EXIT_PARAMS
+    assert proc.stderr == f"error: invalid parameters: cannot write {path}: " \
+                          "No such file or directory\n"
+    assert proc.stdout == ""
 
 
 def test_turbulence_sweep_vacuum_forbidden_high_orders(tmp_path):
