@@ -28,7 +28,7 @@ from .engine import (
     selection_rule_allowed,
 )
 from .errors import DomainError, NumericalError
-from .oracle import DEFAULT_NODES, MAX_NODES, MIN_NODES
+from .oracle import DEFAULT_NODES, MAX_NODES, MIN_NODES, check_node_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -148,12 +148,13 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None, mode: str = "w") -> None:
     if not output:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return
     try:
-        Path(output).write_text(text)
+        with open(output, mode) as fh:
+            fh.write(text)
     except OSError as exc:
         raise DomainError(f"cannot write {output}: {exc.strerror or exc}") from None
 
@@ -245,6 +246,11 @@ def cmd_rank(cfg: RunConfig) -> int:
 
 
 def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NODES) -> int:
+    # a bad node count or report path fails before any check runs; appending
+    # nothing leaves an existing report as it is
+    check_node_count(nodes)
+    if output:
+        _emit("", output, "a")
     results = validate.run_checks(vacuum_only=vacuum_only, oracle_nodes=nodes)
     report = {
         "passed": all(r.passed for r in results),

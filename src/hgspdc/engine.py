@@ -659,6 +659,7 @@ def rytov_sweep(
 
     Only the requested pairs are evaluated at each grid point; calibrated
     series share the factor a calibrated matrix over the same geometry uses.
+    A NumericalError names the pair and the Rytov value it failed at.
     """
     grid, pairs = list(grid), list(pairs)
     if not grid:
@@ -673,6 +674,14 @@ def rytov_sweep(
               if normalization == NORMALIZATION_CALIBRATED else 1.0)
     # point by point, each point's constant set derived in turn, so a long
     # grid holds no more sets than derive_constants keeps
-    points = [[factor * joint_probability(pair, consts) for pair in pairs]
-              for consts in (derive_constants(cfg, gamma) for gamma in gammas)]
+    points = []
+    for rytov, gamma in zip(grid, gammas):
+        consts = derive_constants(cfg, gamma)
+        point = []
+        for pair in pairs:
+            try:
+                point.append(factor * joint_probability(pair, consts))
+            except NumericalError as exc:
+                raise NumericalError(f"P{pair.label()} at rytov {rytov:g}: {exc}") from None
+        points.append(point)
     return [list(series) for series in zip(*points)]

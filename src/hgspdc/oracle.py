@@ -17,7 +17,7 @@ propagated beam's wavefront curvature, i.e. a quadratic phase rate
 phi = k / (4 R(z)) with R(z) = z (1 + 1/Lambda0^2). It is recorded in metadata.
 How closely it reproduces the closed form's vacuum ratios depends on the
 Fresnel ratio: the worst |oracle/closed - 1| over Pi(mu, nu)/Pi(0, 0),
-mu + nu even, orders <= 4, 512 nodes, is
+mu + nu even, orders <= 4, 128 nodes (512 give the same digits), is
 
     Lambda0   0.0048    0.127    0.51     0.99     3.95
     worst     5.2e-10   2.4e-4   2.0e-2   5.2e-2   4.4e-1
@@ -52,7 +52,7 @@ from .errors import DomainError, QuadratureResolutionError
 OverlapTable = dict[tuple[int, int], complex]
 
 MIN_NODES = 64
-DEFAULT_NODES = 512
+DEFAULT_NODES = 128
 #: the r-window's half-width in pump waists: beyond it g(r) < 1e-16
 WINDOW_PUMP_WAISTS = math.sqrt(16.0 * math.log(10.0))
 #: node doubling must move results by less than this (relative)

@@ -337,6 +337,7 @@ class TestPathErrors:
 class TestValidateCommand:
     def test_vacuum_only_passes(self, capsys, tmp_path):
         report = tmp_path / "report.json"
+        report.write_text("x" * 100_000)  # an older, longer file is replaced
         code, out, _ = run(capsys, "validate", "--vacuum-only",
                            "--output", str(report))
         assert code == EXIT_OK
@@ -381,12 +382,27 @@ class TestValidateCommand:
         assert code == EXIT_PARAMS
         assert "invalid parameters" in err
 
+    def test_unwritable_report_fails_before_any_check(self, capsys, monkeypatch, tmp_path):
+        # exit 2 with the path error alone: no check runs, no PASS/FAIL line
+        def not_run():
+            raise AssertionError("a check ran before the report path was checked")
+
+        monkeypatch.setattr(validate, "ALL_CHECKS", (not_run,) * len(validate.ALL_CHECKS))
+        report = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "validate", "--output", str(report))
+        assert code == EXIT_PARAMS and out == ""
+        assert err == f"error: invalid parameters: cannot write {report}: " \
+                      "No such file or directory\n"
+
     @pytest.mark.parametrize("nodes", [10, oracle.MAX_NODES + 1])
-    def test_node_count_checked_before_any_check(self, capsys, monkeypatch, nodes):
+    def test_node_count_checked_before_any_check(self, capsys, monkeypatch, tmp_path,
+                                                 nodes):
         def not_run():
             raise AssertionError("a check ran before the node count was checked")
 
         monkeypatch.setattr(validate, "ALL_CHECKS", (not_run,) * len(validate.ALL_CHECKS))
-        code, _, err = run(capsys, "validate", "--nodes", str(nodes))
-        assert code == EXIT_PARAMS
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "validate", "--nodes", str(nodes), "--output", str(report))
+        assert code == EXIT_PARAMS and out == ""
         assert "invalid parameters" in err
+        assert not report.exists()  # checked before the report path is opened

@@ -1208,12 +1208,14 @@ class TestChannelPath:
 
     def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, negate_k):
         # with odd K negated at rytov 0.01, the sweep stops at the first Pi
-        # of a pair there that is negative, named with that point's gamma
+        # of a pair there that is negative, named with the pair, the Rytov
+        # value and that point's gamma
         bad = ModePair(ModeIndex(9, 0), ModeIndex(10, 0))
         negate_k(lambda p, consts: p and consts.gamma > 0)
         pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), bad]
         gamma = re.escape(f"gamma={turbulence_strength(0.01):.6g}, ")
-        with pytest.raises(NumericalError, match=r"Pi\(9, 10\) = -\S+ .* " + gamma):
+        with pytest.raises(NumericalError, match=r"^P\(90,10,0\) at rytov 0\.01: "
+                                                 r"Pi\(9, 10\) = -\S+ .* " + gamma):
             rytov_sweep(ref_cfg, [0.0, 0.01], pairs)
 
     @pytest.mark.parametrize("grid,normalization", [

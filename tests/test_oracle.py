@@ -66,7 +66,7 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             tight.check_window(ref_cfg)
 
-    def test_default_window_scales_with_order(self, ref_cfg):
+    def test_default_window_is_set_by_the_pump(self, ref_cfg):
         # the window is set by the pump alone, where g(r) < 1e-16, at any
         # order: sqrt(16 ln 10) ~ 6.07 pump waists, 0.429 m here
         spec = QuadratureSpec.for_config(ref_cfg)

@@ -1,9 +1,12 @@
 """Validation checks against plain reference computations."""
 
+import pytest
+
 from hgspdc import reference
 from hgspdc.channel import derive_constants, turbulence_strength
 from hgspdc.engine import ModeIndex, ModePair, expand_modes, joint_probability
-from hgspdc.validate import check_symmetry_factorization
+from hgspdc.oracle import MAX_NODES
+from hgspdc.validate import _series_reference, check_oracle, check_symmetry_factorization
 
 
 def _relative_gap(p, q):
@@ -47,3 +50,34 @@ def test_symmetry_factorization_matches_nested_loops():
     result = check_symmetry_factorization()
     assert result.max_deviation == worst
     assert result.passed
+
+
+def _series_loop(a, b, c, x):
+    # the alternating 2F1 series and its sum of |term|, written plainly
+    total, term, scale = 1.0, 1.0, 1.0
+    for n in range(20_000):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
+        total += term
+        scale += abs(term)
+        if abs(term) < 1e-17 * max(abs(total), 1e-300):
+            break
+    return total, scale
+
+
+def test_series_reference_matches_plain_loop():
+    # bitwise, over check_specfun's grid and the slow x = -0.99
+    grid = (-0.5, 0.5, 1.0, 1.5)
+    for a in grid:
+        for b in grid:
+            for c in grid:
+                for x in (-0.9, -0.7, -0.5, -0.3, -0.1, -0.99):
+                    got = _series_reference(a, b, c, x)
+                    want = _series_loop(a, b, c, x)
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (a, b, c, x)
+
+
+def test_oracle_default_nodes_match_the_cap():
+    # the default node count resolves the allowed-pair deviation as well as
+    # the most nodes allowed
+    assert check_oracle().max_deviation == pytest.approx(
+        check_oracle(MAX_NODES).max_deviation, rel=0, abs=1e-14)
