@@ -44,10 +44,8 @@ from .errors import (
     NumericalError,
     PoleError,
     QuadratureResolutionError,
-    RegimeError,
 )
 from .oracle import QuadratureSpec, vacuum_overlap_1d, vacuum_probability_oracle
-from .specfun import HalfInteger, gamma_half, hyp2f1_real, hyp2f1_terminating
 
 __version__ = "0.1.0"
 
@@ -59,7 +57,6 @@ __all__ = [
     "DEFAULT_W_VARIANT",
     "DerivedConstants",
     "DomainError",
-    "HalfInteger",
     "ModeIndex",
     "ModePair",
     "NumericalError",
@@ -68,7 +65,6 @@ __all__ = [
     "ProbabilityMatrix",
     "QuadratureResolutionError",
     "QuadratureSpec",
-    "RegimeError",
     "STRENGTH_COEFF_CALIBRATED",
     "STRENGTH_COEFF_TEXTBOOK",
     "TurbulenceSpec",
@@ -76,9 +72,6 @@ __all__ = [
     "derive_constants",
     "expand_modes",
     "f_kernel",
-    "gamma_half",
-    "hyp2f1_real",
-    "hyp2f1_terminating",
     "joint_probability",
     "k_kernel",
     "parse_mode",

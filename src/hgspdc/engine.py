@@ -21,8 +21,8 @@ a finite value >= 0 or raises NumericalError, so matrices and sweeps only
 multiply.
 
 Bounded caches keep each kernel value once. Four lru_caches hold
-geometry-free numbers, built on first use: _gamma_half (Gamma(j/2), the
-floats specfun.gamma_half returns), _f_coefficients (the F-sum polynomials
+geometry-free numbers, built on first use: _gamma_half (Gamma(j/2) by
+its exact recursion), _f_coefficients (the F-sum polynomials
 of one mu <= nu <= DEFAULT_MAX_ORDER, at most 66 rows), _bracket_coefficients
 and _kappas (K's bracket polynomials and weights). _f_sums, the g_s of one
 (mu, nu), is keyed on (mu, nu, zeta, w), which depend only on the geometry,
@@ -65,7 +65,6 @@ from .channel import (
 )
 from .errors import CalibrationError, DomainError, NumericalError
 from .reference import CALIBRATION_REFERENCE
-from .specfun import HalfInteger, gamma_half, hyp2f1_terminating
 
 DEFAULT_MAX_ORDER = 10
 
@@ -177,18 +176,36 @@ def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> comp
     # (-1)^((k+l)/2)
     i_power = -1 if (k + l) % 4 == 2 else 1
     val = math.comb(mu, k) * math.comb(nu, l) * 2 ** (mu + nu) * sig
-    val = val * i_power * gamma_half(HalfInteger(k + l + 1))
+    val = val * i_power * _gamma_half(k + l + 1)
     val *= (math.sqrt(2.0) / consts.w) ** (mu + nu - k - l)
     val *= cmath.sqrt(1 - zeta) * cmath.sqrt(zeta) ** (k + l)
-    val *= hyp2f1_terminating(k, l, HalfInteger(1 - k - l), 1 / (2 * zeta))
+    val *= _hyp2f1_terminating(k, l, (1 - k - l) / 2, 1 / (2 * zeta))
     return val
+
+
+def _hyp2f1_terminating(k: int, l: int, c: float, x: complex) -> complex:
+    """2F1(-k, -l; c; x), the finite sum over n = 0..min(k, l) by the term
+    ratio (-k + n)(-l + n) / ((c + n)(n + 1)) x. f_kernel's c = (1 - k - l)/2
+    is a half-odd integer at even k + l, so no denominator vanishes."""
+    total = term = 1.0 + 0.0j
+    for n in range(min(k, l)):
+        term *= (-k + n) * (-l + n) / ((c + n) * (n + 1)) * x
+        total += term
+    return total
 
 
 @lru_cache(maxsize=_GAMMA_CACHE_SIZE)
 def _gamma_half(twice: int) -> float:
-    """gamma_half(twice / 2), the same float: the Gamma values F and the
-    brackets read depend on no geometry, so each is computed once."""
-    return gamma_half(HalfInteger(twice))
+    """Gamma(twice / 2) for twice >= 1 by the exact recursion
+    Gamma(x + 1) = x Gamma(x) from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi). The
+    values F and the brackets read depend on no geometry, so each is
+    computed once."""
+    if twice <= 0:
+        raise DomainError(f"Gamma(x) needs x > 0, got x = {twice}/2")
+    acc = math.sqrt(math.pi) if twice % 2 else 1.0
+    for t in range(2 - twice % 2, twice, 2):
+        acc *= t / 2
+    return acc
 
 
 def _kappa(j: int, m: int, m2: int) -> int:

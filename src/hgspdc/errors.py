@@ -11,15 +11,15 @@ class DomainError(ValueError):
 
 
 class PoleError(ArithmeticError):
-    """A hypergeometric series hit a Pochhammer zero in a denominator."""
+    """A hypergeometric series hit a Pochhammer zero in a denominator.
+
+    Nothing in hgspdc raises it any more; it stays because
+    perfbench/worker.py counts it among the typed failures it catches.
+    """
 
 
 class NumericalError(RuntimeError):
     """A computation failed to meet its accuracy or sanity contract."""
-
-
-class RegimeError(NumericalError):
-    """Not raised: a channel beyond the weak-fluctuation range is a DomainError."""
 
 
 class QuadratureResolutionError(NumericalError):
