@@ -33,6 +33,7 @@ from .engine import (
     k_kernel,
     parse_mode,
     pi_factor,
+    pi_seeds,
     probability_matrix,
     rytov_sweep,
     selection_rule_allowed,
@@ -76,6 +77,7 @@ __all__ = [
     "k_kernel",
     "parse_mode",
     "pi_factor",
+    "pi_seeds",
     "probability_matrix",
     "rytov_sweep",
     "rytov_to_cn2",

@@ -5,8 +5,8 @@ constants the overlap kernels read: zeta, w, b1 and c1..c4, each in a closed
 form free of cancellation (see DerivedConstants).
 
 Everything here is a pure function over immutable inputs; DerivedConstants is
-a frozen value object safe to share between threads, and the kernel tables
-the engine keeps on it only ever gain values computed from its own fields.
+a frozen value object safe to share between threads, and the tables the
+engine keeps on it only ever gain values computed from its own fields.
 """
 
 from __future__ import annotations
@@ -215,12 +215,12 @@ class DerivedConstants:
       c1,2 = Re A2 -/+ a3/2 and c3 = Im A2 by subtracting nearly equal terms
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
-    - k, pi, brackets: the engine's kernel tables of this set (see engine.py):
-      k is K as two flat lower triangles, one per parity of a + b, with
-      K(2 i + p, 2 j + p) at i (i + 1) / 2 + j; pi and brackets are dicts of
-      Pi(mu <= nu) and of the K bracket rows per total order. Equality,
-      hashing and repr ignore them, and dataclasses.replace, copy and
-      pickle start a copy with empty tables.
+    - seeds, pi: the engine's tables of this set (see engine.py): seeds
+      holds, once computed, the generating-function seeds C, alpha, beta and
+      delta that fix every Pi, and pi is a dict of Pi(mu <= nu), filled
+      through a top order in one update. Equality, hashing and repr ignore
+      them, and dataclasses.replace, copy and pickle start a copy with empty
+      tables.
     """
 
     cfg: OpticalConfig
@@ -234,9 +234,8 @@ class DerivedConstants:
     c2: float
     c3: float
     c4: float
-    k: list = field(default_factory=lambda: [(), ()], init=False, compare=False, repr=False)
+    seeds: list = field(default_factory=list, init=False, compare=False, repr=False)
     pi: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __reduce__(self):
         return DerivedConstants, tuple(getattr(self, f.name) for f in fields(self) if f.init)

@@ -255,6 +255,7 @@ def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NOD
     report = {
         "passed": all(r.passed for r in results),
         "checks": [r.as_dict() for r in results],
+        "pi_seeds": validate.reference_seeds(),
     }
     for r in results:
         status = "PASS" if r.passed else "FAIL"

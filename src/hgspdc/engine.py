@@ -7,50 +7,54 @@ build_matrix and rytov_sweep are the one path from channel inputs
 (geometry plus turbulence) to calibrated probabilities; the CLI, the
 validation suite and the scripts all go through them.
 
-k_kernel is one sum over s = p + q of integer Krawtchouk weights times a
-bracket h(s, a + b - s); pairing s with a + b - s evaluates each bracket
-once and makes the vacuum selection-rule zeros exact. Pi is a quadratic
-form in the per-order sums g_s of F, since k_kernel reads only total orders,
-and a matrix reads its entries from one table of the distinct Pi it needs.
-K(b, a) is the exact conjugate of K(a, b), so the form is real term pair by
-term pair and Pi reads one triangle of K. Each g_s is one geometry factor
-times a polynomial with exact, geometry-free coefficients. The sums mix
-signs, so they go through math.fsum, which rounds the exact sum in any order.
-Every Pi is judged once, against its own sum of |terms|: pi_factor returns
-a finite value >= 0 or raises NumericalError, so matrices and sweeps only
-multiply.
+Pi(mu, nu) is the closed form's mean |HG overlap|^2, the quadratic form
+P0 / (mu! nu! 2^(mu+nu)) sum F(k1, l1) F(k3, l3)* K(N - k1 - l1, N - k3 - l3)
+over the per-term kernels, N = mu + nu, P0 = 1 / (lambda^2 z^2 sqrt(pi b1)).
+Its generating function is C exp(quadratic), so four numbers per constant
+set fix every Pi:
 
-Bounded caches keep each kernel value once. Four lru_caches hold
-geometry-free numbers, built on first use: _gamma_half (Gamma(j/2) by
-its exact recursion), _f_coefficients (the F-sum polynomials
-of one mu <= nu <= DEFAULT_MAX_ORDER, at most 66 rows), _bracket_coefficients
-and _kappas (K's bracket polynomials and weights). _f_sums, the g_s of one
-(mu, nu), is keyed on (mu, nu, zeta, w), which depend only on the geometry,
-so every Rytov value over one geometry and its vacuum anchor share them.
-Each DerivedConstants owns the rest. k holds K as two flat, row-major lower
-triangles, one per parity p: entry i (i + 1) / 2 + j, j <= i, is
-K(2 i + p, 2 j + p), so Pi(mu, nu) reads the leading (mu + nu) // 2 + 1 rows
-of parity (mu + nu) % 2 (at most 66 + 55 = 121 entries). A fill extends a
-triangle by whole rows in one assignment, so a concurrent reader sees the
-old triangle or the new one. pi holds Pi(mu <= nu) (at most 66), and
-brackets the h(s, n - s), K weights and K prefactor of each even total
-order n (at most 21). derive_constants keeps the 16 most recent sets, so no
-lookup here hashes a constant set, and at most 16 sets hold tables: a set's
-first K fill past that empties the tables of the set that filled first, even
-one a caller still holds. table_info() reports the hits, misses and sizes.
-All functions are pure and fills store values computed from the set's own
-fields, so concurrent use is safe.
+    Pi(mu, nu) = C mu! nu! / 2^(mu+nu) sum_k delta^k k! |v_k(mu, nu)|^2,
+
+v_0(m, n) = [s^m t^n] exp(alpha (s^2 + t^2) + beta s t), by
+(m + 1) v_0(m + 1, n) = 2 alpha v_0(m - 1, n) + beta v_0(m, n - 1), and
+v_k(m, n) = (v_(k-1)(m - 1, n) + v_(k-1)(m, n - 1)) / k: the
+multivariate-Hermite recursion of Miatto & Quesada (Quantum 4, 366, 2020),
+Mehler's kernel in vacuum. C = Pi(0, 0) is real and positive, alpha and
+beta are complex, and delta >= 0 is the variance of the random displacement
+that turbulence shares between the photons, exactly 0 in vacuum. pi_seeds
+reads them off the kernels of orders <= 2. Every term of the sum is >= 0,
+so nothing cancels, and v_k vanishes unless k has the parity of m + n, so
+vacuum Pi with odd mu + nu are exactly 0. The fill runs over the triangle
+m <= n, v_k being symmetric, and skips the parity zeros.
+
+Each DerivedConstants keeps its seeds, computed and checked once, and its
+table pi of Pi(mu <= nu). A fill computes every Pi(m <= n <= top) and
+publishes them in one dict update, each value independent of top and of
+fill order. A pi_factor miss fills through the order it needs;
+probability_matrix and rytov_sweep ask for Pi(top, top) of their grid's top
+order first, so one fill serves every Pi they read. Seeds that are not
+finite, C <= 0 or delta < 0 are the one NumericalError, which names the set.
+
+f_kernel and k_kernel are the per-term references. k_kernel is one sum
+over s = p + q of integer Krawtchouk weights times a bracket
+h(s, a + b - s); pairing s with a + b - s evaluates each bracket once and
+makes the vacuum selection-rule zeros exact, and K(b, a) is the exact
+conjugate of K(a, b). Bounded lru_caches hold K, keyed on its orders and
+c1..c4, and the geometry-free numbers, built on first use: _gamma_half
+(Gamma(j/2) by its exact recursion), _bracket_coefficients and _kappas
+(K's bracket polynomials and weights) and the fill's indexing _plan.
+table_info() reports the hits and misses. All functions are pure and fills
+store values computed from the set's own fields, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, compress
+from itertools import combinations_with_replacement
 from operator import attrgetter, index, mul
 
 from .channel import (
@@ -68,23 +72,14 @@ from .reference import CALIBRATION_REFERENCE
 
 DEFAULT_MAX_ORDER = 10
 
-# One constant set reads at most 121 K, 21 bracket rows (even n <= 40) and
-# 66 Pi, so 66 rows of F sums; the F-sum cache holds those of the
-# DERIVED_SETS = 16 sets that hold tables. The geometry-free tables hold
-# every row those orders read, and Gamma(j/2) for odd j <= 41.
+# The per-term form of Pi(mu, nu) reads K up to order 2 * DEFAULT_MAX_ORDER:
+# the K cache holds that triangle for DERIVED_SETS sets, the geometry-free
+# tables its bracket rows and weights, and the Gamma cache the Gamma(j/2),
+# j <= 21, that F reads.
 _K_TOP = 2 * DEFAULT_MAX_ORDER
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
-_F_ROWS = (DEFAULT_MAX_ORDER + 1) * (DEFAULT_MAX_ORDER + 2) // 2
-_F_CACHE_SIZE = DERIVED_SETS * _F_ROWS
 _GAMMA_CACHE_SIZE = 2 * DEFAULT_MAX_ORDER + 1
-# the K triangles' cells in row-major order, (i, j, flat index), whose rows
-# 0..r are the first _ENTRIES[r + 1]
-_ENTRIES = tuple(r * (r + 1) // 2 for r in range(DEFAULT_MAX_ORDER + 2))
-_CELLS = tuple((i, j, _ENTRIES[i] + j) for i in range(DEFAULT_MAX_ORDER + 1) for j in range(i + 1))
-_OFF_DIAGONAL = tuple(i != j for i, j, _ in _CELLS)
 _real, _imag = attrgetter("real"), attrgetter("imag")
-
-_NEGATIVE_CLAMP = 1e-12
 
 
 def _orders(*orders) -> tuple[int, ...]:
@@ -163,8 +158,7 @@ def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> comp
     """First overlap kernel; exactly 0 whenever sigma(k, l) vanishes.
 
     The sigma guard also means Gamma and the terminating hypergeometric are
-    only ever evaluated at even k + l. This per-term form is the reference
-    that the per-order polynomial sums in _f_sums are tested against.
+    only ever evaluated at even k + l. pi_seeds reads F of orders <= 2.
     """
     if not (0 <= k <= mu and 0 <= l <= nu):
         raise DomainError(f"indices out of range: mu={mu}, nu={nu}, k={k}, l={l}")
@@ -220,57 +214,6 @@ def _kappas(a: int, b: int) -> tuple[int, ...]:
     return tuple((-1) ** b * _kappa(s, b, a) for s in range((a + b) // 2 + 1))
 
 
-@lru_cache(maxsize=_F_ROWS)
-def _f_coefficients(mu: int, nu: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    """Per even s = 0, 2, ..., mu + nu: Gamma((s+1)/2) and the coefficients
-    of the polynomial Q_s(y) that the F sum g_s reduces to, y = (1 - zeta)/zeta.
-
-    Summing F(k, s - k) over k collects the terminating 2F1 series by power
-    of x = 1/(2 zeta) into P_s(x) with P_s[n] = 2 (-1)^n n! C(mu, n) C(nu, n)
-    kappa_(s-2n)(mu-n, nu-n) / ((1-s)/2)_n. Q_s(y) = P_s((1 + y)/2): for the
-    closed-form zeta, y = i Lambda0 / (1 + Lambda0^2) is small in both the near
-    and the far field, where P_s cancels heavily at x near 1/2 and Q_s does
-    not. Over the common denominator 2^N ((1-s)/2)_N each coefficient is one
-    int / int division, which Python rounds correctly.
-    """
-    rows = []
-    for s in range(0, mu + nu + 1, 2):
-        top = min(mu, nu, s // 2)
-        # P_s[n] 2^(-n) = nums[n] / pochs[n], pochs[n] = prod_(j<n) (1 - s + 2j)
-        nums, pochs = [], [1]
-        for n in range(top + 1):
-            nums.append(2 * (-1) ** n * math.factorial(n) * math.comb(mu, n) * math.comb(nu, n)
-                        * _kappa(s - 2 * n, mu - n, nu - n))
-            pochs.append(pochs[-1] * (1 - s + 2 * n))
-        den = pochs[top]
-        rows.append((_gamma_half(s + 1), tuple(
-            sum(math.comb(n, j) * nums[n] * (den // pochs[n]) for n in range(j, top + 1)) / den
-            for j in range(top + 1))))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=_F_CACHE_SIZE)
-def _f_sums(mu: int, nu: int, zeta: complex, w: float) -> tuple[complex, ...]:
-    """g_s = sum of F(k, s - k) over k, for even s = 0, 2, ..., mu + nu.
-
-    Every term of g_s shares 2^(mu+nu) i^s Gamma((s+1)/2) (sqrt2/w)^(mu+nu-s)
-    sqrt(1 - zeta) sqrt(zeta)^s; the rest is Q_s((1 - zeta)/zeta), by Horner.
-    """
-    y = (1 - zeta) / zeta
-    root = cmath.sqrt(zeta)
-    front = 2 ** (mu + nu) * cmath.sqrt(1 - zeta)
-    scale = math.sqrt(2.0) / w
-    sums = []
-    for s, (gamma, coeffs) in zip(range(0, mu + nu + 1, 2), _f_coefficients(mu, nu)):
-        poly = 0j
-        for c in reversed(coeffs):
-            poly = poly * y + c
-        # i^s is the real sign (-1)^(s/2) for even s
-        sign = -gamma if s % 4 else gamma
-        sums.append(sign * scale ** (mu + nu - s) * front * root ** s * poly)
-    return tuple(sums)
-
-
 @lru_cache(maxsize=_K_TOP + 1)
 def _bracket_coefficients(n: int) -> tuple[tuple[float, tuple[float, ...], ...], ...]:
     """Per s = 0..n/2: h(s, n - s)'s front factor, exponent b and polynomial P
@@ -295,13 +238,13 @@ def _bracket_coefficients(n: int) -> tuple[tuple[float, tuple[float, ...], ...],
     return tuple(rows)
 
 
-def _bracket_row(n: int, consts: DerivedConstants) -> tuple[tuple, tuple, tuple, float]:
+def _bracket_row(n: int, c1: float, c2: float, c3: float,
+                 c4: float) -> tuple[tuple, tuple, tuple, float]:
     """h(s, n - s), s = 0..n/2, read by each K(a, b) with a + b = n, the K
     weights rho^(s-t) +- rho^(t-s) (+ for even b; 1.0 at s = t) and K's
     prefactor 1/4 2^(-n/2) c1^(-1) (c1 c2)^(-n/4) (see k_kernel). The odd h
     is c3 times a factor smooth through c3 = 0. Horner runs about the x0
     nearest x: powers of x cancel past c4 = -1/3, and x nears 1 past -3."""
-    c1, c2, c3, c4 = consts.c1, consts.c2, consts.c3, consts.c4
     big = 1 - c4
     # 1 - c4 = big (1 + tail), Knuth's two-sum: big's rounding is not raised to b
     tail = ((1 - (big - (big - 1))) + (-c4 - (big - 1))) / big
@@ -322,94 +265,34 @@ def _bracket_row(n: int, consts: DerivedConstants) -> tuple[tuple, tuple, tuple,
             0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4))
 
 
-class _Counts:
-    """K reads of stored entries and entries filled, Pi lookups and fills, since
-    _clear_tables: statistics, which concurrent fills may miscount."""
+PiInfo = namedtuple("PiInfo", "hits misses")
+TableInfo = namedtuple("TableInfo", "sets k pi")
+Seeds = namedtuple("Seeds", "c alpha beta delta")
 
-    __slots__ = ("k_hits", "k_misses", "pi_lookups", "pi_misses")
+
+class _Counts:
+    """Pi lookups and misses, each miss one fill, since _clear_tables:
+    statistics, which concurrent lookups may miscount."""
+
+    __slots__ = ("lookups", "misses")
 
     def __init__(self):
-        self.k_hits = self.k_misses = self.pi_lookups = self.pi_misses = 0
+        self.lookups = self.misses = 0
 
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-TableInfo = namedtuple("TableInfo", "sets k pi")
 
 _counts = _Counts()
-# the constant sets with filled tables, by identity and in the order they
-# joined, derive_constants held or not; a set not in it joins on a K fill,
-# which every Pi fill of an empty set makes
-_live: weakref.WeakValueDictionary[int, DerivedConstants] = weakref.WeakValueDictionary()
 
 
-def _empty(*sets: DerivedConstants) -> None:
-    for consts in sets:
-        consts.k[:] = ((), ())
-        consts.pi.clear()
-        consts.brackets.clear()
-
-
-def _join(consts: DerivedConstants) -> None:
-    """Track consts as a table owner; past DERIVED_SETS owners, empty the
-    tables of the one that joined first, even if a caller holds it."""
-    _live[id(consts)] = consts
-    while len(_live) > DERIVED_SETS:
-        oldest = _live.pop(next(iter(_live)), None)
-        if oldest is not None:  # None if it died after iter found it
-            _empty(oldest)
-
-
-def _clear_tables() -> None:
-    """Drop the derived sets, empty every live set's tables, zero the counts."""
-    global _counts
-    derive_cache_info(clear=True)
-    _empty(*_live.values())
-    _live.clear()
-    _counts = _Counts()
-
-
-def table_info() -> TableInfo:
-    """Hits, misses, current size and bound of the derived constant sets, the
-    K tables and the Pi tables. K and Pi count since the last _clear_tables,
-    and their sizes sum over the sets alive."""
-    live = list(_live.values())
-    c = _counts
-    return TableInfo(
-        derive_cache_info(),
-        CacheInfo(c.k_hits, c.k_misses, DERIVED_SETS * _K_ENTRIES,
-                  sum(len(t.k[0]) + len(t.k[1]) for t in live)),
-        CacheInfo(c.pi_lookups - c.pi_misses, c.pi_misses, DERIVED_SETS * _F_ROWS,
-                  sum(len(t.pi) for t in live)),
-    )
-
-
-def _k_values(cells, p: int, consts: DerivedConstants, rows: dict) -> list[complex]:
-    """The k_kernel sum K(2 i + p, 2 j + p) of each cell (i, j, _) in cells,
-    reading each bracket row from rows by total order, or storing it there."""
-    values = []
-    for i, j, _ in cells:
-        a, b = 2 * i + p, 2 * j + p
-        n = a + b
-        row = rows.get(n)
-        if row is None:
-            row = rows[n] = _bracket_row(n, consts)
-        terms = [weight * h for weight, h in zip(map(mul, _kappas(a, b), row[1 + b % 2]), row[0])
-                 if weight]
-        values.append(row[3] * complex(math.fsum(map(_real, terms)),
-                                       math.fsum(map(_imag, terms))))
-    return values
-
-
-def _fill(consts: DerivedConstants, p: int, count: int) -> tuple[complex, ...]:
-    """consts's parity-p K triangle extended to its first count entries, whole
-    rows, and published in one assignment: never part of a row."""
-    old = consts.k[p]
-    tri = old + tuple(_k_values(_CELLS[len(old):count], p, consts, consts.brackets))
-    _counts.k_misses += count - len(old)
-    consts.k[p] = tri
-    if id(consts) not in _live:
-        _join(consts)
-    return tri
+@lru_cache(maxsize=DERIVED_SETS * _K_ENTRIES)
+def _k_entry(a: int, b: int, c1: float, c2: float, c3: float, c4: float) -> complex:
+    """K(a, b) for a >= b and even a + b, keyed on the constants it reads:
+    the Krawtchouk weights times the weight row and the bracket row, each
+    part summed by fsum, then K's prefactor (see k_kernel)."""
+    n = a + b
+    h, even, odd, front = _bracket_row(n, c1, c2, c3, c4)
+    terms = [weight * x for weight, x in zip(map(mul, _kappas(a, b), odd if b % 2 else even), h)
+             if weight]
+    return front * complex(math.fsum(map(_real, terms)), math.fsum(map(_imag, terms)))
 
 
 def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
@@ -424,72 +307,134 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
     share one bracket; their weights cancel exactly when c1 == c2, as in
     vacuum, so K(odd, odd) is then exactly 0.
 
-    Reads the K triangles of consts, which hold b <= a, K(b, a) being the
-    exact conjugate; a miss fills whole rows, and an order above
-    2 * DEFAULT_MAX_ORDER is computed without being stored.
+    Stores K(max(a, b), min(a, b)) keyed on the order and c1..c4 and
+    returns K(b, a) as its exact conjugate.
     """
     a, b = _orders(a, b)
     if a < 0 or b < 0:
         raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
     if (a + b) % 2:
         return 0.0 + 0.0j
-    if max(a, b) > _K_TOP:
-        return _k_values([(a // 2, b // 2, None)], a % 2, consts, {})[0]
-    i, p = divmod(max(a, b), 2)
-    cell = _ENTRIES[i] + min(a, b) // 2
-    tri = consts.k[p]
-    if cell < len(tri):
-        _counts.k_hits += 1
-    else:
-        tri = _fill(consts, p, _ENTRIES[i + 1])
-    return tri[cell] if a >= b else tri[cell].conjugate()
+    c = consts.c1, consts.c2, consts.c3, consts.c4
+    return _k_entry(a, b, *c) if a >= b else _k_entry(b, a, *c).conjugate()
 
 
-# k_kernel.cache_info() and .cache_clear(), as for an lru_cache, over the K tables
-k_kernel.cache_info = lambda: table_info().k
+def _clear_tables() -> None:
+    """Drop the derived sets and the stored K, zero the Pi counts."""
+    global _counts
+    derive_cache_info(clear=True)
+    _k_entry.cache_clear()
+    _counts = _Counts()
+
+
+def table_info() -> TableInfo:
+    """Hits, misses, bound and size of the derived constant sets and of the
+    stored K, and the Pi lookups that hit and that missed and filled, since
+    the last _clear_tables."""
+    return TableInfo(derive_cache_info(), _k_entry.cache_info(),
+                     PiInfo(_counts.lookups - _counts.misses, _counts.misses))
+
+
+# k_kernel.cache_info() and .cache_clear(), as for an lru_cache
+k_kernel.cache_info = _k_entry.cache_info
 k_kernel.cache_clear = _clear_tables
 
 
-def _pi_value(mu: int, nu: int, consts: DerivedConstants) -> float:
-    # F(k, l) vanishes unless k and l share parity, so only even k + l = s
-    # occur, and k_kernel reads only the total orders N - s and N - t:
-    # Pi = pref * sum_{s,t} g_s g_t* K(N - s, N - t), which with G_i =
-    # g_(N//2 - i) reads K(2 i + p, 2 j + p), rows 0..N//2 of parity p = N % 2.
-    # K(b, a) is the exact conjugate of K(a, b), so the form is real: the
-    # diagonal once, each pair j < i as its real part twice. fsum adds
-    # exactly, so this is the full sum's real part bitwise.
-    n = mu + nu
-    p, count = n % 2, _ENTRIES[n // 2 + 1]
-    tri = consts.k[p]
-    _counts.k_hits += min(len(tri), count)
-    if len(tri) < count:
-        tri = _fill(consts, p, count)
-    g = _f_sums(mu, nu, consts.zeta, consts.w)[::-1]
-    gc = [x.conjugate() for x in g]
-    full = [(g[i] * gc[j] * tri[f]).real for i, j, f in _CELLS[:count]]
-    cfg = consts.cfg
-    pref = 1.0 / (cfg.wavelength ** 2 * cfg.distance ** 2 * math.sqrt(math.pi * consts.b1)
-                  * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu))
-    result = pref * math.fsum(chain(full, compress(full, _OFF_DIAGONAL)))
-    if -math.inf < result < 0.0:
-        # Pi is a mean |overlap|^2: only roundoff makes it negative (-inf fails in pi_factor)
-        floor = _NEGATIVE_CLAMP * pref * math.fsum(
-            map(abs, chain(full, compress(full, _OFF_DIAGONAL))))
-        if result < -floor:
-            raise NumericalError(f"Pi({mu}, {nu}) = {result:.6g} is negative beyond the floor "
-                                 f"{floor:.3g} at gamma={consts.gamma:.6g}, "
-                                 f"Lambda0={cfg.fresnel_ratio:.6g}")
-        result = 0.0
-    return result
+def _seed_values(consts: DerivedConstants) -> Seeds:
+    """C, alpha, beta and delta from F and K of orders <= 2 (see the module
+    docstring); nan for a value that leaves the float range."""
+    try:
+        g0 = f_kernel(0, 0, 0, 0, consts)
+        k00, k20, k11 = k_kernel(0, 0, consts).real, k_kernel(2, 0, consts), k_kernel(1, 1, consts).real
+        f10 = f_kernel(1, 0, 0, 0, consts)
+        norm = g0.real * g0.real + g0.imag * g0.imag
+        cfg = consts.cfg
+        p0 = 1.0 / (cfg.wavelength ** 2 * cfg.distance ** 2 * math.sqrt(math.pi * consts.b1))
+        return Seeds(
+            p0 * norm * k00,
+            (f_kernel(2, 0, 0, 0, consts) * k20 + f_kernel(2, 0, 2, 0, consts) * k00)
+            / (2 * g0 * k00),
+            (f_kernel(1, 1, 0, 0, consts) * k20 + f_kernel(1, 1, 1, 1, consts) * k00) / (g0 * k00),
+            (f10.real * f10.real + f10.imag * f10.imag) * k11 / (norm * k00))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return Seeds(math.nan, math.nan, math.nan, math.nan)
+
+
+def pi_seeds(consts: DerivedConstants) -> Seeds:
+    """The generating-function seeds C, alpha, beta and delta of consts,
+    computed once and kept on the set. NumericalError, naming the set, if
+    one is not finite, C <= 0 or delta < 0: the one numerical failure of
+    Pi."""
+    if consts.seeds:
+        return consts.seeds[0]
+    seeds = _seed_values(consts)
+    c, alpha, beta, delta = seeds
+    if not (0.0 < c < math.inf and 0.0 <= delta < math.inf
+            and cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise NumericalError(
+            f"the Pi seeds C={c:.6g}, alpha={alpha:.6g}, beta={beta:.6g}, delta={delta:.6g} "
+            f"are not finite, C <= 0 or delta < 0 at gamma={consts.gamma:.6g}, "
+            f"Lambda0={consts.cfg.fresnel_ratio:.6g}, c1={consts.c1:.6g}, c2={consts.c2:.6g}")
+    consts.seeds.append(seeds)
+    return seeds
+
+
+@lru_cache(maxsize=DEFAULT_MAX_ORDER + 1)
+def _plan(top: int) -> tuple:
+    """The fill's geometry-free indexing through top. Cell n (n + 1) / 2 + m
+    holds (m, n), m <= n <= top, and the cell past the last is a constant 0.
+    Returns the keys (m, n), their m! n! / 2^(m+n) (exact), the v_0 steps
+    (cell, m or n, cell of (m - 2, n), cell of (m - 1, n - 1)) over even
+    m + n > 0, and per k = 1..2 top the v_k steps (cell, cell of (m - 1, n),
+    cell of (m, n - 1) or at m = n its mirror (n - 1, n)) over m + n >= k of
+    k's parity."""
+    keys = [(m, n) for n in range(top + 1) for m in range(n + 1)]
+    zero = len(keys)
+
+    def cell(m, n):
+        return n * (n + 1) // 2 + m if 0 <= m <= n else zero
+
+    scales = [math.factorial(m) * math.factorial(n) / 2 ** (m + n) for m, n in keys]
+    first = [(cell(m, n), m or n, cell(m - 2, n) if m else cell(0, n - 2), cell(m - 1, n - 1))
+             for m, n in keys[1:] if (m + n) % 2 == 0]
+    later = [[(cell(m, n), cell(m - 1, n), cell(m, n - 1) if m < n else cell(n - 1, n))
+              for m, n in keys if m + n >= k and (m + n - k) % 2 == 0]
+             for k in range(1, 2 * top + 1)]
+    return keys, scales, first, later
+
+
+def _fill(consts: DerivedConstants, top: int) -> None:
+    """Publish every Pi(m <= n <= top) of consts into consts.pi in one update.
+
+    v_0 runs its recurrence over the even cells; each v_k then adds
+    delta^k k! |v_k|^2 to its cells, k ascending, so a value depends on
+    neither top nor the fill order. In vacuum delta is 0 and v_0 is all.
+    """
+    c, alpha, beta, delta = pi_seeds(consts)
+    keys, scales, first, later = _plan(top)
+    v = [0j] * (len(keys) + 1)
+    v[0] = 1.0 + 0.0j
+    twice = 2 * alpha
+    for cell, order, back, diag in first:
+        v[cell] = (twice * v[back] + beta * v[diag]) / order
+    acc = [x.real * x.real + x.imag * x.imag for x in v]
+    if delta:
+        for k, steps in enumerate(later, 1):
+            weight = delta ** k * math.factorial(k)
+            prev, v = v, [0j] * len(v)
+            for cell, left, down in steps:
+                x = v[cell] = (prev[left] + prev[down]) / k
+                acc[cell] += weight * (x.real * x.real + x.imag * x.imag)
+    consts.pi.update(zip(keys, [c * s * a for s, a in zip(scales, acc)]))
 
 
 def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
-    """Per-axis probability factor: the kernel quadratic form with prefactor.
+    """Per-axis probability factor Pi(mu, nu), a mean |overlap|^2: finite
+    and >= 0.
 
     Symmetric in (mu, nu); the table key is sorted so the symmetry is exact.
-    The one sign gate: a sum negative within _NEGATIVE_CLAMP of its sum of
-    |terms| reads 0.0. NumericalError if it is negative beyond that or not
-    finite, as a kernel term beyond the float range (c2/c1 huge) makes it.
+    A miss fills the set's table through max(mu, nu); NumericalError if the
+    set's seeds fail pi_seeds.
     """
     if type(mu) is not int or type(nu) is not int:  # ints, the hot lookups, skip the call
         mu, nu = _orders(mu, nu)
@@ -501,19 +446,15 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
             "paraxial closed form degrades for high orders"
         )
     key = (mu, nu) if mu <= nu else (nu, mu)
-    _counts.pi_lookups += 1
+    _counts.lookups += 1
     value = consts.pi.get(key)
     if value is None:
-        _counts.pi_misses += 1
+        _counts.misses += 1
         try:
-            value = _pi_value(*key, consts)
-            finite = math.isfinite(value)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            finite = False
-        if not finite:
-            raise NumericalError(f"pi_factor({mu}, {nu}) leaves the float range at "
-                                 f"c1={consts.c1:.6g}, c2={consts.c2:.6g}")
-        consts.pi[key] = value
+            _fill(consts, key[1])
+        except NumericalError as exc:
+            raise NumericalError(f"pi_factor({mu}, {nu}): {exc}") from None
+        value = consts.pi[key]
     return value
 
 
@@ -625,11 +566,12 @@ def probability_matrix(
         )
 
     # one pi_factor call per distinct sorted (mu, nu) the grid reads: pairs
-    # of m orders, pairs of n orders and the (00,00) anchor's (0, 0)
+    # of m orders, pairs of n orders and the (00,00) anchor's (0, 0). The
+    # first is (top, top), whose miss fills every Pi the grid reads
     ms, ns = [s.m for s in ordering], [s.n for s in ordering]
     m_orders, n_orders = sorted(set(ms)), sorted(set(ns))
     keys = sorted({(0, 0), *combinations_with_replacement(m_orders, 2),
-                   *combinations_with_replacement(n_orders, 2)})
+                   *combinations_with_replacement(n_orders, 2)}, reverse=True)
     pi: dict[int, dict[int, float]] = {a: {} for a in {0, *m_orders, *n_orders}}
     for a, b in keys:
         pi[a][b] = pi[b][a] = pi_factor(a, b, consts)
@@ -674,9 +616,11 @@ def rytov_sweep(
     """Joint probabilities of each pair over an ascending grid of Rytov
     variances, one series per pair in the order given.
 
-    Only the requested pairs are evaluated at each grid point; calibrated
-    series share the factor a calibrated matrix over the same geometry uses.
-    A NumericalError names the pair and the Rytov value it failed at.
+    Only the requested pairs are evaluated at each grid point, after
+    Pi(top, top) of the pairs' top order, whose miss fills every Pi they
+    read; calibrated series share the factor a calibrated matrix over the
+    same geometry uses. A NumericalError names the first pair that reads the
+    top order and the Rytov value.
     """
     grid, pairs = list(grid), list(pairs)
     if not grid:
@@ -689,16 +633,17 @@ def rytov_sweep(
     gammas = [TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma for s2 in grid]
     factor = (_calibration_factor(derive_constants(cfg))
               if normalization == NORMALIZATION_CALIBRATED else 1.0)
+    orders = [max(p.signal.m, p.signal.n, p.idler.m, p.idler.n) for p in pairs]
+    top = max(orders)
+    first = pairs[orders.index(top)]
     # point by point, each point's constant set derived in turn, so a long
     # grid holds no more sets than derive_constants keeps
     points = []
     for rytov, gamma in zip(grid, gammas):
         consts = derive_constants(cfg, gamma)
-        point = []
-        for pair in pairs:
-            try:
-                point.append(factor * joint_probability(pair, consts))
-            except NumericalError as exc:
-                raise NumericalError(f"P{pair.label()} at rytov {rytov:g}: {exc}") from None
-        points.append(point)
+        try:
+            pi_factor(top, top, consts)
+        except NumericalError as exc:
+            raise NumericalError(f"P{first.label()} at rytov {rytov:g}: {exc}") from None
+        points.append([factor * joint_probability(pair, consts) for pair in pairs])
     return [list(series) for series in zip(*points)]

@@ -28,6 +28,7 @@ from .engine import (
     expand_modes,
     joint_probability,
     pi_factor,
+    pi_seeds,
     rytov_sweep,
     selection_rule_allowed,
     _gamma_half,
@@ -328,6 +329,21 @@ def check_specfun() -> CheckResult:
         "specfun", not failures, None,
         "all anchors/invariants ok" if not failures else "; ".join(failures[:5]),
     )
+
+
+def reference_seeds() -> list[dict]:
+    """The generating-function seeds C, alpha, beta and delta of the
+    reference channel in vacuum and at the reference Rytov variance: all the
+    closed form holds about each channel's Pi (see engine.py). Complex seeds
+    are [real, imaginary] pairs."""
+    cfg = reference.reference_config()
+    rows = []
+    for rytov in (0.0, reference.REFERENCE_RYTOV):
+        seeds = pi_seeds(derive_constants(cfg, turbulence_strength(rytov)))
+        rows.append({"rytov": rytov, "C": seeds.c,
+                     "alpha": [seeds.alpha.real, seeds.alpha.imag],
+                     "beta": [seeds.beta.real, seeds.beta.imag], "delta": seeds.delta})
+    return rows
 
 
 ALL_CHECKS = (

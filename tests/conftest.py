@@ -32,28 +32,18 @@ def near_field_cfgs(ref_cfg):
 
 
 @pytest.fixture
-def fill_k(monkeypatch):
-    """fill_k(transform) passes the values of every K fill through
-    transform(values, cells, p, consts), below pi_factor's sign gate. The
-    engine's tables are emptied before and after, so every set fills afresh
-    and none keeps a changed K."""
-    fill = engine._k_values
+def corrupt_seeds(monkeypatch):
+    """corrupt_seeds(transform) passes the seeds of every set whose seeds
+    are computed from now on through transform(seeds, consts), ahead of
+    pi_seeds' guard. The derived sets are dropped before and after, so
+    derive_constants returns sets that compute their seeds afresh and none
+    that keeps changed seeds; a set a test already holds keeps its own."""
+    values = engine._seed_values
 
     def install(transform):
         engine._clear_tables()
-        monkeypatch.setattr(engine, "_k_values", lambda cells, p, consts, rows: transform(
-            fill(cells, p, consts, rows), cells, p, consts))
+        monkeypatch.setattr(engine, "_seed_values",
+                            lambda consts: transform(values(consts), consts))
 
     yield install
     engine._clear_tables()
-
-
-@pytest.fixture
-def negate_k(fill_k):
-    """negate_k(when) negates every parity-p K filled for a set where
-    when(p, consts) holds, so each nonzero Pi reading them is negative far
-    past the floor."""
-    def install(when=lambda p, consts: True):
-        fill_k(lambda values, cells, p, consts:
-               [-v for v in values] if when(p, consts) else values)
-    return install

@@ -319,13 +319,13 @@ class TestDeriveConstants:
     def test_tables_are_not_part_of_the_value(self, ref_cfg):
         consts = derive_constants(ref_cfg, 0.03)
         copy = dataclasses.replace(consts)
-        # a copy starts with two empty K triangles and empty dicts of its own
-        assert (copy.k, copy.pi, copy.brackets) == ([(), ()], {}, {})
+        # a copy starts with no seeds and an empty Pi table of its own
+        assert (copy.seeds, copy.pi) == ([], {})
         copy.pi[0, 0] = 1.0
-        copy.k[0] = (1j,)
+        copy.seeds.append((1.0, 0j, 0j, 0.0))
         assert copy == consts and hash(copy) == hash(consts)
-        assert "pi=" not in repr(copy) and "k=" not in repr(copy)
-        assert copy.pi is not consts.pi and copy.k is not consts.k
+        assert "pi=" not in repr(copy) and "seeds=" not in repr(copy)
+        assert copy.pi is not consts.pi and copy.seeds is not consts.seeds
 
     def test_negative_gamma_rejected(self, ref_cfg):
         with pytest.raises(DomainError):

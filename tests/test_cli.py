@@ -2,13 +2,14 @@
 
 import csv
 import json
+import math
 
 import pytest
 
 from hgspdc import engine, oracle, reference, validate
 from hgspdc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARAMS, EXIT_VALIDATION, main
 from hgspdc.serialization import parse_matrix_csv
-from hgspdc.channel import DEFAULT_STRENGTH_COEFF
+from hgspdc.channel import DEFAULT_STRENGTH_COEFF, derive_constants, turbulence_strength
 from hgspdc.engine import ModePair, parse_mode, selection_rule_allowed
 from hgspdc.validate import check_turbulence_golden, run_checks
 
@@ -121,22 +122,37 @@ class TestMatrixCommand:
         assert code == EXIT_PARAMS
         assert "invalid parameters" in err and "Traceback" not in err
 
-    def test_kernel_overflow_exit_3(self, capsys):
-        # inside the weak-fluctuation range, but at a 1e-40 m link c2/c1 is
-        # ~2e45 and the powers of c2/c1 in K overflow
+    def test_kernel_overflow_exit_3(self, capsys, corrupt_seeds):
+        # a seed beyond the float range, here an injected C = inf, is a
+        # numerical failure
+        corrupt_seeds(lambda seeds, consts: seeds._replace(c=math.inf))
         code, _, err = run(capsys, "matrix", "--distance", "1e-40", "--rytov", "1",
                            "--max-sum", "10")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and "Traceback" not in err
 
-    def test_nan_pi_exit_3(self, capsys):
-        # at a 1e-25 m link K(20, 20) is inf + nan j, so Pi(10, 10) is NaN:
-        # a numerical failure, not a matrix with nan entries
+    def test_nan_pi_exit_3(self, capsys, corrupt_seeds):
+        # an injected nan delta at the turbulent set: a numerical failure
+        # naming the grid's first Pi, not a matrix with nan entries
+        corrupt_seeds(lambda seeds, consts:
+                      seeds._replace(delta=math.nan) if consts.gamma > 0 else seeds)
         code, out, err = run(capsys, "matrix", "--distance", "1e-25", "--rytov", "1e-3",
                              "--pump-waist", "7.0710678", "--max-sum", "10", "--format", "csv")
         assert code == EXIT_NUMERICAL
         assert "pi_factor(10, 10)" in err and "Traceback" not in err
         assert "nan" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--distance", "1e-25", "--rytov", "1e-3", "--pump-waist", "7.0710678"],
+        ["--distance", "1e-40", "--rytov", "1"]], ids=["1e-25", "1e-40"])
+    def test_tiny_links_are_valid_matrices(self, capsys, argv):
+        # c2/c1 is ~5e30 and ~2e45 here, so the per-term K(20, 20) leaves the
+        # float range, but every Pi comes from order <= 2 kernels
+        code, out, err = run(capsys, "matrix", *argv, "--max-sum", "10", "--format", "csv")
+        assert code == EXIT_OK and err == ""
+        values = [v for row in parse_matrix_csv(out)["matrix"] for v in row]
+        assert len(values) == 66 * 66
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
 
     @pytest.mark.parametrize("argv", [["--rytov", "1e20"], ["--rytov", "1.0000001"],
                                       ["--cn2", "1e-10"]])
@@ -252,10 +268,11 @@ class TestSweepCommand:
         assert all(a > b for a, b in zip(p0000, p0000[1:]))
         assert p0001[0] < 1e-10 and all(a < b for a, b in zip(p0001, p0001[1:]))
 
-    def test_negative_probability_exit_3(self, capsys, negate_k):
-        # with K negated at rytov 0.01, Pi(9, 10) there is negative far past
-        # its floor; the sweep rejects it as a matrix would
-        negate_k(lambda p, consts: consts.gamma > 0)
+    def test_negative_probability_exit_3(self, capsys, corrupt_seeds):
+        # with delta negative at rytov 0.01, the seeds there would make
+        # negative terms; the sweep rejects them as a matrix would
+        corrupt_seeds(lambda seeds, consts:
+                      seeds._replace(delta=-seeds.delta) if consts.gamma > 0 else seeds)
         code, out, err = run(capsys, "sweep", "--grid", "0,0.01", "--pairs", "9,0:10,0")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and out == ""
@@ -354,6 +371,23 @@ class TestValidateCommand:
         failing = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failing == ["trend_forbidden_increasing"]
         assert "PASS  turbulence_golden" in out
+
+    def test_report_carries_the_reference_seeds(self, capsys, tmp_path):
+        # C, alpha, beta and delta of the reference channel in vacuum and at
+        # rytov 0.02, as pi_seeds gives them; delta is 0 in vacuum only
+        report = tmp_path / "report.json"
+        run(capsys, "validate", "--vacuum-only", "--output", str(report))
+        rows = json.loads(report.read_text())["pi_seeds"]
+        assert [row["rytov"] for row in rows] == [0.0, reference.REFERENCE_RYTOV]
+        for row in rows:
+            seeds = engine.pi_seeds(derive_constants(
+                reference.reference_config(), turbulence_strength(row["rytov"])))
+            assert row == {"rytov": row["rytov"], "C": seeds.c,
+                           "alpha": [seeds.alpha.real, seeds.alpha.imag],
+                           "beta": [seeds.beta.real, seeds.beta.imag], "delta": seeds.delta}
+        assert rows[0]["delta"] == 0.0 < rows[1]["delta"]
+        assert rows[0]["C"] == engine.pi_factor(
+            0, 0, derive_constants(reference.reference_config()))
 
     def test_every_check_reports_elapsed(self, capsys, tmp_path):
         results = run_checks()

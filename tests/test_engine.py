@@ -152,6 +152,16 @@ def oracle_pi(mu, nu, consts):
         return pref * total, pref * scale
 
 
+def _per_order_pi(mu, nu, consts):
+    """oracle_pi's sum, grouped by the total orders N - s, N - t that K
+    reads: (mu + nu) / 2 + 1 per-order F sums and their K, not 4 nested loops."""
+    g = [mp.fsum(terms) for terms in _per_order_f_sums(
+        mu, nu, lambda k, l: oracle_f(mu, nu, k, l, consts))]
+    form = mp.fsum(ga * mp.conj(gb) * oracle_k(mu + nu - 2 * a, mu + nu - 2 * b, consts)
+                   for a, ga in enumerate(g) for b, gb in enumerate(g))
+    return _oracle_pref(mu, nu, consts) * form
+
+
 def _oracle_pref(mu, nu, consts):
     return 1 / (mp.mpf(consts.cfg.wavelength) ** 2 * mp.mpf(consts.cfg.distance) ** 2
                 * mp.sqrt(mp.pi * mp.mpf(consts.b1))
@@ -318,7 +328,7 @@ class TestKKernel:
             for n in range(0, 41, 2):
                 want = [complex(oracle_bracket(s, n - s, consts)) for s in range(n // 2 + 1)]
                 top = max(map(abs, want))
-                got = engine._bracket_row(n, consts)[0]
+                got = _bracket_row(n, consts)[0]
                 assert len(got) == len(want)
                 for s, (x, y) in enumerate(zip(got, want)):
                     assert abs(x - y) <= 1e-13 * top, (rytov, n, s, abs(x - y) / top)
@@ -367,7 +377,8 @@ class TestPiFactor:
             identically_zero = scale < 1e-40 * pi_factor(0, 0, consts)
             assert abs(want.imag) < 1e-25 * scale or identically_zero
             if abs(want.real) > 1e-20 * scale:
-                assert got == pytest.approx(float(want.real), rel=1e-11)
+                # the worst measured error is 2.05e-15, at turbulent Pi(2, 1)
+                assert got == pytest.approx(float(want.real), rel=2.5e-15)
             else:
                 # entry cancels to zero; the engine must sit at noise level
                 assert abs(got) < 1e-12 * float(scale)
@@ -377,65 +388,81 @@ class TestPiFactor:
     def test_far_field_against_oracle(self):
         consts = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
                                   turbulence_strength(0.02))
-        mu, nu = 9, 10
-        # oracle_pi's sum, grouped by the total orders N - s, N - t K reads
-        g = [mp.fsum(terms) for terms in _per_order_f_sums(
-            mu, nu, lambda k, l: oracle_f(mu, nu, k, l, consts))]
-        form = mp.fsum(ga * mp.conj(gb) * oracle_k(mu + nu - 2 * a, mu + nu - 2 * b, consts)
-                       for a, ga in enumerate(g) for b, gb in enumerate(g))
-        want = _oracle_pref(mu, nu, consts) * form
+        want = _per_order_pi(9, 10, consts)
         assert abs(want.imag) < 1e-30 * abs(want)
-        assert pi_factor(mu, nu, consts) == pytest.approx(float(want.real), rel=1e-13, abs=0)
+        assert pi_factor(9, 10, consts) == pytest.approx(float(want.real), rel=1e-13, abs=0)
 
     def test_max_order_guard(self, vac_consts):
         with pytest.raises(DomainError):
             pi_factor(11, 0, vac_consts)
 
-    def test_nan_pi_is_a_numerical_error(self):
-        # at a 1e-25 m link rho ~ 4.8e7, so K(20, 20) is inf + nan j and
-        # Pi(10, 10) is NaN; it is refused, named with c1 and c2, and not stored
+    def test_nan_pi_is_a_numerical_error(self, ref_cfg, corrupt_seeds):
+        # a set whose seeds are not finite fills no Pi: the error names the
+        # Pi asked for, the seeds and the set, and nothing is stored
+        corrupt_seeds(lambda seeds, consts: seeds._replace(alpha=complex(math.nan, 0.0)))
+        consts = derive_constants(ref_cfg, turbulence_strength(0.03))
+        ok = re.escape(f"at gamma={consts.gamma:.6g}, Lambda0={ref_cfg.fresnel_ratio:.6g}")
+        for _ in range(2):
+            with pytest.raises(NumericalError, match=r"pi_factor\(10, 10\): the Pi seeds C=\S+, "
+                                                     r"alpha=nan\S*, .* " + ok):
+                pi_factor(10, 10, consts)
+            assert not consts.pi and not consts.seeds
+        with pytest.raises(NumericalError, match=r"pi_factor\(10, 10\)"):
+            probability_matrix(expand_modes(10), consts)
+
+    def test_infinities_of_both_signs_are_a_numerical_error(self, ref_cfg, corrupt_seeds):
+        # alpha = inf - inf j is not finite, though no part of it is nan
+        corrupt_seeds(lambda seeds, consts: seeds._replace(alpha=complex(math.inf, -math.inf)))
+        fresh = derive_constants(ref_cfg, turbulence_strength(0.03))
+        with pytest.raises(NumericalError, match=r"pi_factor\(3, 2\)"):
+            pi_factor(3, 2, fresh)
+        assert not fresh.pi
+
+    @pytest.mark.parametrize("seeds", [
+        dict(c=0.0), dict(c=-1.0), dict(c=math.inf), dict(c=math.nan),
+        dict(delta=-1e-300), dict(delta=math.inf), dict(delta=math.nan),
+        dict(beta=complex(0.0, math.nan)), dict(beta=complex(math.inf, 0.0)),
+    ], ids=lambda s: ",".join(f"{k}={v}" for k, v in s.items()))
+    def test_seed_guard(self, ref_cfg, corrupt_seeds, seeds):
+        # C <= 0, delta < 0 or a seed that is not finite is the one
+        # NumericalError, named with the seeds and the set, at every order
+        corrupt_seeds(lambda values, consts: values._replace(**seeds))
+        consts = derive_constants(ref_cfg, turbulence_strength(0.03))
+        for mu, nu in ((0, 0), (3, 0), (10, 9)):
+            with pytest.raises(NumericalError, match=rf"pi_factor\({mu}, {nu}\): the Pi seeds "
+                                                     r".* are not finite, C <= 0 or delta < 0 "
+                                                     rf"at gamma={consts.gamma:.6g}, "):
+                pi_factor(mu, nu, consts)
+        assert not consts.pi and not consts.seeds
+
+    @pytest.mark.parametrize("delta", [0.0, 5e-324, 0.3])
+    def test_seed_guard_passes_delta_from_zero(self, ref_cfg, corrupt_seeds, delta):
+        # delta = 0 is vacuum's value and no failure: the odd Pi read 0.0
+        corrupt_seeds(lambda values, consts: values._replace(delta=delta))
+        consts = derive_constants(ref_cfg, turbulence_strength(0.03))
+        assert (pi_factor(0, 1, consts) > 0.0) == (delta > 0.0)
+        assert engine.pi_seeds(consts).delta == delta
+
+    def test_tiny_link_is_a_valid_table(self):
+        # at a 1e-25 m link rho ~ 4.8e7: the per-term K(20, 20) leaves the
+        # float range, while the seeds and every Pi stay finite; Pi(10, 10)
+        # against the per-order form of the 50-digit oracle
         cfg = OpticalConfig(0.8e-6, 1e-25, 7.0710678)
         consts = derive_constants(cfg, TurbulenceSpec.from_rytov(1e-3).resolve(cfg).gamma)
         k = k_kernel(20, 20, consts)
         assert math.isinf(k.real) and math.isnan(k.imag)
-        assert math.isfinite(pi_factor(9, 10, consts))
-        for _ in range(2):
-            with pytest.raises(NumericalError,
-                               match=r"pi_factor\(10, 10\) .* c1=0\.04, c2=2\.09805e\+29"):
-                pi_factor(10, 10, consts)
-            assert (10, 10) not in consts.pi
-        with pytest.raises(NumericalError, match=r"pi_factor\(10, 10\)"):
-            probability_matrix(expand_modes(10), consts)
-
-    def test_infinities_of_both_signs_are_a_numerical_error(self, turb_consts):
-        # fsum raises ValueError on -inf + inf
-        fresh = dataclasses.replace(turb_consts)
-        with mock.patch.object(engine.math, "fsum", side_effect=ValueError("-inf + inf in fsum")):
-            with pytest.raises(NumericalError, match=r"pi_factor\(3, 2\)"):
-                pi_factor(3, 2, fresh)
-        assert not fresh.pi
-
-    @pytest.mark.parametrize("excess,error", [
-        (1.9e-12, None), (2.1e-12, r"Pi\(0, 3\) = -\S+ is negative beyond"),
-        (math.inf, r"pi_factor\(3, 0\) leaves the float range")])
-    def test_sign_gate_floor(self, turb_consts, monkeypatch, fill_k, excess, error):
-        # Pi(0, 3) sums to -2 excess of 4 of terms: within 1e-12 of their
-        # magnitude it is roundoff and reads 0.0, beyond it a named fault;
-        # -inf is not finite, never roundoff
-        _craft_pi_03(monkeypatch, fill_k, excess)
-        if error is None:
-            assert pi_factor(3, 0, turb_consts) == 0.0
-        else:
-            with pytest.raises(NumericalError, match=error):
-                pi_factor(3, 0, turb_consts)
-            assert (0, 3) not in turb_consts.pi
+        values = probability_matrix(expand_modes(10), consts).values
+        assert all(math.isfinite(v) and v >= 0.0 for row in values for v in row)
+        want = _per_order_pi(10, 10, consts)
+        assert abs(want.imag) < 1e-30 * abs(want)
+        assert pi_factor(10, 10, consts) == pytest.approx(float(want.real), rel=1e-14, abs=0)
 
     @settings(deadline=None, max_examples=100, derandomize=True)
     @given(st.floats(0.6e-6, 1.6e-6), st.floats(1e3, 2e4), st.floats(0.05, 0.2),
            st.floats(0.0, 1.0))
     def test_every_pi_is_finite_and_nonnegative(self, wavelength, distance, w0, rytov):
-        # Pi is a mean |overlap|^2: over the documented range no sum is
-        # negative past its floor, so no pi_factor raises
+        # Pi is a mean |overlap|^2: over the documented range every seed
+        # passes pi_seeds' guard, so no pi_factor raises
         cfg = OpticalConfig.from_w0(wavelength, distance, w0)
         consts = derive_constants(cfg, TurbulenceSpec.from_rytov(rytov).resolve(cfg).gamma)
         for mu in range(DEFAULT_MAX_ORDER + 1):
@@ -444,8 +471,9 @@ class TestPiFactor:
                 assert math.isfinite(value) and value >= 0.0, (mu, nu)
 
     def test_vacuum_forbidden_orders_vanish(self, vac_consts, near_field_cfgs):
-        # every Pi with odd mu + nu is a sum of vacuum K(odd, odd), each
-        # exactly 0, at the reference geometry and in near field alike
+        # vacuum K(odd, odd) are exactly 0, so delta is, and every Pi with
+        # odd mu + nu reads only v_0 off its parity: exactly 0, at the
+        # reference geometry and in near field alike
         for consts in (vac_consts, *map(derive_constants, near_field_cfgs.values())):
             for mu in range(11):
                 for nu in range(1 - mu % 2, 11, 2):
@@ -596,27 +624,18 @@ class TestProbabilityMatrix:
         with pytest.raises(CalibrationError):
             probability_matrix(DEFAULT_ORDERING, vac_consts)
 
-    def test_failure_names_entry(self, ref_cfg, turb_consts, negate_k):
-        # with odd K negated, Pi(0, 1) is the first Pi the grid reads that
-        # is negative; the error names it, its floor, gamma and Lambda0
-        negate_k(lambda p, consts: p and consts.gamma > 0)
+    def test_failure_names_entry(self, ref_cfg, turb_consts, corrupt_seeds):
+        # with delta negative in turbulence, the grid's first Pi, (3, 3),
+        # whose miss fills the rest, fails; the error names it, the seeds,
+        # gamma and Lambda0
+        corrupt_seeds(lambda seeds, consts:
+                      seeds._replace(delta=-seeds.delta) if consts.gamma > 0 else seeds)
+        fresh = dataclasses.replace(turb_consts)
         ok = re.escape(f"at gamma={turb_consts.gamma:.6g}, Lambda0={ref_cfg.fresnel_ratio:.6g}")
-        with pytest.raises(NumericalError, match=r"Pi\(0, 1\) = -\S+ is negative beyond "
-                                                 r"the floor \S+ " + ok):
-            probability_matrix(DEFAULT_ORDERING, turb_consts)
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-7])
-    def test_roundoff_negative_pi_reads_zero(self, turb_consts, monkeypatch, fill_k, scale):
-        # a Pi(0, 3) sum of -2e-13 scale against 4 scale of terms is roundoff
-        # at any scale: it reads 0, and so do the entries that read it
-        modes = [ModeIndex(0, 0), ModeIndex(0, 3)]
-        before = probability_matrix(modes, turb_consts).values
-        assert pi_factor(0, 3, turb_consts) > 0.0
-        _craft_pi_03(monkeypatch, fill_k, 1e-13, scale)
-        assert pi_factor(0, 3, turb_consts) == 0.0
-        m = probability_matrix(modes, turb_consts)
-        assert m.values[0][1] == m.values[1][0] == 0.0
-        assert m.values[0][0] == before[0][0] and m.values[1][1] == before[1][1]
+        with pytest.raises(NumericalError, match=r"pi_factor\(3, 3\): the Pi seeds C=\S+, .* "
+                                                 r"delta=-\S+ are not finite, C <= 0 or "
+                                                 r"delta < 0 " + ok):
+            probability_matrix(DEFAULT_ORDERING, fresh)
 
     def test_turbulence_gamma_must_match_consts(self, ref_cfg, turb_consts):
         # metadata resolved for vacuum must not label a turbulent matrix
@@ -650,13 +669,15 @@ class TestProbabilityMatrix:
                 assert v == joint_probability(ModePair(s, i), consts)
 
     def test_memoization_distinct_pi_count(self, ref_cfg):
-        # a 10-mode matrix costs O(N) distinct pi evaluations, not O(N^2):
-        # orders 0..3 per axis make 10 sorted (mu, nu) combinations
+        # a 10-mode matrix costs one fill of its 10 distinct sorted (mu, nu),
+        # orders 0..3 per axis, not O(N^2) evaluations: the first lookup,
+        # Pi(3, 3), misses and fills, and every other hits
         consts = derive_constants(ref_cfg, turbulence_strength(0.0171))
         engine._clear_tables()
         probability_matrix(DEFAULT_ORDERING, consts,
                            normalization=NORMALIZATION_RAW)
-        assert table_info().pi.misses == 10
+        assert table_info().pi == (9, 1)
+        assert sorted(consts.pi) == [(m, n) for m in range(4) for n in range(m, 4)]
 
     def test_concurrent_fills_are_consistent(self, ref_cfg):
         # idempotent cache writes: hammering the same evaluations from
@@ -681,24 +702,24 @@ class TestProbabilityMatrix:
         assert all(r == results[0] for r in results)
         # one set, holding the 10 sorted (mu, nu) once each
         assert len(consts.pi) == 10
-        engine._clear_tables()
-        serial = tuple(pi_factor(mu, nu, consts)
+        fresh = dataclasses.replace(consts)
+        serial = tuple(pi_factor(mu, nu, fresh)
                        for mu in range(4) for nu in range(4))
         assert serial == results[0]
 
         # 8 threads fill one fresh set's 66 Pi, each in its own order, while
-        # a ninth reads the triangles: each parity's length is always a
-        # whole number of rows, and the values are bitwise the serial ones
+        # a ninth reads the table: its size is always that of a whole
+        # triangle m <= n <= top, and the values are bitwise the serial ones
         keys = [(mu, nu) for mu in range(11) for nu in range(mu, 11)]
         base = derive_constants(ref_cfg, turbulence_strength(0.0421))
         engine._clear_tables()
         fresh = dataclasses.replace(base)
-        rows = {r * (r + 1) // 2 for r in range(12)}
+        triangles = {r * (r + 1) // 2 for r in range(12)}
         seen, done = set(), threading.Event()
 
         def watch():
             while not done.is_set():
-                seen.add(tuple(map(len, fresh.k)))
+                seen.add(len(fresh.pi))
 
         def fill(seed):
             order = list(keys)
@@ -719,34 +740,17 @@ class TestProbabilityMatrix:
             watcher.join(timeout=60)
             sys.setswitchinterval(interval)
         assert not watcher.is_alive()
-        seen.add(tuple(map(len, fresh.k)))
-        assert all(even in rows and odd in rows for even, odd in seen), seen
+        seen.add(len(fresh.pi))
+        assert seen <= triangles and len(fresh.pi) == 66, seen
         serial = dataclasses.replace(base)
         want = {key: pi_factor(*key, serial).hex() for key in keys}
         assert all({k: v.hex() for k, v in r.items()} == want for r in results)
-        # a fill that raced a longer one may have published fewer rows, never
-        # other values
-        for tri, full in zip(fresh.k, serial.k):
-            assert [z.real.hex() + z.imag.hex() for z in tri] == \
-                [z.real.hex() + z.imag.hex() for z in full[:len(tri)]]
+        assert {k: v.hex() for k, v in fresh.pi.items()} == want
 
 
 def _bits(values):
     """Entries as hex strings: equal bitwise, NaN and the sign of zero included."""
     return [[float(v).hex() for v in row] for row in values]
-
-
-def _craft_pi_03(monkeypatch, fill_k, excess, scale=1.0):
-    """Make Pi(0, 3) of every set filled from now on pref * scale * (2 + 2 x),
-    x = -1 - excess, below the sign gate: F sums (1, 1) and odd K rows 0..1
-    (1, x, 1) times scale, so its terms are scale, scale and x scale twice,
-    about 4 scale in magnitude, and the floor about 4e-12 scale pref."""
-    f_sums = engine._f_sums
-    monkeypatch.setattr(engine, "_f_sums", lambda mu, nu, zeta, w:
-                        (1.0, 1.0) if (mu, nu) == (0, 3) else f_sums(mu, nu, zeta, w))
-    crafted = {0: scale, 1: (-1.0 - excess) * scale, 2: scale}
-    fill_k(lambda values, cells, p, consts:
-           [crafted.get(f, v) if p else v for v, (_, _, f) in zip(values, cells)])
 
 
 def _fsum(terms):
@@ -755,9 +759,13 @@ def _fsum(terms):
 
 def _clear_engine_caches():
     engine._clear_tables()
-    for cache in (engine._f_sums, engine._f_coefficients, engine._gamma_half,
-                  engine._bracket_coefficients, engine._kappas):
+    for cache in (engine._plan, engine._gamma_half, engine._bracket_coefficients,
+                  engine._kappas):
         cache.cache_clear()
+
+
+def _bracket_row(n, c):
+    return engine._bracket_row(n, c.c1, c.c2, c.c3, c.c4)
 
 
 def _per_order_f_sums(mu, nu, f):
@@ -767,42 +775,36 @@ def _per_order_f_sums(mu, nu, f):
 
 
 class TestKernelTables:
-    # a raw matrix over orders <= M reads the 2 M + 1 bracket rows of every
-    # even total order n <= 4 M; row n holds n/2 + 1 brackets, each a
-    # polynomial with geometry-free coefficients, so no 2F1 series runs
+    # a raw matrix over orders <= M computes the seeds' kernels once each,
+    # F of orders <= 2 (six values) and K(0, 0), K(2, 0) and K(1, 1), and
+    # fills its set's table once; a second matrix over that set computes
+    # nothing, and a fresh geometry builds no geometry-free row
     @pytest.mark.parametrize("max_sum", [10, 3])
     def test_each_kernel_value_once(self, ref_cfg, max_sum):
         modes = expand_modes(max_sum)
         _clear_engine_caches()
-        with mock.patch.object(engine, "_hyp2f1_terminating",
-                               wraps=engine._hyp2f1_terminating) as terminating, \
-                mock.patch.object(engine, "_gamma_half", wraps=engine._gamma_half) as gamma:
-            probability_matrix(modes, derive_constants(ref_cfg, turbulence_strength(0.05)),
-                               normalization=NORMALIZATION_RAW)
-            # the F sums are polynomials with precomputed coefficients
-            assert terminating.call_count == 0
-            # Pi reads one triangle of K: K(p, q), q <= p <= 2 M, p + q even
-            top = 2 * max_sum
-            assert k_kernel.cache_info().misses == sum(
-                1 for p in range(top + 1) for q in range(p + 1) if (p - q) % 2 == 0)
-            assert engine._bracket_coefficients.cache_info().currsize == 2 * max_sum + 1
-            # F reads only the geometry: a second Rytov value reuses its sums
-            f_misses = engine._f_sums.cache_info().misses
-            probability_matrix(modes, derive_constants(ref_cfg, turbulence_strength(0.06)),
-                               normalization=NORMALIZATION_RAW)
-            assert engine._f_sums.cache_info().misses == f_misses
-            # with the geometry-free tables warm, a fresh geometry, here one
-            # in far field (c4 < -1), computes no Gamma value, no 2F1 and no
-            # coefficient row
-            gamma.reset_mock()
-            tables = (engine._bracket_coefficients, engine._kappas, engine._f_coefficients)
-            built = [cache.cache_info().misses for cache in tables]
-            consts = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
-                                      turbulence_strength(0.05))
-            assert consts.c4 < -1
-            probability_matrix(modes, consts, normalization=NORMALIZATION_RAW)
-            assert (gamma.call_count, terminating.call_count) == (0, 0)
-            assert [cache.cache_info().misses for cache in tables] == built
+        consts = derive_constants(ref_cfg, turbulence_strength(0.05))
+        with mock.patch.object(engine, "f_kernel", wraps=engine.f_kernel) as f, \
+                mock.patch.object(engine, "_hyp2f1_terminating",
+                                  wraps=engine._hyp2f1_terminating) as terminating:
+            for _ in range(2):
+                probability_matrix(modes, consts, normalization=NORMALIZATION_RAW)
+            assert (f.call_count, terminating.call_count) == (6, 6)
+        assert k_kernel.cache_info()[:2] == (0, 3)
+        assert table_info().pi.misses == 1
+        assert len(consts.pi) == (max_sum + 1) * (max_sum + 2) // 2
+        assert engine._bracket_coefficients.cache_info().currsize == 2
+        # with the geometry-free tables warm, a fresh geometry, here one in
+        # far field (c4 < -1), computes no Gamma value, bracket row, weight
+        # or fill plan
+        tables = (engine._gamma_half, engine._bracket_coefficients, engine._kappas, engine._plan)
+        built = [cache.cache_info().misses for cache in tables]
+        far = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
+                               turbulence_strength(0.05))
+        assert far.c4 < -1
+        probability_matrix(modes, far, normalization=NORMALIZATION_RAW)
+        assert [cache.cache_info().misses for cache in tables] == built
+        assert table_info().pi.misses == 2
 
     def test_k_kernel_equals_per_term_brackets(self, ref_cfg, near_field_cfgs):
         def per_term(a, b, c):
@@ -820,7 +822,7 @@ class TestKernelTables:
                             for p in range(max(0, s - b), min(a, s) + 1))
                 weight = kappa * (rho ** (s - t) + sign * rho ** (t - s) if s < t else 1.0)
                 if weight:
-                    terms.append(weight * engine._bracket_row(n, c)[0][s])
+                    terms.append(weight * _bracket_row(n, c)[0][s])
             return 0.25 * 0.5 ** (n / 2) / c.c1 * (c.c1 * c.c2) ** (-n / 4) * _fsum(terms)
 
         cfgs = [ref_cfg, *near_field_cfgs.values()]
@@ -832,7 +834,7 @@ class TestKernelTables:
                     assert k_kernel(a, b, consts) == per_term(a, b, consts), (a, b)
 
     def test_k_kernel_conjugate_symmetric(self, ref_cfg, near_field_cfgs):
-        # Pi reads one triangle of K and takes the other as its conjugate
+        # k_kernel computes one triangle of K and takes the other as its conjugate
         cfgs = [ref_cfg, *near_field_cfgs.values()]
         for consts in [derive_constants(cfg, gamma) for cfg in cfgs
                        for gamma in (0.0, turbulence_strength(0.02))]:
@@ -840,38 +842,13 @@ class TestKernelTables:
                 for b in range(a):
                     assert k_kernel(b, a, consts) == k_kernel(a, b, consts).conjugate(), (a, b)
 
-    def test_pi_factor_equals_full_double_sum(self, vac_consts, turb_consts, near_field_cfgs):
-        # the triangle form, summed in reals, is bitwise the real part of the
-        # full complex double sum over s and t: at the reference geometry, in
-        # near field (Lambda0 = 3e-5) and far field (Lambda0 ~ 395), in vacuum
-        # and at rytov 0.02 and 0.1
-        _clear_engine_caches()
-        cfgs = (near_field_cfgs[3e-5], OpticalConfig.from_w0(1.55e-6, 2e4, 0.005))
-        for consts in (vac_consts, turb_consts, *[
-                derive_constants(cfg, turbulence_strength(rytov))
-                for cfg in cfgs for rytov in (0.0, 0.02, 0.1)]):
-            for mu in range(11):
-                for nu in range(mu, 11):
-                    n = mu + nu
-                    g = engine._f_sums(mu, nu, consts.zeta, consts.w)
-                    form = _fsum([gs * gt.conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)
-                                  for a, gs in enumerate(g) for b, gt in enumerate(g)])
-                    pref = 1.0 / (
-                        consts.cfg.wavelength ** 2 * consts.cfg.distance ** 2
-                        * math.sqrt(math.pi * consts.b1)
-                        * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu))
-                    want = (pref * form).real
-                    if -1e-12 <= want < 0.0:
-                        want = 0.0
-                    assert pi_factor(mu, nu, consts) == want, (mu, nu)
-
     def test_stored_k_equals_per_entry_sum(self, ref_cfg, near_field_cfgs):
-        # cell i (i + 1) / 2 + j of the parity-p triangle is K(2 i + p, 2 j + p),
-        # bitwise the per-entry sum: kappa times the weight row times the
-        # bracket row, fsum of the real and imaginary parts, then the prefactor
+        # every stored K(a >= b), a + b even, is bitwise the per-entry sum:
+        # kappa times the weight row times the bracket row, fsum of the real
+        # and imaginary parts, then the prefactor; K(b, a) its conjugate
         def per_entry(a, b, c):
             n = a + b
-            h, even, odd = engine._bracket_row(n, c)[:3]
+            h, even, odd = _bracket_row(n, c)[:3]
             weights = [kappa * w for kappa, w in zip(engine._kappas(a, b), odd if b % 2 else even)]
             terms = [w * x for w, x in zip(weights, h) if w]
             return 0.25 * 0.5 ** (n / 2) / c.c1 * (c.c1 * c.c2) ** (-n / 4) * _fsum(terms)
@@ -883,17 +860,16 @@ class TestKernelTables:
         cfgs = [ref_cfg, *near_field_cfgs.values(), OpticalConfig.from_w0(1.55e-6, 2e4, 0.005)]
         for consts in [derive_constants(cfg, turbulence_strength(rytov))
                        for cfg in cfgs for rytov in (0.0, 0.02, 0.1)]:
-            for mu in range(11):
-                for nu in range(mu, 11):
-                    pi_factor(mu, nu, consts)
-            for p, rows in ((0, 11), (1, 10)):
-                want = [bits(per_entry(2 * i + p, 2 * j + p, consts))
-                        for i in range(rows) for j in range(i + 1)]
-                assert list(map(bits, consts.k[p])) == want, (consts.c4, p)
+            for a in range(21):
+                for b in range(a % 2, a + 1, 2):
+                    want = per_entry(a, b, consts)
+                    assert bits(k_kernel(a, b, consts)) == bits(want), (consts.c4, a, b)
+                    if b < a:
+                        assert bits(k_kernel(b, a, consts)) == bits(want.conjugate()), (a, b)
 
     @pytest.mark.parametrize("rytov", [0.0, 0.03])
     def test_fill_order_does_not_change_the_bits(self, ref_cfg, rytov):
-        # the triangles grow by whole rows in whatever order the Pi are
+        # the table grows by whole triangles in whatever order the Pi are
         # asked for, and every order gives the same entries and matrix bits
         keys = [(mu, nu) for mu in range(11) for nu in range(mu, 11)]
         shuffled = list(keys)
@@ -908,48 +884,11 @@ class TestKernelTables:
             filled.append(consts)
         first = filled[0]
         for consts in filled[1:]:
-            assert [[(z.real.hex(), z.imag.hex()) for z in t] for t in consts.k] == \
-                [[(z.real.hex(), z.imag.hex()) for z in t] for t in first.k]
             assert {k: v.hex() for k, v in consts.pi.items()} == \
                 {k: v.hex() for k, v in first.pi.items()}
         modes = expand_modes(10)
         assert all(_bits(probability_matrix(modes, c).values) ==
                    _bits(probability_matrix(modes, first).values) for c in filled[1:])
-
-    def test_f_sums_match_per_term_f_kernel(self, vac_consts, turb_consts):
-        for consts in (vac_consts, turb_consts):
-            for mu in range(11):
-                for nu in range(mu, 11):
-                    want = [_fsum(terms) for terms in _per_order_f_sums(
-                        mu, nu, lambda k, l: f_kernel(mu, nu, k, l, consts))]
-                    got = engine._f_sums(mu, nu, consts.zeta, consts.w)
-                    top = max(map(abs, want))
-                    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-14 * top, (mu, nu)
-
-    def test_f_coefficients_exact(self):
-        # row s holds Q_s(y) = P_s((1 + y)/2), P_s(x) the exact expansion of
-        # sum_k C(mu, k) C(nu, l) sigma(k, l) 2F1(-k, -l; (1-s)/2; x), l = s - k
-        def hyp_coefficients(k, l, c):
-            out, term = [], Fraction(1)
-            for n in range(min(k, l) + 1):
-                out.append(term)
-                term = term * (n - k) * (n - l) / ((c + n) * (n + 1))
-            return out
-
-        for mu in range(11):
-            for nu in range(mu, 11):
-                rows = engine._f_coefficients(mu, nu)
-                assert len(rows) == (mu + nu) // 2 + 1
-                for (gamma, coeffs), s in zip(rows, range(0, mu + nu + 1, 2)):
-                    assert gamma == _gamma_recursion(s + 1)
-                    p = [Fraction(0)] * len(coeffs)
-                    for k in range(max(0, s - nu), min(mu, s) + 1):
-                        w = math.comb(mu, k) * math.comb(nu, s - k) * sigma(k, s - k)
-                        for n, h in enumerate(hyp_coefficients(k, s - k, Fraction(1 - s, 2))):
-                            p[n] += w * h
-                    q = [sum(math.comb(n, j) * p[n] / 2 ** n for n in range(j, len(p)))
-                         for j in range(len(p))]
-                    assert coeffs == tuple(map(float, q)), (mu, nu, s)
 
     def test_bracket_coefficients_exact(self):
         # row n, entry s: the front 4 Gamma Gamma (negated for odd s), b and
@@ -987,85 +926,47 @@ class TestKernelTables:
                          for k in range(len(p))]
                     assert coeffs == tuple(map(float, reversed(q))), (n, s, x0)
 
-    def test_f_sums_against_oracle(self, ref_cfg, near_field_cfgs):
-        # relative to the row maximum, at the reference geometry, in near field
-        # and in far field (Fresnel ratio ~395)
-        cfgs = [ref_cfg, *near_field_cfgs.values(), OpticalConfig.from_w0(1.55e-6, 2e4, 0.005)]
-        for consts in map(derive_constants, cfgs):
-            for mu in range(11):
-                for nu in range(mu, 11):
-                    want = [mp.fsum(terms) for terms in _per_order_f_sums(
-                        mu, nu, lambda k, l: oracle_f(mu, nu, k, l, consts))]
-                    got = engine._f_sums(mu, nu, consts.zeta, consts.w)
-                    top = max(map(abs, want))
-                    err = max(abs(x - y) for x, y in zip(got, want)) / top
-                    assert err <= 2e-15, (consts.cfg.fresnel_ratio, mu, nu, float(err))
-
     def test_tables_stay_bounded(self, ref_cfg):
-        # 500 sweep points read 7 bracket rows each; more than 16 geometries
-        # of 66 F-sum rows each overflow the F-sum table
+        # 500 sweep points and 20 geometries: at most 16 derived sets, each
+        # set's table at most its 66 Pi, the stored K within its bound, and
+        # the geometry-free tables hold every row the seeds and the fills
+        # read, each built once
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         _clear_engine_caches()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
-        # at most 16 sets are alive, each with at most its 21 bracket rows
-        live = list(engine._live.values())
-        assert len(live) <= 16
-        assert all(len(c.brackets) <= 21 for c in live)
-        del live
         for k in range(20):
             cfg = OpticalConfig.from_w0(ref_cfg.wavelength, ref_cfg.distance, 0.1 + 0.005 * k)
-            probability_matrix(expand_modes(10), derive_constants(cfg),
-                               normalization=NORMALIZATION_RAW)
-        assert all(len(c.brackets) <= 21 for c in engine._live.values())
-        for cache in (engine._f_sums,):
-            info = cache.cache_info()
-            assert info.maxsize is not None
-            assert info.misses > info.maxsize >= info.currsize
-        # the geometry-free tables hold every row the orders read, each built once
-        for cache, rows in ((engine._f_coefficients, 66), (engine._gamma_half, 21),
-                            (engine._bracket_coefficients, 21), (engine._kappas, 121)):
-            assert cache.cache_info()[1:] == (rows, rows, rows)
-
+            consts = derive_constants(cfg)
+            probability_matrix(expand_modes(10), consts, normalization=NORMALIZATION_RAW)
+            assert len(consts.pi) == 66 and len(consts.seeds) == 1
+        info = table_info()
+        assert info.sets.currsize <= info.sets.maxsize == 16
+        # three K per set, K(0, 0), K(2, 0) and K(1, 1), keyed on c1..c4: the
+        # W0 = 0.1 m vacuum set, the reference one derived again after its
+        # eviction, reads the three stored for the calibration anchor
+        assert info.k.hits + info.k.misses == 3 * 520
+        assert info.k.misses == info.k.currsize <= info.k.maxsize == 16 * 121
+        # Gamma(1/2), Gamma(3/2); bracket rows 0 and 2; the weights of the
+        # three K; the fill plans through orders 0 (the anchor), 3 and 10
+        for cache, rows in ((engine._gamma_half, 2), (engine._bracket_coefficients, 2),
+                            (engine._kappas, 3), (engine._plan, 3)):
+            assert cache.cache_info().misses == cache.cache_info().currsize == rows
 
     def test_public_k_kernel_calls_stay_in_the_triangle(self, ref_cfg):
-        # K(a < b) reads the stored K(b, a), odd a + b stores nothing and an
-        # order above 2 * DEFAULT_MAX_ORDER is computed without being stored
+        # K(a < b) is the exact conjugate of the stored K(b, a) and odd
+        # a + b stores nothing: the cache holds one triangle per set
         _clear_engine_caches()
-        sets = [derive_constants(ref_cfg, turbulence_strength(0.005 * k)) for k in range(18)]
-        for consts in sets[:2]:
-            for a in range(41):
-                for b in range(41):
-                    got = k_kernel(a, b, consts)
-                    if (a + b) % 2:
-                        assert got == 0
-                    elif max(a, b) > 20:
-                        assert got == engine._k_values([(a // 2, b // 2, None)], a % 2,
-                                                       consts, {})[0]
-            for mu in range(11):
-                for nu in range(11):
-                    pi_factor(mu, nu, consts)
-            # the even triangle holds K(0..20, 0..20), the odd K(1..19, 1..19)
-            assert [len(t) for t in consts.k] == [66, 55] and len(consts.pi) == 66
-            # the bracket rows of every even total order K reads, no more
-            assert sorted(consts.brackets) == list(range(0, 41, 2))
-        first = sets[0].pi[10, 10]
-        for consts in sets[2:]:
-            k_kernel(3, 5, consts)
-            pi_factor(10, 10, consts)
-        info = table_info()
-        assert info.sets.maxsize == 16 and info.sets.currsize == 16
-        assert len(engine._live) <= 16
-        assert all(sum(map(len, t.k)) <= 121 and len(t.pi) <= 66 for t in engine._live.values())
-        assert info.k.currsize <= info.k.maxsize == 16 * 121
-        assert info.pi.currsize <= info.pi.maxsize == 16 * 66
-        # the sets held here are the tables' owners: the two that filled
-        # first were emptied when the 17th and 18th filled
-        assert all((c.k, c.pi, c.brackets) == ([(), ()], {}, {}) for c in sets[:2])
-        assert sum(len(t) for c in sets for t in c.k) == info.k.currsize
-        assert sum(len(c.pi) for c in sets) == info.pi.currsize
-        # an emptied set fills again, and empties the set that filled next
-        assert pi_factor(10, 10, sets[0]) == first
-        assert sets[0].pi and not sets[2].pi and len(engine._live) == 16
+        consts = derive_constants(ref_cfg, turbulence_strength(0.005))
+        for a in range(41):
+            for b in range(41):
+                got = k_kernel(a, b, consts)
+                if (a + b) % 2:
+                    assert got == 0
+                elif a < b:
+                    assert got == k_kernel(b, a, consts).conjugate()
+        info = k_kernel.cache_info()
+        assert info.misses == info.currsize == sum(
+            1 for a in range(41) for b in range(a + 1) if (a - b) % 2 == 0)
 
     @pytest.mark.parametrize("make", [
         dataclasses.replace, copy.copy, copy.deepcopy,
@@ -1078,53 +979,35 @@ class TestKernelTables:
                 pi_factor(mu, nu, turb_consts)
         fresh = make(turb_consts)
         assert fresh is not turb_consts and fresh == turb_consts
-        assert (fresh.k, fresh.pi, fresh.brackets) == ([(), ()], {}, {})
+        assert (fresh.seeds, fresh.pi) == ([], {})
         assert all(pi_factor(mu, nu, fresh) == turb_consts.pi[mu, nu]
                    for mu, nu in turb_consts.pi)
-        # it owns tables of its own, which cache_clear empties too
-        assert fresh.pi is not turb_consts.pi and id(fresh) in engine._live
-        k_kernel.cache_clear()
-        assert (fresh.k, fresh.pi, fresh.brackets) == ([(), ()], {}, {})
+        # it owns tables of its own, with the same seeds
+        assert fresh.pi is not turb_consts.pi and fresh.seeds is not turb_consts.seeds
+        assert fresh.seeds == turb_consts.seeds
         modes = expand_modes(10)
         assert _bits(probability_matrix(modes, dataclasses.replace(turb_consts)).values) == \
             _bits(probability_matrix(modes, turb_consts).values)
 
-    def test_cache_clear_empties_sets_a_caller_holds(self, ref_cfg):
-        held = derive_constants(ref_cfg, turbulence_strength(0.031))
-        fresh = dataclasses.replace(held)
-        for consts in (held, fresh):
-            pi_factor(2, 3, consts)
-            k_kernel(4, 2, consts)
-        k_kernel.cache_clear()
-        assert derive_constants(ref_cfg, turbulence_strength(0.031)) is not held
-        for consts in (held, fresh):
-            assert (consts.k, consts.pi, consts.brackets) == ([(), ()], {}, {})
-            pi_factor(2, 3, consts)
-            k_kernel(4, 2, consts)
-        info = table_info()
-        assert (info.pi.hits, info.pi.misses) == (0, 2)
-        # Pi(2, 3) fills the six K of odd rows 0..2, and K(4, 2) the six of
-        # even rows 0..2, its own row included
-        assert (info.k.hits, info.k.misses) == (0, 2 * 12)
-        assert info.k.currsize == 2 * 12 and info.pi.currsize == 2
-
     def test_k_kernel_cache_info_counts_the_tables(self, vac_consts):
         _clear_engine_caches()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
-        # a miss fills whole rows: K(2, 0) fills K(0, 0), K(2, 0) and K(2, 2)
+        # K(2, 0) is stored on a miss; K(0, 2) is its conjugate, a hit, and
+        # odd a + b reads nothing
         k_kernel(2, 0, vac_consts)
-        assert k_kernel.cache_info() == (0, 3, 16 * 121, 3)
-        # K(0, 2) is the conjugate of a stored entry; odd a + b reads nothing
+        assert k_kernel.cache_info() == (0, 1, 16 * 121, 1)
         k_kernel(0, 2, vac_consts)
         k_kernel(1, 2, vac_consts)
-        assert k_kernel.cache_info() == (1, 3, 16 * 121, 3)
-        # Pi(1, 3) reads even rows 0..2: three stored entries and three new
-        pi_factor(1, 3, vac_consts)
-        assert k_kernel.cache_info() == (4, 6, 16 * 121, 6)
-        assert table_info().pi == (0, 1, 16 * 66, 1)
+        assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
+        # a fresh set's seeds read K(0, 0), K(2, 0) and K(1, 1), keyed on
+        # c1..c4: the stored K(2, 0) and two new; its Pi(1, 3) is one fill
+        fresh = dataclasses.replace(vac_consts)
+        pi_factor(1, 3, fresh)
+        assert k_kernel.cache_info() == (2, 3, 16 * 121, 3)
+        assert table_info().pi == (0, 1)
         k_kernel.cache_clear()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
-        assert table_info().sets.currsize == 0
+        assert table_info().sets.currsize == 0 and table_info().pi == (0, 0)
 
 
 class TestChannelPath:
@@ -1158,13 +1041,14 @@ class TestChannelPath:
         assert series == [joint_probability(pair, turb_consts)]
 
     def test_sweep_caches_stay_bounded(self, ref_cfg):
-        # 500 points of four pairs read more kernels than either cache holds
+        # 500 points of four pairs derive more sets than derive_constants
+        # keeps, and store three K per set, within the K cache's bound
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         engine._clear_tables()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
-        for info in (table_info().k, table_info().pi):
-            assert info.maxsize is not None
-            assert info.misses > info.maxsize >= info.currsize
+        sets, k = table_info().sets, table_info().k
+        assert sets.misses > sets.maxsize >= sets.currsize
+        assert k.misses == 3 * 500 and k.maxsize is not None and k.currsize <= k.maxsize
 
     def test_sweep_keeps_at_most_16_sets_alive(self, ref_cfg, monkeypatch):
         # each point's set is derived inside the loop, so at its last point
@@ -1189,38 +1073,29 @@ class TestChannelPath:
         assert len(counts) == 1 and 0 < counts[0] <= 16
 
     def test_sweep_fills_each_pi_once_per_point(self, ref_cfg):
-        # point by point: one table set per grid point, which the vacuum
-        # calibration anchor shares with the rytov-0 point, and four Pi each
+        # point by point: one set per grid point, which the vacuum
+        # calibration anchor shares with the rytov-0 point, and one fill
+        # through order 3 each, by the miss of Pi(3, 3); the anchor's two
+        # lookups of Pi(0, 0) miss and fill through order 0 first, then hit,
+        # and every lookup of the pairs, two per pair, hits
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         engine._clear_tables()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
         info = table_info()
         assert info.sets.misses == 500
-        assert info.pi.misses == 4 * 500
+        assert info.pi == (1 + 2 * 4 * 500, 1 + 500)
 
-    def test_sweep_clamps_like_a_matrix(self, ref_cfg, monkeypatch, fill_k):
-        # a Pi within the floor of its terms reads as 0 at every point; one
-        # beyond it is a numerical failure
-        pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 3))
-
-        def sweep(excess):
-            _craft_pi_03(monkeypatch, fill_k, excess)
-            return rytov_sweep(ref_cfg, [0.0, 0.01], [pair], normalization=NORMALIZATION_RAW)
-
-        assert sweep(1e-13) == [[0.0, 0.0]]
-        with pytest.raises(NumericalError, match=r"Pi\(0, 3\)"):
-            sweep(1e-11)
-
-    def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, negate_k):
-        # with odd K negated at rytov 0.01, the sweep stops at the first Pi
-        # of a pair there that is negative, named with the pair, the Rytov
-        # value and that point's gamma
+    def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, corrupt_seeds):
+        # with delta negative in turbulence, the sweep stops at rytov 0.01,
+        # whose one fill fails; the error names the first pair that reads
+        # the top order, the Rytov value, the seeds and that point's gamma
         bad = ModePair(ModeIndex(9, 0), ModeIndex(10, 0))
-        negate_k(lambda p, consts: p and consts.gamma > 0)
+        corrupt_seeds(lambda seeds, consts:
+                      seeds._replace(delta=-seeds.delta) if consts.gamma > 0 else seeds)
         pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), bad]
         gamma = re.escape(f"gamma={turbulence_strength(0.01):.6g}, ")
-        with pytest.raises(NumericalError, match=r"^P\(90,10,0\) at rytov 0\.01: "
-                                                 r"Pi\(9, 10\) = -\S+ .* " + gamma):
+        with pytest.raises(NumericalError, match=r"^P\(90,10,0\) at rytov 0\.01: pi_factor\(10, 10\): "
+                                                 r"the Pi seeds .* delta=-\S+ .* " + gamma):
             rytov_sweep(ref_cfg, [0.0, 0.01], pairs)
 
     @pytest.mark.parametrize("grid,normalization", [

@@ -58,10 +58,10 @@ def test_validate_leaves_numpy_unloaded_and_oracle_agrees(tmp_path):
 
 
 def test_import_builds_no_table_row():
-    # the geometry-free coefficient and Gamma tables fill on first use
+    # the geometry-free fill plans and Gamma tables fill on first use
     assert not numpy_loaded_after("""
         import hgspdc
         from hgspdc import engine
-        assert engine._f_coefficients.cache_info().currsize == 0
+        assert engine._plan.cache_info().currsize == 0
         assert engine._gamma_half.cache_info().currsize == 0
     """)
