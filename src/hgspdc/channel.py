@@ -1,7 +1,7 @@
 """Physical channel parameters and the constants of the closed form.
 
 Turns wavelength / distance / pump waist plus a turbulence strength into the
-constants the overlap kernels read: zeta, w, b1 and c1..c4, each in a closed
+constants the overlap kernels read: zeta, w, b1 and c1..c3, each in a closed
 form free of cancellation (see DerivedConstants).
 
 Everything here is a pure function over immutable inputs; DerivedConstants is
@@ -207,11 +207,12 @@ class DerivedConstants:
     - w [m], w_variant: the receiver-plane mode scale and how it was chosen;
     - zeta: the complex Fresnel squeeze factor;
     - gamma: the dimensionless turbulence strength;
-    - b1, a3 = c2 - c1, c1..c3 [1/m^2] and c4: the quadratic-form coefficients
-      of the ensemble-averaged detection integral. With u = k/z, L = Lambda0
-      and d = 1 + L^2 + 2 gamma L: b1 = u d / (2 L), c1 = u L (1/d + 1/(1 + L^2)),
-      a3 = u gamma (6 + 2 L^2 + 3 gamma L) / d, c3 = -u L (L + 3 gamma) / d and
-      c4 = -c3^2 / (4 c1 c2). The paper's cascade B1..B4, A2 reaches
+    - b1, a3 = c2 - c1 and c1..c3 [1/m^2]: the quadratic-form coefficients
+      of the ensemble-averaged detection integral; K reads the moments of
+      its Gaussian exp(-c1 x^2 - c2 y^2 + i c3 x y). With u = k/z,
+      L = Lambda0 and d = 1 + L^2 + 2 gamma L: b1 = u d / (2 L),
+      c1 = u L (1/d + 1/(1 + L^2)), a3 = u gamma (6 + 2 L^2 + 3 gamma L) / d
+      and c3 = -u L (L + 3 gamma) / d. The paper's cascade B1..B4, A2 reaches
       c1,2 = Re A2 -/+ a3/2 and c3 = Im A2 by subtracting nearly equal terms
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
@@ -233,7 +234,6 @@ class DerivedConstants:
     c1: float
     c2: float
     c3: float
-    c4: float
     seeds: list = field(default_factory=list, init=False, compare=False, repr=False)
     pi: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -285,15 +285,14 @@ def _derived(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstan
         c1 = u * lam0 * (1 / d + 1 / (1 + lam0 ** 2))
         c2 = c1 + a3
         c3 = -u * lam0 * (lam0 + 3 * gamma) / d
-        c4 = -c3 ** 2 / (4 * c1 * c2)
         w = cfg.w0
         if w_variant == W_VARIANT_PROPAGATED:
             w *= math.sqrt(1 + lam0 ** 2)
-        finite = all(map(cmath.isfinite, (zeta, b1, c1, c2, c3, c4, w)))
+        finite = all(map(cmath.isfinite, (zeta, b1, c1, c2, c3, w)))
     except (OverflowError, ZeroDivisionError):
         finite = False
     if not finite:
         raise DomainError(f"{cfg} at gamma={gamma} gives constants that are zero, "
                           "infinite or beyond the float range")
     return DerivedConstants(cfg=cfg, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
-                            a3=a3, b1=b1, c1=c1, c2=c2, c3=c3, c4=c4)
+                            a3=a3, b1=b1, c1=c1, c2=c2, c3=c3)

@@ -22,9 +22,10 @@ multivariate-Hermite recursion of Miatto & Quesada (Quantum 4, 366, 2020),
 Mehler's kernel in vacuum. C = Pi(0, 0) is real and positive, alpha and
 beta are complex, and delta >= 0 is the variance of the random displacement
 that turbulence shares between the photons, exactly 0 in vacuum. pi_seeds
-reads them off the kernels of orders <= 2. Every term of the sum is >= 0,
-so nothing cancels, and v_k vanishes unless k has the parity of m + n, so
-vacuum Pi with odd mu + nu are exactly 0. The fill runs over the triangle
+computes them in closed form from zeta, w, b1 and the moments of K's
+Gaussian (see _seed_values). Every term of the sum is >= 0, so nothing
+cancels, and v_k vanishes unless k has the parity of m + n, so vacuum Pi
+with odd mu + nu are exactly 0. The fill runs over the triangle
 m <= n, v_k being symmetric, and skips the parity zeros.
 
 Each DerivedConstants keeps its seeds, computed and checked once, and its
@@ -35,16 +36,14 @@ probability_matrix and rytov_sweep ask for Pi(top, top) of their grid's top
 order first, so one fill serves every Pi they read. Seeds that are not
 finite, C <= 0 or delta < 0 are the one NumericalError, which names the set.
 
-f_kernel and k_kernel are the per-term references. k_kernel is one sum
-over s = p + q of integer Krawtchouk weights times a bracket
-h(s, a + b - s); pairing s with a + b - s evaluates each bracket once and
-makes the vacuum selection-rule zeros exact, and K(b, a) is the exact
-conjugate of K(a, b). Bounded lru_caches hold K, keyed on its orders and
-c1..c4, and the geometry-free numbers, built on first use: _gamma_half
-(Gamma(j/2) by its exact recursion), _bracket_coefficients and _kappas
-(K's bracket polynomials and weights) and the fill's indexing _plan.
-table_info() reports the hits and misses. All functions are pure and fills
-store values computed from the set's own fields, so concurrent use is safe.
+f_kernel and k_kernel are the per-term references, which the tests and
+the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
+recurrence for the moments of exp(-c1 x^2 - c2 y^2 + i c3 x y), exact
+zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b). Bounded lru_caches hold K, keyed on its orders and c1..c3, and
+the geometry-free numbers, built on first use: _gamma_half (Gamma(j/2) by
+its exact recursion) and the fill's indexing _plan. table_info() reports
+the hits and misses. All functions are pure and fills store values
+computed from the set's own fields, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import attrgetter, index, mul
+from operator import index
 
 from .channel import (
     DEFAULT_W_VARIANT,
@@ -73,13 +72,11 @@ from .reference import CALIBRATION_REFERENCE
 DEFAULT_MAX_ORDER = 10
 
 # The per-term form of Pi(mu, nu) reads K up to order 2 * DEFAULT_MAX_ORDER:
-# the K cache holds that triangle for DERIVED_SETS sets, the geometry-free
-# tables its bracket rows and weights, and the Gamma cache the Gamma(j/2),
-# j <= 21, that F reads.
-_K_TOP = 2 * DEFAULT_MAX_ORDER
+# the K cache holds that triangle, K(a >= b) with even a + b, for
+# DERIVED_SETS sets, and the Gamma cache the Gamma(j/2), j <= 21, that F
+# reads.
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
 _GAMMA_CACHE_SIZE = 2 * DEFAULT_MAX_ORDER + 1
-_real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 def _orders(*orders) -> tuple[int, ...]:
@@ -158,7 +155,8 @@ def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> comp
     """First overlap kernel; exactly 0 whenever sigma(k, l) vanishes.
 
     The sigma guard also means Gamma and the terminating hypergeometric are
-    only ever evaluated at even k + l. pi_seeds reads F of orders <= 2.
+    only ever evaluated at even k + l. No matrix reads it: the seeds hold
+    F of orders <= 2 in closed form.
     """
     if not (0 <= k <= mu and 0 <= l <= nu):
         raise DomainError(f"indices out of range: mu={mu}, nu={nu}, k={k}, l={l}")
@@ -192,77 +190,13 @@ def _hyp2f1_terminating(k: int, l: int, c: float, x: complex) -> complex:
 def _gamma_half(twice: int) -> float:
     """Gamma(twice / 2) for twice >= 1 by the exact recursion
     Gamma(x + 1) = x Gamma(x) from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi). The
-    values F and the brackets read depend on no geometry, so each is
-    computed once."""
+    values F reads depend on no geometry, so each is computed once."""
     if twice <= 0:
         raise DomainError(f"Gamma(x) needs x > 0, got x = {twice}/2")
     acc = math.sqrt(math.pi) if twice % 2 else 1.0
     for t in range(2 - twice % 2, twice, 2):
         acc *= t / 2
     return acc
-
-
-def _kappa(j: int, m: int, m2: int) -> int:
-    """[x^j] (1 - x)^m (1 + x)^m2, a Krawtchouk value (DLMF 18.19)."""
-    return sum((-1) ** p * math.comb(m, p) * math.comb(m2, j - p)
-               for p in range(max(0, j - m2), min(m, j) + 1))
-
-
-@lru_cache(maxsize=_K_ENTRIES)
-def _kappas(a: int, b: int) -> tuple[int, ...]:
-    """The Krawtchouk weights kappa_s of K(a, b) (see k_kernel), s <= (a+b)/2."""
-    return tuple((-1) ** b * _kappa(s, b, a) for s in range((a + b) // 2 + 1))
-
-
-@lru_cache(maxsize=_K_TOP + 1)
-def _bracket_coefficients(n: int) -> tuple[tuple[float, tuple[float, ...], ...], ...]:
-    """Per s = 0..n/2: h(s, n - s)'s front factor, exponent b and polynomial P
-    in x - x0, x0 = 0, 1/2, 1, highest power first, each coefficient exact over
-    one denominator and rounded once. Pfaff on b (DLMF 15.8.1) leaves (1 - c4)^(-b)
-    P(x), x = c4 / (c4 - 1): P = 2F1(-s/2, b; 1/2; x), b = (1 + t)/2, for even s
-    and, by Gauss's contiguous relations, -2F1(-(s-1)/2, b; 3/2; x), b = (2 + t)/2."""
-    rows = []
-    for s in range(n // 2 + 1):
-        odd = s % 2
-        m, twice_b, twice_c = s // 2, 1 + n - s + odd, 1 + 2 * odd
-        # (b)_j (-m)_j / ((c)_j j!) = nums[j] / (dens[m] 2^m)
-        dens = [math.prod((twice_c + 2 * i) * (i + 1) for i in range(j)) for j in range(m + 1)]
-        nums = [math.prod((twice_b + 2 * i) * (i - m) for i in range(j)) * (dens[m] // d) << m
-                for j, d in enumerate(dens)]
-        # x^j = sum_k C(j, k) x0^(j - k) (x - x0)^k with x0 = r / 2
-        centred = (tuple(sum((math.comb(j, k) * r ** (j - k) * nums[j]) >> (j - k)
-                             for j in range(k, m + 1)) / (dens[m] << m)
-                         for k in reversed(range(m + 1))) for r in (0, 1, 2))
-        front = (-1) ** odd * 4 * _gamma_half(1 + s + odd) * _gamma_half(twice_b)
-        rows.append((front, twice_b / 2, *centred))
-    return tuple(rows)
-
-
-def _bracket_row(n: int, c1: float, c2: float, c3: float,
-                 c4: float) -> tuple[tuple, tuple, tuple, float]:
-    """h(s, n - s), s = 0..n/2, read by each K(a, b) with a + b = n, the K
-    weights rho^(s-t) +- rho^(t-s) (+ for even b; 1.0 at s = t) and K's
-    prefactor 1/4 2^(-n/2) c1^(-1) (c1 c2)^(-n/4) (see k_kernel). The odd h
-    is c3 times a factor smooth through c3 = 0. Horner runs about the x0
-    nearest x: powers of x cancel past c4 = -1/3, and x nears 1 past -3."""
-    big = 1 - c4
-    # 1 - c4 = big (1 + tail), Knuth's two-sum: big's rounding is not raised to b
-    tail = ((1 - (big - (big - 1))) + (-c4 - (big - 1))) / big
-    centre = (c4 < -1 / 3) + (c4 < -3)
-    v = (-c4, -(1 + c4) / 2, -1.0)[centre] / big
-    root = math.sqrt(c1 / c2)
-    h = []
-    for s, (front, b, *centred) in enumerate(_bracket_coefficients(n)):
-        poly = 0.0
-        for c in centred[centre]:
-            poly = poly * v + c
-        value = front * big ** -b * (1 - b * tail) * poly
-        h.append(value * root if s % 2 == 0 else 1j * value * c3 / c2)
-    rho = (c2 / c1) ** 0.25
-    powers = [(rho ** (2 * s - n), rho ** (n - 2 * s)) for s in range(n // 2)]
-    return (tuple(h), (*[up + down for up, down in powers], 1.0),
-            (*[up - down for up, down in powers], 1.0),
-            0.25 * 0.5 ** (n / 2) / c1 * (c1 * c2) ** (-n / 4))
 
 
 PiInfo = namedtuple("PiInfo", "hits misses")
@@ -283,40 +217,55 @@ class _Counts:
 _counts = _Counts()
 
 
+def _moments(c1: float, c2: float, c3: float) -> tuple[float, complex, float]:
+    """D = 4 c1 c2 + c3^2, sigma and tau of K's Gaussian (see k_kernel)."""
+    d = 4 * c1 * c2 + c3 * c3
+    return d, complex(c1 + c2, -c3) / d, (c2 - c1) / d
+
+
 @lru_cache(maxsize=DERIVED_SETS * _K_ENTRIES)
-def _k_entry(a: int, b: int, c1: float, c2: float, c3: float, c4: float) -> complex:
-    """K(a, b) for a >= b and even a + b, keyed on the constants it reads:
-    the Krawtchouk weights times the weight row and the bracket row, each
-    part summed by fsum, then K's prefactor (see k_kernel)."""
-    n = a + b
-    h, even, odd, front = _bracket_row(n, c1, c2, c3, c4)
-    terms = [weight * x for weight, x in zip(map(mul, _kappas(a, b), odd if b % 2 else even), h)
-             if weight]
-    return front * complex(math.fsum(map(_real, terms)), math.fsum(map(_imag, terms)))
+def _k_entry(a: int, b: int, c1: float, c2: float, c3: float) -> complex:
+    """K(a, b) for a >= b and even a + b, keyed on the constants it reads,
+    by Wick's recurrence (see k_kernel)."""
+    d, sigma, tau = _moments(c1, c2, c3)
+    if a < 2:
+        k00 = complex(2 * math.pi / math.sqrt(d))
+        return tau * k00 if a else k00
+    value = (a - 1) * sigma * _k_value(a - 2, b, c1, c2, c3)
+    if b:
+        value += b * tau * _k_entry(a - 1, b - 1, c1, c2, c3)
+    return value if a > b else complex(value.real)
+
+
+def _k_value(a: int, b: int, c1: float, c2: float, c3: float) -> complex:
+    """K(a, b) for even a + b: the stored K(a, b), or for a < b the exact
+    conjugate of the stored K(b, a)."""
+    return _k_entry(a, b, c1, c2, c3) if a >= b else _k_entry(b, a, c1, c2, c3).conjugate()
 
 
 def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
-    """Second overlap kernel, one sum over s = p + q with n = a + b, t = n - s:
+    """Second overlap kernel, the moment K(a, b) of the detection-plane
+    Gaussian exp(-c1 x^2 - c2 y^2 + i c3 x y). With D = 4 c1 c2 + c3^2,
+    sigma = (c1 + c2 - i c3) / D and tau = (c2 - c1) / D, Wick's theorem
+    gives
 
-    K = 1/4 2^(-n/2) c1^(-1) (c1 c2)^(-n/4) sum_s kappa_s rho^(s-t) h(s, t)
+        K(0, 0) = 2 pi / sqrt(D),  K(1, 1) = tau K(0, 0),
+        K(a, b) = (a - 1) sigma K(a - 2, b) + b tau K(a - 1, b - 1), a >= 2,
 
-    with rho = (c2/c1)^(1/4), h the bracket and kappa_s the integer
-    [x^s] (1+x)^a (x-1)^b, a Krawtchouk value (DLMF 18.19). The bracket
-    vanishes unless s and t share parity, so K vanishes for odd a + b. Since
-    kappa_(n-s) = (-1)^b kappa_s and h is symmetric, the s and n - s terms
-    share one bracket; their weights cancel exactly when c1 == c2, as in
-    vacuum, so K(odd, odd) is then exactly 0.
+    K(b, a) = conj K(a, b), so the diagonal is real and is stored so, and K
+    vanishes for odd a + b. In vacuum c1 == c2, so tau and every
+    K(odd, odd) are exactly 0.
 
-    Stores K(max(a, b), min(a, b)) keyed on the order and c1..c4 and
-    returns K(b, a) as its exact conjugate.
+    Stores K(max(a, b), min(a, b)), and the entries its recurrence reads,
+    keyed on the orders and c1..c3, and returns K(b, a) as its exact
+    conjugate.
     """
     a, b = _orders(a, b)
     if a < 0 or b < 0:
         raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
     if (a + b) % 2:
         return 0.0 + 0.0j
-    c = consts.c1, consts.c2, consts.c3, consts.c4
-    return _k_entry(a, b, *c) if a >= b else _k_entry(b, a, *c).conjugate()
+    return _k_value(a, b, consts.c1, consts.c2, consts.c3)
 
 
 def _clear_tables() -> None:
@@ -341,21 +290,21 @@ k_kernel.cache_clear = _clear_tables
 
 
 def _seed_values(consts: DerivedConstants) -> Seeds:
-    """C, alpha, beta and delta from F and K of orders <= 2 (see the module
-    docstring); nan for a value that leaves the float range."""
+    """C, alpha, beta and delta in closed form from the moments D, sigma and
+    tau of k_kernel and 1 - zeta = i Lambda0 / (1 + Lambda0^2 + i Lambda0),
+    free of cancellation: C = P0 4 pi |1 - zeta| K(0, 0), alpha =
+    4 sigma / w^2 - zeta, beta = 8 sigma / w^2 - 2 (1 - zeta) and
+    delta = 8 tau / w^2, alpha reading zeta as 1 - (1 - zeta) so that alpha
+    and beta see one zeta; nan for a value that leaves the float range."""
     try:
-        g0 = f_kernel(0, 0, 0, 0, consts)
-        k00, k20, k11 = k_kernel(0, 0, consts).real, k_kernel(2, 0, consts), k_kernel(1, 1, consts).real
-        f10 = f_kernel(1, 0, 0, 0, consts)
-        norm = g0.real * g0.real + g0.imag * g0.imag
-        cfg = consts.cfg
+        d, sigma, tau = _moments(consts.c1, consts.c2, consts.c3)
+        cfg, w2 = consts.cfg, consts.w ** 2
+        lam0 = cfg.fresnel_ratio
+        one_minus_zeta = 1j * lam0 / (1 + lam0 ** 2 + 1j * lam0)
         p0 = 1.0 / (cfg.wavelength ** 2 * cfg.distance ** 2 * math.sqrt(math.pi * consts.b1))
-        return Seeds(
-            p0 * norm * k00,
-            (f_kernel(2, 0, 0, 0, consts) * k20 + f_kernel(2, 0, 2, 0, consts) * k00)
-            / (2 * g0 * k00),
-            (f_kernel(1, 1, 0, 0, consts) * k20 + f_kernel(1, 1, 1, 1, consts) * k00) / (g0 * k00),
-            (f10.real * f10.real + f10.imag * f10.imag) * k11 / (norm * k00))
+        scaled = 4 * sigma / w2
+        return Seeds(p0 * 4 * math.pi * abs(one_minus_zeta) * (2 * math.pi / math.sqrt(d)),
+                     scaled - 1 + one_minus_zeta, 2 * (scaled - one_minus_zeta), 8 * tau / w2)
     except (OverflowError, ZeroDivisionError, ValueError):
         return Seeds(math.nan, math.nan, math.nan, math.nan)
 

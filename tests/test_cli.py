@@ -146,8 +146,8 @@ class TestMatrixCommand:
         ["--distance", "1e-25", "--rytov", "1e-3", "--pump-waist", "7.0710678"],
         ["--distance", "1e-40", "--rytov", "1"]], ids=["1e-25", "1e-40"])
     def test_tiny_links_are_valid_matrices(self, capsys, argv):
-        # c2/c1 is ~5e30 and ~2e45 here, so the per-term K(20, 20) leaves the
-        # float range, but every Pi comes from order <= 2 kernels
+        # c2/c1 is ~5e30 and ~2e45 here, yet the closed-form seeds, and so
+        # every Pi, stay finite
         code, out, err = run(capsys, "matrix", *argv, "--max-sum", "10", "--format", "csv")
         assert code == EXIT_OK and err == ""
         values = [v for row in parse_matrix_csv(out)["matrix"] for v in row]

@@ -11,7 +11,6 @@ import pickle
 import random
 import re
 import sys
-from fractions import Fraction
 from unittest import mock
 
 import mpmath as mp
@@ -67,21 +66,11 @@ def oracle_f(mu, nu, k, l, consts):
     return val
 
 
-def _gamma_recursion(twice):
-    """Gamma(twice / 2) as the float product x Gamma(x) = Gamma(x + 1) from
-    Gamma(1/2) = sqrt(pi) or Gamma(1) = 1, factor by factor in rising order."""
-    value, x = (math.sqrt(math.pi), 0.5) if twice % 2 else (1.0, 1.0)
-    while x < twice / 2:
-        value *= x
-        x += 1
-    return value
-
-
 def _mp_hyp2f1(a, b, c, z):
     """mp.hyp2f1 for the brackets' z = c4 <= 0. Past z = -1 mpmath continues
     through 1/z, ~0.1 s a call when a - b is an integer, so there Pfaff's
     transformation on a (DLMF 15.8.1) maps z into [1/2, 1), where c - b is a
-    nonpositive integer and the series terminates. The engine transforms on b."""
+    nonpositive integer and the series terminates."""
     if z >= -1:
         return mp.hyp2f1(a, b, c, z)
     return (1 - z) ** -a * mp.hyp2f1(a, c - b, c, z / (z - 1))
@@ -113,11 +102,17 @@ def _oracle_bracket(s, t, c1, c2, c3, c4, prec):
         return value
 
 
+def oracle_c4(consts):
+    """The brackets' argument c4 = -c3^2 / (4 c1 c2) at the working precision."""
+    c1, c2, c3 = map(mp.mpf, (consts.c1, consts.c2, consts.c3))
+    return -c3 ** 2 / (4 * c1 * c2)
+
+
 def oracle_bracket(s, t, consts):
     """The printed K bracket h(s, t) at the working precision; each value is
     computed once per constant set and precision."""
     return _oracle_bracket(min(s, t), max(s, t), consts.c1, consts.c2, consts.c3,
-                           consts.c4, mp.mp.prec)
+                           oracle_c4(consts), mp.mp.prec)
 
 
 def oracle_k(a, b, consts):
@@ -218,19 +213,21 @@ class TestKKernel:
                 assert k_kernel(a, b, consts) == 0
 
     def test_ground_closed_form(self, vac_consts, turb_consts):
-        # only the (p, q) = (0, 0) bracket survives:
-        # (1/c1) sqrt(c1/c2) pi (1 - c4)^(-1/2)
+        # the Gaussian's integral 2 pi / sqrt(4 c1 c2 + c3^2), real
         for consts in (vac_consts, turb_consts):
-            want = (math.pi / consts.c1 * math.sqrt(consts.c1 / consts.c2)
-                    * (1 - consts.c4) ** -0.5)
-            assert k_kernel(0, 0, consts) == pytest.approx(want, rel=1e-13)
+            want = 2 * math.pi / math.sqrt(4 * consts.c1 * consts.c2 + consts.c3 ** 2)
+            got = k_kernel(0, 0, consts)
+            assert got.imag == 0.0 and got.real == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("a,b", [(2, 0), (1, 1), (2, 2), (3, 1), (4, 2), (0, 4)])
     def test_against_oracle(self, vac_consts, turb_consts, a, b):
         for consts in (vac_consts, turb_consts):
             got = k_kernel(a, b, consts)
-            want = complex(oracle_k(a, b, consts))
-            assert got == pytest.approx(want, rel=1e-11)
+            if consts.gamma == 0.0 and a % 2:
+                # vacuum K(odd, odd): exactly 0, where the oracle leaves noise
+                assert got == 0
+            else:
+                assert got == pytest.approx(complex(oracle_k(a, b, consts)), rel=1e-13, abs=0)
 
     def test_conjugate_on_swap(self, turb_consts):
         for a, b in ((2, 0), (3, 1), (4, 2)):
@@ -256,8 +253,7 @@ class TestKKernel:
         # and must match the printed bracket evaluated at high precision
         c1, c2 = turb_consts.c1, turb_consts.c2
         tiny = 0.5e-6 * (c1 + c2)
-        consts = dataclasses.replace(
-            turb_consts, c3=tiny, c4=-tiny ** 2 / (4 * c1 * c2))
+        consts = dataclasses.replace(turb_consts, c3=tiny)
         for a, b in ((1, 1), (2, 0), (3, 1), (2, 2)):
             got = k_kernel(a, b, consts)
             want = complex(oracle_k(a, b, consts))
@@ -268,8 +264,7 @@ class TestKKernel:
         values = []
         for factor in (1.5e-6, 0.9e-6):  # c3 values a factor 1.7 apart
             c3 = factor * (c1 + c2)
-            consts = dataclasses.replace(
-                turb_consts, c3=c3, c4=-c3 ** 2 / (4 * c1 * c2))
+            consts = dataclasses.replace(turb_consts, c3=c3)
             values.append(k_kernel(3, 1, consts))
         rel = abs(values[0] - values[1]) / abs(values[0])
         assert rel < 1e-5
@@ -290,9 +285,9 @@ class TestKKernel:
             assert k_kernel(a, b, consts) == pytest.approx(
                 want, rel=1e-13, abs=0 if rytov else floor), (a, b)
 
-    # far field at large |c4| (c4 = -1316 at Lambda0 = 395, rytov 0.02, where
-    # K(20, 20) is 1.2e-30), where the bracket polynomials are evaluated about
-    # x = 1; the highorder benchmark draws Lambda0 <= 3.5 only
+    # far field, up to Lambda0 = 395 at rytov 0.02, where K(20, 20) is
+    # 1.2e-30 and the printed brackets' argument c4 = -c3^2 / (4 c1 c2) is
+    # -1316; the highorder benchmark draws Lambda0 <= 3.5 only
     @pytest.mark.parametrize("lam0", [10, 50, 200, 395])
     def test_far_field_k_cancellation(self, lam0):
         wavelength, distance = 1.55e-6, 2e4
@@ -307,31 +302,13 @@ class TestKKernel:
     def test_oracle_shortcut_is_mpmath_hyp2f1(self):
         # the oracle's Pfaff-transformed 2F1 past z = -1 against mpmath's own,
         # at bracket parameters of row n = 40 at Lambda0 = 395, rytov 0.02
-        z = mp.mpf(derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
-                                    turbulence_strength(0.02)).c4)
+        z = oracle_c4(derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
+                                       turbulence_strength(0.02)))
         assert z < -1000
         for a, b, c in ((1, 41, 1), (11, 31, 1), (21, 23, -1), (21, 21, 1)):
             a, b, c = mp.mpf(a) / 2, mp.mpf(b) / 2, mp.mpf(c) / 2
             want = mp.hyp2f1(a, b, c, z)
             assert abs(_mp_hyp2f1(a, b, c, z) - want) <= mp.mpf(10) ** -40 * abs(want)
-
-    # every bracket row K reads, against the printed bracket, in near field and
-    # on each side of the centre switches at c4 = -1/3 (Lambda0 ~ 2.3) and
-    # c4 = -3 (Lambda0 ~ 7 to 10): error within 1e-13 of the row's largest
-    # bracket (worst 3.1e-14, at Lambda0 = 10, rytov 0.1, c4 = -3.03)
-    @pytest.mark.parametrize("lam0", [3e-5, 1e-2, 0.127, 1, 3, 5, 10, 50, 395])
-    def test_bracket_rows_against_oracle(self, ref_cfg, lam0):
-        w0 = math.sqrt(2 * ref_cfg.distance / (ref_cfg.wavenumber * lam0))
-        cfg = OpticalConfig.from_w0(ref_cfg.wavelength, ref_cfg.distance, w0)
-        for rytov in (0.0, 0.02, 0.1):
-            consts = derive_constants(cfg, turbulence_strength(rytov))
-            for n in range(0, 41, 2):
-                want = [complex(oracle_bracket(s, n - s, consts)) for s in range(n // 2 + 1)]
-                top = max(map(abs, want))
-                got = _bracket_row(n, consts)[0]
-                assert len(got) == len(want)
-                for s, (x, y) in enumerate(zip(got, want)):
-                    assert abs(x - y) <= 1e-13 * top, (rytov, n, s, abs(x - y) / top)
 
     # the pairs where the printed odd bracket lost most near field
     @pytest.mark.parametrize("lam0,rytov", [(3e-5, 0.0), (3e-5, 0.02), (1e-6, 0.1)])
@@ -350,8 +327,8 @@ class TestKKernel:
         # real and equals Re K at a tiny c3
         c1, c2 = turb_consts.c1, turb_consts.c2
         tiny = 1e-12 * (c1 + c2)
-        zero = dataclasses.replace(turb_consts, c3=0.0, c4=0.0)
-        near = dataclasses.replace(turb_consts, c3=tiny, c4=-tiny ** 2 / (4 * c1 * c2))
+        zero = dataclasses.replace(turb_consts, c3=0.0)
+        near = dataclasses.replace(turb_consts, c3=tiny)
         for a, b in ((1, 1), (3, 1)):
             at_zero, at_tiny = k_kernel(a, b, zero), k_kernel(a, b, near)
             assert cmath.isfinite(at_zero) and at_zero.imag == 0.0
@@ -372,18 +349,16 @@ class TestPiFactor:
         for consts in (vac_consts, turb_consts):
             got = pi_factor(mu, nu, consts)
             want, scale = oracle_pi(mu, nu, consts)
-            # an entry whose every term vanishes, such as vacuum (1, 6), leaves
-            # only 50-digit noise, real or not; any other comes out real
-            identically_zero = scale < 1e-40 * pi_factor(0, 0, consts)
-            assert abs(want.imag) < 1e-25 * scale or identically_zero
-            if abs(want.real) > 1e-20 * scale:
-                # the worst measured error is 2.05e-15, at turbulent Pi(2, 1)
-                assert got == pytest.approx(float(want.real), rel=2.5e-15)
+            if consts.gamma == 0.0 and (mu + nu) % 2:
+                # every term vanishes identically, vacuum K(odd, odd) being 0:
+                # the oracle leaves 50-digit noise, the engine an exact 0
+                assert got == 0.0
             else:
-                # entry cancels to zero; the engine must sit at noise level
-                assert abs(got) < 1e-12 * float(scale)
+                # the worst measured error is 1.8e-15, at turbulent Pi(3, 3)
+                assert abs(want.imag) < 1e-25 * scale
+                assert got == pytest.approx(float(want.real), rel=2.5e-15, abs=0)
 
-    # far field, Lambda0 = 395 and rytov 0.02 (c4 = -1316): Pi(9, 10) is well
+    # far field, Lambda0 = 395 and rytov 0.02: Pi(9, 10) is well
     # conditioned, yet K that lost its digits there put it 1.4e-6 off
     def test_far_field_against_oracle(self):
         consts = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
@@ -444,18 +419,28 @@ class TestPiFactor:
         assert engine.pi_seeds(consts).delta == delta
 
     def test_tiny_link_is_a_valid_table(self):
-        # at a 1e-25 m link rho ~ 4.8e7: the per-term K(20, 20) leaves the
-        # float range, while the seeds and every Pi stay finite; Pi(10, 10)
-        # against the per-order form of the 50-digit oracle
+        # at a 1e-25 m link c2/c1 ~ 5e30, yet K(20, 20) ~ 9.1e25 keeps its
+        # digits, and the seeds and every Pi stay finite; K(20, 20) against
+        # the 50-digit oracle and Pi(10, 10) against its per-order form
         cfg = OpticalConfig(0.8e-6, 1e-25, 7.0710678)
         consts = derive_constants(cfg, TurbulenceSpec.from_rytov(1e-3).resolve(cfg).gamma)
-        k = k_kernel(20, 20, consts)
-        assert math.isinf(k.real) and math.isnan(k.imag)
+        want = complex(oracle_k(20, 20, consts))
+        assert k_kernel(20, 20, consts) == pytest.approx(want, rel=1e-13, abs=0)
         values = probability_matrix(expand_modes(10), consts).values
         assert all(math.isfinite(v) and v >= 0.0 for row in values for v in row)
         want = _per_order_pi(10, 10, consts)
         assert abs(want.imag) < 1e-30 * abs(want)
         assert pi_factor(10, 10, consts) == pytest.approx(float(want.real), rel=1e-14, abs=0)
+
+    # links where c2/c1 is ~4e26 and ~4e41 and K(20, 20) is 2.2e-92 and
+    # 7.1e-100, far below K(0, 0)
+    @pytest.mark.parametrize("distance", [1e-25, 1e-40])
+    def test_tiny_link_kernels(self, distance):
+        cfg = OpticalConfig(0.8e-6, distance, 0.01)
+        consts = derive_constants(cfg, TurbulenceSpec.from_rytov(0.02).resolve(cfg).gamma)
+        for a, b in ((20, 20), (20, 18)):
+            want = complex(oracle_k(a, b, consts))
+            assert k_kernel(a, b, consts) == pytest.approx(want, rel=1e-13, abs=0), (a, b)
 
     @settings(deadline=None, max_examples=100, derandomize=True)
     @given(st.floats(0.6e-6, 1.6e-6), st.floats(1e3, 2e4), st.floats(0.05, 0.2),
@@ -753,19 +738,10 @@ def _bits(values):
     return [[float(v).hex() for v in row] for row in values]
 
 
-def _fsum(terms):
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-
-
 def _clear_engine_caches():
     engine._clear_tables()
-    for cache in (engine._plan, engine._gamma_half, engine._bracket_coefficients,
-                  engine._kappas):
+    for cache in (engine._plan, engine._gamma_half):
         cache.cache_clear()
-
-
-def _bracket_row(n, c):
-    return engine._bracket_row(n, c.c1, c.c2, c.c3, c.c4)
 
 
 def _per_order_f_sums(mu, nu, f):
@@ -775,63 +751,32 @@ def _per_order_f_sums(mu, nu, f):
 
 
 class TestKernelTables:
-    # a raw matrix over orders <= M computes the seeds' kernels once each,
-    # F of orders <= 2 (six values) and K(0, 0), K(2, 0) and K(1, 1), and
-    # fills its set's table once; a second matrix over that set computes
-    # nothing, and a fresh geometry builds no geometry-free row
+    # a raw matrix over orders <= M reads its set's closed-form seeds and
+    # fills its table once, calling neither f_kernel nor k_kernel; a second
+    # matrix over that set computes nothing, and a fresh geometry, with the
+    # fill plans warm, builds no geometry-free table
     @pytest.mark.parametrize("max_sum", [10, 3])
     def test_each_kernel_value_once(self, ref_cfg, max_sum):
         modes = expand_modes(max_sum)
         _clear_engine_caches()
         consts = derive_constants(ref_cfg, turbulence_strength(0.05))
         with mock.patch.object(engine, "f_kernel", wraps=engine.f_kernel) as f, \
-                mock.patch.object(engine, "_hyp2f1_terminating",
-                                  wraps=engine._hyp2f1_terminating) as terminating:
+                mock.patch.object(engine, "k_kernel", wraps=engine.k_kernel) as k:
             for _ in range(2):
                 probability_matrix(modes, consts, normalization=NORMALIZATION_RAW)
-            assert (f.call_count, terminating.call_count) == (6, 6)
-        assert k_kernel.cache_info()[:2] == (0, 3)
+            assert (f.call_count, k.call_count) == (0, 0)
+        assert k_kernel.cache_info()[:2] == (0, 0)
         assert table_info().pi.misses == 1
         assert len(consts.pi) == (max_sum + 1) * (max_sum + 2) // 2
-        assert engine._bracket_coefficients.cache_info().currsize == 2
-        # with the geometry-free tables warm, a fresh geometry, here one in
-        # far field (c4 < -1), computes no Gamma value, bracket row, weight
-        # or fill plan
-        tables = (engine._gamma_half, engine._bracket_coefficients, engine._kappas, engine._plan)
+        tables = (engine._gamma_half, engine._plan)
         built = [cache.cache_info().misses for cache in tables]
+        assert built == [0, 1]
         far = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
                                turbulence_strength(0.05))
-        assert far.c4 < -1
         probability_matrix(modes, far, normalization=NORMALIZATION_RAW)
         assert [cache.cache_info().misses for cache in tables] == built
+        assert k_kernel.cache_info()[:2] == (0, 0)
         assert table_info().pi.misses == 2
-
-    def test_k_kernel_equals_per_term_brackets(self, ref_cfg, near_field_cfgs):
-        def per_term(a, b, c):
-            # each K term reads its bracket from the row; kappa_s from its
-            # binomial sum and the weight from rho, term by term
-            n = a + b
-            if n % 2:
-                return 0.0 + 0.0j
-            rho = (c.c2 / c.c1) ** 0.25
-            sign = (-1) ** b
-            terms = []
-            for s in range(n // 2 + 1):
-                t = n - s
-                kappa = sum(math.comb(a, p) * math.comb(b, s - p) * (-1) ** (b - s + p)
-                            for p in range(max(0, s - b), min(a, s) + 1))
-                weight = kappa * (rho ** (s - t) + sign * rho ** (t - s) if s < t else 1.0)
-                if weight:
-                    terms.append(weight * _bracket_row(n, c)[0][s])
-            return 0.25 * 0.5 ** (n / 2) / c.c1 * (c.c1 * c.c2) ** (-n / 4) * _fsum(terms)
-
-        cfgs = [ref_cfg, *near_field_cfgs.values()]
-        _clear_engine_caches()
-        for consts in [derive_constants(cfg, gamma) for cfg in cfgs
-                       for gamma in (0.0, turbulence_strength(0.02))]:
-            for a in range(21):
-                for b in range(21):
-                    assert k_kernel(a, b, consts) == per_term(a, b, consts), (a, b)
 
     def test_k_kernel_conjugate_symmetric(self, ref_cfg, near_field_cfgs):
         # k_kernel computes one triangle of K and takes the other as its conjugate
@@ -843,15 +788,23 @@ class TestKernelTables:
                     assert k_kernel(b, a, consts) == k_kernel(a, b, consts).conjugate(), (a, b)
 
     def test_stored_k_equals_per_entry_sum(self, ref_cfg, near_field_cfgs):
-        # every stored K(a >= b), a + b even, is bitwise the per-entry sum:
-        # kappa times the weight row times the bracket row, fsum of the real
-        # and imaginary parts, then the prefactor; K(b, a) its conjugate
-        def per_entry(a, b, c):
-            n = a + b
-            h, even, odd = _bracket_row(n, c)[:3]
-            weights = [kappa * w for kappa, w in zip(engine._kappas(a, b), odd if b % 2 else even)]
-            terms = [w * x for w, x in zip(weights, h) if w]
-            return 0.25 * 0.5 ** (n / 2) / c.c1 * (c.c1 * c.c2) ** (-n / 4) * _fsum(terms)
+        # every stored K(a >= b), a + b even, is bitwise Wick's recurrence
+        # run here over a plain dict, the diagonal taken real; K(b, a) its
+        # conjugate
+        def recurrence(c):
+            d = 4 * c.c1 * c.c2 + c.c3 * c.c3
+            sigma, tau = complex(c.c1 + c.c2, -c.c3) / d, (c.c2 - c.c1) / d
+            k = {(0, 0): complex(2 * math.pi / math.sqrt(d))}
+            k[1, 1] = tau * k[0, 0]
+            for n in range(2, 41, 2):
+                for a in range(max(2, n // 2), min(n, 20) + 1):
+                    b = n - a
+                    below = k[a - 2, b] if a - 2 >= b else k[b, a - 2].conjugate()
+                    value = (a - 1) * sigma * below
+                    if b:
+                        value += b * tau * k[a - 1, b - 1]
+                    k[a, b] = value if a > b else complex(value.real)
+            return k
 
         def bits(z):
             return z.real.hex(), z.imag.hex()
@@ -860,12 +813,10 @@ class TestKernelTables:
         cfgs = [ref_cfg, *near_field_cfgs.values(), OpticalConfig.from_w0(1.55e-6, 2e4, 0.005)]
         for consts in [derive_constants(cfg, turbulence_strength(rytov))
                        for cfg in cfgs for rytov in (0.0, 0.02, 0.1)]:
-            for a in range(21):
-                for b in range(a % 2, a + 1, 2):
-                    want = per_entry(a, b, consts)
-                    assert bits(k_kernel(a, b, consts)) == bits(want), (consts.c4, a, b)
-                    if b < a:
-                        assert bits(k_kernel(b, a, consts)) == bits(want.conjugate()), (a, b)
+            for (a, b), want in recurrence(consts).items():
+                assert bits(k_kernel(a, b, consts)) == bits(want), (consts, a, b)
+                if b < a:
+                    assert bits(k_kernel(b, a, consts)) == bits(want.conjugate()), (a, b)
 
     @pytest.mark.parametrize("rytov", [0.0, 0.03])
     def test_fill_order_does_not_change_the_bits(self, ref_cfg, rytov):
@@ -890,47 +841,10 @@ class TestKernelTables:
         assert all(_bits(probability_matrix(modes, c).values) ==
                    _bits(probability_matrix(modes, first).values) for c in filled[1:])
 
-    def test_bracket_coefficients_exact(self):
-        # row n, entry s: the front 4 Gamma Gamma (negated for odd s), b and
-        # 2F1(-m, b; c; x) re-centred at 0, 1/2 and 1, each coefficient the
-        # correctly rounded exact one; for odd s, the combination of the two
-        # Pfaff-transformed 2F1 of the contiguous relation is that polynomial
-        def hyp(m, b, c):
-            out, term = [], Fraction(1)
-            for j in range(m + 1):
-                out.append(term)
-                term = term * (b + j) * (j - m) / ((c + j) * (j + 1))
-            return out
-
-        half = Fraction(1, 2)
-        for n in range(0, 41, 2):
-            rows = engine._bracket_coefficients(n)
-            assert len(rows) == n // 2 + 1
-            for s, (front, b, *centred) in enumerate(rows):
-                t = n - s
-                assert b == (1 + t + s % 2) / 2
-                if s % 2 == 0:
-                    p = hyp(s // 2, (1 + t) * half, half)
-                    g = _gamma_recursion(1 + s), _gamma_recursion(1 + t)
-                    assert front == 4 * g[0] * g[1]
-                else:
-                    p = hyp(s // 2, (2 + t) * half, 3 * half)
-                    g = _gamma_recursion(2 + s), _gamma_recursion(2 + t)
-                    assert front == -4 * g[0] * g[1]
-                    lo = hyp((1 + s) // 2, (2 + t) * half, half)
-                    hi = hyp((1 + s) // 2, (4 + t) * half, 3 * half)
-                    assert [(3 + s + t) * x - (2 + s) * (2 + t) * y for x, y in zip(lo, hi)] == \
-                        [-(1 + s) * (1 + t) * x for x in p] + [0]
-                for x0, coeffs in zip((0, half, 1), centred):
-                    q = [sum(math.comb(j, k) * x0 ** (j - k) * p[j] for j in range(k, len(p)))
-                         for k in range(len(p))]
-                    assert coeffs == tuple(map(float, reversed(q))), (n, s, x0)
-
     def test_tables_stay_bounded(self, ref_cfg):
         # 500 sweep points and 20 geometries: at most 16 derived sets, each
-        # set's table at most its 66 Pi, the stored K within its bound, and
-        # the geometry-free tables hold every row the seeds and the fills
-        # read, each built once
+        # set's table at most its 66 Pi, no K read, and the fill plans each
+        # built once
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         _clear_engine_caches()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
@@ -941,16 +855,11 @@ class TestKernelTables:
             assert len(consts.pi) == 66 and len(consts.seeds) == 1
         info = table_info()
         assert info.sets.currsize <= info.sets.maxsize == 16
-        # three K per set, K(0, 0), K(2, 0) and K(1, 1), keyed on c1..c4: the
-        # W0 = 0.1 m vacuum set, the reference one derived again after its
-        # eviction, reads the three stored for the calibration anchor
-        assert info.k.hits + info.k.misses == 3 * 520
-        assert info.k.misses == info.k.currsize <= info.k.maxsize == 16 * 121
-        # Gamma(1/2), Gamma(3/2); bracket rows 0 and 2; the weights of the
-        # three K; the fill plans through orders 0 (the anchor), 3 and 10
-        for cache, rows in ((engine._gamma_half, 2), (engine._bracket_coefficients, 2),
-                            (engine._kappas, 3), (engine._plan, 3)):
-            assert cache.cache_info().misses == cache.cache_info().currsize == rows
+        # the seeds are closed forms: no set reads K or F's Gamma values
+        assert info.k == (0, 0, 16 * 121, 0)
+        assert engine._gamma_half.cache_info().misses == 0
+        # the fill plans through orders 0 (the anchor), 3 and 10
+        assert engine._plan.cache_info().misses == engine._plan.cache_info().currsize == 3
 
     def test_public_k_kernel_calls_stay_in_the_triangle(self, ref_cfg):
         # K(a < b) is the exact conjugate of the stored K(b, a) and odd
@@ -992,18 +901,18 @@ class TestKernelTables:
     def test_k_kernel_cache_info_counts_the_tables(self, vac_consts):
         _clear_engine_caches()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
-        # K(2, 0) is stored on a miss; K(0, 2) is its conjugate, a hit, and
-        # odd a + b reads nothing
+        # K(2, 0) is stored on a miss, with the K(0, 0) its recurrence reads;
+        # K(0, 2) is its conjugate, a hit, and odd a + b reads nothing
         k_kernel(2, 0, vac_consts)
-        assert k_kernel.cache_info() == (0, 1, 16 * 121, 1)
+        assert k_kernel.cache_info() == (0, 2, 16 * 121, 2)
         k_kernel(0, 2, vac_consts)
         k_kernel(1, 2, vac_consts)
-        assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
-        # a fresh set's seeds read K(0, 0), K(2, 0) and K(1, 1), keyed on
-        # c1..c4: the stored K(2, 0) and two new; its Pi(1, 3) is one fill
+        assert k_kernel.cache_info() == (1, 2, 16 * 121, 2)
+        # a fresh set's seeds are closed forms that read no K; its Pi(1, 3)
+        # is one fill
         fresh = dataclasses.replace(vac_consts)
         pi_factor(1, 3, fresh)
-        assert k_kernel.cache_info() == (2, 3, 16 * 121, 3)
+        assert k_kernel.cache_info() == (1, 2, 16 * 121, 2)
         assert table_info().pi == (0, 1)
         k_kernel.cache_clear()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
@@ -1042,13 +951,13 @@ class TestChannelPath:
 
     def test_sweep_caches_stay_bounded(self, ref_cfg):
         # 500 points of four pairs derive more sets than derive_constants
-        # keeps, and store three K per set, within the K cache's bound
+        # keeps, and store no K: the seeds are closed forms
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         engine._clear_tables()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
         sets, k = table_info().sets, table_info().k
         assert sets.misses > sets.maxsize >= sets.currsize
-        assert k.misses == 3 * 500 and k.maxsize is not None and k.currsize <= k.maxsize
+        assert k == (0, 0, 16 * 121, 0)
 
     def test_sweep_keeps_at_most_16_sets_alive(self, ref_cfg, monkeypatch):
         # each point's set is derived inside the loop, so at its last point
