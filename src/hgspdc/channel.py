@@ -5,8 +5,8 @@ constants the overlap kernels read: zeta, w, b1 and c1..c3, each in a closed
 form free of cancellation (see DerivedConstants).
 
 Everything here is a pure function over immutable inputs; DerivedConstants is
-a frozen value object safe to share between threads, and the tables the
-engine keeps on it only ever gain values computed from its own fields.
+a frozen value object safe to share between threads, and the table the
+engine keeps on it only ever gains rows computed from its own fields.
 """
 
 from __future__ import annotations
@@ -216,12 +216,10 @@ class DerivedConstants:
       c1,2 = Re A2 -/+ a3/2 and c3 = Im A2 by subtracting nearly equal terms
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
-    - seeds, pi: the engine's tables of this set (see engine.py): seeds
-      holds, once computed, the generating-function seeds C, alpha, beta and
-      delta that fix every Pi, and pi is a dict of Pi(mu <= nu), filled
-      through a top order in one update. Equality, hashing and repr ignore
-      them, and dataclasses.replace, copy and pickle start a copy with empty
-      tables.
+    - pi: the engine's table of this set (see engine.py), a dict that maps
+      order n to the row (Pi(0, n), ..., Pi(n, n)), rows 0..top filled in
+      one update. Equality, hashing and repr ignore it, and
+      dataclasses.replace, copy and pickle start a copy with an empty table.
     """
 
     cfg: OpticalConfig
@@ -234,7 +232,6 @@ class DerivedConstants:
     c1: float
     c2: float
     c3: float
-    seeds: list = field(default_factory=list, init=False, compare=False, repr=False)
     pi: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __reduce__(self):

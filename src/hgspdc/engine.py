@@ -28,22 +28,24 @@ cancels, and v_k vanishes unless k has the parity of m + n, so vacuum Pi
 with odd mu + nu are exactly 0. The fill runs over the triangle
 m <= n, v_k being symmetric, and skips the parity zeros.
 
-Each DerivedConstants keeps its seeds, computed and checked once, and its
-table pi of Pi(mu <= nu). A fill computes every Pi(m <= n <= top) and
-publishes them in one dict update, each value independent of top and of
-fill order. A pi_factor miss fills through the order it needs;
-probability_matrix and rytov_sweep ask for Pi(top, top) of their grid's top
-order first, so one fill serves every Pi they read. Seeds that are not
-finite, C <= 0 or delta < 0 are the one NumericalError, which names the set.
+Each DerivedConstants keeps its table pi of Pi rows by order: pi[n] is
+(Pi(0, n), ..., Pi(n, n)), so Pi(mu, nu) is pi[max][min]. A fill computes
+the seeds, checks them, and publishes rows 0..top in one dict update, each
+row independent of top and of fill order. A pi_factor miss fills through
+the row it needs. probability_matrix asks for Pi(top, top) of its grid's
+top order once and then reads the rows; rytov_sweep asks for it first, so
+one fill serves every Pi either reads. Seeds that are not finite, C <= 0 or
+delta < 0 are the one NumericalError, which names the set.
 
 f_kernel and k_kernel are the per-term references, which the tests and
 the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
 recurrence for the moments of exp(-c1 x^2 - c2 y^2 + i c3 x y), exact
-zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b). Bounded lru_caches hold K, keyed on its orders and c1..c3, and
-the geometry-free numbers, built on first use: _gamma_half (Gamma(j/2) by
-its exact recursion) and the fill's indexing _plan. table_info() reports
-the hits and misses. All functions are pure and fills store values
-computed from the set's own fields, so concurrent use is safe.
+zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b).
+
+Two bounded lru_caches remain: K, keyed on its orders and c1..c3, and the
+fill's geometry-free indexing _plan, built on first use. table_info()
+reports the sets, K and the Pi lookups. All functions are pure and fills
+store values computed from the set's own fields, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from operator import index
 
 from .channel import (
@@ -73,10 +74,8 @@ DEFAULT_MAX_ORDER = 10
 
 # The per-term form of Pi(mu, nu) reads K up to order 2 * DEFAULT_MAX_ORDER:
 # the K cache holds that triangle, K(a >= b) with even a + b, for
-# DERIVED_SETS sets, and the Gamma cache the Gamma(j/2), j <= 21, that F
-# reads.
+# DERIVED_SETS sets.
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
-_GAMMA_CACHE_SIZE = 2 * DEFAULT_MAX_ORDER + 1
 
 
 def _orders(*orders) -> tuple[int, ...]:
@@ -186,11 +185,9 @@ def _hyp2f1_terminating(k: int, l: int, c: float, x: complex) -> complex:
     return total
 
 
-@lru_cache(maxsize=_GAMMA_CACHE_SIZE)
 def _gamma_half(twice: int) -> float:
     """Gamma(twice / 2) for twice >= 1 by the exact recursion
-    Gamma(x + 1) = x Gamma(x) from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi). The
-    values F reads depend on no geometry, so each is computed once."""
+    Gamma(x + 1) = x Gamma(x) from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi)."""
     if twice <= 0:
         raise DomainError(f"Gamma(x) needs x > 0, got x = {twice}/2")
     acc = math.sqrt(math.pi) if twice % 2 else 1.0
@@ -226,21 +223,18 @@ def _moments(c1: float, c2: float, c3: float) -> tuple[float, complex, float]:
 @lru_cache(maxsize=DERIVED_SETS * _K_ENTRIES)
 def _k_entry(a: int, b: int, c1: float, c2: float, c3: float) -> complex:
     """K(a, b) for a >= b and even a + b, keyed on the constants it reads,
-    by Wick's recurrence (see k_kernel)."""
+    by Wick's recurrence (see k_kernel) run bottom-up, rows i = 2..a over
+    the entries K(i, j <= min(i, b)) it reads, with no recursion."""
     d, sigma, tau = _moments(c1, c2, c3)
-    if a < 2:
-        k00 = complex(2 * math.pi / math.sqrt(d))
-        return tau * k00 if a else k00
-    value = (a - 1) * sigma * _k_value(a - 2, b, c1, c2, c3)
-    if b:
-        value += b * tau * _k_entry(a - 1, b - 1, c1, c2, c3)
-    return value if a > b else complex(value.real)
-
-
-def _k_value(a: int, b: int, c1: float, c2: float, c3: float) -> complex:
-    """K(a, b) for even a + b: the stored K(a, b), or for a < b the exact
-    conjugate of the stored K(b, a)."""
-    return _k_entry(a, b, c1, c2, c3) if a >= b else _k_entry(b, a, c1, c2, c3).conjugate()
+    k00 = complex(2 * math.pi / math.sqrt(d))
+    k = {(0, 0): k00, (1, 1): tau * k00}
+    for i in range(2, a + 1):
+        for j in range(i % 2, min(i, b) + 1, 2):
+            value = (i - 1) * sigma * (k[i - 2, j] if i - 2 >= j else k[j, i - 2].conjugate())
+            if j:
+                value += j * tau * k[i - 1, j - 1]
+            k[i, j] = value if i > j else complex(value.real)
+    return k[a, b]
 
 
 def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
@@ -256,16 +250,17 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
     vanishes for odd a + b. In vacuum c1 == c2, so tau and every
     K(odd, odd) are exactly 0.
 
-    Stores K(max(a, b), min(a, b)), and the entries its recurrence reads,
-    keyed on the orders and c1..c3, and returns K(b, a) as its exact
-    conjugate.
+    Stores K(max(a, b), min(a, b)) alone, keyed on the orders and c1..c3,
+    and returns K(b, a) as its exact conjugate. Any order runs, without
+    recursion.
     """
     a, b = _orders(a, b)
     if a < 0 or b < 0:
         raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
     if (a + b) % 2:
         return 0.0 + 0.0j
-    return _k_value(a, b, consts.c1, consts.c2, consts.c3)
+    c = consts.c1, consts.c2, consts.c3
+    return _k_entry(a, b, *c) if a >= b else _k_entry(b, a, *c).conjugate()
 
 
 def _clear_tables() -> None:
@@ -310,12 +305,10 @@ def _seed_values(consts: DerivedConstants) -> Seeds:
 
 
 def pi_seeds(consts: DerivedConstants) -> Seeds:
-    """The generating-function seeds C, alpha, beta and delta of consts,
-    computed once and kept on the set. NumericalError, naming the set, if
-    one is not finite, C <= 0 or delta < 0: the one numerical failure of
-    Pi."""
-    if consts.seeds:
-        return consts.seeds[0]
+    """The generating-function seeds C, alpha, beta and delta of consts, by
+    _seed_values; each fill computes them once. NumericalError, naming the
+    set, if one is not finite, C <= 0 or delta < 0: the one numerical
+    failure of Pi."""
     seeds = _seed_values(consts)
     c, alpha, beta, delta = seeds
     if not (0.0 < c < math.inf and 0.0 <= delta < math.inf
@@ -324,19 +317,18 @@ def pi_seeds(consts: DerivedConstants) -> Seeds:
             f"the Pi seeds C={c:.6g}, alpha={alpha:.6g}, beta={beta:.6g}, delta={delta:.6g} "
             f"are not finite, C <= 0 or delta < 0 at gamma={consts.gamma:.6g}, "
             f"Lambda0={consts.cfg.fresnel_ratio:.6g}, c1={consts.c1:.6g}, c2={consts.c2:.6g}")
-    consts.seeds.append(seeds)
     return seeds
 
 
 @lru_cache(maxsize=DEFAULT_MAX_ORDER + 1)
 def _plan(top: int) -> tuple:
     """The fill's geometry-free indexing through top. Cell n (n + 1) / 2 + m
-    holds (m, n), m <= n <= top, and the cell past the last is a constant 0.
-    Returns the keys (m, n), their m! n! / 2^(m+n) (exact), the v_0 steps
-    (cell, m or n, cell of (m - 2, n), cell of (m - 1, n - 1)) over even
-    m + n > 0, and per k = 1..2 top the v_k steps (cell, cell of (m - 1, n),
-    cell of (m, n - 1) or at m = n its mirror (n - 1, n)) over m + n >= k of
-    k's parity."""
+    holds (m, n), m <= n <= top, row by row in n, and the cell past the last
+    is a constant 0. Returns the cells' m! n! / 2^(m+n) (exact), the v_0
+    steps (cell, m or n, cell of (m - 2, n), cell of (m - 1, n - 1)) over
+    even m + n > 0, and per k = 1..2 top the v_k steps (cell, cell of
+    (m - 1, n), cell of (m, n - 1) or at m = n its mirror (n - 1, n)) over
+    m + n >= k of k's parity."""
     keys = [(m, n) for n in range(top + 1) for m in range(n + 1)]
     zero = len(keys)
 
@@ -349,19 +341,22 @@ def _plan(top: int) -> tuple:
     later = [[(cell(m, n), cell(m - 1, n), cell(m, n - 1) if m < n else cell(n - 1, n))
               for m, n in keys if m + n >= k and (m + n - k) % 2 == 0]
              for k in range(1, 2 * top + 1)]
-    return keys, scales, first, later
+    return scales, first, later
 
 
 def _fill(consts: DerivedConstants, top: int) -> None:
-    """Publish every Pi(m <= n <= top) of consts into consts.pi in one update.
+    """Publish rows 0..top of consts.pi, row n the tuple (Pi(0, n), ...,
+    Pi(n, n)), in one update of a prebuilt dict.
 
     v_0 runs its recurrence over the even cells; each v_k then adds
-    delta^k k! |v_k|^2 to its cells, k ascending, so a value depends on
-    neither top nor the fill order. In vacuum delta is 0 and v_0 is all.
+    delta^k k! |v_k|^2 to its cells, k ascending, so a row depends on
+    neither top nor the fill order: concurrent fills write identical rows,
+    and the rows present are always 0..r. In vacuum delta is 0 and v_0 is
+    all.
     """
     c, alpha, beta, delta = pi_seeds(consts)
-    keys, scales, first, later = _plan(top)
-    v = [0j] * (len(keys) + 1)
+    scales, first, later = _plan(top)
+    v = [0j] * (len(scales) + 1)
     v[0] = 1.0 + 0.0j
     twice = 2 * alpha
     for cell, order, back, diag in first:
@@ -374,16 +369,18 @@ def _fill(consts: DerivedConstants, top: int) -> None:
             for cell, left, down in steps:
                 x = v[cell] = (prev[left] + prev[down]) / k
                 acc[cell] += weight * (x.real * x.real + x.imag * x.imag)
-    consts.pi.update(zip(keys, [c * s * a for s, a in zip(scales, acc)]))
+    values = [c * s * a for s, a in zip(scales, acc)]
+    consts.pi.update({n: tuple(values[n * (n + 1) // 2:(n + 1) * (n + 2) // 2])
+                      for n in range(top + 1)})
 
 
 def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
     """Per-axis probability factor Pi(mu, nu), a mean |overlap|^2: finite
     and >= 0.
 
-    Symmetric in (mu, nu); the table key is sorted so the symmetry is exact.
-    A miss fills the set's table through max(mu, nu); NumericalError if the
-    set's seeds fail pi_seeds.
+    Symmetric in (mu, nu) exactly: the value is row max(mu, nu) of the
+    set's table at min(mu, nu). A missing row fills the table through it;
+    NumericalError if the set's seeds fail pi_seeds.
     """
     if type(mu) is not int or type(nu) is not int:  # ints, the hot lookups, skip the call
         mu, nu = _orders(mu, nu)
@@ -394,17 +391,17 @@ def pi_factor(mu: int, nu: int, consts: DerivedConstants) -> float:
             f"order {max(mu, nu)} exceeds max_order={DEFAULT_MAX_ORDER}; the "
             "paraxial closed form degrades for high orders"
         )
-    key = (mu, nu) if mu <= nu else (nu, mu)
+    low, high = (mu, nu) if mu <= nu else (nu, mu)
     _counts.lookups += 1
-    value = consts.pi.get(key)
-    if value is None:
+    row = consts.pi.get(high)
+    if row is None:
         _counts.misses += 1
         try:
-            _fill(consts, key[1])
+            _fill(consts, high)
         except NumericalError as exc:
             raise NumericalError(f"pi_factor({mu}, {nu}): {exc}") from None
-        value = consts.pi[key]
-    return value
+        row = consts.pi[high]
+    return row[low]
 
 
 def joint_probability(pair: ModePair, consts: DerivedConstants) -> float:
@@ -514,21 +511,18 @@ def probability_matrix(
             f"constants were derived for gamma={consts.gamma!r}"
         )
 
-    # one pi_factor call per distinct sorted (mu, nu) the grid reads: pairs
-    # of m orders, pairs of n orders and the (00,00) anchor's (0, 0). The
-    # first is (top, top), whose miss fills every Pi the grid reads
-    ms, ns = [s.m for s in ordering], [s.n for s in ordering]
-    m_orders, n_orders = sorted(set(ms)), sorted(set(ns))
-    keys = sorted({(0, 0), *combinations_with_replacement(m_orders, 2),
-                   *combinations_with_replacement(n_orders, 2)}, reverse=True)
-    pi: dict[int, dict[int, float]] = {a: {} for a in {0, *m_orders, *n_orders}}
-    for a, b in keys:
-        pi[a][b] = pi[b][a] = pi_factor(a, b, consts)
-    # row s is pi[s.m][i.m] * pi[s.n][i.n] over the idlers i, from one
+    # one pi_factor call, at the grid's top order, fills the rows 0..top of
+    # the set's table; square[a] is then Pi(a, 0..top), and row s of the
+    # matrix is Pi(s.m, i.m) Pi(s.n, i.n) over the idlers i, from one
     # gathered column per distinct order
-    col_m = {a: list(map(pi[a].__getitem__, ms)) for a in m_orders}
-    col_n = {b: list(map(pi[b].__getitem__, ns)) for b in n_orders}
-    raw_ref = pi[0][0] * pi[0][0]
+    ms, ns = [s.m for s in ordering], [s.n for s in ordering]
+    top = max(max(ms), max(ns))
+    pi_factor(top, top, consts)
+    rows = [consts.pi[n] for n in range(top + 1)]
+    square = [rows[a] + tuple([row[a] for row in rows[a + 1:]]) for a in range(top + 1)]
+    col_m = {a: list(map(square[a].__getitem__, ms)) for a in set(ms)}
+    col_n = {b: list(map(square[b].__getitem__, ns)) for b in set(ns)}
+    raw_ref = square[0][0] * square[0][0]
 
     calibrated = normalization == NORMALIZATION_CALIBRATED
     factor = _calibration_factor(consts, reference_value) if calibrated else 1.0

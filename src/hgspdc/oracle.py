@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import OpticalConfig
-from .engine import ModePair
+from .engine import ModePair, _orders
 from .errors import DomainError, QuadratureResolutionError
 
 #: A(mu, nu) keyed (mu, nu) in both orders
@@ -153,12 +153,13 @@ def overlap_table(cfg: OpticalConfig, spec: QuadratureSpec | None = None,
 
     When check_convergence is set, the table is recomputed with doubled
     nodes and any entry moving by more than the tolerance (relative to the
-    dominant amplitude) raises QuadratureResolutionError.
+    dominant amplitude) raises QuadratureResolutionError. DomainError if
+    max_order is not an integer from 0 to MAX_ORACLE_ORDER.
     """
-    if max_order > MAX_ORACLE_ORDER:
-        raise DomainError(
-            f"oracle supports orders <= {MAX_ORACLE_ORDER} (quadrature cost guard)"
-        )
+    max_order, = _orders(max_order)
+    if not 0 <= max_order <= MAX_ORACLE_ORDER:
+        raise DomainError(f"oracle supports orders 0 to {MAX_ORACLE_ORDER} (quadrature "
+                          f"cost guard), got max_order={max_order}")
     if spec is None:
         spec = QuadratureSpec.for_config(cfg)
     spec.check_window(cfg)
@@ -177,9 +178,12 @@ def overlap_table(cfg: OpticalConfig, spec: QuadratureSpec | None = None,
 def vacuum_overlap_1d(mu: int, nu: int, cfg: OpticalConfig,
                       spec: QuadratureSpec | None = None,
                       check_convergence: bool = True) -> complex:
-    """Single per-axis overlap amplitude A(mu, nu)."""
-    order = max(mu, nu)
-    return overlap_table(cfg, spec, order, check_convergence)[mu, nu]
+    """Single per-axis overlap amplitude A(mu, nu); DomainError if an order
+    is not a nonnegative integer."""
+    mu, nu = _orders(mu, nu)
+    if min(mu, nu) < 0:
+        raise DomainError(f"orders must be nonnegative, got ({mu}, {nu})")
+    return overlap_table(cfg, spec, max(mu, nu), check_convergence)[mu, nu]
 
 
 def vacuum_probability_oracle(pair: ModePair, cfg: OpticalConfig,

@@ -303,22 +303,20 @@ def check_robust_ordering() -> CheckResult:
 
 def check_specfun() -> CheckResult:
     """Anchor values and invariants of the engine's two special functions:
-    Gamma at half-integers and f_kernel's terminating 2F1. Gamma is called
-    unwrapped, so the check neither evicts nor counts in the engine's table."""
+    Gamma at half-integers and f_kernel's terminating 2F1."""
     failures = []
-    gamma = _gamma_half.__wrapped__
     sqrt_pi = math.sqrt(math.pi)
 
     def expect(label, got, want, rtol=1e-13, atol=0.0):
         if abs(got - want) > rtol * abs(want) + atol:
             failures.append(f"{label}: {got!r} != {want!r}")
 
-    expect("gamma(1/2)", gamma(1), sqrt_pi)
-    expect("gamma(1)", gamma(2), 1.0)
-    expect("gamma(5/2)", gamma(5), 0.75 * sqrt_pi)
+    expect("gamma(1/2)", _gamma_half(1), sqrt_pi)
+    expect("gamma(1)", _gamma_half(2), 1.0)
+    expect("gamma(5/2)", _gamma_half(5), 0.75 * sqrt_pi)
     for twice in range(1, 120):
         x = twice / 2
-        if abs(gamma(twice + 2) / gamma(twice) - x) > 1e-13 * x:
+        if abs(_gamma_half(twice + 2) / _gamma_half(twice) - x) > 1e-13 * x:
             failures.append(f"recursion at {twice}/2")
     expect("2F1(-1,-1;-1/2;1/2)",
            _hyp2f1_terminating(1, 1, -0.5, 0.5).real, 0.0, atol=1e-15)

@@ -33,11 +33,12 @@ def near_field_cfgs(ref_cfg):
 
 @pytest.fixture
 def corrupt_seeds(monkeypatch):
-    """corrupt_seeds(transform) passes the seeds of every set whose seeds
-    are computed from now on through transform(seeds, consts), ahead of
-    pi_seeds' guard. The derived sets are dropped before and after, so
-    derive_constants returns sets that compute their seeds afresh and none
-    that keeps changed seeds; a set a test already holds keeps its own."""
+    """corrupt_seeds(transform) passes the seeds of every fill from now on
+    through transform(seeds, consts), ahead of pi_seeds' guard. The derived
+    sets are dropped before and after, so derive_constants returns sets with
+    empty tables and none that keeps rows filled from changed seeds; a set a
+    test already holds keeps the rows it has, and fills any further row
+    from the changed seeds."""
     values = engine._seed_values
 
     def install(transform):

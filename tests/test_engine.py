@@ -381,7 +381,7 @@ class TestPiFactor:
             with pytest.raises(NumericalError, match=r"pi_factor\(10, 10\): the Pi seeds C=\S+, "
                                                      r"alpha=nan\S*, .* " + ok):
                 pi_factor(10, 10, consts)
-            assert not consts.pi and not consts.seeds
+            assert not consts.pi
         with pytest.raises(NumericalError, match=r"pi_factor\(10, 10\)"):
             probability_matrix(expand_modes(10), consts)
 
@@ -408,7 +408,7 @@ class TestPiFactor:
                                                      r".* are not finite, C <= 0 or delta < 0 "
                                                      rf"at gamma={consts.gamma:.6g}, "):
                 pi_factor(mu, nu, consts)
-        assert not consts.pi and not consts.seeds
+        assert not consts.pi
 
     @pytest.mark.parametrize("delta", [0.0, 5e-324, 0.3])
     def test_seed_guard_passes_delta_from_zero(self, ref_cfg, corrupt_seeds, delta):
@@ -635,34 +635,44 @@ class TestProbabilityMatrix:
     @settings(deadline=None)
     @given(st.lists(st.builds(ModeIndex, st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=8, unique=True),
-           st.booleans())
-    def test_table_assembly(self, vac_consts, turb_consts, modes, turbulent):
-        # each raw entry is the per-pair product bitwise, and the table asks
-        # pi_factor once for each sorted (mu, nu) the entries and the (00,00)
-        # anchor read: pairs of m orders and pairs of n orders, never mixed
+           st.booleans(), st.booleans())
+    def test_table_assembly(self, vac_consts, turb_consts, modes, turbulent, calibrated):
+        # each entry is the calibration factor times the per-pair product
+        # bitwise, and the table makes one pi_factor call on its own set,
+        # at (top, top) of its top order; calibrated, the (00,00) anchor
+        # adds its two, at (0, 0) on the vacuum set
         consts = turb_consts if turbulent else vac_consts
+        top = max(max(s.m, s.n) for s in modes)
+        normalization = engine.NORMALIZATION_CALIBRATED if calibrated else NORMALIZATION_RAW
         with mock.patch.object(engine, "pi_factor", wraps=engine.pi_factor) as spy:
-            m = probability_matrix(modes, consts, normalization=NORMALIZATION_RAW)
-        calls = sorted((min(c.args[:2]), max(c.args[:2])) for c in spy.call_args_list)
-        want = {(0, 0)}
-        for s in modes:
-            for i in modes:
-                want |= {(min(s.m, i.m), max(s.m, i.m)), (min(s.n, i.n), max(s.n, i.n))}
-        assert calls == sorted(want)
+            m = probability_matrix(modes, consts, normalization=normalization)
+        calls = [c.args for c in spy.call_args_list]
+        assert calls[0][:2] == (top, top) and calls[0][2] is consts
+        anchor = [(0, 0, vac_consts)] * 2 if calibrated else []
+        assert calls[1:] == anchor
+        factor = m.normalization.calibration_factor
         for s, row in zip(modes, m.values):
             for i, v in zip(modes, row):
-                assert v == joint_probability(ModePair(s, i), consts)
+                assert v == factor * joint_probability(ModePair(s, i), consts)
 
     def test_memoization_distinct_pi_count(self, ref_cfg):
-        # a 10-mode matrix costs one fill of its 10 distinct sorted (mu, nu),
-        # orders 0..3 per axis, not O(N^2) evaluations: the first lookup,
-        # Pi(3, 3), misses and fills, and every other hits
+        # a 10-mode matrix over a fresh set costs one lookup, Pi(3, 3), whose
+        # miss fills rows 0..3: the 10 Pi(m <= n <= 3), not O(N^2)
+        # evaluations. Over the filled set it is one hit, and calibrated the
+        # anchor adds its two lookups on the vacuum set: a miss that fills
+        # row 0 and a hit, then two hits
         consts = derive_constants(ref_cfg, turbulence_strength(0.0171))
         engine._clear_tables()
         probability_matrix(DEFAULT_ORDERING, consts,
                            normalization=NORMALIZATION_RAW)
-        assert table_info().pi == (9, 1)
-        assert sorted(consts.pi) == [(m, n) for m in range(4) for n in range(m, 4)]
+        assert table_info().pi == (0, 1)
+        assert [len(consts.pi[n]) for n in consts.pi] == [1, 2, 3, 4]
+        probability_matrix(DEFAULT_ORDERING, consts, normalization=NORMALIZATION_RAW)
+        assert table_info().pi == (1, 1)
+        probability_matrix(DEFAULT_ORDERING, consts)
+        assert table_info().pi == (3, 2)
+        probability_matrix(DEFAULT_ORDERING, consts)
+        assert table_info().pi == (6, 2)
 
     def test_concurrent_fills_are_consistent(self, ref_cfg):
         # idempotent cache writes: hammering the same evaluations from
@@ -685,26 +695,26 @@ class TestProbabilityMatrix:
         finally:
             sys.setswitchinterval(interval)
         assert all(r == results[0] for r in results)
-        # one set, holding the 10 sorted (mu, nu) once each
-        assert len(consts.pi) == 10
+        # one set, holding the rows 0..3 once each
+        assert list(consts.pi) == [0, 1, 2, 3]
         fresh = dataclasses.replace(consts)
         serial = tuple(pi_factor(mu, nu, fresh)
                        for mu in range(4) for nu in range(4))
         assert serial == results[0]
 
         # 8 threads fill one fresh set's 66 Pi, each in its own order, while
-        # a ninth reads the table: its size is always that of a whole
-        # triangle m <= n <= top, and the values are bitwise the serial ones
+        # a ninth reads the table: its row keys are always a prefix 0..r, and
+        # the values are bitwise the serial ones
         keys = [(mu, nu) for mu in range(11) for nu in range(mu, 11)]
         base = derive_constants(ref_cfg, turbulence_strength(0.0421))
         engine._clear_tables()
         fresh = dataclasses.replace(base)
-        triangles = {r * (r + 1) // 2 for r in range(12)}
+        prefixes = {tuple(range(r)) for r in range(12)}
         seen, done = set(), threading.Event()
 
         def watch():
             while not done.is_set():
-                seen.add(len(fresh.pi))
+                seen.add(tuple(fresh.pi))
 
         def fill(seed):
             order = list(keys)
@@ -725,12 +735,12 @@ class TestProbabilityMatrix:
             watcher.join(timeout=60)
             sys.setswitchinterval(interval)
         assert not watcher.is_alive()
-        seen.add(len(fresh.pi))
-        assert seen <= triangles and len(fresh.pi) == 66, seen
+        seen.add(tuple(fresh.pi))
+        assert seen <= prefixes and list(fresh.pi) == list(range(11)), seen
         serial = dataclasses.replace(base)
         want = {key: pi_factor(*key, serial).hex() for key in keys}
         assert all({k: v.hex() for k, v in r.items()} == want for r in results)
-        assert {k: v.hex() for k, v in fresh.pi.items()} == want
+        assert _row_bits(fresh.pi) == _row_bits(serial.pi)
 
 
 def _bits(values):
@@ -738,10 +748,37 @@ def _bits(values):
     return [[float(v).hex() for v in row] for row in values]
 
 
+def _row_bits(table):
+    """A set's Pi rows as hex strings: equal bitwise."""
+    return {n: [v.hex() for v in row] for n, row in table.items()}
+
+
+def _complex_bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _wick_k(c, a_top, b_top):
+    """K(a, b), b <= a <= a_top, b <= b_top, a + b even, by Wick's
+    recurrence over a plain dict in ascending a + b, the diagonal taken
+    real."""
+    d = 4 * c.c1 * c.c2 + c.c3 * c.c3
+    sigma, tau = complex(c.c1 + c.c2, -c.c3) / d, (c.c2 - c.c1) / d
+    k = {(0, 0): complex(2 * math.pi / math.sqrt(d))}
+    k[1, 1] = tau * k[0, 0]
+    for n in range(2, a_top + b_top + 1, 2):
+        for a in range(max(2, n // 2, n - b_top), min(n, a_top) + 1):
+            b = n - a
+            below = k[a - 2, b] if a - 2 >= b else k[b, a - 2].conjugate()
+            value = (a - 1) * sigma * below
+            if b:
+                value += b * tau * k[a - 1, b - 1]
+            k[a, b] = value if a > b else complex(value.real)
+    return k
+
+
 def _clear_engine_caches():
     engine._clear_tables()
-    for cache in (engine._plan, engine._gamma_half):
-        cache.cache_clear()
+    engine._plan.cache_clear()
 
 
 def _per_order_f_sums(mu, nu, f):
@@ -767,14 +804,12 @@ class TestKernelTables:
             assert (f.call_count, k.call_count) == (0, 0)
         assert k_kernel.cache_info()[:2] == (0, 0)
         assert table_info().pi.misses == 1
-        assert len(consts.pi) == (max_sum + 1) * (max_sum + 2) // 2
-        tables = (engine._gamma_half, engine._plan)
-        built = [cache.cache_info().misses for cache in tables]
-        assert built == [0, 1]
+        assert list(consts.pi) == list(range(max_sum + 1))
+        assert engine._plan.cache_info().misses == 1
         far = derive_constants(OpticalConfig.from_w0(1.55e-6, 2e4, 0.005),
                                turbulence_strength(0.05))
         probability_matrix(modes, far, normalization=NORMALIZATION_RAW)
-        assert [cache.cache_info().misses for cache in tables] == built
+        assert engine._plan.cache_info().misses == 1
         assert k_kernel.cache_info()[:2] == (0, 0)
         assert table_info().pi.misses == 2
 
@@ -791,32 +826,27 @@ class TestKernelTables:
         # every stored K(a >= b), a + b even, is bitwise Wick's recurrence
         # run here over a plain dict, the diagonal taken real; K(b, a) its
         # conjugate
-        def recurrence(c):
-            d = 4 * c.c1 * c.c2 + c.c3 * c.c3
-            sigma, tau = complex(c.c1 + c.c2, -c.c3) / d, (c.c2 - c.c1) / d
-            k = {(0, 0): complex(2 * math.pi / math.sqrt(d))}
-            k[1, 1] = tau * k[0, 0]
-            for n in range(2, 41, 2):
-                for a in range(max(2, n // 2), min(n, 20) + 1):
-                    b = n - a
-                    below = k[a - 2, b] if a - 2 >= b else k[b, a - 2].conjugate()
-                    value = (a - 1) * sigma * below
-                    if b:
-                        value += b * tau * k[a - 1, b - 1]
-                    k[a, b] = value if a > b else complex(value.real)
-            return k
-
-        def bits(z):
-            return z.real.hex(), z.imag.hex()
-
         _clear_engine_caches()
         cfgs = [ref_cfg, *near_field_cfgs.values(), OpticalConfig.from_w0(1.55e-6, 2e4, 0.005)]
         for consts in [derive_constants(cfg, turbulence_strength(rytov))
                        for cfg in cfgs for rytov in (0.0, 0.02, 0.1)]:
-            for (a, b), want in recurrence(consts).items():
-                assert bits(k_kernel(a, b, consts)) == bits(want), (consts, a, b)
+            for (a, b), want in _wick_k(consts, 20, 20).items():
+                assert _complex_bits(k_kernel(a, b, consts)) == _complex_bits(want), \
+                    (consts, a, b)
                 if b < a:
-                    assert bits(k_kernel(b, a, consts)) == bits(want.conjugate()), (a, b)
+                    assert _complex_bits(k_kernel(b, a, consts)) == \
+                        _complex_bits(want.conjugate()), (a, b)
+
+    @pytest.mark.parametrize("a, b", [(400, 400), (1500, 0)])
+    def test_k_kernel_has_no_order_limit(self, ref_cfg, a, b):
+        # K runs bottom-up without recursion, so orders far past those the
+        # closed form reads neither recurse nor fail: bitwise Wick's
+        # recurrence, and K(0, 1500) the exact conjugate of K(1500, 0)
+        consts = derive_constants(ref_cfg, turbulence_strength(0.02))
+        want = _wick_k(consts, a, b)[a, b]
+        assert _complex_bits(k_kernel(a, b, consts)) == _complex_bits(want)
+        if b < a:
+            assert _complex_bits(k_kernel(b, a, consts)) == _complex_bits(want.conjugate())
 
     @pytest.mark.parametrize("rytov", [0.0, 0.03])
     def test_fill_order_does_not_change_the_bits(self, ref_cfg, rytov):
@@ -835,16 +865,15 @@ class TestKernelTables:
             filled.append(consts)
         first = filled[0]
         for consts in filled[1:]:
-            assert {k: v.hex() for k, v in consts.pi.items()} == \
-                {k: v.hex() for k, v in first.pi.items()}
+            assert _row_bits(consts.pi) == _row_bits(first.pi)
         modes = expand_modes(10)
         assert all(_bits(probability_matrix(modes, c).values) ==
                    _bits(probability_matrix(modes, first).values) for c in filled[1:])
 
     def test_tables_stay_bounded(self, ref_cfg):
         # 500 sweep points and 20 geometries: at most 16 derived sets, each
-        # set's table at most its 66 Pi, no K read, and the fill plans each
-        # built once
+        # set's table at most its 11 rows of 66 Pi, no K read, and the fill
+        # plans each built once
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         _clear_engine_caches()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
@@ -852,12 +881,11 @@ class TestKernelTables:
             cfg = OpticalConfig.from_w0(ref_cfg.wavelength, ref_cfg.distance, 0.1 + 0.005 * k)
             consts = derive_constants(cfg)
             probability_matrix(expand_modes(10), consts, normalization=NORMALIZATION_RAW)
-            assert len(consts.pi) == 66 and len(consts.seeds) == 1
+            assert [len(consts.pi[n]) for n in consts.pi] == list(range(1, 12))
         info = table_info()
         assert info.sets.currsize <= info.sets.maxsize == 16
-        # the seeds are closed forms: no set reads K or F's Gamma values
+        # the seeds are closed forms: no set reads K
         assert info.k == (0, 0, 16 * 121, 0)
-        assert engine._gamma_half.cache_info().misses == 0
         # the fill plans through orders 0 (the anchor), 3 and 10
         assert engine._plan.cache_info().misses == engine._plan.cache_info().currsize == 3
 
@@ -881,19 +909,20 @@ class TestKernelTables:
         dataclasses.replace, copy.copy, copy.deepcopy,
         lambda c: pickle.loads(pickle.dumps(c))], ids=["replace", "copy", "deepcopy", "pickle"])
     def test_fresh_copy_starts_empty_and_agrees(self, turb_consts, make):
-        # a copy starts with empty tables, whose values are bitwise those of
-        # the derived set, and so is its matrix
+        # a copy starts with an empty table, whose values are bitwise those
+        # of the derived set, and so is its matrix
         for mu in range(11):
             for nu in range(mu, 11):
                 pi_factor(mu, nu, turb_consts)
         fresh = make(turb_consts)
         assert fresh is not turb_consts and fresh == turb_consts
-        assert (fresh.seeds, fresh.pi) == ([], {})
-        assert all(pi_factor(mu, nu, fresh) == turb_consts.pi[mu, nu]
-                   for mu, nu in turb_consts.pi)
-        # it owns tables of its own, with the same seeds
-        assert fresh.pi is not turb_consts.pi and fresh.seeds is not turb_consts.seeds
-        assert fresh.seeds == turb_consts.seeds
+        assert fresh.pi == {}
+        assert all(pi_factor(mu, nu, fresh) == row[mu]
+                   for nu, row in turb_consts.pi.items() for mu in range(nu + 1))
+        # it owns a table of its own, with the same seeds
+        assert fresh.pi is not turb_consts.pi
+        assert _row_bits(fresh.pi) == _row_bits(turb_consts.pi)
+        assert engine.pi_seeds(fresh) == engine.pi_seeds(turb_consts)
         modes = expand_modes(10)
         assert _bits(probability_matrix(modes, dataclasses.replace(turb_consts)).values) == \
             _bits(probability_matrix(modes, turb_consts).values)
@@ -901,18 +930,19 @@ class TestKernelTables:
     def test_k_kernel_cache_info_counts_the_tables(self, vac_consts):
         _clear_engine_caches()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
-        # K(2, 0) is stored on a miss, with the K(0, 0) its recurrence reads;
-        # K(0, 2) is its conjugate, a hit, and odd a + b reads nothing
+        # K(2, 0) is stored on a miss, alone: its recurrence runs over a
+        # table of its own; K(0, 2) is its conjugate, a hit, and odd a + b
+        # reads nothing
         k_kernel(2, 0, vac_consts)
-        assert k_kernel.cache_info() == (0, 2, 16 * 121, 2)
+        assert k_kernel.cache_info() == (0, 1, 16 * 121, 1)
         k_kernel(0, 2, vac_consts)
         k_kernel(1, 2, vac_consts)
-        assert k_kernel.cache_info() == (1, 2, 16 * 121, 2)
+        assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
         # a fresh set's seeds are closed forms that read no K; its Pi(1, 3)
         # is one fill
         fresh = dataclasses.replace(vac_consts)
         pi_factor(1, 3, fresh)
-        assert k_kernel.cache_info() == (1, 2, 16 * 121, 2)
+        assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
         assert table_info().pi == (0, 1)
         k_kernel.cache_clear()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)

@@ -78,6 +78,18 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             overlap_table(ref_cfg, max_order=5)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda cfg: vacuum_overlap_1d(-1, 0, cfg), r"nonnegative, got \(-1, 0\)"),
+        (lambda cfg: overlap_table(cfg, max_order=-1), "got max_order=-1"),
+        (lambda cfg: vacuum_overlap_1d(1.5, 0, cfg), "integers"),
+        (lambda cfg: overlap_table(cfg, max_order=2.0), "integers"),
+    ], ids=["order-1", "max_order-1", "order1.5", "max_order2.0"])
+    def test_bad_order_is_a_domain_error(self, ref_cfg, call, message):
+        # orders go through the engine's check, as in pi_factor, before any
+        # quadrature runs
+        with pytest.raises(DomainError, match=message):
+            call(ref_cfg)
+
 
 class TestOverlaps:
     def test_parity_zeros(self, table):

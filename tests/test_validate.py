@@ -2,11 +2,11 @@
 
 import pytest
 
-from hgspdc import engine, reference
+from hgspdc import reference
 from hgspdc.channel import derive_constants, turbulence_strength
 from hgspdc.engine import ModeIndex, ModePair, expand_modes, joint_probability
 from hgspdc.oracle import MAX_NODES
-from hgspdc.validate import check_oracle, check_symmetry_factorization, run_checks
+from hgspdc.validate import check_oracle, check_symmetry_factorization
 
 
 def _relative_gap(p, q):
@@ -50,15 +50,6 @@ def test_symmetry_factorization_matches_nested_loops():
     result = check_symmetry_factorization()
     assert result.max_deviation == worst
     assert result.passed
-
-
-def test_run_checks_leave_the_gamma_table_alone():
-    # check_specfun calls Gamma unwrapped: once the engine's tables are warm,
-    # a full run neither adds to nor evicts from the cached Gamma values
-    run_checks()
-    before = engine._gamma_half.cache_info()
-    run_checks()
-    assert engine._gamma_half.cache_info() == before
 
 
 def test_oracle_default_nodes_match_the_cap():
