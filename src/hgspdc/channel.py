@@ -92,15 +92,16 @@ def _check_path(wavelength: float, distance: float) -> None:
                           f"got {wavelength} and {distance}")
 
 
-def _in_float_range(law: str, compute: Callable[[], float]) -> float:
-    """compute(), or DomainError if it overflows, divides by an underflowed
-    zero or comes out infinite."""
+def _in_float_range(compute: Callable[[], float], law: str, *args: float) -> float:
+    """compute(), or DomainError naming the call law(*args) if it overflows,
+    divides by an underflowed zero or comes out infinite; the name is
+    formatted only then."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"{law} leaves the float range")
+        raise DomainError(f"{law}({', '.join(map(format, args))}) leaves the float range")
     return value
 
 
@@ -114,8 +115,8 @@ def rytov_variance(cn2: float, wavelength: float, distance: float) -> float:
     _check_path(wavelength, distance)
     k = 2.0 * math.pi / wavelength
     return _in_float_range(
-        f"rytov_variance({cn2}, {wavelength}, {distance})",
-        lambda: RYTOV_COEFF * cn2 * k ** (7.0 / 6.0) * distance ** (11.0 / 6.0))
+        lambda: RYTOV_COEFF * cn2 * k ** (7.0 / 6.0) * distance ** (11.0 / 6.0),
+        "rytov_variance", cn2, wavelength, distance)
 
 
 def rytov_to_cn2(rytov: float, wavelength: float, distance: float) -> float:
@@ -124,8 +125,8 @@ def rytov_to_cn2(rytov: float, wavelength: float, distance: float) -> float:
     _check_path(wavelength, distance)
     k = 2.0 * math.pi / wavelength
     return _in_float_range(
-        f"rytov_to_cn2({rytov}, {wavelength}, {distance})",
-        lambda: rytov / (RYTOV_COEFF * k ** (7.0 / 6.0) * distance ** (11.0 / 6.0)))
+        lambda: rytov / (RYTOV_COEFF * k ** (7.0 / 6.0) * distance ** (11.0 / 6.0)),
+        "rytov_to_cn2", rytov, wavelength, distance)
 
 
 def turbulence_strength(rytov: float, coefficient: float = DEFAULT_STRENGTH_COEFF) -> float:
@@ -135,8 +136,8 @@ def turbulence_strength(rytov: float, coefficient: float = DEFAULT_STRENGTH_COEF
     (Andrews & Phillips, Laser Beam Propagation through Random Media, ch. 8)."""
     _check_nonnegative("rytov", rytov)
     _check_nonnegative("coefficient", coefficient)
-    gamma = _in_float_range(f"turbulence_strength({rytov}, {coefficient})",
-                            lambda: coefficient * rytov ** 1.2)
+    gamma = _in_float_range(lambda: coefficient * rytov ** 1.2,
+                            "turbulence_strength", rytov, coefficient)
     if rytov > 1.0:
         raise DomainError(f"rytov {rytov} is beyond the weak-fluctuation range, rytov <= 1")
     return gamma

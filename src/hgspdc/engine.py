@@ -34,16 +34,21 @@ the seeds, checks them, and publishes rows 0..top in one dict update, each
 row independent of top and of fill order. A pi_factor miss fills through
 the row it needs. probability_matrix asks for Pi(top, top) of its grid's
 top order once and then reads the rows; rytov_sweep asks for it first, so
-one fill serves every Pi either reads. Seeds that are not finite, C <= 0 or
-delta < 0 are the one NumericalError, which names the set.
+one fill serves every Pi either reads. Pi is symmetric, so P((n_s, m_s),
+(n_i, m_i)) is P((m_s, n_s), (m_i, n_i)) with its two factors swapped, and
+bitwise equal: in a grid that holds the swap of each of its modes, the
+matrix computes the first row of each swapped pair and gathers the other
+from it. Seeds that are not finite, C <= 0 or delta < 0 are the one
+NumericalError, which names the set.
 
 f_kernel and k_kernel are the per-term references, which the tests and
 the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
 recurrence for the moments of exp(-c1 x^2 - c2 y^2 + i c3 x y), exact
 zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b).
 
-Two bounded lru_caches remain: K, keyed on its orders and c1..c3, and the
-fill's geometry-free indexing _plan, built on first use. table_info()
+Three bounded lru_caches remain: K, keyed on its orders and c1..c3, the
+fill's geometry-free indexing _plan, built on first use, and the matrix's
+_grid_plan, keyed on its grid's tuples of m and of n orders. table_info()
 reports the sets, K and the Pi lookups. All functions are pure and fills
 store values computed from the set's own fields, so concurrent use is safe.
 """
@@ -55,7 +60,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
+from operator import index, itemgetter
 
 from .channel import (
     DEFAULT_W_VARIANT,
@@ -76,6 +81,9 @@ DEFAULT_MAX_ORDER = 10
 # the K cache holds that triangle, K(a >= b) with even a + b, for
 # DERIVED_SETS sets.
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
+
+# grid plans kept, one per distinct pair of mode order tuples
+_GRID_PLANS = 32
 
 
 def _orders(*orders) -> tuple[int, ...]:
@@ -199,6 +207,7 @@ def _gamma_half(twice: int) -> float:
 PiInfo = namedtuple("PiInfo", "hits misses")
 TableInfo = namedtuple("TableInfo", "sets k pi")
 Seeds = namedtuple("Seeds", "c alpha beta delta")
+_GridPlan = namedtuple("_GridPlan", "top pick_m pick_n orders_m orders_n steps swap")
 
 
 class _Counts:
@@ -274,7 +283,8 @@ def _clear_tables() -> None:
 def table_info() -> TableInfo:
     """Hits, misses, bound and size of the derived constant sets and of the
     stored K, and the Pi lookups that hit and that missed and filled, since
-    the last _clear_tables."""
+    the last _clear_tables. The lookups are pi_factor calls: a matrix counts
+    one, at its top order, however many Pi it reads from the rows."""
     return TableInfo(derive_cache_info(), _k_entry.cache_info(),
                      PiInfo(_counts.lookups - _counts.misses, _counts.misses))
 
@@ -485,6 +495,39 @@ def _check_normalization(normalization: str) -> None:
         raise DomainError(f"unknown normalization {normalization!r}")
 
 
+@lru_cache(maxsize=_GRID_PLANS)
+def _grid_plan(ms: tuple[int, ...], ns: tuple[int, ...]) -> _GridPlan:
+    """probability_matrix's geometry-free indexing for the grid whose modes
+    have the orders ms and ns: the top order; pick_m and pick_n, which
+    gather a column's entries at the m and at the n orders in one C call
+    (a one-tuple for a one-mode grid, not itemgetter's scalar); the m and
+    the n orders the computed rows read; per row, steps holds (m, n, None)
+    if the row is computed, or (m, n, i) if it is swap(row i); and swap, or
+    None if every row is computed.
+
+    Only a grid that holds the swap (n, m) of each of its modes has rows
+    gathered. There the row of a mode is swap(row of its swapped mode),
+    swap taking entry j from the first column of the swap of mode j, and of
+    each swapped pair the row that comes first in the grid is computed."""
+    keys = list(zip(ms, ns))
+    if len(keys) == 1:
+        (m,), (n,) = ms, ns
+        pick_m, pick_n = (lambda col: (col[m],)), (lambda col: (col[n],))
+    else:
+        pick_m, pick_n = itemgetter(*ms), itemgetter(*ns)
+    first = {}
+    for j, key in enumerate(keys):
+        first.setdefault(key, j)
+    closed = all((n, m) in first for m, n in keys)
+    sources = [first[n, m] if closed and first[n, m] < j else None
+               for j, (m, n) in enumerate(keys)]
+    computed = [key for key, source in zip(keys, sources) if source is None]
+    swap = itemgetter(*[first[n, m] for m, n in keys]) if len(computed) < len(keys) else None
+    orders_m, orders_n = sorted({m for m, _ in computed}), sorted({n for _, n in computed})
+    return _GridPlan(max(max(ms), max(ns)), pick_m, pick_n, tuple(orders_m), tuple(orders_n),
+                     tuple([(m, n, source) for (m, n), source in zip(keys, sources)]), swap)
+
+
 def probability_matrix(
     modes,
     consts: DerivedConstants,
@@ -514,14 +557,15 @@ def probability_matrix(
     # one pi_factor call, at the grid's top order, fills the rows 0..top of
     # the set's table; square[a] is then Pi(a, 0..top), and row s of the
     # matrix is Pi(s.m, i.m) Pi(s.n, i.n) over the idlers i, from one
-    # gathered column per distinct order
-    ms, ns = [s.m for s in ordering], [s.n for s in ordering]
-    top = max(max(ms), max(ns))
+    # column per distinct order, each gathered in one C call. The row of
+    # (n, m) is that of (m, n) with the idlers swapped too, the same two
+    # factors multiplied the other way round, so only the first of each
+    # swapped pair is computed and the other is its gather (see _grid_plan)
+    ms, ns = tuple([s.m for s in ordering]), tuple([s.n for s in ordering])
+    top, pick_m, pick_n, orders_m, orders_n, steps, swap = _grid_plan(ms, ns)
     pi_factor(top, top, consts)
     rows = [consts.pi[n] for n in range(top + 1)]
     square = [rows[a] + tuple([row[a] for row in rows[a + 1:]]) for a in range(top + 1)]
-    col_m = {a: list(map(square[a].__getitem__, ms)) for a in set(ms)}
-    col_n = {b: list(map(square[b].__getitem__, ns)) for b in set(ns)}
     raw_ref = square[0][0] * square[0][0]
 
     calibrated = normalization == NORMALIZATION_CALIBRATED
@@ -529,9 +573,15 @@ def probability_matrix(
     norm = Normalization(normalization, _ANCHOR_PAIR, reference_value if calibrated else None,
                          factor, raw_ref)
 
-    values = tuple([tuple([factor * (x * y) for x, y in zip(col_m[m], col_n[n])])
-                    for m, n in zip(ms, ns)])
-    return ProbabilityMatrix(ordering, values, consts, norm, turbulence)
+    col_m = {a: pick_m(square[a]) for a in orders_m}
+    col_n = {b: pick_n(square[b]) for b in orders_n}
+    values = []
+    for m, n, source in steps:
+        if source is None:
+            values.append(tuple([factor * (x * y) for x, y in zip(col_m[m], col_n[n])]))
+        else:
+            values.append(swap(values[source]))
+    return ProbabilityMatrix(ordering, tuple(values), consts, norm, turbulence)
 
 
 def build_matrix(

@@ -573,6 +573,19 @@ class TestModeHandling:
             call(vac_consts)
 
 
+_SHUFFLED = expand_modes(10)
+random.Random(25).shuffle(_SHUFFLED)
+# grids whose rows are all computed, partly gathered or gathered in an
+# unusual order
+_GRID_KINDS = {
+    "shuffled": _SHUFFLED,
+    "not swap-closed": [parse_mode(t) for t in "21 12 00 30".split()],
+    "duplicated": [parse_mode(t) for t in "00 21 12 21 11 00 11".split()],
+    "one mode": [ModeIndex(2, 1)],
+    "swap first": [ModeIndex(s.n, s.m) for s in expand_modes(4)],
+}
+
+
 class TestProbabilityMatrix:
     def test_single_mode_grid(self, vac_consts):
         m = probability_matrix([ModeIndex(0, 0)], vac_consts,
@@ -654,6 +667,47 @@ class TestProbabilityMatrix:
         for s, row in zip(modes, m.values):
             for i, v in zip(modes, row):
                 assert v == factor * joint_probability(ModePair(s, i), consts)
+
+    @pytest.mark.parametrize("name", _GRID_KINDS)
+    @pytest.mark.parametrize("turbulent", [False, True])
+    def test_table_assembly_over_grid_kinds(self, vac_consts, turb_consts, name, turbulent):
+        # on every grid kind each entry is bitwise the calibration factor
+        # times the per-pair product, with one pi_factor call on the set, at
+        # (top, top); a row is gathered only from an earlier row of its
+        # swapped mode, and only in a grid that holds every mode's swap
+        modes = _GRID_KINDS[name]
+        consts = turb_consts if turbulent else vac_consts
+        top = max(max(s.m, s.n) for s in modes)
+        with mock.patch.object(engine, "pi_factor", wraps=engine.pi_factor) as spy:
+            m = probability_matrix(modes, consts)
+        calls = [c.args for c in spy.call_args_list]
+        assert calls == [(top, top, consts), (0, 0, vac_consts), (0, 0, vac_consts)]
+        factor = m.normalization.calibration_factor
+        assert _bits(m.values) == _bits([[factor * joint_probability(ModePair(s, i), consts)
+                                          for i in modes] for s in modes])
+        keys = [(s.m, s.n) for s in modes]
+        closed = all((n, m) in keys for m, n in keys)
+        for j, (m, n, source) in enumerate(engine._grid_plan(*zip(*keys)).steps):
+            if source is None:
+                assert not closed or keys.index((n, m)) >= j
+            else:
+                assert closed and source == keys.index((n, m)) < j
+
+    def test_grid_plan_cache(self, vac_consts):
+        # the grid plans are bounded and keyed on the tuples of m and of n
+        # orders: two orderings with the same orders, a list and a tuple of
+        # distinct ModeIndex objects, share one plan
+        engine._grid_plan.cache_clear()
+        probability_matrix(expand_modes(3), vac_consts)
+        probability_matrix(tuple(ModeIndex(s.m, s.n) for s in expand_modes(3)), vac_consts)
+        info = engine._grid_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert engine._grid_plan.cache_parameters()["maxsize"] == engine._GRID_PLANS
+        ms, ns = zip(*[(s.m, s.n) for s in expand_modes(3)])
+        assert engine._grid_plan(ms, ns) is engine._grid_plan(tuple(ms), tuple(ns))
+        for k in range(engine._GRID_PLANS + 5):
+            probability_matrix([ModeIndex(k % 4, k // 4)], vac_consts)
+        assert engine._grid_plan.cache_info().currsize == engine._GRID_PLANS
 
     def test_memoization_distinct_pi_count(self, ref_cfg):
         # a 10-mode matrix over a fresh set costs one lookup, Pi(3, 3), whose
