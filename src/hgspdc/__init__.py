@@ -46,9 +46,18 @@ from .errors import (
     PoleError,
     QuadratureResolutionError,
 )
-from .oracle import QuadratureSpec, vacuum_overlap_1d, vacuum_probability_oracle
 
 __version__ = "0.1.0"
+
+# the oracle loads on first use, so no command but validate compiles it
+_ORACLE_NAMES = ("QuadratureSpec", "vacuum_overlap_1d", "vacuum_probability_oracle")
+
+
+def __getattr__(name):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    return getattr(oracle, name)
 
 __all__ = [
     "CalibrationError",

@@ -14,8 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .errors import DomainError
@@ -41,25 +41,31 @@ W_VARIANT_PROPAGATED = "propagated"
 W_VARIANT_WAIST = "waist"
 DEFAULT_W_VARIANT = W_VARIANT_PROPAGATED
 
+# The value types are namedtuple subclasses that check their fields in
+# __new__. A namedtuple's _make, and so its _replace, calls tuple.__new__
+# and would skip that check; this _make builds through the class.
+_checked_make = classmethod(lambda cls, values: cls(*values))
 
-@dataclass(frozen=True)
-class OpticalConfig:
-    """Geometry of the link: wavelength, propagation distance, pump waist.
+
+class OpticalConfig(namedtuple("OpticalConfig", "wavelength distance pump_waist")):
+    """Geometry of the link: wavelength, propagation distance and pump waist,
+    each in metres.
 
     pump_waist is the amplitude spot size of the pump at the crystal; the
     effective width W0 entering the constants is sqrt(2) * pump_waist.
     The wavenumber is always derived from the wavelength, never stored.
     """
 
-    wavelength: float  # [m]
-    distance: float    # [m]
-    pump_waist: float  # [m]
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = (self.wavelength, self.distance, self.pump_waist)
+    def __new__(cls, wavelength: float, distance: float, pump_waist: float):
+        values = (wavelength, distance, pump_waist)
         if not all(0 < v < math.inf for v in values):
             raise DomainError("wavelength, distance and pump_waist must all be "
                               f"positive and finite, got {values}")
+        return super().__new__(cls, *values)
+
+    _make = _checked_make
 
     @property
     def wavenumber(self) -> float:
@@ -143,24 +149,25 @@ def turbulence_strength(rytov: float, coefficient: float = DEFAULT_STRENGTH_COEF
     return gamma
 
 
-@dataclass(frozen=True)
-class TurbulenceSpec:
+class TurbulenceSpec(namedtuple("TurbulenceSpec", "cn2 rytov strength_coeff")):
     """Turbulence input, given either as Cn^2 or as a Rytov variance.
 
     After resolve() both representations plus the strength gamma are
     populated; cn2 == 0 <=> rytov == 0 <=> gamma == 0 is the vacuum case.
     """
 
-    cn2: float | None = None
-    rytov: float | None = None
-    strength_coeff: float = DEFAULT_STRENGTH_COEFF
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cn2 is not None and self.rytov is not None:
+    def __new__(cls, cn2: float | None = None, rytov: float | None = None,
+                strength_coeff: float = DEFAULT_STRENGTH_COEFF):
+        if cn2 is not None and rytov is not None:
             raise DomainError("give either cn2 or rytov, not both")
-        for name in ("cn2", "rytov", "strength_coeff"):
-            if (value := getattr(self, name)) is not None:
+        for name, value in zip(cls._fields, (cn2, rytov, strength_coeff)):
+            if value is not None:
                 _check_nonnegative(name, value)
+        return super().__new__(cls, cn2, rytov, strength_coeff)
+
+    _make = _checked_make
 
     @classmethod
     def vacuum(cls) -> "TurbulenceSpec":
@@ -190,16 +197,11 @@ class TurbulenceSpec:
                                   strength_coeff=self.strength_coeff, gamma=gamma)
 
 
-@dataclass(frozen=True)
-class ResolvedTurbulence:
-    cn2: float
-    rytov: float
-    strength_coeff: float
-    gamma: float
+ResolvedTurbulence = namedtuple("ResolvedTurbulence", "cn2 rytov strength_coeff gamma")
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(namedtuple("DerivedConstants",
+                                  "cfg w w_variant zeta gamma a3 b1 c1 c2 c3")):
     """The constants the overlap kernels read.
 
     Fields:
@@ -217,26 +219,27 @@ class DerivedConstants:
       c1,2 = Re A2 -/+ a3/2 and c3 = Im A2 by subtracting nearly equal terms
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
-    - pi: the engine's table of this set (see engine.py), a dict that maps
-      order n to the row (Pi(0, n), ..., Pi(n, n)), rows 0..top filled in
-      one update. Equality, hashing and repr ignore it, and
-      dataclasses.replace, copy and pickle start a copy with an empty table.
+
+    The attribute pi, not a field, is the engine's table of this set (see
+    engine.py): a dict that maps order n to the row (Pi(0, n), ..., Pi(n, n)),
+    rows 0..top filled in one update. Equality, hashing and repr ignore it,
+    and _replace, copy and pickle start a copy with an empty table.
     """
 
-    cfg: OpticalConfig
-    w: float
-    w_variant: str
-    zeta: complex
-    gamma: float
-    a3: float
-    b1: float
-    c1: float
-    c2: float
-    c3: float
-    pi: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __new__(cls, *fields, **named):
+        self = super().__new__(cls, *fields, **named)
+        object.__setattr__(self, "pi", {})
+        return self
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"DerivedConstants is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        return DerivedConstants, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        return DerivedConstants, tuple(self)
+
+    _make = _checked_make
 
 
 def derive_constants(
@@ -248,9 +251,13 @@ def derive_constants(
 
     One of the DERIVED_SETS most recently derived sets is returned as is,
     tables and all. c1 and c2 are positive by construction. DomainError when
-    gamma is negative or not finite, w_variant is unknown or a constant
-    leaves the float range.
+    cfg is not an OpticalConfig, gamma is negative or not finite, w_variant
+    is unknown or a constant leaves the float range.
     """
+    # a plain tuple equals, and hashes as, the OpticalConfig of its values,
+    # so the cache would hand it that config's set
+    if not isinstance(cfg, OpticalConfig):
+        raise DomainError(f"cfg must be an OpticalConfig, got {type(cfg).__name__}")
     # the bound also rejects an int that no float holds
     if not 0 <= gamma <= sys.float_info.max:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")

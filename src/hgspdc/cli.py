@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
-from . import reference, serialization, validate
+from . import reference, serialization
 from .channel import OpticalConfig, TurbulenceSpec
 from .engine import (
     DEFAULT_ORDERING,
@@ -28,26 +28,28 @@ from .engine import (
     selection_rule_allowed,
 )
 from .errors import DomainError, NumericalError
-from .oracle import DEFAULT_NODES, MAX_NODES, MIN_NODES, check_node_count
+from .reference import DEFAULT_NODES, MAX_NODES, MIN_NODES, check_node_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
-DEFAULT_GRID = validate.SWEEP_GRID
+DEFAULT_GRID = reference.SWEEP_GRID
 
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters shared by the subcommands."""
+class RunConfig(SimpleNamespace):
+    """Resolved run parameters shared by the subcommands: optical, turbulence,
+    modes, normalization, fmt (None, "csv" or "json") and output (a path or
+    None). Mutable; equal to another namespace of the same fields."""
 
-    optical: OpticalConfig = field(default_factory=reference.reference_config)
-    turbulence: TurbulenceSpec = TurbulenceSpec()
-    modes: tuple[ModeIndex, ...] = DEFAULT_ORDERING
-    normalization: str = NORMALIZATION_CALIBRATED
-    fmt: str | None = None
-    output: str | None = None
+    def __init__(self, optical: OpticalConfig = reference.reference_config(),
+                 turbulence: TurbulenceSpec = TurbulenceSpec(),
+                 modes: tuple[ModeIndex, ...] = DEFAULT_ORDERING,
+                 normalization: str = NORMALIZATION_CALIBRATED,
+                 fmt: str | None = None, output: str | None = None):
+        super().__init__(optical=optical, turbulence=turbulence, modes=modes,
+                         normalization=normalization, fmt=fmt, output=output)
 
 
 #: the keys _build_run_config reads
@@ -119,8 +121,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     geometry = {key: pick(key, float)
                 for key in ("wavelength", "distance", "pump_waist")}
-    cfg.optical = replace(cfg.optical, **{k: v for k, v in geometry.items()
-                                          if v is not None})
+    cfg.optical = cfg.optical._replace(**{k: v for k, v in geometry.items()
+                                            if v is not None})
 
     turb = pick_group("cn2", "rytov")
     cfg.turbulence = TurbulenceSpec(**{k: _number(float, k, v) for k, v in turb.items()
@@ -197,7 +199,7 @@ _NOTABLE = {
 
 def cmd_rank(cfg: RunConfig) -> int:
     turb_matrix = _compute_matrix(cfg)
-    vac_matrix = _compute_matrix(replace(cfg, turbulence=TurbulenceSpec()))
+    vac_matrix = _compute_matrix(RunConfig(**{**vars(cfg), "turbulence": TurbulenceSpec()}))
 
     retained, leaking = [], []
     n = len(cfg.modes)
@@ -251,6 +253,7 @@ def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NOD
     check_node_count(nodes)
     if output:
         _emit("", output, "a")
+    from . import validate  # loaded here, so no other command compiles it
     results = validate.run_checks(vacuum_only=vacuum_only, oracle_nodes=nodes)
     report = {
         "passed": all(r.passed for r in results),

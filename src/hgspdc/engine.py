@@ -58,7 +58,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index, itemgetter
 
@@ -69,6 +68,7 @@ from .channel import (
     OpticalConfig,
     ResolvedTurbulence,
     TurbulenceSpec,
+    _checked_make,
     derive_cache_info,
     derive_constants,
 )
@@ -94,16 +94,18 @@ def _orders(*orders) -> tuple[int, ...]:
         raise DomainError(f"orders must be integers, got {orders}") from None
 
 
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    """Transverse mode orders (m, n) along the two Cartesian axes."""
+class ModeIndex(namedtuple("ModeIndex", "m n")):
+    """Transverse mode orders (m, n) along the two Cartesian axes; modes
+    order as the tuples (m, n)."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(_orders(self.m, self.n)) < 0:
-            raise DomainError(f"mode orders must be nonnegative, got ({self.m}, {self.n})")
+    def __new__(cls, m: int, n: int):
+        if min(_orders(m, n)) < 0:
+            raise DomainError(f"mode orders must be nonnegative, got ({m}, {n})")
+        return super().__new__(cls, m, n)
+
+    _make = _checked_make
 
     def label(self) -> str:
         if self.m <= 9 and self.n <= 9:
@@ -111,10 +113,8 @@ class ModeIndex:
         return f"{self.m},{self.n}"
 
 
-@dataclass(frozen=True)
-class ModePair:
-    signal: ModeIndex
-    idler: ModeIndex
+class ModePair(namedtuple("ModePair", "signal idler")):
+    __slots__ = ()
 
     def label(self) -> str:
         return f"({self.signal.label()},{self.idler.label()})"
@@ -434,36 +434,31 @@ NORMALIZATION_RAW = "raw"
 NORMALIZATION_CALIBRATED = "calibrated"
 
 
-@dataclass(frozen=True)
-class Normalization:
+class Normalization(namedtuple("Normalization", "mode reference_pair reference_value "
+                                                "calibration_factor raw_reference_value")):
     """How a matrix was scaled.
 
     calibrated mode rescales every entry by one global factor chosen so the
     vacuum entry of reference_pair, always (00,00), over the same geometry
-    lands on reference_value; raw_reference_value reports the unscaled
-    magnitude so the absolute scale stays inspectable.
+    lands on reference_value (None in raw mode); raw_reference_value reports
+    the unscaled magnitude so the absolute scale stays inspectable.
     """
 
-    mode: str
-    reference_pair: ModePair
-    reference_value: float | None
-    calibration_factor: float
-    raw_reference_value: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProbabilityMatrix:
+class ProbabilityMatrix(namedtuple("ProbabilityMatrix",
+                                   "ordering values consts normalization turbulence",
+                                   defaults=(None,))):
     """Joint probabilities over an ordered mode grid.
 
-    values[i][j] = P(signal=ordering[i], idler=ordering[j]). turbulence
-    carries the resolved channel input when the caller supplies it.
+    values[i][j] = P(signal=ordering[i], idler=ordering[j]), a tuple of row
+    tuples. consts is the DerivedConstants set and normalization the
+    Normalization it was scaled by; turbulence carries the resolved channel
+    input (a ResolvedTurbulence) when the caller supplies it, else None.
     """
 
-    ordering: tuple[ModeIndex, ...]
-    values: tuple[tuple[float, ...], ...]
-    consts: DerivedConstants
-    normalization: Normalization
-    turbulence: "ResolvedTurbulence | None" = None
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -42,24 +42,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .channel import OpticalConfig
+from .channel import OpticalConfig, _checked_make
 from .engine import ModePair, _orders
 from .errors import DomainError, QuadratureResolutionError
+# the node bounds live with the CLI's defaults, which load without the oracle
+from .reference import DEFAULT_NODES, MAX_NODES, MIN_NODES, check_node_count  # noqa: F401
 
 #: A(mu, nu) keyed (mu, nu) in both orders
 OverlapTable = dict[tuple[int, int], complex]
 
-MIN_NODES = 64
-DEFAULT_NODES = 128
 #: the r-window's half-width in pump waists: beyond it g(r) < 1e-16
 WINDOW_PUMP_WAISTS = math.sqrt(16.0 * math.log(10.0))
 #: node doubling must move results by less than this (relative)
 CONVERGENCE_RTOL = 1e-4
 MAX_ORACLE_ORDER = 4
-#: the convergence check runs at twice this
-MAX_NODES = 4096
 
 
 def detection_waist(cfg: OpticalConfig) -> float:
@@ -74,24 +72,20 @@ def detection_phase_rate(cfg: OpticalConfig) -> float:
     return cfg.wavenumber / (4.0 * radius)
 
 
-def check_node_count(nodes: int) -> None:
-    if not MIN_NODES <= nodes <= MAX_NODES:
-        raise DomainError(f"nodes must be from {MIN_NODES} to {MAX_NODES}, got {nodes}")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Trapezoid resolution: window half-width and nodes in r. The
+class QuadratureSpec(namedtuple("QuadratureSpec", "half_width nodes")):
+    """Trapezoid resolution: window half-width [m] and nodes in r. The
     window is set by the pump, the only factor of the r-integrand that
     decays (see the module docstring)."""
 
-    half_width: float
-    nodes: int = DEFAULT_NODES
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_node_count(self.nodes)
-        if self.half_width <= 0:
+    def __new__(cls, half_width: float, nodes: int = DEFAULT_NODES):
+        check_node_count(nodes)
+        if half_width <= 0:
             raise DomainError("half_width must be positive")
+        return super().__new__(cls, half_width, nodes)
+
+    _make = _checked_make
 
     @classmethod
     def for_config(cls, cfg: OpticalConfig, nodes: int = DEFAULT_NODES) -> "QuadratureSpec":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import reference
 from .channel import (
@@ -35,25 +35,26 @@ from .engine import (
     _hyp2f1_terminating,
 )
 from .oracle import (
-    DEFAULT_NODES,
     QuadratureSpec,
-    check_node_count,
     detection_waist,
     overlap_table,
     vacuum_probability_oracle,
 )
+from .reference import DEFAULT_NODES, SWEEP_GRID, check_node_count
 
-SWEEP_GRID = tuple(round(0.01 * i, 10) for i in range(11))
 
+class CheckResult(SimpleNamespace):
+    """One check's outcome: name, passed, max_deviation (or None), detail,
+    elapsed_s (or None until run_checks times the check) and extras, a dict.
+    Mutable; equal to another namespace of the same fields."""
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    max_deviation: float | None = None
-    detail: str = ""
-    elapsed_s: float | None = None
-    extras: dict = field(default_factory=dict)
+    def __init__(self, name: str, passed: bool, max_deviation: float | None = None,
+                 detail: str = "", elapsed_s: float | None = None, extras: dict | None = None):
+        super().__init__(name=name, passed=passed, max_deviation=max_deviation, detail=detail,
+                         elapsed_s=elapsed_s, extras={} if extras is None else extras)
+
+    def __reduce__(self):
+        return CheckResult, (self.name, self.passed), vars(self)
 
     def as_dict(self) -> dict:
         return {

@@ -1,6 +1,17 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, and the
+value types keep their constructors' checks, fields and reprs."""
+
+import pytest
 
 import hgspdc
+from hgspdc import (
+    DomainError,
+    ModeIndex,
+    OpticalConfig,
+    QuadratureSpec,
+    TurbulenceSpec,
+    derive_constants,
+)
 
 
 def test_star_import_and_all_resolve():
@@ -8,3 +19,32 @@ def test_star_import_and_all_resolve():
     # a stale name in __all__ makes the star import raise AttributeError
     exec("from hgspdc import *", namespace)
     assert set(hgspdc.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize("value, bad", [
+    (OpticalConfig(1e-6, 1e3, 1e-2), {"wavelength": -1.0}),
+    (TurbulenceSpec(rytov=0.02), {"cn2": 1e-16}),
+    (ModeIndex(0, 1), {"m": -1}),
+    (QuadratureSpec(1.0), {"nodes": 10}),
+], ids=["OpticalConfig", "TurbulenceSpec", "ModeIndex", "QuadratureSpec"])
+def test_replace_and_make_check_fields(value, bad):
+    # a namedtuple's own _make, which _replace calls, skips __new__ and its
+    # checks; these build through the constructor
+    assert value._replace() == value
+    with pytest.raises(DomainError):
+        value._replace(**bad)
+    with pytest.raises(DomainError):
+        type(value)._make({**value._asdict(), **bad}.values())
+
+
+def test_reprs():
+    cfg = OpticalConfig(1e-6, 1e3, 1e-2)
+    assert repr(ModeIndex(0, 1)) == "ModeIndex(m=0, n=1)"
+    assert repr(cfg) == "OpticalConfig(wavelength=1e-06, distance=1000.0, pump_waist=0.01)"
+    # the Pi table, filled or not, stays out of the repr
+    consts = derive_constants(cfg, 0.1)
+    hgspdc.pi_factor(2, 2, consts)
+    assert repr(consts) == (
+        f"DerivedConstants(cfg={cfg!r}, w={consts.w!r}, w_variant='propagated', "
+        f"zeta={consts.zeta!r}, gamma=0.1, a3={consts.a3!r}, b1={consts.b1!r}, "
+        f"c1={consts.c1!r}, c2={consts.c2!r}, c3={consts.c3!r})")

@@ -1,6 +1,5 @@
 """Channel parameter cascade: Rytov variance, strength law, derived constants."""
 
-import dataclasses
 import math
 
 import mpmath as mp
@@ -314,12 +313,20 @@ class TestDeriveConstants:
         assert turb is not vac
         assert derive_constants(ref_cfg, 0.0, W_VARIANT_WAIST) is not vac
 
+    def test_plain_tuple_is_no_config(self, ref_cfg):
+        # the tuple equals, and hashes as, the cached set's config, so the
+        # cache would return that set if derive_constants took it
+        derive_constants(ref_cfg, 0.0)
+        assert tuple(ref_cfg) == ref_cfg and hash(tuple(ref_cfg)) == hash(ref_cfg)
+        with pytest.raises(DomainError, match="cfg must be an OpticalConfig, got tuple"):
+            derive_constants(tuple(ref_cfg), 0.0)
+
     def test_tables_are_not_part_of_the_value(self, ref_cfg):
         consts = derive_constants(ref_cfg, 0.03)
-        copy = dataclasses.replace(consts)
-        # the Pi table is the one field outside the value, and a copy
+        copy = consts._replace()
+        # the Pi table is the one attribute outside the fields, and a copy
         # starts with an empty table of its own
-        assert [f.name for f in dataclasses.fields(consts) if not f.init] == ["pi"]
+        assert "pi" not in consts._fields and list(vars(consts)) == ["pi"]
         assert copy.pi == {}
         copy.pi[0] = (1.0,)
         assert copy == consts and hash(copy) == hash(consts)

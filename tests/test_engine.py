@@ -3,7 +3,6 @@ symmetries, selection rules, matrix assembly and golden regression."""
 
 import cmath
 import copy
-import dataclasses
 import functools
 import gc
 import math
@@ -253,7 +252,7 @@ class TestKKernel:
         # and must match the printed bracket evaluated at high precision
         c1, c2 = turb_consts.c1, turb_consts.c2
         tiny = 0.5e-6 * (c1 + c2)
-        consts = dataclasses.replace(turb_consts, c3=tiny)
+        consts = turb_consts._replace(c3=tiny)
         for a, b in ((1, 1), (2, 0), (3, 1), (2, 2)):
             got = k_kernel(a, b, consts)
             want = complex(oracle_k(a, b, consts))
@@ -264,7 +263,7 @@ class TestKKernel:
         values = []
         for factor in (1.5e-6, 0.9e-6):  # c3 values a factor 1.7 apart
             c3 = factor * (c1 + c2)
-            consts = dataclasses.replace(turb_consts, c3=c3)
+            consts = turb_consts._replace(c3=c3)
             values.append(k_kernel(3, 1, consts))
         rel = abs(values[0] - values[1]) / abs(values[0])
         assert rel < 1e-5
@@ -327,8 +326,8 @@ class TestKKernel:
         # real and equals Re K at a tiny c3
         c1, c2 = turb_consts.c1, turb_consts.c2
         tiny = 1e-12 * (c1 + c2)
-        zero = dataclasses.replace(turb_consts, c3=0.0)
-        near = dataclasses.replace(turb_consts, c3=tiny)
+        zero = turb_consts._replace(c3=0.0)
+        near = turb_consts._replace(c3=tiny)
         for a, b in ((1, 1), (3, 1)):
             at_zero, at_tiny = k_kernel(a, b, zero), k_kernel(a, b, near)
             assert cmath.isfinite(at_zero) and at_zero.imag == 0.0
@@ -628,7 +627,7 @@ class TestProbabilityMatrix:
         # gamma and Lambda0
         corrupt_seeds(lambda seeds, consts:
                       seeds._replace(delta=-seeds.delta) if consts.gamma > 0 else seeds)
-        fresh = dataclasses.replace(turb_consts)
+        fresh = turb_consts._replace()
         ok = re.escape(f"at gamma={turb_consts.gamma:.6g}, Lambda0={ref_cfg.fresnel_ratio:.6g}")
         with pytest.raises(NumericalError, match=r"pi_factor\(3, 3\): the Pi seeds C=\S+, .* "
                                                  r"delta=-\S+ are not finite, C <= 0 or "
@@ -751,7 +750,7 @@ class TestProbabilityMatrix:
         assert all(r == results[0] for r in results)
         # one set, holding the rows 0..3 once each
         assert list(consts.pi) == [0, 1, 2, 3]
-        fresh = dataclasses.replace(consts)
+        fresh = consts._replace()
         serial = tuple(pi_factor(mu, nu, fresh)
                        for mu in range(4) for nu in range(4))
         assert serial == results[0]
@@ -762,7 +761,7 @@ class TestProbabilityMatrix:
         keys = [(mu, nu) for mu in range(11) for nu in range(mu, 11)]
         base = derive_constants(ref_cfg, turbulence_strength(0.0421))
         engine._clear_tables()
-        fresh = dataclasses.replace(base)
+        fresh = base._replace()
         prefixes = {tuple(range(r)) for r in range(12)}
         seen, done = set(), threading.Event()
 
@@ -791,7 +790,7 @@ class TestProbabilityMatrix:
         assert not watcher.is_alive()
         seen.add(tuple(fresh.pi))
         assert seen <= prefixes and list(fresh.pi) == list(range(11)), seen
-        serial = dataclasses.replace(base)
+        serial = base._replace()
         want = {key: pi_factor(*key, serial).hex() for key in keys}
         assert all({k: v.hex() for k, v in r.items()} == want for r in results)
         assert _row_bits(fresh.pi) == _row_bits(serial.pi)
@@ -913,7 +912,7 @@ class TestKernelTables:
         base = derive_constants(ref_cfg, turbulence_strength(rytov))
         filled = []
         for order in (keys, keys[::-1], shuffled):
-            consts = dataclasses.replace(base)
+            consts = base._replace()
             for mu, nu in order:
                 pi_factor(mu, nu, consts)
             filled.append(consts)
@@ -960,7 +959,7 @@ class TestKernelTables:
             1 for a in range(41) for b in range(a + 1) if (a - b) % 2 == 0)
 
     @pytest.mark.parametrize("make", [
-        dataclasses.replace, copy.copy, copy.deepcopy,
+        lambda c: c._replace(), copy.copy, copy.deepcopy,
         lambda c: pickle.loads(pickle.dumps(c))], ids=["replace", "copy", "deepcopy", "pickle"])
     def test_fresh_copy_starts_empty_and_agrees(self, turb_consts, make):
         # a copy starts with an empty table, whose values are bitwise those
@@ -978,7 +977,7 @@ class TestKernelTables:
         assert _row_bits(fresh.pi) == _row_bits(turb_consts.pi)
         assert engine.pi_seeds(fresh) == engine.pi_seeds(turb_consts)
         modes = expand_modes(10)
-        assert _bits(probability_matrix(modes, dataclasses.replace(turb_consts)).values) == \
+        assert _bits(probability_matrix(modes, turb_consts._replace()).values) == \
             _bits(probability_matrix(modes, turb_consts).values)
 
     def test_k_kernel_cache_info_counts_the_tables(self, vac_consts):
@@ -994,7 +993,7 @@ class TestKernelTables:
         assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
         # a fresh set's seeds are closed forms that read no K; its Pi(1, 3)
         # is one fill
-        fresh = dataclasses.replace(vac_consts)
+        fresh = vac_consts._replace()
         pi_factor(1, 3, fresh)
         assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
         assert table_info().pi == (0, 1)

@@ -1,10 +1,13 @@
-"""Start-up path: no command, the oracle's included, loads numpy.
+"""Start-up path: each command loads only the code it runs.
 
-The package is stdlib only; numpy is a test extra. Each case runs in a fresh
-interpreter, since numpy stays in sys.modules once any test in this process
-has loaded it.
+No command, the oracle's included, loads numpy: the package is stdlib only
+and numpy is a test extra. matrix, sweep and rank load neither the
+validation suite, the quadrature oracle nor dataclasses. Each case runs in
+a fresh interpreter, since a module stays in sys.modules once any test in
+this process has loaded it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,18 +19,26 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: modules that neither import hgspdc nor matrix, sweep or rank may load
+NOT_LOADED = ("dataclasses", "hgspdc.validate", "hgspdc.oracle")
 
-def numpy_loaded_after(code):
-    """Run code in a fresh interpreter; return whether numpy got imported."""
-    script = textwrap.dedent(code) + (
-        "\nimport sys\nprint('numpy-loaded', 'numpy' in sys.modules)\n")
+
+def loaded_after(code, modules=("numpy",)):
+    """Run code in a fresh interpreter; return those of modules that it
+    imported, in the order given. A module the interpreter loaded before
+    the code ran, at start-up, does not count."""
+    script = ("import sys\n_before = set(sys.modules)\n" + textwrap.dedent(code)
+              + f"\nprint([m for m in {tuple(modules)!r} "
+                "if m in sys.modules and m not in _before])\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.splitlines()[-1]
-    assert last in ("numpy-loaded True", "numpy-loaded False")
-    return last == "numpy-loaded True"
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def numpy_loaded_after(code):
+    return bool(loaded_after(code))
 
 
 @pytest.mark.parametrize("code", ["import hgspdc", "import hgspdc.cli"])
@@ -35,16 +46,45 @@ def test_import_leaves_numpy_unloaded(code):
     assert not numpy_loaded_after(code)
 
 
-@pytest.mark.parametrize("argv", [
-    ["matrix"],
-    ["sweep", "--grid", "0,0.01"],
-    ["rank", "--rytov", "0.02"],
-], ids=["matrix", "sweep", "rank"])
+_COMMANDS = [["matrix"], ["sweep", "--grid", "0,0.01"], ["rank", "--rytov", "0.02"]]
+_COMMAND_IDS = ["matrix", "sweep", "rank"]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
 def test_commands_leave_numpy_unloaded(argv):
     assert not numpy_loaded_after(f"""
         from hgspdc import cli
         assert cli.main({argv!r}) == cli.EXIT_OK
     """)
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
+def test_commands_load_only_what_they_run(argv):
+    # the module run as `python -m hgspdc ...` runs it
+    assert loaded_after(f"""
+        import runpy
+        sys.argv = ["hgspdc", *{argv!r}]
+        try:
+            runpy.run_module("hgspdc", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+    """, NOT_LOADED + ("numpy",)) == []
+
+
+def test_import_loads_the_oracle_on_first_use():
+    # import hgspdc loads neither the oracle nor validate; the oracle's
+    # names still resolve, in the star import too, and load the oracle
+    assert loaded_after(f"""
+        import hgspdc
+        loaded = [m for m in {NOT_LOADED!r} if m in sys.modules and m not in _before]
+        assert not loaded, loaded
+        namespace = {{}}
+        exec("from hgspdc import *", namespace)
+        from hgspdc import oracle
+        assert namespace["QuadratureSpec"] is hgspdc.QuadratureSpec is oracle.QuadratureSpec
+        assert hgspdc.vacuum_overlap_1d is oracle.vacuum_overlap_1d
+        assert hgspdc.vacuum_probability_oracle is oracle.vacuum_probability_oracle
+    """, NOT_LOADED) == ["hgspdc.oracle"]
 
 
 def test_validate_leaves_numpy_unloaded_and_oracle_agrees(tmp_path):
