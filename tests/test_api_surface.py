@@ -1,17 +1,24 @@
 """The package's public surface: every exported name resolves, and the
 value types keep their constructors' checks, fields and reprs."""
 
+import copy
+import pickle
+
 import pytest
 
 import hgspdc
 from hgspdc import (
     DomainError,
     ModeIndex,
+    ModePair,
     OpticalConfig,
     QuadratureSpec,
     TurbulenceSpec,
+    build_matrix,
     derive_constants,
 )
+from hgspdc.cli import RunConfig
+from hgspdc.validate import CheckResult
 
 
 def test_star_import_and_all_resolve():
@@ -48,3 +55,17 @@ def test_reprs():
         f"DerivedConstants(cfg={cfg!r}, w={consts.w!r}, w_variant='propagated', "
         f"zeta={consts.zeta!r}, gamma=0.1, a3={consts.a3!r}, b1={consts.b1!r}, "
         f"c1={consts.c1!r}, c2={consts.c2!r}, c3={consts.c3!r})")
+
+
+_MATRIX = build_matrix(OpticalConfig(1e-6, 1e3, 1e-2), TurbulenceSpec(rytov=0.02))
+
+
+@pytest.mark.parametrize("value", [
+    OpticalConfig(1e-6, 1e3, 1e-2), TurbulenceSpec(cn2=1e-16), _MATRIX.turbulence,
+    ModeIndex(2, 1), ModePair(ModeIndex(0, 0), ModeIndex(1, 1)), _MATRIX.normalization,
+    _MATRIX, QuadratureSpec(1.0, 256), RunConfig(fmt="json", modes=(ModeIndex(0, 0),)),
+    CheckResult("x", False, 1e-3, "detail", 0.5, {"n": 1}),
+], ids=lambda v: type(v).__name__)
+def test_values_survive_pickle_and_copy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
