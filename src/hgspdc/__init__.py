@@ -49,7 +49,7 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-# the oracle loads on first use, so no command but validate compiles it
+# the oracle loads on first use, so importing the package does not compile it
 _ORACLE_NAMES = ("QuadratureSpec", "vacuum_overlap_1d", "vacuum_probability_oracle")
 
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import reference, serialization
+from . import reference, serialization, validate
 from .channel import OpticalConfig, TurbulenceSpec
 from .engine import (
     DEFAULT_ORDERING,
@@ -28,14 +28,14 @@ from .engine import (
     selection_rule_allowed,
 )
 from .errors import DomainError, NumericalError
-from .reference import DEFAULT_NODES, MAX_NODES, MIN_NODES, check_node_count
+from .oracle import DEFAULT_NODES, MAX_NODES, MIN_NODES, check_node_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
-DEFAULT_GRID = reference.SWEEP_GRID
+DEFAULT_GRID = validate.SWEEP_GRID
 
 
 class RunConfig(SimpleNamespace):
@@ -253,7 +253,6 @@ def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NOD
     check_node_count(nodes)
     if output:
         _emit("", output, "a")
-    from . import validate  # loaded here, so no other command compiles it
     results = validate.run_checks(vacuum_only=vacuum_only, oracle_nodes=nodes)
     report = {
         "passed": all(r.passed for r in results),

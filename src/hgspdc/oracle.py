@@ -47,17 +47,19 @@ from collections import namedtuple
 from .channel import OpticalConfig, _checked_make
 from .engine import ModePair, _orders
 from .errors import DomainError, QuadratureResolutionError
-# the node bounds live with the CLI's defaults, which load without the oracle
-from .reference import DEFAULT_NODES, MAX_NODES, MIN_NODES, check_node_count  # noqa: F401
 
 #: A(mu, nu) keyed (mu, nu) in both orders
 OverlapTable = dict[tuple[int, int], complex]
 
+MIN_NODES = 64
+DEFAULT_NODES = 128
 #: the r-window's half-width in pump waists: beyond it g(r) < 1e-16
 WINDOW_PUMP_WAISTS = math.sqrt(16.0 * math.log(10.0))
 #: node doubling must move results by less than this (relative)
 CONVERGENCE_RTOL = 1e-4
 MAX_ORACLE_ORDER = 4
+#: the convergence check runs at twice this
+MAX_NODES = 4096
 
 
 def detection_waist(cfg: OpticalConfig) -> float:
@@ -70,6 +72,11 @@ def detection_phase_rate(cfg: OpticalConfig) -> float:
     lam0 = cfg.fresnel_ratio
     radius = cfg.distance * (1.0 + 1.0 / lam0 ** 2)
     return cfg.wavenumber / (4.0 * radius)
+
+
+def check_node_count(nodes: int) -> None:
+    if not MIN_NODES <= nodes <= MAX_NODES:
+        raise DomainError(f"nodes must be from {MIN_NODES} to {MAX_NODES}, got {nodes}")
 
 
 class QuadratureSpec(namedtuple("QuadratureSpec", "half_width nodes")):

@@ -5,10 +5,6 @@ regression fixtures: a vacuum table (5-decimal entries) and a weak-turbulence
 table at rytov 0.02 (4-decimal entries; two entries near 3e-6). Both are
 normalized so the vacuum (00,00) entry reads 0.31307. Geometry: wavelength
 0.8 um, distance 5 km, effective pump width W0 = 0.1 m.
-
-Also the validation suite's defaults that the CLI reads without loading the
-suite: the Rytov grid of the trend checks and sweep, and the quadrature
-oracle's node counts.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ from __future__ import annotations
 import math
 
 from .channel import OpticalConfig
-from .errors import DomainError
 
 REFERENCE_WAVELENGTH = 0.8e-6   # [m]
 REFERENCE_DISTANCE = 5000.0     # [m]
@@ -67,17 +62,3 @@ TURBULENCE_MATRIX = (
 TINY_ENTRY_TOL = 5e-6
 #: all other entries are rounded to at most 4-5 decimals
 ENTRY_TOL = 5e-4
-
-#: the trend checks' Rytov grid, and the sweep command's default
-SWEEP_GRID = tuple(round(0.01 * i, 10) for i in range(11))
-
-#: the quadrature oracle's nodes in r
-MIN_NODES = 64
-DEFAULT_NODES = 128
-#: the convergence check runs at twice this
-MAX_NODES = 4096
-
-
-def check_node_count(nodes: int) -> None:
-    if not MIN_NODES <= nodes <= MAX_NODES:
-        raise DomainError(f"nodes must be from {MIN_NODES} to {MAX_NODES}, got {nodes}")

@@ -35,12 +35,15 @@ from .engine import (
     _hyp2f1_terminating,
 )
 from .oracle import (
+    DEFAULT_NODES,
     QuadratureSpec,
+    check_node_count,
     detection_waist,
     overlap_table,
     vacuum_probability_oracle,
 )
-from .reference import DEFAULT_NODES, SWEEP_GRID, check_node_count
+
+SWEEP_GRID = tuple(round(0.01 * i, 10) for i in range(11))
 
 
 class CheckResult(SimpleNamespace):

@@ -1,10 +1,10 @@
 """Start-up path: each command loads only the code it runs.
 
 No command, the oracle's included, loads numpy: the package is stdlib only
-and numpy is a test extra. matrix, sweep and rank load neither the
-validation suite, the quadrature oracle nor dataclasses. Each case runs in
-a fresh interpreter, since a module stays in sys.modules once any test in
-this process has loaded it.
+and numpy is a test extra. No command loads dataclasses, and import hgspdc
+loads neither the validation suite nor the quadrature oracle. Each case
+runs in a fresh interpreter, since a module stays in sys.modules once any
+test in this process has loaded it.
 """
 
 import ast
@@ -19,8 +19,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: modules that neither import hgspdc nor matrix, sweep or rank may load
-NOT_LOADED = ("dataclasses", "hgspdc.validate", "hgspdc.oracle")
+#: modules that import hgspdc does not load
+NOT_IMPORTED = ("dataclasses", "hgspdc.validate", "hgspdc.oracle")
 
 
 def loaded_after(code, modules=("numpy",)):
@@ -37,13 +37,9 @@ def loaded_after(code, modules=("numpy",)):
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
-def numpy_loaded_after(code):
-    return bool(loaded_after(code))
-
-
 @pytest.mark.parametrize("code", ["import hgspdc", "import hgspdc.cli"])
 def test_import_leaves_numpy_unloaded(code):
-    assert not numpy_loaded_after(code)
+    assert not loaded_after(code)
 
 
 _COMMANDS = [["matrix"], ["sweep", "--grid", "0,0.01"], ["rank", "--rytov", "0.02"]]
@@ -52,15 +48,7 @@ _COMMAND_IDS = ["matrix", "sweep", "rank"]
 
 @pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
 def test_commands_leave_numpy_unloaded(argv):
-    assert not numpy_loaded_after(f"""
-        from hgspdc import cli
-        assert cli.main({argv!r}) == cli.EXIT_OK
-    """)
-
-
-@pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
-def test_commands_load_only_what_they_run(argv):
-    # the module run as `python -m hgspdc ...` runs it
+    # run as `python -m hgspdc ...` runs it; dataclasses stays unloaded too
     assert loaded_after(f"""
         import runpy
         sys.argv = ["hgspdc", *{argv!r}]
@@ -68,7 +56,7 @@ def test_commands_load_only_what_they_run(argv):
             runpy.run_module("hgspdc", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             assert exc.code == 0, exc.code
-    """, NOT_LOADED + ("numpy",)) == []
+    """, ("numpy", "dataclasses")) == []
 
 
 def test_import_loads_the_oracle_on_first_use():
@@ -76,7 +64,7 @@ def test_import_loads_the_oracle_on_first_use():
     # names still resolve, in the star import too, and load the oracle
     assert loaded_after(f"""
         import hgspdc
-        loaded = [m for m in {NOT_LOADED!r} if m in sys.modules and m not in _before]
+        loaded = [m for m in {NOT_IMPORTED!r} if m in sys.modules and m not in _before]
         assert not loaded, loaded
         namespace = {{}}
         exec("from hgspdc import *", namespace)
@@ -84,12 +72,12 @@ def test_import_loads_the_oracle_on_first_use():
         assert namespace["QuadratureSpec"] is hgspdc.QuadratureSpec is oracle.QuadratureSpec
         assert hgspdc.vacuum_overlap_1d is oracle.vacuum_overlap_1d
         assert hgspdc.vacuum_probability_oracle is oracle.vacuum_probability_oracle
-    """, NOT_LOADED) == ["hgspdc.oracle"]
+    """, NOT_IMPORTED) == ["hgspdc.oracle"]
 
 
 def test_validate_leaves_numpy_unloaded_and_oracle_agrees(tmp_path):
     report = tmp_path / "report.json"
-    assert not numpy_loaded_after(f"""
+    assert not loaded_after(f"""
         from hgspdc import cli
         assert cli.main(["validate", "--vacuum-only", "--output", {str(report)!r}]) == 0
     """)
@@ -99,7 +87,7 @@ def test_validate_leaves_numpy_unloaded_and_oracle_agrees(tmp_path):
 
 def test_import_builds_no_table_row():
     # the geometry-free fill and grid plans fill on first use
-    assert not numpy_loaded_after("""
+    assert not loaded_after("""
         import hgspdc
         from hgspdc import engine
         assert engine._plan.cache_info().currsize == 0
