@@ -34,12 +34,12 @@ the seeds, checks them, and publishes rows 0..top in one dict update, each
 row independent of top and of fill order. A pi_factor miss fills through
 the row it needs. probability_matrix asks for Pi(top, top) of its grid's
 top order once and then reads the rows; rytov_sweep asks for it first, so
-one fill serves every Pi either reads. Pi is symmetric, so P((n_s, m_s),
-(n_i, m_i)) is P((m_s, n_s), (m_i, n_i)) with its two factors swapped, and
-bitwise equal: in a grid that holds the swap of each of its modes, the
-matrix computes the first row of each swapped pair and gathers the other
-from it. Seeds that are not finite, C <= 0 or delta < 0 are the one
-NumericalError, which names the set.
+one fill serves every Pi either reads. Pi is symmetric, so the transposed
+entry P(i, s) and the entry of the swapped modes P((n_s, m_s), (n_i, m_i))
+read the same two Pi as P(s, i), at most in the other order, and are
+bitwise equal: a matrix multiplies each distinct unordered pair of Pi once
+and gathers every row from the products. Seeds that are not finite, C <= 0
+or delta < 0 are the one NumericalError, which names the set.
 
 f_kernel and k_kernel are the per-term references, which the tests and
 the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
@@ -48,7 +48,7 @@ zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b).
 
 Three bounded lru_caches remain: K, keyed on its orders and c1..c3, the
 fill's geometry-free indexing _plan, built on first use, and the matrix's
-_grid_plan, keyed on its grid's tuples of m and of n orders. table_info()
+_grid_plan, keyed on its grid's ordering of ModeIndex values. table_info()
 reports the sets, K and the Pi lookups. All functions are pure and fills
 store values computed from the set's own fields, so concurrent use is safe.
 """
@@ -59,6 +59,7 @@ import cmath
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain, repeat
 from operator import index, itemgetter
 
 from .channel import (
@@ -82,7 +83,7 @@ DEFAULT_MAX_ORDER = 10
 # DERIVED_SETS sets.
 _K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
 
-# grid plans kept, one per distinct pair of mode order tuples
+# grid plans kept, one per ordering
 _GRID_PLANS = 32
 
 
@@ -207,7 +208,7 @@ def _gamma_half(twice: int) -> float:
 PiInfo = namedtuple("PiInfo", "hits misses")
 TableInfo = namedtuple("TableInfo", "sets k pi")
 Seeds = namedtuple("Seeds", "c alpha beta delta")
-_GridPlan = namedtuple("_GridPlan", "top pick_m pick_n orders_m orders_n steps swap")
+_GridPlan = namedtuple("_GridPlan", "top xs ys rows")
 
 
 class _Counts:
@@ -490,37 +491,39 @@ def _check_normalization(normalization: str) -> None:
         raise DomainError(f"unknown normalization {normalization!r}")
 
 
-@lru_cache(maxsize=_GRID_PLANS)
-def _grid_plan(ms: tuple[int, ...], ns: tuple[int, ...]) -> _GridPlan:
-    """probability_matrix's geometry-free indexing for the grid whose modes
-    have the orders ms and ns: the top order; pick_m and pick_n, which
-    gather a column's entries at the m and at the n orders in one C call
-    (a one-tuple for a one-mode grid, not itemgetter's scalar); the m and
-    the n orders the computed rows read; per row, steps holds (m, n, None)
-    if the row is computed, or (m, n, i) if it is swap(row i); and swap, or
-    None if every row is computed.
+def _getter(indices):
+    """itemgetter(*indices), whose result is a tuple for one index too."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
-    Only a grid that holds the swap (n, m) of each of its modes has rows
-    gathered. There the row of a mode is swap(row of its swapped mode),
-    swap taking entry j from the first column of the swap of mode j, and of
-    each swapped pair the row that comes first in the grid is computed."""
-    keys = list(zip(ms, ns))
-    if len(keys) == 1:
-        (m,), (n,) = ms, ns
-        pick_m, pick_n = (lambda col: (col[m],)), (lambda col: (col[n],))
-    else:
-        pick_m, pick_n = itemgetter(*ms), itemgetter(*ns)
-    first = {}
-    for j, key in enumerate(keys):
-        first.setdefault(key, j)
-    closed = all((n, m) in first for m, n in keys)
-    sources = [first[n, m] if closed and first[n, m] < j else None
-               for j, (m, n) in enumerate(keys)]
-    computed = [key for key, source in zip(keys, sources) if source is None]
-    swap = itemgetter(*[first[n, m] for m, n in keys]) if len(computed) < len(keys) else None
-    orders_m, orders_n = sorted({m for m, _ in computed}), sorted({n for _, n in computed})
-    return _GridPlan(max(max(ms), max(ns)), pick_m, pick_n, tuple(orders_m), tuple(orders_n),
-                     tuple([(m, n, source) for (m, n), source in zip(keys, sources)]), swap)
+
+@lru_cache(maxsize=_GRID_PLANS)
+def _grid_plan(ordering: tuple[ModeIndex, ...]) -> _GridPlan:
+    """probability_matrix's geometry-free indexing for the grid ordering:
+    the top order; xs and ys, which gather the two factors of every
+    distinct product from the flat Pi triangle, Pi(m, n) at cell
+    n (n + 1) / 2 + m for m <= n; and per row the gather of its entries
+    from the products.
+
+    Entry (i, j) is the product of the cells of (m_i, m_j) and (n_i, n_j),
+    and the distinct products are the distinct unordered pairs of cells,
+    numbered in the order the grid first reads them: the transposed entry
+    and the entry of the swapped modes read the same pair."""
+    orders = set(chain.from_iterable(ordering))
+    cells = {a: {b: b * (b + 1) // 2 + a if a <= b else a * (a + 1) // 2 + b for b in orders}
+             for a in orders}
+    pairs, rows = {}, []
+    for s in ordering:
+        cell_m, cell_n = cells[s.m], cells[s.n]
+        row = []
+        for i in ordering:
+            x, y = cell_m[i.m], cell_n[i.n]
+            row.append(pairs.setdefault((x, y) if x <= y else (y, x), len(pairs)))
+        rows.append(_getter(row))
+    xs, ys = zip(*pairs)
+    return _GridPlan(max(orders), _getter(xs), _getter(ys), tuple(rows))
 
 
 def probability_matrix(
@@ -530,7 +533,8 @@ def probability_matrix(
     reference_value: float = CALIBRATION_REFERENCE,
     turbulence: ResolvedTurbulence | None = None,
 ) -> ProbabilityMatrix:
-    """Fill the grid of joint probabilities for every ordered mode pair.
+    """Fill the grid of joint probabilities for every ordered pair of modes,
+    which must be ModeIndex values (else DomainError).
 
     With calibrated normalization all entries are rescaled by the single
     global factor that maps the vacuum (00,00) entry onto reference_value,
@@ -540,6 +544,11 @@ def probability_matrix(
     ordering = tuple(modes)
     if not ordering:
         raise DomainError("mode list must be nonempty")
+    # a plain (m, n) tuple equals the ModeIndex of its orders, so it is
+    # turned away before it can hit that mode's cached grid plan
+    if not all(map(isinstance, ordering, repeat(ModeIndex))):
+        bad = next(s for s in ordering if not isinstance(s, ModeIndex))
+        raise DomainError(f"modes must be ModeIndex values, got {bad!r}")
     _check_normalization(normalization)
     if turbulence is None and consts.gamma == 0.0:
         turbulence = TurbulenceSpec().resolve(consts.cfg)
@@ -550,32 +559,22 @@ def probability_matrix(
         )
 
     # one pi_factor call, at the grid's top order, fills the rows 0..top of
-    # the set's table; square[a] is then Pi(a, 0..top), and row s of the
-    # matrix is Pi(s.m, i.m) Pi(s.n, i.n) over the idlers i, from one
-    # column per distinct order, each gathered in one C call. The row of
-    # (n, m) is that of (m, n) with the idlers swapped too, the same two
-    # factors multiplied the other way round, so only the first of each
-    # swapped pair is computed and the other is its gather (see _grid_plan)
-    ms, ns = tuple([s.m for s in ordering]), tuple([s.n for s in ordering])
-    top, pick_m, pick_n, orders_m, orders_n, steps, swap = _grid_plan(ms, ns)
+    # the set's table, flattened into the triangle the plan's cells index.
+    # Entry (s, i) is Pi(s.m, i.m) Pi(s.n, i.n): each distinct unordered
+    # pair of factors is multiplied once, and every row is gathered from
+    # the products in one C call (see _grid_plan)
+    top, xs, ys, rows = _grid_plan(ordering)
     pi_factor(top, top, consts)
-    rows = [consts.pi[n] for n in range(top + 1)]
-    square = [rows[a] + tuple([row[a] for row in rows[a + 1:]]) for a in range(top + 1)]
-    raw_ref = square[0][0] * square[0][0]
+    flat = tuple(chain.from_iterable(map(consts.pi.__getitem__, range(top + 1))))
+    raw_ref = flat[0] * flat[0]
 
     calibrated = normalization == NORMALIZATION_CALIBRATED
     factor = _calibration_factor(consts, reference_value) if calibrated else 1.0
     norm = Normalization(normalization, _ANCHOR_PAIR, reference_value if calibrated else None,
                          factor, raw_ref)
 
-    col_m = {a: pick_m(square[a]) for a in orders_m}
-    col_n = {b: pick_n(square[b]) for b in orders_n}
-    values = []
-    for m, n, source in steps:
-        if source is None:
-            values.append(tuple([factor * (x * y) for x, y in zip(col_m[m], col_n[n])]))
-        else:
-            values.append(swap(values[source]))
+    products = [factor * (x * y) for x, y in zip(xs(flat), ys(flat))]
+    values = [row(products) for row in rows]
     return ProbabilityMatrix(ordering, tuple(values), consts, norm, turbulence)
 
 

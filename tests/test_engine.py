@@ -672,8 +672,9 @@ class TestProbabilityMatrix:
     def test_table_assembly_over_grid_kinds(self, vac_consts, turb_consts, name, turbulent):
         # on every grid kind each entry is bitwise the calibration factor
         # times the per-pair product, with one pi_factor call on the set, at
-        # (top, top); a row is gathered only from an earlier row of its
-        # swapped mode, and only in a grid that holds every mode's swap
+        # (top, top); the transposed entry and, where the grid holds both
+        # swapped modes, the swapped entry read the same two factors and are
+        # the same float
         modes = _GRID_KINDS[name]
         consts = turb_consts if turbulent else vac_consts
         top = max(max(s.m, s.n) for s in modes)
@@ -684,29 +685,45 @@ class TestProbabilityMatrix:
         factor = m.normalization.calibration_factor
         assert _bits(m.values) == _bits([[factor * joint_probability(ModePair(s, i), consts)
                                           for i in modes] for s in modes])
-        keys = [(s.m, s.n) for s in modes]
-        closed = all((n, m) in keys for m, n in keys)
-        for j, (m, n, source) in enumerate(engine._grid_plan(*zip(*keys)).steps):
-            if source is None:
-                assert not closed or keys.index((n, m)) >= j
-            else:
-                assert closed and source == keys.index((n, m)) < j
+        entry = {(s, i): v for s, row in zip(modes, m.values) for i, v in zip(modes, row)}
+        for (s, i), v in entry.items():
+            assert entry[i, s] is v
+            assert entry.get((ModeIndex(s.n, s.m), ModeIndex(i.n, i.m)), v) is v
 
     def test_grid_plan_cache(self, vac_consts):
-        # the grid plans are bounded and keyed on the tuples of m and of n
-        # orders: two orderings with the same orders, a list and a tuple of
-        # distinct ModeIndex objects, share one plan
+        # the grid plans are bounded and keyed on the ordering: two equal
+        # orderings, a list and a tuple of distinct ModeIndex objects, share
+        # one plan
         engine._grid_plan.cache_clear()
         probability_matrix(expand_modes(3), vac_consts)
         probability_matrix(tuple(ModeIndex(s.m, s.n) for s in expand_modes(3)), vac_consts)
         info = engine._grid_plan.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert engine._grid_plan.cache_parameters()["maxsize"] == engine._GRID_PLANS
-        ms, ns = zip(*[(s.m, s.n) for s in expand_modes(3)])
-        assert engine._grid_plan(ms, ns) is engine._grid_plan(tuple(ms), tuple(ns))
+        assert engine._grid_plan(tuple(expand_modes(3))) is engine._grid_plan(DEFAULT_ORDERING)
         for k in range(engine._GRID_PLANS + 5):
             probability_matrix([ModeIndex(k % 4, k // 4)], vac_consts)
         assert engine._grid_plan.cache_info().currsize == engine._GRID_PLANS
+
+    @pytest.mark.parametrize("max_sum, products", [(3, 28), (6, 176), (10, 876)])
+    def test_each_distinct_product_once(self, turb_consts, max_sum, products):
+        # entries that read the same unordered pair of per-axis factors share
+        # one product: a max-sum grid of N modes makes far fewer than N^2
+        # (100, 784 and 4356), and every transposed entry is the same float
+        m = probability_matrix(expand_modes(max_sum), turb_consts)
+        assert len({id(v) for row in m.values for v in row}) == products
+        assert all(m.values[i][j] is m.values[j][i]
+                   for i in range(m.size) for j in range(m.size))
+
+    @pytest.mark.parametrize("modes", [[(0, 0)], [(-1, 0)], "00", [ModeIndex(0, 0), (1, 0)]],
+                             ids=["tuple", "negative tuple", "str", "mixed"])
+    def test_modes_must_be_mode_index(self, vac_consts, modes):
+        # a plain tuple equals the ModeIndex of its orders, so it would
+        # otherwise hit that grid's cached plan; it is a DomainError, as are
+        # a negative tuple and the characters of a string
+        probability_matrix([ModeIndex(0, 0)], vac_consts)
+        with pytest.raises(DomainError, match="modes must be ModeIndex values"):
+            probability_matrix(modes, vac_consts)
 
     def test_memoization_distinct_pi_count(self, ref_cfg):
         # a 10-mode matrix over a fresh set costs one lookup, Pi(3, 3), whose
