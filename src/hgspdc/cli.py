@@ -52,9 +52,13 @@ class RunConfig(SimpleNamespace):
                          normalization=normalization, fmt=fmt, output=output)
 
 
-#: the keys _build_run_config reads
-_CONFIG_KEYS = ("wavelength", "distance", "pump_waist", "cn2", "rytov",
-                "modes", "max_sum", "normalize", "format", "output")
+#: the keys a config file may hold, each with the cast its text takes
+_CONFIG_KEYS = {"wavelength": float, "distance": float, "pump_waist": float,
+                "cn2": float, "rytov": float, "modes": str, "max_sum": int,
+                "normalize": str, "format": str, "output": str}
+# a flag from one of these mutually exclusive groups overrides the whole
+# group in the config file, not just its own key
+_EXCLUSIVE_GROUPS = (("cn2", "rytov"), ("modes", "max_sum"))
 
 
 def _read_config_file(path: str) -> dict:
@@ -100,53 +104,32 @@ def _number(cast, key: str, text):
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    """Merge the flags over the --config file. A flag shadows its own file
+    key, and a flag of a mutually exclusive group the whole group; every
+    file value left is cast by _CONFIG_KEYS, in that table's order."""
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    file_vals = _read_config_file(args.config) if args.config else {}
+    shadowed = set(flags).union(*(group for group in _EXCLUSIVE_GROUPS
+                                  if not flags.keys().isdisjoint(group)))
+    values = {k: _number(cast, k, file_vals[k]) for k, cast in _CONFIG_KEYS.items()
+              if k in file_vals and k not in shadowed}
+    values.update(flags)
 
-    def pick(key: str, cast):
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return _number(cast, key, file_vals[key])
-        return None
+    def given(*keys):
+        return {k: values[k] for k in keys if k in values}
 
-    def pick_group(*keys):
-        # a flag from a mutually exclusive group overrides the whole group
-        # in the config file, not just its own key
-        flagged = {k: getattr(args, k, None) for k in keys}
-        if any(v is not None for v in flagged.values()):
-            return flagged
-        return {k: file_vals.get(k) for k in keys}
-
-    cfg = RunConfig()
-    geometry = {key: pick(key, float)
-                for key in ("wavelength", "distance", "pump_waist")}
-    cfg.optical = cfg.optical._replace(**{k: v for k, v in geometry.items()
-                                            if v is not None})
-
-    turb = pick_group("cn2", "rytov")
-    cfg.turbulence = TurbulenceSpec(**{k: _number(float, k, v) for k, v in turb.items()
-                                       if v is not None})
-
-    grid = pick_group("modes", "max_sum")
-    if grid["modes"] is not None and grid["max_sum"] is not None:
+    cfg = RunConfig(normalization=values.get("normalize", NORMALIZATION_CALIBRATED),
+                    fmt=values.get("format"), output=values.get("output"))
+    cfg.optical = cfg.optical._replace(**given("wavelength", "distance", "pump_waist"))
+    cfg.turbulence = TurbulenceSpec(**given("cn2", "rytov"))
+    if "modes" in values and "max_sum" in values:
         raise DomainError("give either modes or max_sum, not both")
-    if grid["modes"] is not None:
-        cfg.modes = _parse_modes_arg(str(grid["modes"]))
-    elif grid["max_sum"] is not None:
-        cfg.modes = tuple(expand_modes(_number(int, "max_sum", grid["max_sum"])))
-
-    normalize = pick("normalize", str)
-    if normalize is not None:
-        cfg.normalization = normalize
-    fmt = pick("format", str)
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise DomainError(f"unknown format {fmt!r}")
-        cfg.fmt = fmt
-    out = pick("output", str)
-    if out is not None:
-        cfg.output = out
+    if "modes" in values:
+        cfg.modes = _parse_modes_arg(values["modes"])
+    elif "max_sum" in values:
+        cfg.modes = tuple(expand_modes(values["max_sum"]))
+    if cfg.fmt not in (None, "csv", "json"):
+        raise DomainError(f"unknown format {cfg.fmt!r}")
     return cfg
 
 
@@ -191,9 +174,9 @@ def cmd_sweep(cfg: RunConfig, grid: list[float], pairs: list[ModePair]) -> int:
 
 
 _NOTABLE = {
-    ("00", "02"): "robust", ("00", "20"): "robust",
-    ("00", "01"): "dominant-crosstalk", ("00", "10"): "dominant-crosstalk",
-    ("00", "12"): "weak-crosstalk", ("00", "21"): "weak-crosstalk",
+    "(00,02)": "robust", "(00,20)": "robust",
+    "(00,01)": "dominant-crosstalk", "(00,10)": "dominant-crosstalk",
+    "(00,12)": "weak-crosstalk", "(00,21)": "weak-crosstalk",
 }
 
 
@@ -201,48 +184,35 @@ def cmd_rank(cfg: RunConfig) -> int:
     turb_matrix = _compute_matrix(cfg)
     vac_matrix = _compute_matrix(RunConfig(**{**vars(cfg), "turbulence": TurbulenceSpec()}))
 
+    # one row per pair, the dict the JSON writes and the table formats
     retained, leaking = [], []
-    n = len(cfg.modes)
-    for i in range(n):
-        for j in range(i, n):
-            s, d = cfg.modes[i], cfg.modes[j]
-            pair = ModePair(s, d)
-            pt = turb_matrix.values[i][j]
-            note = _NOTABLE.get((s.label(), d.label()), "")
+    for i, s in enumerate(cfg.modes):
+        for j in range(i, len(cfg.modes)):
+            pair = ModePair(s, cfg.modes[j])
+            label = pair.label()
+            pt, note = turb_matrix.values[i][j], _NOTABLE.get(label, "")
             if selection_rule_allowed(pair):
                 pv = vac_matrix.values[i][j]
                 # pv = 0 for an allowed pair cannot happen at sane
                 # parameters; None keeps the JSON standard if it ever does
-                retention = pt / pv if pv > 0 else None
-                retained.append((retention, pair, pt, pv, note))
+                retained.append({"pair": label, "retention": pt / pv if pv > 0 else None,
+                                 "p_turb": pt, "p_vac": pv, "note": note})
             else:
-                leaking.append((pt, pair, note))
-    retained.sort(key=lambda r: r[0] if r[0] is not None else float("-inf"),
-                  reverse=True)
-    leaking.sort(key=lambda r: r[0], reverse=True)
+                leaking.append({"pair": label, "p_turb": pt, "note": note})
+    retained.sort(key=lambda row: row["retention"] if row["retention"] is not None
+                  else float("-inf"), reverse=True)
+    leaking.sort(key=lambda row: row["p_turb"], reverse=True)
 
     if cfg.fmt == "json":
-        doc = {
-            "retention": [
-                {"pair": p.label(), "retention": r, "p_turb": pt, "p_vac": pv,
-                 "note": note}
-                for r, p, pt, pv, note in retained
-            ],
-            "leakage": [
-                {"pair": p.label(), "p_turb": pt, "note": note}
-                for pt, p, note in leaking
-            ],
-        }
-        _emit(json.dumps(doc, indent=2), cfg.output)
+        _emit(json.dumps({"retention": retained, "leakage": leaking}, indent=2), cfg.output)
         return EXIT_OK
     lines = ["retention (allowed pairs, P_turb / P_vac descending):"]
-    for r, p, pt, pv, note in retained:
-        shown = f"{r:.4f}" if r is not None else "n/a"
-        lines.append(f"  {p.label():>9}  retention={shown}  "
-                     f"P_turb={pt:.5f}  P_vac={pv:.5f}  {note}")
+    for row in retained:
+        shown = f"{row['retention']:.4f}" if row["retention"] is not None else "n/a"
+        lines.append("  {pair:>9}  retention={shown}  P_turb={p_turb:.5f}  "
+                     "P_vac={p_vac:.5f}  {note}".format(shown=shown, **row))
     lines.append("leakage (forbidden pairs, P_turb descending):")
-    for pt, p, note in leaking:
-        lines.append(f"  {p.label():>9}  P_turb={pt:.6f}  {note}")
+    lines += ["  {pair:>9}  P_turb={p_turb:.6f}  {note}".format(**row) for row in leaking]
     _emit("\n".join(lines), cfg.output)
     return EXIT_OK
 
@@ -339,11 +309,10 @@ def main(argv: list[str] | None = None) -> int:
                     if args.grid else list(DEFAULT_GRID))
             pairs = [_parse_pair(tok) for tok in args.pairs.split()]
             return cmd_sweep(cfg, grid, pairs)
-        if args.command == "rank":
-            if cfg.turbulence == TurbulenceSpec():
-                raise DomainError("rank needs a turbulent channel: give --rytov or --cn2")
-            return cmd_rank(cfg)
-        raise DomainError(f"unknown command {args.command!r}")
+        # argparse admits no other command than rank here
+        if cfg.turbulence == TurbulenceSpec():
+            raise DomainError("rank needs a turbulent channel: give --rytov or --cn2")
+        return cmd_rank(cfg)
     except DomainError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS

@@ -102,7 +102,8 @@ class ModeIndex(namedtuple("ModeIndex", "m n")):
     __slots__ = ()
 
     def __new__(cls, m: int, n: int):
-        if min(_orders(m, n)) < 0:
+        m, n = _orders(m, n)
+        if min(m, n) < 0:
             raise DomainError(f"mode orders must be nonnegative, got ({m}, {n})")
         return super().__new__(cls, m, n)
 
@@ -421,14 +422,11 @@ def joint_probability(pair: ModePair, consts: DerivedConstants) -> float:
     return pi_factor(s.m, i.m, consts) * pi_factor(s.n, i.n, consts)
 
 
-def selection_rule_allowed(pair: ModePair, pump: ModeIndex = ModeIndex(0, 0)) -> bool:
-    """Vacuum selection rules: per axis, signal+idler order must have the
-    pump's parity and be at least the pump order."""
+def selection_rule_allowed(pair: ModePair) -> bool:
+    """Vacuum selection rules for the Gaussian (00) pump: per axis, the
+    signal and idler orders sum to an even number."""
     s, i = pair.signal, pair.idler
-    return (
-        (s.m + i.m) % 2 == pump.m % 2 and s.m + i.m >= pump.m
-        and (s.n + i.n) % 2 == pump.n % 2 and s.n + i.n >= pump.n
-    )
+    return (s.m + i.m) % 2 == 0 and (s.n + i.n) % 2 == 0
 
 
 NORMALIZATION_RAW = "raw"

@@ -235,6 +235,38 @@ class TestConfigFile:
         doc = json.loads(out)
         assert doc["params"]["rytov"] == 0.02
 
+    @pytest.mark.parametrize("text, message", [
+        ("modes=00 01\nmax_sum=2\n", "give either modes or max_sum"),
+        ("cn2=2.4e-17\nrytov=0.02\n", "give either cn2 or rytov"),
+        ("format=xml\n", "unknown format 'xml'"),
+    ], ids=["modes-and-max_sum", "cn2-and-rytov", "format-xml"])
+    def test_conflicting_or_unknown_file_values_exit_2(self, capsys, tmp_path,
+                                                       text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "matrix", "--config", str(cfg))
+        assert code == EXIT_PARAMS and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("text, flags, ordering", [
+        ("modes=00\nformat=json\n", ("--max-sum", "1"), ["00", "01", "10"]),
+        ("max_sum=2\nformat=json\n", ("--modes", "00"), ["00"]),
+    ], ids=["max-sum-over-modes", "modes-over-max_sum"])
+    def test_mode_flag_shadows_file_group(self, capsys, tmp_path, text, flags,
+                                          ordering):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, _ = run(capsys, "matrix", "--config", str(cfg), *flags)
+        assert code == EXIT_OK
+        assert json.loads(out)["ordering"] == ordering
+
+    def test_dashed_key_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pump-waist=0.0035\nformat=json\n")
+        code, out, _ = run(capsys, "matrix", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert json.loads(out)["params"]["pump_waist_m"] == 0.0035
+
 
 class TestSweepCommand:
     def test_degenerate_grid(self, capsys):

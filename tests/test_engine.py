@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgspdc import engine, reference
+from hgspdc import engine, reference, serialization
 from hgspdc.channel import (
     DerivedConstants,
     OpticalConfig,
@@ -517,21 +517,9 @@ class TestJointProbability:
 
 class TestSelectionRules:
     def test_examples(self):
-        pump = ModeIndex(0, 0)
-        assert not selection_rule_allowed(
-            ModePair(ModeIndex(0, 0), ModeIndex(0, 1)), pump)
-        assert selection_rule_allowed(
-            ModePair(ModeIndex(0, 0), ModeIndex(2, 0)), pump)
-        assert selection_rule_allowed(
-            ModePair(ModeIndex(1, 1), ModeIndex(1, 1)), pump)
-
-    def test_higher_order_pump(self):
-        pump = ModeIndex(1, 0)
-        # m_s + m_i must be odd and >= 1; n_s + n_i even
-        assert selection_rule_allowed(
-            ModePair(ModeIndex(1, 0), ModeIndex(0, 0)), pump)
-        assert not selection_rule_allowed(
-            ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), pump)
+        assert not selection_rule_allowed(ModePair(ModeIndex(0, 0), ModeIndex(0, 1)))
+        assert selection_rule_allowed(ModePair(ModeIndex(0, 0), ModeIndex(2, 0)))
+        assert selection_rule_allowed(ModePair(ModeIndex(1, 1), ModeIndex(1, 1)))
 
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
     def test_matches_parity_definition(self, ms, ns, mi, ni):
@@ -560,6 +548,14 @@ class TestModeHandling:
     def test_negative_orders_rejected(self):
         with pytest.raises(DomainError):
             ModeIndex(-1, 0)
+
+    def test_orders_stored_as_ints(self, vac_consts):
+        # an order given as a bool is stored as the int it stands for
+        mode = ModeIndex(True, 0)
+        assert type(mode.m) is int and mode.label() == "10"
+        matrix = probability_matrix([mode, ModeIndex(0, 0)], vac_consts)
+        lines = serialization.matrix_to_csv(matrix).splitlines()
+        assert [ln for ln in lines if not ln.startswith("#")][0] == "signal\\idler,10,00"
 
     @pytest.mark.parametrize("call", [
         lambda c: pi_factor(1.0, 0, c), lambda c: pi_factor(0, 1.5, c),
