@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import reference, serialization, validate
-from .channel import OpticalConfig, TurbulenceSpec
+from .channel import TurbulenceSpec
 from .engine import (
     DEFAULT_ORDERING,
     ModeIndex,
@@ -38,18 +38,14 @@ EXIT_NUMERICAL = 3
 DEFAULT_GRID = validate.SWEEP_GRID
 
 
-class RunConfig(SimpleNamespace):
+class RunConfig(namedtuple("RunConfig", "optical turbulence modes normalization fmt output",
+                           defaults=(reference.reference_config(), TurbulenceSpec(),
+                                     DEFAULT_ORDERING, NORMALIZATION_CALIBRATED, None, None))):
     """Resolved run parameters shared by the subcommands: optical, turbulence,
-    modes, normalization, fmt (None, "csv" or "json") and output (a path or
-    None). Mutable; equal to another namespace of the same fields."""
+    modes (a tuple of ModeIndex), normalization, fmt (None, "csv" or "json")
+    and output (a path or None)."""
 
-    def __init__(self, optical: OpticalConfig = reference.reference_config(),
-                 turbulence: TurbulenceSpec = TurbulenceSpec(),
-                 modes: tuple[ModeIndex, ...] = DEFAULT_ORDERING,
-                 normalization: str = NORMALIZATION_CALIBRATED,
-                 fmt: str | None = None, output: str | None = None):
-        super().__init__(optical=optical, turbulence=turbulence, modes=modes,
-                         normalization=normalization, fmt=fmt, output=output)
+    __slots__ = ()
 
 
 #: the keys a config file may hold, each with the cast its text takes
@@ -83,7 +79,13 @@ def _read_config_file(path: str) -> dict:
 
 
 def _parse_modes_arg(tokens: str) -> tuple[ModeIndex, ...]:
-    modes = tuple(parse_mode(tok) for tok in tokens.replace(",", " ").split())
+    """Whitespace-separated mode tokens, each 'mn' or 'm,n' as a matrix labels
+    them; a zero-padded part ('00,01') marks a comma-separated list."""
+    for tok in tokens.split():
+        if "," in tok and any(len(part) > 1 and part[0] == "0" for part in tok.split(",")):
+            raise DomainError(f"mode token {tok!r} holds more than one mode: "
+                              "separate modes with spaces, e.g. '00 01 10'")
+    modes = tuple(parse_mode(tok) for tok in tokens.split())
     if not modes:
         raise DomainError("mode list is empty")
     return modes
@@ -118,19 +120,19 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     def given(*keys):
         return {k: values[k] for k in keys if k in values}
 
-    cfg = RunConfig(normalization=values.get("normalize", NORMALIZATION_CALIBRATED),
-                    fmt=values.get("format"), output=values.get("output"))
-    cfg.optical = cfg.optical._replace(**given("wavelength", "distance", "pump_waist"))
-    cfg.turbulence = TurbulenceSpec(**given("cn2", "rytov"))
+    optical = reference.reference_config()._replace(
+        **given("wavelength", "distance", "pump_waist"))
+    turbulence = TurbulenceSpec(**given("cn2", "rytov"))
     if "modes" in values and "max_sum" in values:
         raise DomainError("give either modes or max_sum, not both")
-    if "modes" in values:
-        cfg.modes = _parse_modes_arg(values["modes"])
-    elif "max_sum" in values:
-        cfg.modes = tuple(expand_modes(values["max_sum"]))
-    if cfg.fmt not in (None, "csv", "json"):
-        raise DomainError(f"unknown format {cfg.fmt!r}")
-    return cfg
+    modes = (_parse_modes_arg(values["modes"]) if "modes" in values
+             else tuple(expand_modes(values["max_sum"])) if "max_sum" in values
+             else DEFAULT_ORDERING)
+    if values.get("format") not in (None, "csv", "json"):
+        raise DomainError(f"unknown format {values['format']!r}")
+    return RunConfig(optical, turbulence, modes,
+                     values.get("normalize", NORMALIZATION_CALIBRATED),
+                     values.get("format"), values.get("output"))
 
 
 def _emit(text: str, output: str | None, mode: str = "w") -> None:
@@ -182,7 +184,7 @@ _NOTABLE = {
 
 def cmd_rank(cfg: RunConfig) -> int:
     turb_matrix = _compute_matrix(cfg)
-    vac_matrix = _compute_matrix(RunConfig(**{**vars(cfg), "turbulence": TurbulenceSpec()}))
+    vac_matrix = _compute_matrix(cfg._replace(turbulence=TurbulenceSpec()))
 
     # one row per pair, the dict the JSON writes and the table formats
     retained, leaking = [], []
@@ -251,7 +253,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     turb.add_argument("--rytov", type=float, help="Rytov variance (dimensionless)")
     modes = parser.add_mutually_exclusive_group()
     modes.add_argument("--modes", type=str,
-                       help="mode tokens, e.g. '00 01 10' (default: 10-mode grid)")
+                       help="space-separated 'mn' or 'm,n' tokens (default: 10-mode grid)")
     modes.add_argument("--max-sum", dest="max_sum", type=int,
                        help="expand all modes with m+n <= S")
     parser.add_argument("--normalize", choices=[NORMALIZATION_RAW,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from types import SimpleNamespace
+from collections import namedtuple
 
 from . import reference
 from .channel import (
@@ -46,28 +46,21 @@ from .oracle import (
 SWEEP_GRID = tuple(round(0.01 * i, 10) for i in range(11))
 
 
-class CheckResult(SimpleNamespace):
+class CheckResult(namedtuple("CheckResult",
+                             "name passed max_deviation detail elapsed_s extras",
+                             defaults=(None, "", None, None))):
     """One check's outcome: name, passed, max_deviation (or None), detail,
-    elapsed_s (or None until run_checks times the check) and extras, a dict.
-    Mutable; equal to another namespace of the same fields."""
+    elapsed_s (or None until run_checks times the check) and extras (a dict
+    or None)."""
 
-    def __init__(self, name: str, passed: bool, max_deviation: float | None = None,
-                 detail: str = "", elapsed_s: float | None = None, extras: dict | None = None):
-        super().__init__(name=name, passed=passed, max_deviation=max_deviation, detail=detail,
-                         elapsed_s=elapsed_s, extras={} if extras is None else extras)
-
-    def __reduce__(self):
-        return CheckResult, (self.name, self.passed), vars(self)
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "detail": self.detail,
-            "elapsed_s": self.elapsed_s,
-            **({"extras": self.extras} if self.extras else {}),
-        }
+        """The fields in order, without extras when it is empty."""
+        fields = self._asdict()
+        if not self.extras:
+            del fields["extras"]
+        return fields
 
 
 def _reference_matrix(rytov: float, w_variant: str = DEFAULT_W_VARIANT,
@@ -81,16 +74,11 @@ def check_vacuum_golden(w_variant: str = DEFAULT_W_VARIANT) -> CheckResult:
     t0 = time.perf_counter()
     matrix = _reference_matrix(0.0, w_variant)
     elapsed = time.perf_counter() - t0
-    golden = reference.VACUUM_MATRIX
     peak = matrix.max_value()
-    worst = 0.0
-    zero_worst = 0.0
-    for i in range(10):
-        for j in range(10):
-            dev = abs(matrix.values[i][j] - golden[i][j])
-            worst = max(worst, dev)
-            if golden[i][j] == 0.0:
-                zero_worst = max(zero_worst, matrix.values[i][j] / peak)
+    pairs = list(zip(itertools.chain(*matrix.values),
+                     itertools.chain(*reference.VACUUM_MATRIX)))
+    worst = max(abs(got - want) for got, want in pairs)
+    zero_worst = max([0.0] + [got / peak for got, want in pairs if want == 0.0])
     passed = worst <= reference.ENTRY_TOL and zero_worst <= 1e-6
     return CheckResult(
         "vacuum_golden", passed, worst,
@@ -107,16 +95,10 @@ def check_turbulence_golden(strength_coeff: float = DEFAULT_STRENGTH_COEFF) -> C
     matrix = _reference_matrix(reference.REFERENCE_RYTOV,
                                strength_coeff=strength_coeff)
     elapsed = time.perf_counter() - t0
-    golden = reference.TURBULENCE_MATRIX
-    worst = 0.0
-    tiny_worst = 0.0
-    for i in range(10):
-        for j in range(10):
-            dev = abs(matrix.values[i][j] - golden[i][j])
-            if golden[i][j] < 1e-4:
-                tiny_worst = max(tiny_worst, dev)
-            else:
-                worst = max(worst, dev)
+    pairs = list(zip(itertools.chain(*matrix.values),
+                     itertools.chain(*reference.TURBULENCE_MATRIX)))
+    worst = max(abs(got - want) for got, want in pairs if want >= 1e-4)
+    tiny_worst = max(abs(got - want) for got, want in pairs if want < 1e-4)
     passed = worst <= reference.ENTRY_TOL and tiny_worst <= reference.TINY_ENTRY_TOL
     return CheckResult(
         "turbulence_golden", passed, max(worst, tiny_worst),
@@ -133,17 +115,14 @@ def check_selection_rules() -> CheckResult:
     peak = matrix.max_value()
     mismatches = []
     worst = 0.0
-    for s in matrix.ordering:
-        for i in matrix.ordering:
+    for s, row in zip(matrix.ordering, matrix.values):
+        for i, value in zip(matrix.ordering, row):
             allowed = selection_rule_allowed(ModePair(s, i))
-            value = matrix.value(s, i)
-            if allowed:
-                if value <= 1e-6 * peak:
-                    mismatches.append((s.label(), i.label(), "allowed-but-zero"))
-            else:
+            if not allowed:
                 worst = max(worst, value / peak)
-                if value > 1e-6 * peak:
-                    mismatches.append((s.label(), i.label(), "forbidden-but-nonzero"))
+            if allowed == (value <= 1e-6 * peak):
+                mismatches.append((s.label(), i.label(),
+                                   "allowed-but-zero" if allowed else "forbidden-but-nonzero"))
     return CheckResult(
         "selection_rules", not mismatches, worst,
         f"forbidden entries <= {worst:.2e} of peak; mismatches: {mismatches or 'none'}",
@@ -262,11 +241,8 @@ def check_trend_forbidden() -> CheckResult:
     series = _trend_series(ModePair(ModeIndex(0, 0), ModeIndex(0, 1)))
     starts_zero = series[0] <= 1e-6 * reference.CALIBRATION_REFERENCE
     increasing = all(a < b for a, b in zip(series, series[1:]))
-    rising_prefix = len(series)
-    for idx in range(1, len(series)):
-        if series[idx] <= series[idx - 1]:
-            rising_prefix = idx
-            break
+    rising_prefix = next((idx for idx in range(1, len(series))
+                          if series[idx] <= series[idx - 1]), len(series))
     return CheckResult(
         "trend_forbidden_increasing", starts_zero and increasing, None,
         f"P(00,01) starts at {series[0]:.2e}, rises through grid index "
@@ -279,23 +255,15 @@ def check_robust_ordering() -> CheckResult:
     """Crosstalk is nonuniform at the reference turbulence: leakage into
     (00,01)/(00,10) beats (00,12)/(00,21), and the allowed (00,02)/(00,20)
     pairs retain more than leaks gain."""
-    turb = _reference_matrix(reference.REFERENCE_RYTOV)
-    vac = _reference_matrix(0.0)
-
-    def t(s, i):
-        return turb.value(ModeIndex(*s), ModeIndex(*i))
-
-    def v(s, i):
-        return vac.value(ModeIndex(*s), ModeIndex(*i))
-
-    leak_strong = min(t((0, 0), (0, 1)), t((0, 0), (1, 0)))
-    leak_weak = max(t((0, 0), (1, 2)), t((0, 0), (2, 1)))
-    retention_02 = t((0, 0), (0, 2)) / v((0, 0), (0, 2))
-    retention_20 = t((0, 0), (2, 0)) / v((0, 0), (2, 0))
-    stay_beats_leak = (t((0, 0), (0, 2)) > t((0, 0), (0, 1))
-                       and t((0, 0), (2, 0)) > t((0, 0), (1, 0)))
-    ordering_ok = leak_strong > leak_weak
-    passed = ordering_ok and stay_beats_leak
+    # row 00 (the first of the reference ordering) of each matrix, keyed on the idler's label
+    t, v = ({i.label(): p for i, p in zip(m.ordering, m.values[0])}
+            for m in (_reference_matrix(reference.REFERENCE_RYTOV), _reference_matrix(0.0)))
+    leak_strong = min(t["01"], t["10"])
+    leak_weak = max(t["12"], t["21"])
+    retention_02 = t["02"] / v["02"]
+    retention_20 = t["20"] / v["20"]
+    stay_beats_leak = t["02"] > t["01"] and t["20"] > t["10"]
+    passed = leak_strong > leak_weak and stay_beats_leak
     return CheckResult(
         "robust_mode_ordering", passed, None,
         f"leak(00->01/10) >= {leak_strong:.4g} > leak(00->12/21) <= "
@@ -380,6 +348,6 @@ def run_checks(vacuum_only: bool = False,
         t0 = time.perf_counter()
         result = fn(oracle_nodes) if fn is check_oracle else fn()
         if result.elapsed_s is None:
-            result.elapsed_s = time.perf_counter() - t0
+            result = result._replace(elapsed_s=time.perf_counter() - t0)
         results.append(result)
     return results

@@ -60,12 +60,24 @@ def test_reprs():
 _MATRIX = build_matrix(OpticalConfig(1e-6, 1e3, 1e-2), TurbulenceSpec(rytov=0.02))
 
 
-@pytest.mark.parametrize("value", [
+_VALUES = pytest.mark.parametrize("value", [
     OpticalConfig(1e-6, 1e3, 1e-2), TurbulenceSpec(cn2=1e-16), _MATRIX.turbulence,
     ModeIndex(2, 1), ModePair(ModeIndex(0, 0), ModeIndex(1, 1)), _MATRIX.normalization,
     _MATRIX, QuadratureSpec(1.0, 256), RunConfig(fmt="json", modes=(ModeIndex(0, 0),)),
     CheckResult("x", False, 1e-3, "detail", 0.5, {"n": 1}),
 ], ids=lambda v: type(v).__name__)
+
+
+@_VALUES
 def test_values_survive_pickle_and_copy(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+@_VALUES
+def test_values_are_immutable(value):
+    for field in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = None

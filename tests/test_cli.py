@@ -65,6 +65,24 @@ class TestMatrixCommand:
         assert all(len(row) == 66 for row in doc["matrix"])
         assert doc["matrix"][0][0] == pytest.approx(0.31307, rel=1e-10)
 
+    def test_modes_read_the_labels_a_matrix_prints(self, capsys, tmp_path):
+        # modes are whitespace separated; "0,10" is one mode, as labelled
+        labels = " ".join(m.label() for m in engine.expand_modes(10))
+        assert "0,10" in labels
+        _, by_max_sum, _ = run(capsys, "matrix", "--max-sum", "10", "--format", "json")
+        code, by_modes, _ = run(capsys, "matrix", "--modes", labels, "--format", "json")
+        assert code == EXIT_OK and by_modes == by_max_sum
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"modes={labels}\nformat=json\n")
+        code, by_file, _ = run(capsys, "matrix", "--config", str(cfg))
+        assert code == EXIT_OK and by_file == by_max_sum
+
+    @pytest.mark.parametrize("modes", ["00,01", "00,01,10", "00 01,10"])
+    def test_comma_separated_modes_exit_2(self, capsys, modes):
+        code, out, err = run(capsys, "matrix", "--modes", modes)
+        assert code == EXIT_PARAMS and out == ""
+        assert "separate modes with spaces" in err
+
     def test_max_sum_expansion(self, capsys):
         code, out, _ = run(capsys, "matrix", "--max-sum", "1", "--format", "json")
         assert code == EXIT_OK
@@ -430,6 +448,12 @@ class TestValidateCommand:
         assert [c["name"] for c in checks] == [r.name for r in results]
         assert all(c["elapsed_s"] is not None and c["elapsed_s"] >= 0.0
                    for c in checks)
+        # the report's schema: these keys in this order, and extras only
+        # where a check has them
+        keys = ["name", "passed", "max_deviation", "detail", "elapsed_s"]
+        for c in checks:
+            extra = ["extras"] if c["name"] == "oracle_agreement" else []
+            assert list(c) == keys + extra, c["name"]
 
     def test_gamma_sensitivity_probe(self):
         # a 10% gamma perturbation breaks the turbulence fixture while the
