@@ -8,8 +8,8 @@ Default pairs: the retained (00,00) channel and the leaking (00,01) channel.
 import argparse
 
 from hgspdc import reference
-from hgspdc.cli import EXIT_NUMERICAL, EXIT_PARAMS, _emit, _parse_pair
-from hgspdc.engine import NORMALIZATION_CALIBRATED, rytov_sweep
+from hgspdc.cli import EXIT_NUMERICAL, EXIT_PARAMS, _emit, _parse_pair, _sweep_series
+from hgspdc.engine import NORMALIZATION_CALIBRATED
 from hgspdc.errors import DomainError, NumericalError
 from hgspdc.serialization import sweep_params, sweep_to_csv
 
@@ -30,8 +30,7 @@ def main():
     cfg = reference.reference_config()
     try:
         pairs = [_parse_pair(token) for token in args.pairs.split()]
-        series = {f"P{p.label()}": v
-                  for p, v in zip(pairs, rytov_sweep(cfg, grid, pairs))}
+        series = _sweep_series(cfg, grid, pairs, NORMALIZATION_CALIBRATED)
     except DomainError as exc:
         parser.error(str(exc))
     except NumericalError as exc:

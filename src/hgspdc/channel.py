@@ -4,6 +4,13 @@ Turns wavelength / distance / pump waist plus a turbulence strength into the
 constants the overlap kernels read: zeta, w, b1 and c1..c3, each in a closed
 form free of cancellation (see DerivedConstants).
 
+The constants split at the line between geometry and turbulence: a bounded
+cache keyed on the link and w_variant holds the gamma-free terms (_Geometry),
+so a fresh turbulence strength on a known link computes only the terms that
+depend on gamma, bitwise as the full expressions would. derive_constants
+keeps the DERIVED_SETS most recent sets, and the geometry cache as many
+links; derive_cache_info(clear=True) empties both.
+
 Everything here is a pure function over immutable inputs; DerivedConstants is
 a frozen value object safe to share between threads, and the table the
 engine keeps on it only ever gains rows computed from its own fields.
@@ -59,11 +66,11 @@ class OpticalConfig(namedtuple("OpticalConfig", "wavelength distance pump_waist"
     __slots__ = ()
 
     def __new__(cls, wavelength: float, distance: float, pump_waist: float):
-        values = (wavelength, distance, pump_waist)
-        if not all(0 < v < math.inf for v in values):
+        if not (0 < wavelength < math.inf and 0 < distance < math.inf
+                and 0 < pump_waist < math.inf):
             raise DomainError("wavelength, distance and pump_waist must all be "
-                              f"positive and finite, got {values}")
-        return super().__new__(cls, *values)
+                              f"positive and finite, got {(wavelength, distance, pump_waist)}")
+        return super().__new__(cls, wavelength, distance, pump_waist)
 
     _make = _checked_make
 
@@ -272,32 +279,71 @@ DERIVED_SETS = 16
 
 def derive_cache_info(clear: bool = False):
     """Hits, misses, bound and size of the derive_constants cache; with
-    clear, the cache is emptied first."""
+    clear, it and the geometry records are emptied first."""
     if clear:
         _derived.cache_clear()
+        _geometry.cache_clear()
     return _derived.cache_info()
 
 
+# The gamma-free terms of one link and w_variant, with L = Lambda0 and
+# u = k / z: L, 1 + L^2, 6 + 2 L^2, 1 / (1 + L^2), u L, -u L, u and 2 L,
+# which the constants read; zeta and w; and w^2, 1 - zeta, |1 - zeta| and
+# lambda^2 z^2, which the Pi seeds read, all four None when one leaves the
+# float range. Each is the value the full expression computes, bitwise.
+_Geometry = namedtuple("_Geometry", "lam0 one_plus_l2 six_plus_2l2 inv_one_plus_l2 u_lam0 "
+                                    "neg_u_lam0 u two_lam0 zeta w w2 one_minus_zeta "
+                                    "abs_one_minus_zeta lz2")
+
+
 @lru_cache(maxsize=DERIVED_SETS)
-def _derived(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstants:
+def _geometry(cfg: OpticalConfig, w_variant: str) -> _Geometry | None:
+    """The _Geometry of cfg and w_variant, or None when a term raises or zeta
+    or w is not finite: then the constants fail at every gamma."""
     try:
         lam0 = cfg.fresnel_ratio
-        zeta = (1 + lam0 ** 2) / (1 + lam0 ** 2 + 1j * lam0)
+        one_plus_l2 = 1 + lam0 ** 2
+        zeta = one_plus_l2 / (one_plus_l2 + 1j * lam0)
         u = cfg.wavenumber / cfg.distance
-        d = 1 + lam0 ** 2 + 2 * gamma * lam0
-        b1 = u * d / (2 * lam0)
-        a3 = u * gamma * (6 + 2 * lam0 ** 2 + 3 * gamma * lam0) / d
-        c1 = u * lam0 * (1 / d + 1 / (1 + lam0 ** 2))
-        c2 = c1 + a3
-        c3 = -u * lam0 * (lam0 + 3 * gamma) / d
         w = cfg.w0
         if w_variant == W_VARIANT_PROPAGATED:
-            w *= math.sqrt(1 + lam0 ** 2)
-        finite = all(map(cmath.isfinite, (zeta, b1, c1, c2, c3, w)))
+            w *= math.sqrt(one_plus_l2)
     except (OverflowError, ZeroDivisionError):
-        finite = False
+        return None
+    if not (cmath.isfinite(zeta) and math.isfinite(w)):
+        return None
+    try:
+        one_minus_zeta = 1j * lam0 / (one_plus_l2 + 1j * lam0)
+        seed_terms = (w ** 2, one_minus_zeta, abs(one_minus_zeta),
+                      cfg.wavelength ** 2 * cfg.distance ** 2)
+    except (OverflowError, ZeroDivisionError):
+        seed_terms = (None,) * 4
+    return _Geometry(lam0, one_plus_l2, 6 + 2 * lam0 ** 2, 1 / one_plus_l2, u * lam0,
+                    -u * lam0, u, 2 * lam0, zeta, w, *seed_terms)
+
+
+def _build_constants(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstants:
+    """The constants at gamma, from the _Geometry of cfg and w_variant: only
+    d, b1, a3 and c1..c3 are computed here."""
+    geo = _geometry(cfg, w_variant)
+    finite = geo is not None
+    if finite:
+        lam0 = geo.lam0
+        try:
+            d = geo.one_plus_l2 + 2 * gamma * lam0
+            b1 = geo.u * d / geo.two_lam0
+            a3 = geo.u * gamma * (geo.six_plus_2l2 + 3 * gamma * lam0) / d
+            c1 = geo.u_lam0 * (1 / d + geo.inv_one_plus_l2)
+            c2 = c1 + a3
+            c3 = geo.neg_u_lam0 * (lam0 + 3 * gamma) / d
+            finite = all(map(math.isfinite, (b1, c1, c2, c3)))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
     if not finite:
         raise DomainError(f"{cfg} at gamma={gamma} gives constants that are zero, "
                           "infinite or beyond the float range")
-    return DerivedConstants(cfg=cfg, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
+    return DerivedConstants(cfg=cfg, w=geo.w, w_variant=w_variant, zeta=geo.zeta, gamma=gamma,
                             a3=a3, b1=b1, c1=c1, c2=c2, c3=c3)
+
+
+_derived = lru_cache(maxsize=DERIVED_SETS)(_build_constants)

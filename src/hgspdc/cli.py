@@ -80,11 +80,7 @@ def _read_config_file(path: str) -> dict:
 
 def _parse_modes_arg(tokens: str) -> tuple[ModeIndex, ...]:
     """Whitespace-separated mode tokens, each 'mn' or 'm,n' as a matrix labels
-    them; a zero-padded part ('00,01') marks a comma-separated list."""
-    for tok in tokens.split():
-        if "," in tok and any(len(part) > 1 and part[0] == "0" for part in tok.split(",")):
-            raise DomainError(f"mode token {tok!r} holds more than one mode: "
-                              "separate modes with spaces, e.g. '00 01 10'")
+    them (see parse_mode)."""
     modes = tuple(parse_mode(tok) for tok in tokens.split())
     if not modes:
         raise DomainError("mode list is empty")
@@ -166,9 +162,18 @@ def cmd_matrix(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _sweep_series(optical, grid, pairs: list[ModePair], normalization: str) -> dict:
+    """rytov_sweep's series keyed by "P" and the pair's label; DomainError
+    for a pair given twice, whose column the keys would lose."""
+    labels = [f"P{p.label()}" for p in pairs]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise DomainError(f"pair {label[1:]} is given more than once")
+    return dict(zip(labels, rytov_sweep(optical, grid, pairs, normalization=normalization)))
+
+
 def cmd_sweep(cfg: RunConfig, grid: list[float], pairs: list[ModePair]) -> int:
-    values = rytov_sweep(cfg.optical, grid, pairs, normalization=cfg.normalization)
-    series = {f"P{p.label()}": v for p, v in zip(pairs, values)}
+    series = _sweep_series(cfg.optical, grid, pairs, cfg.normalization)
     params = serialization.sweep_params(cfg.optical, cfg.normalization)
     emit = serialization.sweep_to_json if cfg.fmt == "json" else serialization.sweep_to_csv
     _emit(emit(list(grid), series, params), cfg.output)

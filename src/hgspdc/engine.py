@@ -34,7 +34,9 @@ the seeds, checks them, and publishes rows 0..top in one dict update, each
 row independent of top and of fill order. A pi_factor miss fills through
 the row it needs. probability_matrix asks for Pi(top, top) of its grid's
 top order once and then reads the rows; rytov_sweep asks for it first, so
-one fill serves every Pi either reads. Pi is symmetric, so the transposed
+one fill serves every Pi either reads. The calibration anchor, the vacuum
+(00,00) entry C * C of the link's vacuum seeds, is computed once per
+geometry and makes no pi_factor call. Pi is symmetric, so the transposed
 entry P(i, s) and the entry of the swapped modes P((n_s, m_s), (n_i, m_i))
 read the same two Pi as P(s, i), at most in the other order, and are
 bitwise equal: a matrix multiplies each distinct unordered pair of Pi once
@@ -46,11 +48,14 @@ the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
 recurrence for the moments of exp(-c1 x^2 - c2 y^2 + i c3 x y), exact
 zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b).
 
-Three bounded lru_caches remain: K, keyed on its orders and c1..c3, the
-fill's geometry-free indexing _plan, built on first use, and the matrix's
-_grid_plan, keyed on its grid's ordering of ModeIndex values. table_info()
-reports the sets, K and the Pi lookups. All functions are pure and fills
-store values computed from the set's own fields, so concurrent use is safe.
+Four bounded lru_caches remain: K, keyed on its orders and c1..c3, the
+fill's geometry-free indexing _plan, built on first use, the matrix's
+_grid_plan, keyed on its grid's ordering of ModeIndex values, and the
+calibration _anchor, keyed on the link and w_variant. The seeds read their
+gamma-free terms from channel's geometry record of the set's link.
+table_info() reports the sets, K and the Pi lookups. All functions are pure
+and fills store values computed from the set's own fields, so concurrent use
+is safe.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ from .channel import (
     OpticalConfig,
     ResolvedTurbulence,
     TurbulenceSpec,
+    _build_constants,
     _checked_make,
+    _geometry,
     derive_cache_info,
     derive_constants,
 )
@@ -123,9 +130,14 @@ class ModePair(namedtuple("ModePair", "signal idler")):
 
 
 def parse_mode(token: str) -> ModeIndex:
-    """Parse 'mn' two-digit tokens (or 'm,n' for orders above 9)."""
+    """Parse 'mn' two-digit tokens (or 'm,n' for orders above 9). A
+    zero-padded part ('00,01') marks a comma-separated list of modes, a
+    DomainError."""
     token = token.strip()
     if "," in token:
+        if any(len(part) > 1 and part[0] == "0" for part in token.split(",")):
+            raise DomainError(f"mode token {token!r} holds more than one mode: "
+                              "separate modes with spaces, e.g. '00 01 10'")
         try:
             m, n = map(int, token.split(","))
         except ValueError:
@@ -275,9 +287,11 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
 
 
 def _clear_tables() -> None:
-    """Drop the derived sets and the stored K, zero the Pi counts."""
+    """Drop the derived sets, the geometry records, the calibration anchors
+    and the stored K, zero the Pi counts."""
     global _counts
     derive_cache_info(clear=True)
+    _anchor.cache_clear()
     _k_entry.cache_clear()
     _counts = _Counts()
 
@@ -285,8 +299,9 @@ def _clear_tables() -> None:
 def table_info() -> TableInfo:
     """Hits, misses, bound and size of the derived constant sets and of the
     stored K, and the Pi lookups that hit and that missed and filled, since
-    the last _clear_tables. The lookups are pi_factor calls: a matrix counts
-    one, at its top order, however many Pi it reads from the rows."""
+    the last _clear_tables. The lookups are pi_factor calls: a matrix,
+    calibrated or raw, counts one, at its top order, however many Pi it
+    reads from the rows; the calibration anchor makes none."""
     return TableInfo(derive_cache_info(), _k_entry.cache_info(),
                      PiInfo(_counts.lookups - _counts.misses, _counts.misses))
 
@@ -296,24 +311,30 @@ k_kernel.cache_info = _k_entry.cache_info
 k_kernel.cache_clear = _clear_tables
 
 
+_NAN_SEEDS = Seeds(math.nan, math.nan, math.nan, math.nan)
+
+
 def _seed_values(consts: DerivedConstants) -> Seeds:
     """C, alpha, beta and delta in closed form from the moments D, sigma and
     tau of k_kernel and 1 - zeta = i Lambda0 / (1 + Lambda0^2 + i Lambda0),
     free of cancellation: C = P0 4 pi |1 - zeta| K(0, 0), alpha =
     4 sigma / w^2 - zeta, beta = 8 sigma / w^2 - 2 (1 - zeta) and
     delta = 8 tau / w^2, alpha reading zeta as 1 - (1 - zeta) so that alpha
-    and beta see one zeta; nan for a value that leaves the float range."""
+    and beta see one zeta; nan for a value that leaves the float range.
+    w^2, 1 - zeta, |1 - zeta| and lambda^2 z^2 come from the geometry record
+    of the set's link and w_variant; only the rest depends on gamma."""
+    geo = _geometry(consts.cfg, consts.w_variant)
+    if geo is None or geo.w2 is None:
+        return _NAN_SEEDS
     try:
         d, sigma, tau = _moments(consts.c1, consts.c2, consts.c3)
-        cfg, w2 = consts.cfg, consts.w ** 2
-        lam0 = cfg.fresnel_ratio
-        one_minus_zeta = 1j * lam0 / (1 + lam0 ** 2 + 1j * lam0)
-        p0 = 1.0 / (cfg.wavelength ** 2 * cfg.distance ** 2 * math.sqrt(math.pi * consts.b1))
+        w2, one_minus_zeta = geo.w2, geo.one_minus_zeta
+        p0 = 1.0 / (geo.lz2 * math.sqrt(math.pi * consts.b1))
         scaled = 4 * sigma / w2
-        return Seeds(p0 * 4 * math.pi * abs(one_minus_zeta) * (2 * math.pi / math.sqrt(d)),
+        return Seeds(p0 * 4 * math.pi * geo.abs_one_minus_zeta * (2 * math.pi / math.sqrt(d)),
                      scaled - 1 + one_minus_zeta, 2 * (scaled - one_minus_zeta), 8 * tau / w2)
     except (OverflowError, ZeroDivisionError, ValueError):
-        return Seeds(math.nan, math.nan, math.nan, math.nan)
+        return _NAN_SEEDS
 
 
 def pi_seeds(consts: DerivedConstants) -> Seeds:
@@ -375,9 +396,12 @@ def _fill(consts: DerivedConstants, top: int) -> None:
         v[cell] = (twice * v[back] + beta * v[diag]) / order
     acc = [x.real * x.real + x.imag * x.imag for x in v]
     if delta:
+        # two buffers in turn: step k reads only the cells step k - 1 wrote
+        # and the zero cell, which no step writes
+        prev = [0j] * len(v)
         for k, steps in enumerate(later, 1):
             weight = delta ** k * math.factorial(k)
-            prev, v = v, [0j] * len(v)
+            prev, v = v, prev
             for cell, left, down in steps:
                 x = v[cell] = (prev[left] + prev[down]) / k
                 acc[cell] += weight * (x.real * x.real + x.imag * x.imag)
@@ -470,18 +494,32 @@ class ProbabilityMatrix(namedtuple("ProbabilityMatrix",
         return max(max(row) for row in self.values)
 
 
-def _calibration_factor(consts: DerivedConstants,
-                        reference_value: float = CALIBRATION_REFERENCE) -> float:
-    """The global factor that maps the anchor pair (00,00), evaluated in
-    vacuum over the geometry and w_variant of consts, onto reference_value."""
-    vac = derive_constants(consts.cfg, 0.0, consts.w_variant)
-    anchor = joint_probability(_ANCHOR_PAIR, vac)
+@lru_cache(maxsize=DERIVED_SETS)
+def _anchor(cfg: OpticalConfig, w_variant: str) -> float:
+    """The unscaled vacuum entry of the anchor pair (00,00) over cfg and
+    w_variant, Pi(0, 0)^2 = C * C of the vacuum seeds: the value a filled
+    vacuum set gives, bitwise, from constants built outside derive_constants'
+    cache and never filled. pi_seeds' NumericalError is reported as
+    pi_factor(0, 0)'s, and a zero anchor is a CalibrationError."""
+    try:
+        c = pi_seeds(_build_constants(cfg, 0.0, w_variant)).c
+    except NumericalError as exc:
+        raise NumericalError(f"pi_factor(0, 0): {exc}") from None
+    anchor = c * c
     if anchor <= 0.0:
         raise CalibrationError(
             f"calibration reference {_ANCHOR_PAIR.label()} is {anchor}; "
             "cannot normalize"
         )
-    return reference_value / anchor
+    return anchor
+
+
+def _calibration_factor(consts: DerivedConstants,
+                        reference_value: float = CALIBRATION_REFERENCE) -> float:
+    """The global factor that maps the anchor pair (00,00), evaluated in
+    vacuum over the geometry and w_variant of consts, onto reference_value;
+    the anchor is computed once per geometry and makes no pi_factor call."""
+    return reference_value / _anchor(consts.cfg, consts.w_variant)
 
 
 def _check_normalization(normalization: str) -> None:

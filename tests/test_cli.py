@@ -318,6 +318,26 @@ class TestSweepCommand:
         assert all(a > b for a, b in zip(p0000, p0000[1:]))
         assert p0001[0] < 1e-10 and all(a < b for a, b in zip(p0001, p0001[1:]))
 
+    @pytest.mark.parametrize("pairs", ["00,01:00", "00:00 01:0,00", "00,10,01:00"])
+    def test_comma_separated_pair_modes_exit_2(self, capsys, pairs):
+        # a zero-padded comma token lists modes; as in --modes it is the one
+        # "separate modes with spaces" error, not a pair of the first mode
+        code, out, err = run(capsys, "sweep", "--grid", "0", "--pairs", pairs)
+        assert code == EXIT_PARAMS and out == ""
+        assert "separate modes with spaces" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("pairs, label", [
+        ("00:01 00:01", "(00,01)"), ("01:00 0,1:0,0", "(01,00)"),
+        ("00:00 9,0:10,0 00:02 9,0:10,0", "(90,10,0)")])
+    def test_repeated_pair_exit_2(self, capsys, fmt, pairs, label):
+        # the series are keyed by label, so a repeated pair would silently
+        # collapse into one column
+        code, out, err = run(capsys, "sweep", "--grid", "0,0.01", "--pairs", pairs,
+                             "--format", fmt)
+        assert code == EXIT_PARAMS and out == ""
+        assert f"pair {label} is given more than once" in err
+
     def test_negative_probability_exit_3(self, capsys, corrupt_seeds):
         # with delta negative at rytov 0.01, the seeds there would make
         # negative terms; the sweep rejects them as a matrix would

@@ -545,6 +545,14 @@ class TestModeHandling:
             with pytest.raises(DomainError):
                 parse_mode(bad)
 
+    @pytest.mark.parametrize("token", ["00,01", "0,01", "01,0", "00,01,10"])
+    def test_parse_rejects_zero_padded_comma_lists(self, token):
+        # a zero-padded part marks a comma-separated list of modes, which
+        # no label spells: 0,1 is the mode 01, 00,01 two modes
+        with pytest.raises(DomainError, match="separate modes with spaces"):
+            parse_mode(token)
+        assert parse_mode("0,1") == ModeIndex(0, 1)
+
     def test_negative_orders_rejected(self):
         with pytest.raises(DomainError):
             ModeIndex(-1, 0)
@@ -611,11 +619,14 @@ class TestProbabilityMatrix:
         with pytest.raises(DomainError):
             probability_matrix([], vac_consts)
 
-    def test_calibration_error_on_zero_reference(self, vac_consts, monkeypatch):
-        # an anchor that evaluates to zero cannot normalize the matrix
-        monkeypatch.setattr(engine, "joint_probability", lambda pair, consts: 0.0)
-        with pytest.raises(CalibrationError):
-            probability_matrix(DEFAULT_ORDERING, vac_consts)
+    def test_calibration_error_on_zero_reference(self, turb_consts, corrupt_seeds):
+        # an anchor that evaluates to zero cannot normalize the matrix: a
+        # vacuum C so small that C * C underflows passes the seed guard,
+        # and the anchor, C * C, is 0
+        corrupt_seeds(lambda seeds, consts:
+                      seeds._replace(c=seeds.c * 1e-200) if consts.gamma == 0 else seeds)
+        with pytest.raises(CalibrationError, match=r"calibration reference \(00,00\) is 0\.0"):
+            probability_matrix(DEFAULT_ORDERING, turb_consts._replace())
 
     def test_failure_names_entry(self, ref_cfg, turb_consts, corrupt_seeds):
         # with delta negative in turbulence, the grid's first Pi, (3, 3),
@@ -647,17 +658,15 @@ class TestProbabilityMatrix:
     def test_table_assembly(self, vac_consts, turb_consts, modes, turbulent, calibrated):
         # each entry is the calibration factor times the per-pair product
         # bitwise, and the table makes one pi_factor call on its own set,
-        # at (top, top) of its top order; calibrated, the (00,00) anchor
-        # adds its two, at (0, 0) on the vacuum set
+        # at (top, top) of its top order; the (00,00) anchor of a
+        # calibrated table adds none
         consts = turb_consts if turbulent else vac_consts
         top = max(max(s.m, s.n) for s in modes)
         normalization = engine.NORMALIZATION_CALIBRATED if calibrated else NORMALIZATION_RAW
         with mock.patch.object(engine, "pi_factor", wraps=engine.pi_factor) as spy:
             m = probability_matrix(modes, consts, normalization=normalization)
         calls = [c.args for c in spy.call_args_list]
-        assert calls[0][:2] == (top, top) and calls[0][2] is consts
-        anchor = [(0, 0, vac_consts)] * 2 if calibrated else []
-        assert calls[1:] == anchor
+        assert calls == [(top, top, consts)] and calls[0][2] is consts
         factor = m.normalization.calibration_factor
         for s, row in zip(modes, m.values):
             for i, v in zip(modes, row):
@@ -677,7 +686,7 @@ class TestProbabilityMatrix:
         with mock.patch.object(engine, "pi_factor", wraps=engine.pi_factor) as spy:
             m = probability_matrix(modes, consts)
         calls = [c.args for c in spy.call_args_list]
-        assert calls == [(top, top, consts), (0, 0, vac_consts), (0, 0, vac_consts)]
+        assert calls == [(top, top, consts)]
         factor = m.normalization.calibration_factor
         assert _bits(m.values) == _bits([[factor * joint_probability(ModePair(s, i), consts)
                                           for i in modes] for s in modes])
@@ -724,9 +733,8 @@ class TestProbabilityMatrix:
     def test_memoization_distinct_pi_count(self, ref_cfg):
         # a 10-mode matrix over a fresh set costs one lookup, Pi(3, 3), whose
         # miss fills rows 0..3: the 10 Pi(m <= n <= 3), not O(N^2)
-        # evaluations. Over the filled set it is one hit, and calibrated the
-        # anchor adds its two lookups on the vacuum set: a miss that fills
-        # row 0 and a hit, then two hits
+        # evaluations. Over the filled set it is one hit, calibrated or
+        # not: the anchor makes no lookup and fills no vacuum set
         consts = derive_constants(ref_cfg, turbulence_strength(0.0171))
         engine._clear_tables()
         probability_matrix(DEFAULT_ORDERING, consts,
@@ -736,9 +744,9 @@ class TestProbabilityMatrix:
         probability_matrix(DEFAULT_ORDERING, consts, normalization=NORMALIZATION_RAW)
         assert table_info().pi == (1, 1)
         probability_matrix(DEFAULT_ORDERING, consts)
-        assert table_info().pi == (3, 2)
+        assert table_info().pi == (2, 1)
         probability_matrix(DEFAULT_ORDERING, consts)
-        assert table_info().pi == (6, 2)
+        assert table_info().pi == (3, 1)
 
     def test_concurrent_fills_are_consistent(self, ref_cfg):
         # idempotent cache writes: hammering the same evaluations from
@@ -952,8 +960,8 @@ class TestKernelTables:
         assert info.sets.currsize <= info.sets.maxsize == 16
         # the seeds are closed forms: no set reads K
         assert info.k == (0, 0, 16 * 121, 0)
-        # the fill plans through orders 0 (the anchor), 3 and 10
-        assert engine._plan.cache_info().misses == engine._plan.cache_info().currsize == 3
+        # the fill plans through orders 3 and 10; the anchor fills nothing
+        assert engine._plan.cache_info().misses == engine._plan.cache_info().currsize == 2
 
     def test_public_k_kernel_calls_stay_in_the_triangle(self, ref_cfg):
         # K(a < b) is the exact conjugate of the stored K(b, a) and odd
@@ -1078,17 +1086,16 @@ class TestChannelPath:
         assert len(counts) == 1 and 0 < counts[0] <= 16
 
     def test_sweep_fills_each_pi_once_per_point(self, ref_cfg):
-        # point by point: one set per grid point, which the vacuum
-        # calibration anchor shares with the rytov-0 point, and one fill
-        # through order 3 each, by the miss of Pi(3, 3); the anchor's two
-        # lookups of Pi(0, 0) miss and fill through order 0 first, then hit,
-        # and every lookup of the pairs, two per pair, hits
+        # point by point: one set per grid point, the first the vacuum set
+        # the sweep derives to check the link, and one fill through order 3
+        # each, by the miss of Pi(3, 3); the calibration anchor makes no
+        # lookup, and every lookup of the pairs, two per pair, hits
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         engine._clear_tables()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
         info = table_info()
         assert info.sets.misses == 500
-        assert info.pi == (1 + 2 * 4 * 500, 1 + 500)
+        assert info.pi == (2 * 4 * 500, 500)
 
     def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, corrupt_seeds):
         # with delta negative in turbulence, the sweep stops at rytov 0.01,

@@ -48,7 +48,9 @@ def test_turbulence_sweep_matches_cli(tmp_path):
 @pytest.mark.parametrize("args", [
     ["--steps", "1"], ["--steps", "0"],
     ["--pairs", "00-01"], ["--max-rytov", "-0.1"], ["--pairs", "a,b:00"],
-], ids=["1", "0", "pairs-00-01", "max-rytov-negative", "pairs-a,b:00"])
+    ["--pairs", "00,01:00"], ["--pairs", "00:01 0,0:0,1"],
+], ids=["1", "0", "pairs-00-01", "max-rytov-negative", "pairs-a,b:00",
+        "pairs-comma-list", "pairs-repeated"])
 def test_turbulence_sweep_rejects_too_few_steps(tmp_path, args):
     proc = run_script("turbulence_sweep.py", *args, "--output", "out.csv",
                       cwd=tmp_path)
