@@ -4,12 +4,11 @@ Turns wavelength / distance / pump waist plus a turbulence strength into the
 constants the overlap kernels read: zeta, w, b1 and c1..c3, each in a closed
 form free of cancellation (see DerivedConstants).
 
-The constants split at the line between geometry and turbulence: a bounded
-cache keyed on the link and w_variant holds the gamma-free terms (_Geometry),
-so a fresh turbulence strength on a known link computes only the terms that
-depend on gamma, bitwise as the full expressions would. derive_constants
-keeps the DERIVED_SETS most recent sets, and the geometry cache as many
-links; derive_cache_info(clear=True) empties both.
+derive_constants keeps the DERIVED_SETS most recent sets, and
+derive_cache_info(clear=True) empties them. A set's dimensioned fields feed
+the per-term kernels; the Pi seeds the matrices read are dimensionless
+functions of Lambda0, gamma and w_variant, apart from C's raw scale, and
+come from the set's link, gamma and w_variant alone (engine._seed_values).
 
 Everything here is a pure function over immutable inputs; DerivedConstants is
 a frozen value object safe to share between threads, and the table the
@@ -227,6 +226,10 @@ class DerivedConstants(namedtuple("DerivedConstants",
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
 
+    Of these the matrices read only cfg, gamma and w_variant, from which
+    the engine computes the Pi seeds; b1, a3, c1..c3, zeta and w are read by
+    the per-term kernels f_kernel and k_kernel.
+
     The attribute pi, not a field, is the engine's table of this set (see
     engine.py): a dict that maps order n to the row (Pi(0, n), ..., Pi(n, n)),
     rows 0..top filled in one update. Equality, hashing and repr ignore it,
@@ -249,6 +252,14 @@ class DerivedConstants(namedtuple("DerivedConstants",
     _make = _checked_make
 
 
+def _check_config(cfg) -> None:
+    """DomainError unless cfg is an OpticalConfig: a plain tuple equals, and
+    hashes as, the OpticalConfig of its values, so a cache keyed on the link
+    would hand it that config's entry."""
+    if not isinstance(cfg, OpticalConfig):
+        raise DomainError(f"cfg must be an OpticalConfig, got {type(cfg).__name__}")
+
+
 def derive_constants(
     cfg: OpticalConfig,
     gamma: float = 0.0,
@@ -261,10 +272,7 @@ def derive_constants(
     cfg is not an OpticalConfig, gamma is negative or not finite, w_variant
     is unknown or a constant leaves the float range.
     """
-    # a plain tuple equals, and hashes as, the OpticalConfig of its values,
-    # so the cache would hand it that config's set
-    if not isinstance(cfg, OpticalConfig):
-        raise DomainError(f"cfg must be an OpticalConfig, got {type(cfg).__name__}")
+    _check_config(cfg)
     # the bound also rejects an int that no float holds
     if not 0 <= gamma <= sys.float_info.max:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
@@ -278,72 +286,42 @@ DERIVED_SETS = 16
 
 
 def derive_cache_info(clear: bool = False):
-    """Hits, misses, bound and size of the derive_constants cache; with
-    clear, it and the geometry records are emptied first."""
+    """Hits, misses, bound and size of the derive_constants cache, emptied
+    first with clear."""
     if clear:
         _derived.cache_clear()
-        _geometry.cache_clear()
     return _derived.cache_info()
 
 
-# The gamma-free terms of one link and w_variant, with L = Lambda0 and
-# u = k / z: L, 1 + L^2, 6 + 2 L^2, 1 / (1 + L^2), u L, -u L, u and 2 L,
-# which the constants read; zeta and w; and w^2, 1 - zeta, |1 - zeta| and
-# lambda^2 z^2, which the Pi seeds read, all four None when one leaves the
-# float range. Each is the value the full expression computes, bitwise.
-_Geometry = namedtuple("_Geometry", "lam0 one_plus_l2 six_plus_2l2 inv_one_plus_l2 u_lam0 "
-                                    "neg_u_lam0 u two_lam0 zeta w w2 one_minus_zeta "
-                                    "abs_one_minus_zeta lz2")
-
-
-@lru_cache(maxsize=DERIVED_SETS)
-def _geometry(cfg: OpticalConfig, w_variant: str) -> _Geometry | None:
-    """The _Geometry of cfg and w_variant, or None when a term raises or zeta
-    or w is not finite: then the constants fail at every gamma."""
+def _build_constants(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstants:
+    """The constants of cfg at gamma, one expression per field; DomainError
+    when a term raises or a field is not finite."""
+    wavelength, distance, pump_waist = cfg
     try:
-        lam0 = cfg.fresnel_ratio
-        one_plus_l2 = 1 + lam0 ** 2
+        wavenumber = 2.0 * math.pi / wavelength
+        w = math.sqrt(2.0) * pump_waist
+        lam0 = 2.0 * distance / (wavenumber * w ** 2)
+        l2 = lam0 ** 2
+        one_plus_l2 = 1 + l2
         zeta = one_plus_l2 / (one_plus_l2 + 1j * lam0)
-        u = cfg.wavenumber / cfg.distance
-        w = cfg.w0
+        u = wavenumber / distance
+        d = one_plus_l2 + 2 * gamma * lam0
+        b1 = u * d / (2 * lam0)
+        a3 = u * gamma * (6 + 2 * l2 + 3 * gamma * lam0) / d
+        c1 = u * lam0 * (1 / d + 1 / one_plus_l2)
+        c2 = c1 + a3
+        c3 = -u * lam0 * (lam0 + 3 * gamma) / d
         if w_variant == W_VARIANT_PROPAGATED:
             w *= math.sqrt(one_plus_l2)
+        finite = (cmath.isfinite(zeta) and math.isfinite(w) and math.isfinite(b1)
+                  and math.isfinite(c1) and math.isfinite(c2) and math.isfinite(c3))
     except (OverflowError, ZeroDivisionError):
-        return None
-    if not (cmath.isfinite(zeta) and math.isfinite(w)):
-        return None
-    try:
-        one_minus_zeta = 1j * lam0 / (one_plus_l2 + 1j * lam0)
-        seed_terms = (w ** 2, one_minus_zeta, abs(one_minus_zeta),
-                      cfg.wavelength ** 2 * cfg.distance ** 2)
-    except (OverflowError, ZeroDivisionError):
-        seed_terms = (None,) * 4
-    return _Geometry(lam0, one_plus_l2, 6 + 2 * lam0 ** 2, 1 / one_plus_l2, u * lam0,
-                    -u * lam0, u, 2 * lam0, zeta, w, *seed_terms)
-
-
-def _build_constants(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstants:
-    """The constants at gamma, from the _Geometry of cfg and w_variant: only
-    d, b1, a3 and c1..c3 are computed here."""
-    geo = _geometry(cfg, w_variant)
-    finite = geo is not None
-    if finite:
-        lam0 = geo.lam0
-        try:
-            d = geo.one_plus_l2 + 2 * gamma * lam0
-            b1 = geo.u * d / geo.two_lam0
-            a3 = geo.u * gamma * (geo.six_plus_2l2 + 3 * gamma * lam0) / d
-            c1 = geo.u_lam0 * (1 / d + geo.inv_one_plus_l2)
-            c2 = c1 + a3
-            c3 = geo.neg_u_lam0 * (lam0 + 3 * gamma) / d
-            finite = all(map(math.isfinite, (b1, c1, c2, c3)))
-        except (OverflowError, ZeroDivisionError):
-            finite = False
+        finite = False
     if not finite:
         raise DomainError(f"{cfg} at gamma={gamma} gives constants that are zero, "
                           "infinite or beyond the float range")
-    return DerivedConstants(cfg=cfg, w=geo.w, w_variant=w_variant, zeta=geo.zeta, gamma=gamma,
-                            a3=a3, b1=b1, c1=c1, c2=c2, c3=c3)
+    # positional: a keyword call of the namedtuple costs a third of the build
+    return DerivedConstants(cfg, w, w_variant, zeta, gamma, a3, b1, c1, c2, c3)
 
 
 _derived = lru_cache(maxsize=DERIVED_SETS)(_build_constants)

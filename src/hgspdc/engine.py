@@ -22,11 +22,12 @@ multivariate-Hermite recursion of Miatto & Quesada (Quantum 4, 366, 2020),
 Mehler's kernel in vacuum. C = Pi(0, 0) is real and positive, alpha and
 beta are complex, and delta >= 0 is the variance of the random displacement
 that turbulence shares between the photons, exactly 0 in vacuum. pi_seeds
-computes them in closed form from zeta, w, b1 and the moments of K's
-Gaussian (see _seed_values). Every term of the sum is >= 0, so nothing
-cancels, and v_k vanishes unless k has the parity of m + n, so vacuum Pi
-with odd mu + nu are exactly 0. The fill runs over the triangle
-m <= n, v_k being symmetric, and skips the parity zeros.
+computes them in closed form from the set's Lambda0, gamma and w_variant,
+which alone they depend on, apart from C's raw scale (see _seed_values).
+Every term of the sum is >= 0, so nothing cancels, and v_k vanishes unless
+k has the parity of m + n, so vacuum Pi with odd mu + nu are exactly 0.
+The fill runs over the triangle m <= n, v_k being symmetric, and skips the
+parity zeros.
 
 Each DerivedConstants keeps its table pi of Pi rows by order: pi[n] is
 (Pi(0, n), ..., Pi(n, n)), so Pi(mu, nu) is pi[max][min]. A fill computes
@@ -36,12 +37,13 @@ the row it needs. probability_matrix asks for Pi(top, top) of its grid's
 top order once and then reads the rows; rytov_sweep asks for it first, so
 one fill serves every Pi either reads. The calibration anchor, the vacuum
 (00,00) entry C * C of the link's vacuum seeds, is computed once per
-geometry and makes no pi_factor call. Pi is symmetric, so the transposed
+geometry and builds no constant set. Pi is symmetric, so the transposed
 entry P(i, s) and the entry of the swapped modes P((n_s, m_s), (n_i, m_i))
 read the same two Pi as P(s, i), at most in the other order, and are
 bitwise equal: a matrix multiplies each distinct unordered pair of Pi once
 and gathers every row from the products. Seeds that are not finite, C <= 0
-or delta < 0 are the one NumericalError, which names the set.
+or delta < 0, and a fill whose Pi leave the float range, are the
+NumericalErrors of Pi; each names the set by gamma and Lambda0.
 
 f_kernel and k_kernel are the per-term references, which the tests and
 the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
@@ -51,11 +53,10 @@ zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b).
 Four bounded lru_caches remain: K, keyed on its orders and c1..c3, the
 fill's geometry-free indexing _plan, built on first use, the matrix's
 _grid_plan, keyed on its grid's ordering of ModeIndex values, and the
-calibration _anchor, keyed on the link and w_variant. The seeds read their
-gamma-free terms from channel's geometry record of the set's link.
-table_info() reports the sets, K and the Pi lookups. All functions are pure
-and fills store values computed from the set's own fields, so concurrent use
-is safe.
+calibration _anchor, keyed on the link and w_variant, the inputs of the
+vacuum seeds. table_info() reports the sets, K and the Pi lookups. All
+functions are pure and fills store values computed from the set's own
+fields, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ from operator import index, itemgetter
 from .channel import (
     DEFAULT_W_VARIANT,
     DERIVED_SETS,
+    W_VARIANT_PROPAGATED,
     DerivedConstants,
     OpticalConfig,
     ResolvedTurbulence,
     TurbulenceSpec,
     _build_constants,
+    _check_config,
     _checked_make,
-    _geometry,
     derive_cache_info,
     derive_constants,
 )
@@ -237,18 +239,13 @@ class _Counts:
 _counts = _Counts()
 
 
-def _moments(c1: float, c2: float, c3: float) -> tuple[float, complex, float]:
-    """D = 4 c1 c2 + c3^2, sigma and tau of K's Gaussian (see k_kernel)."""
-    d = 4 * c1 * c2 + c3 * c3
-    return d, complex(c1 + c2, -c3) / d, (c2 - c1) / d
-
-
 @lru_cache(maxsize=DERIVED_SETS * _K_ENTRIES)
 def _k_entry(a: int, b: int, c1: float, c2: float, c3: float) -> complex:
     """K(a, b) for a >= b and even a + b, keyed on the constants it reads,
     by Wick's recurrence (see k_kernel) run bottom-up, rows i = 2..a over
     the entries K(i, j <= min(i, b)) it reads, with no recursion."""
-    d, sigma, tau = _moments(c1, c2, c3)
+    d = 4 * c1 * c2 + c3 * c3
+    sigma, tau = complex(c1 + c2, -c3) / d, (c2 - c1) / d
     k00 = complex(2 * math.pi / math.sqrt(d))
     k = {(0, 0): k00, (1, 1): tau * k00}
     for i in range(2, a + 1):
@@ -287,8 +284,8 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
 
 
 def _clear_tables() -> None:
-    """Drop the derived sets, the geometry records, the calibration anchors
-    and the stored K, zero the Pi counts."""
+    """Drop the derived sets, the calibration anchors and the stored K, zero
+    the Pi counts."""
     global _counts
     derive_cache_info(clear=True)
     _anchor.cache_clear()
@@ -314,42 +311,70 @@ k_kernel.cache_clear = _clear_tables
 _NAN_SEEDS = Seeds(math.nan, math.nan, math.nan, math.nan)
 
 
-def _seed_values(consts: DerivedConstants) -> Seeds:
-    """C, alpha, beta and delta in closed form from the moments D, sigma and
-    tau of k_kernel and 1 - zeta = i Lambda0 / (1 + Lambda0^2 + i Lambda0),
-    free of cancellation: C = P0 4 pi |1 - zeta| K(0, 0), alpha =
-    4 sigma / w^2 - zeta, beta = 8 sigma / w^2 - 2 (1 - zeta) and
-    delta = 8 tau / w^2, alpha reading zeta as 1 - (1 - zeta) so that alpha
-    and beta see one zeta; nan for a value that leaves the float range.
-    w^2, 1 - zeta, |1 - zeta| and lambda^2 z^2 come from the geometry record
-    of the set's link and w_variant; only the rest depends on gamma."""
-    geo = _geometry(consts.cfg, consts.w_variant)
-    if geo is None or geo.w2 is None:
-        return _NAN_SEEDS
+def _seed_values(cfg: OpticalConfig, gamma: float, w_variant: str) -> Seeds:
+    """C, alpha, beta and delta of the set of cfg at gamma and w_variant, in
+    closed form free of cancellation; nan for a value that leaves the float
+    range.
+
+    They are dimensionless functions of L = Lambda0, gamma and w_variant,
+    apart from C's raw scale 1 / sqrt(lambda z). L = (lambda / p) (z / p) /
+    (2 pi), p the pump waist, is computed on the mantissas of lambda, z and
+    p, their exponents added apart, so that no ratio leaves the float range.
+    At u = k / z = 1 the constants of DerivedConstants, c1 and c3 taken over
+    L, are d = 1 + L^2 + 2 gamma L, a3 = gamma (6 + 2 L^2 + 3 gamma L) / d,
+    c1 / L = 1 / d + 1 / (1 + L^2) and c3 / L = -(L + 3 gamma) / d, and K's
+    determinant 4 c1 c2 + c3^2 is u^2 L e with
+    e = 4 (c1 / L) (L (c1 / L) + a3) + L (c3 / L)^2, a sum of terms of one
+    sign. With w^2 u L = 2 (1 + L^2) (propagated) or 2 (waist),
+    s = 4 (2 c1 + a3 - i c3) / (w^2 u L e) and 1 - zeta = i L / (1 + L^2 + i L):
+
+        C = 4 |1 - zeta| / (sqrt(e d) sqrt(lambda) sqrt(z)),
+        alpha = s - 1 + (1 - zeta),  beta = 2 (s - (1 - zeta)),
+        delta = 8 a3 / (w^2 u L e).
+
+    These are P0 4 pi |1 - zeta| K(0, 0), 4 sigma / w^2 - zeta,
+    8 sigma / w^2 - 2 (1 - zeta) and 8 tau / w^2 (see k_kernel) with every
+    power of u and L cancelled: no w^2, lambda^2 z^2 or determinant is
+    formed, and delta reads a3, not the difference c2 - c1."""
+    wavelength, distance, _ = cfg
+    (m_l, e_l), (m_z, e_z), (m_p, e_p) = map(math.frexp, cfg)
     try:
-        d, sigma, tau = _moments(consts.c1, consts.c2, consts.c3)
-        w2, one_minus_zeta = geo.w2, geo.one_minus_zeta
-        p0 = 1.0 / (geo.lz2 * math.sqrt(math.pi * consts.b1))
-        scaled = 4 * sigma / w2
-        return Seeds(p0 * 4 * math.pi * geo.abs_one_minus_zeta * (2 * math.pi / math.sqrt(d)),
-                     scaled - 1 + one_minus_zeta, 2 * (scaled - one_minus_zeta), 8 * tau / w2)
+        lam0 = math.ldexp(m_l / m_p * (m_z / m_p) / (2 * math.pi), e_l + e_z - 2 * e_p)
+        l2 = lam0 * lam0
+        one_plus_l2 = 1 + l2
+        d = one_plus_l2 + 2 * gamma * lam0
+        a3 = gamma * ((6 + 2 * l2 + 3 * gamma * lam0) / d)
+        c1 = 1 / d + 1 / one_plus_l2
+        c3 = -(lam0 + 3 * gamma) / d
+        e = 4 * c1 * (lam0 * c1 + a3) + lam0 * c3 * c3
+        w2e = (2 * one_plus_l2 if w_variant == W_VARIANT_PROPAGATED else 2.0) * e
+        one_minus_zeta = 1j * lam0 / (one_plus_l2 + 1j * lam0)
+        scaled = 4 * complex(2 * lam0 * c1 + a3, -lam0 * c3) / w2e
+        c = 4 * abs(one_minus_zeta) / (math.sqrt(e * d) * math.sqrt(wavelength)
+                                       * math.sqrt(distance))
+        return Seeds(c, scaled - 1 + one_minus_zeta, 2 * (scaled - one_minus_zeta), 8 * a3 / w2e)
     except (OverflowError, ZeroDivisionError, ValueError):
         return _NAN_SEEDS
 
 
 def pi_seeds(consts: DerivedConstants) -> Seeds:
     """The generating-function seeds C, alpha, beta and delta of consts, by
-    _seed_values; each fill computes them once. NumericalError, naming the
-    set, if one is not finite, C <= 0 or delta < 0: the one numerical
-    failure of Pi."""
-    seeds = _seed_values(consts)
+    _seed_values from its link, gamma and w_variant; each fill computes them
+    once. NumericalError if one fails _checked_seeds' guard."""
+    return _checked_seeds(consts.cfg, consts.gamma, consts.w_variant)
+
+
+def _checked_seeds(cfg: OpticalConfig, gamma: float, w_variant: str) -> Seeds:
+    """_seed_values(cfg, gamma, w_variant), or NumericalError naming the
+    seeds, gamma and Lambda0 if one is not finite, C <= 0 or delta < 0."""
+    seeds = _seed_values(cfg, gamma, w_variant)
     c, alpha, beta, delta = seeds
     if not (0.0 < c < math.inf and 0.0 <= delta < math.inf
             and cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise NumericalError(
             f"the Pi seeds C={c:.6g}, alpha={alpha:.6g}, beta={beta:.6g}, delta={delta:.6g} "
-            f"are not finite, C <= 0 or delta < 0 at gamma={consts.gamma:.6g}, "
-            f"Lambda0={consts.cfg.fresnel_ratio:.6g}, c1={consts.c1:.6g}, c2={consts.c2:.6g}")
+            f"are not finite, C <= 0 or delta < 0 at gamma={gamma:.6g}, "
+            f"Lambda0={cfg.fresnel_ratio:.6g}")
     return seeds
 
 
@@ -385,7 +410,7 @@ def _fill(consts: DerivedConstants, top: int) -> None:
     delta^k k! |v_k|^2 to its cells, k ascending, so a row depends on
     neither top nor the fill order: concurrent fills write identical rows,
     and the rows present are always 0..r. In vacuum delta is 0 and v_0 is
-    all.
+    all. NumericalError, naming the set, if a Pi leaves the float range.
     """
     c, alpha, beta, delta = pi_seeds(consts)
     scales, first, later = _plan(top)
@@ -400,12 +425,22 @@ def _fill(consts: DerivedConstants, top: int) -> None:
         # and the zero cell, which no step writes
         prev = [0j] * len(v)
         for k, steps in enumerate(later, 1):
-            weight = delta ** k * math.factorial(k)
+            try:
+                weight = delta ** k * math.factorial(k)
+            except OverflowError:
+                weight = math.inf
             prev, v = v, prev
             for cell, left, down in steps:
                 x = v[cell] = (prev[left] + prev[down]) / k
                 acc[cell] += weight * (x.real * x.real + x.imag * x.imag)
     values = [c * s * a for s, a in zip(scales, acc)]
+    # the values are >= 0 or nan, so a sum that is not finite flags any
+    # value that is not
+    if not math.isfinite(sum(values)):
+        raise NumericalError(
+            f"the Pi of orders <= {top} leave the float range with the seeds C={c:.6g}, "
+            f"alpha={alpha:.6g}, beta={beta:.6g}, delta={delta:.6g} at gamma={consts.gamma:.6g}, "
+            f"Lambda0={consts.cfg.fresnel_ratio:.6g}")
     consts.pi.update({n: tuple(values[n * (n + 1) // 2:(n + 1) * (n + 2) // 2])
                       for n in range(top + 1)})
 
@@ -498,11 +533,11 @@ class ProbabilityMatrix(namedtuple("ProbabilityMatrix",
 def _anchor(cfg: OpticalConfig, w_variant: str) -> float:
     """The unscaled vacuum entry of the anchor pair (00,00) over cfg and
     w_variant, Pi(0, 0)^2 = C * C of the vacuum seeds: the value a filled
-    vacuum set gives, bitwise, from constants built outside derive_constants'
-    cache and never filled. pi_seeds' NumericalError is reported as
-    pi_factor(0, 0)'s, and a zero anchor is a CalibrationError."""
+    vacuum set gives, bitwise, with no set built. _checked_seeds'
+    NumericalError is reported as pi_factor(0, 0)'s, and a zero anchor is a
+    CalibrationError."""
     try:
-        c = pi_seeds(_build_constants(cfg, 0.0, w_variant)).c
+        c = _checked_seeds(cfg, 0.0, w_variant).c
     except NumericalError as exc:
         raise NumericalError(f"pi_factor(0, 0): {exc}") from None
     anchor = c * c
@@ -512,14 +547,6 @@ def _anchor(cfg: OpticalConfig, w_variant: str) -> float:
             "cannot normalize"
         )
     return anchor
-
-
-def _calibration_factor(consts: DerivedConstants,
-                        reference_value: float = CALIBRATION_REFERENCE) -> float:
-    """The global factor that maps the anchor pair (00,00), evaluated in
-    vacuum over the geometry and w_variant of consts, onto reference_value;
-    the anchor is computed once per geometry and makes no pi_factor call."""
-    return reference_value / _anchor(consts.cfg, consts.w_variant)
 
 
 def _check_normalization(normalization: str) -> None:
@@ -605,7 +632,7 @@ def probability_matrix(
     raw_ref = flat[0] * flat[0]
 
     calibrated = normalization == NORMALIZATION_CALIBRATED
-    factor = _calibration_factor(consts, reference_value) if calibrated else 1.0
+    factor = reference_value / _anchor(consts.cfg, consts.w_variant) if calibrated else 1.0
     norm = Normalization(normalization, _ANCHOR_PAIR, reference_value if calibrated else None,
                          factor, raw_ref)
 
@@ -654,8 +681,14 @@ def rytov_sweep(
         raise DomainError("sweep grid must be ascending")
     _check_normalization(normalization)
     gammas = [TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma for s2 in grid]
-    factor = (_calibration_factor(derive_constants(cfg))
-              if normalization == NORMALIZATION_CALIBRATED else 1.0)
+    factor = 1.0
+    if normalization == NORMALIZATION_CALIBRATED:
+        # a bad link fails as its vacuum set does, at gamma=0.0, but that
+        # set is built outside derive_constants' cache, which keeps the
+        # grid's sets, and the factor reads the link's anchor
+        _check_config(cfg)
+        _build_constants(cfg, 0.0, DEFAULT_W_VARIANT)
+        factor = CALIBRATION_REFERENCE / _anchor(cfg, DEFAULT_W_VARIANT)
     orders = [max(p.signal.m, p.signal.n, p.idler.m, p.idler.n) for p in pairs]
     top = max(orders)
     first = pairs[orders.index(top)]

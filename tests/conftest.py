@@ -33,8 +33,8 @@ def near_field_cfgs(ref_cfg):
 
 @pytest.fixture
 def corrupt_seeds(monkeypatch):
-    """corrupt_seeds(transform) passes the seeds of every fill from now on
-    through transform(seeds, consts), ahead of pi_seeds' guard. The derived
+    """corrupt_seeds(transform) passes the seeds of every fill and anchor from
+    now on through transform(seeds, gamma), ahead of pi_seeds' guard. The derived
     sets are dropped before and after, so derive_constants returns sets with
     empty tables and none that keeps rows filled from changed seeds; a set a
     test already holds keeps the rows it has, and fills any further row
@@ -43,8 +43,8 @@ def corrupt_seeds(monkeypatch):
 
     def install(transform):
         engine._clear_tables()
-        monkeypatch.setattr(engine, "_seed_values",
-                            lambda consts: transform(values(consts), consts))
+        monkeypatch.setattr(engine, "_seed_values", lambda cfg, gamma, w_variant:
+                            transform(values(cfg, gamma, w_variant), gamma))
 
     yield install
     engine._clear_tables()

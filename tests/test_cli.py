@@ -143,7 +143,7 @@ class TestMatrixCommand:
     def test_kernel_overflow_exit_3(self, capsys, corrupt_seeds):
         # a seed beyond the float range, here an injected C = inf, is a
         # numerical failure
-        corrupt_seeds(lambda seeds, consts: seeds._replace(c=math.inf))
+        corrupt_seeds(lambda seeds, gamma: seeds._replace(c=math.inf))
         code, _, err = run(capsys, "matrix", "--distance", "1e-40", "--rytov", "1",
                            "--max-sum", "10")
         assert code == EXIT_NUMERICAL
@@ -152,8 +152,8 @@ class TestMatrixCommand:
     def test_nan_pi_exit_3(self, capsys, corrupt_seeds):
         # an injected nan delta at the turbulent set: a numerical failure
         # naming the grid's first Pi, not a matrix with nan entries
-        corrupt_seeds(lambda seeds, consts:
-                      seeds._replace(delta=math.nan) if consts.gamma > 0 else seeds)
+        corrupt_seeds(lambda seeds, gamma:
+                      seeds._replace(delta=math.nan) if gamma > 0 else seeds)
         code, out, err = run(capsys, "matrix", "--distance", "1e-25", "--rytov", "1e-3",
                              "--pump-waist", "7.0710678", "--max-sum", "10", "--format", "csv")
         assert code == EXIT_NUMERICAL
@@ -341,8 +341,8 @@ class TestSweepCommand:
     def test_negative_probability_exit_3(self, capsys, corrupt_seeds):
         # with delta negative at rytov 0.01, the seeds there would make
         # negative terms; the sweep rejects them as a matrix would
-        corrupt_seeds(lambda seeds, consts:
-                      seeds._replace(delta=-seeds.delta) if consts.gamma > 0 else seeds)
+        corrupt_seeds(lambda seeds, gamma:
+                      seeds._replace(delta=-seeds.delta) if gamma > 0 else seeds)
         code, out, err = run(capsys, "sweep", "--grid", "0,0.01", "--pairs", "9,0:10,0")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and out == ""

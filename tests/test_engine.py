@@ -373,7 +373,7 @@ class TestPiFactor:
     def test_nan_pi_is_a_numerical_error(self, ref_cfg, corrupt_seeds):
         # a set whose seeds are not finite fills no Pi: the error names the
         # Pi asked for, the seeds and the set, and nothing is stored
-        corrupt_seeds(lambda seeds, consts: seeds._replace(alpha=complex(math.nan, 0.0)))
+        corrupt_seeds(lambda seeds, gamma: seeds._replace(alpha=complex(math.nan, 0.0)))
         consts = derive_constants(ref_cfg, turbulence_strength(0.03))
         ok = re.escape(f"at gamma={consts.gamma:.6g}, Lambda0={ref_cfg.fresnel_ratio:.6g}")
         for _ in range(2):
@@ -386,7 +386,7 @@ class TestPiFactor:
 
     def test_infinities_of_both_signs_are_a_numerical_error(self, ref_cfg, corrupt_seeds):
         # alpha = inf - inf j is not finite, though no part of it is nan
-        corrupt_seeds(lambda seeds, consts: seeds._replace(alpha=complex(math.inf, -math.inf)))
+        corrupt_seeds(lambda seeds, gamma: seeds._replace(alpha=complex(math.inf, -math.inf)))
         fresh = derive_constants(ref_cfg, turbulence_strength(0.03))
         with pytest.raises(NumericalError, match=r"pi_factor\(3, 2\)"):
             pi_factor(3, 2, fresh)
@@ -400,7 +400,7 @@ class TestPiFactor:
     def test_seed_guard(self, ref_cfg, corrupt_seeds, seeds):
         # C <= 0, delta < 0 or a seed that is not finite is the one
         # NumericalError, named with the seeds and the set, at every order
-        corrupt_seeds(lambda values, consts: values._replace(**seeds))
+        corrupt_seeds(lambda values, gamma: values._replace(**seeds))
         consts = derive_constants(ref_cfg, turbulence_strength(0.03))
         for mu, nu in ((0, 0), (3, 0), (10, 9)):
             with pytest.raises(NumericalError, match=rf"pi_factor\({mu}, {nu}\): the Pi seeds "
@@ -412,10 +412,29 @@ class TestPiFactor:
     @pytest.mark.parametrize("delta", [0.0, 5e-324, 0.3])
     def test_seed_guard_passes_delta_from_zero(self, ref_cfg, corrupt_seeds, delta):
         # delta = 0 is vacuum's value and no failure: the odd Pi read 0.0
-        corrupt_seeds(lambda values, consts: values._replace(delta=delta))
+        corrupt_seeds(lambda values, gamma: values._replace(delta=delta))
         consts = derive_constants(ref_cfg, turbulence_strength(0.03))
         assert (pi_factor(0, 1, consts) > 0.0) == (delta > 0.0)
         assert engine.pi_seeds(consts).delta == delta
+
+    @pytest.mark.parametrize("cfg,rytov,top", [
+        # delta = 9e75 passes the seed guard, but delta^6 overflows
+        (OpticalConfig(1.3810288670448687e-103, 4.029599060983179e+59,
+                       6.1782231572189225e-61), 0.05, 3),
+        # in vacuum alpha ~ 6e31 i, and v_0 overflows by order 10
+        (OpticalConfig.from_w0(1e-6, 1e30, 1e-4), 0.0, 10),
+    ], ids=["delta-power", "vacuum-v0"])
+    def test_fill_overflow_is_a_numerical_error(self, cfg, rytov, top):
+        # a fill whose Pi leave the float range stores no row and names the
+        # Pi asked for, the seeds and the set
+        consts = derive_constants(cfg, turbulence_strength(rytov), "waist")
+        ok = re.escape(f"at gamma={consts.gamma:.6g}, Lambda0={cfg.fresnel_ratio:.6g}")
+        with pytest.raises(NumericalError, match=rf"^pi_factor\({top}, {top}\): the Pi of orders "
+                                                 rf"<= {top} leave the float range with the "
+                                                 r"seeds C=.* " + ok + "$"):
+            build_matrix(cfg, TurbulenceSpec.from_rytov(rytov), expand_modes(top),
+                         w_variant="waist")
+        assert not consts.pi
 
     def test_tiny_link_is_a_valid_table(self):
         # at a 1e-25 m link c2/c1 ~ 5e30, yet K(20, 20) ~ 9.1e25 keeps its
@@ -623,8 +642,8 @@ class TestProbabilityMatrix:
         # an anchor that evaluates to zero cannot normalize the matrix: a
         # vacuum C so small that C * C underflows passes the seed guard,
         # and the anchor, C * C, is 0
-        corrupt_seeds(lambda seeds, consts:
-                      seeds._replace(c=seeds.c * 1e-200) if consts.gamma == 0 else seeds)
+        corrupt_seeds(lambda seeds, gamma:
+                      seeds._replace(c=seeds.c * 1e-200) if gamma == 0 else seeds)
         with pytest.raises(CalibrationError, match=r"calibration reference \(00,00\) is 0\.0"):
             probability_matrix(DEFAULT_ORDERING, turb_consts._replace())
 
@@ -632,8 +651,8 @@ class TestProbabilityMatrix:
         # with delta negative in turbulence, the grid's first Pi, (3, 3),
         # whose miss fills the rest, fails; the error names it, the seeds,
         # gamma and Lambda0
-        corrupt_seeds(lambda seeds, consts:
-                      seeds._replace(delta=-seeds.delta) if consts.gamma > 0 else seeds)
+        corrupt_seeds(lambda seeds, gamma:
+                      seeds._replace(delta=-seeds.delta) if gamma > 0 else seeds)
         fresh = turb_consts._replace()
         ok = re.escape(f"at gamma={turb_consts.gamma:.6g}, Lambda0={ref_cfg.fresnel_ratio:.6g}")
         with pytest.raises(NumericalError, match=r"pi_factor\(3, 3\): the Pi seeds C=\S+, .* "
@@ -1086,10 +1105,9 @@ class TestChannelPath:
         assert len(counts) == 1 and 0 < counts[0] <= 16
 
     def test_sweep_fills_each_pi_once_per_point(self, ref_cfg):
-        # point by point: one set per grid point, the first the vacuum set
-        # the sweep derives to check the link, and one fill through order 3
-        # each, by the miss of Pi(3, 3); the calibration anchor makes no
-        # lookup, and every lookup of the pairs, two per pair, hits
+        # point by point: one set per grid point, and one fill through
+        # order 3 each, by the miss of Pi(3, 3); the calibration anchor
+        # makes no lookup, and every lookup of the pairs, two per pair, hits
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         engine._clear_tables()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
@@ -1097,13 +1115,38 @@ class TestChannelPath:
         assert info.sets.misses == 500
         assert info.pi == (2 * 4 * 500, 500)
 
+    def test_sweep_derives_no_vacuum_set(self, ref_cfg):
+        # the calibration factor comes from the link's anchor: a grid that
+        # does not start at 0 derives one set per point, and its series are
+        # the calibrated matrices' entries
+        grid, pair = [0.01, 0.02], ModePair(ModeIndex(0, 0), ModeIndex(0, 1))
+        engine._clear_tables()
+        (series,) = rytov_sweep(ref_cfg, grid, [pair])
+        assert engine.derive_cache_info().currsize == len(grid)
+        assert series == [build_matrix(ref_cfg, TurbulenceSpec.from_rytov(s2))
+                          .value(pair.signal, pair.idler) for s2 in grid]
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.01], [0.01, 0.02]])
+    @pytest.mark.parametrize("normalization", ["calibrated", "raw"])
+    def test_sweep_over_a_bad_link_is_a_domain_error(self, grid, normalization):
+        # a link whose constants leave the float range (k = 2 pi / lambda
+        # overflows) fails a calibrated sweep as its vacuum set does, and a
+        # raw sweep at the first point, with no set left in the cache
+        cfg = OpticalConfig(1e-320, 1.0, 1.0)
+        gamma = 0.0 if normalization == "calibrated" else turbulence_strength(grid[0]) + 0.0
+        engine._clear_tables()
+        with pytest.raises(DomainError, match=re.escape(f"{cfg} at gamma={gamma} gives "
+                                                        "constants that are zero")):
+            rytov_sweep(cfg, grid, [ModePair(ModeIndex(0, 0), ModeIndex(0, 0))], normalization)
+        assert engine.derive_cache_info().currsize == 0
+
     def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, corrupt_seeds):
         # with delta negative in turbulence, the sweep stops at rytov 0.01,
         # whose one fill fails; the error names the first pair that reads
         # the top order, the Rytov value, the seeds and that point's gamma
         bad = ModePair(ModeIndex(9, 0), ModeIndex(10, 0))
-        corrupt_seeds(lambda seeds, consts:
-                      seeds._replace(delta=-seeds.delta) if consts.gamma > 0 else seeds)
+        corrupt_seeds(lambda seeds, gamma:
+                      seeds._replace(delta=-seeds.delta) if gamma > 0 else seeds)
         pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), bad]
         gamma = re.escape(f"gamma={turbulence_strength(0.01):.6g}, ")
         with pytest.raises(NumericalError, match=r"^P\(90,10,0\) at rytov 0\.01: pi_factor\(10, 10\): "

@@ -62,8 +62,8 @@ def test_turbulence_sweep_rejects_too_few_steps(tmp_path, args):
 def test_turbulence_sweep_numerical_failure(tmp_path, monkeypatch, capsys, corrupt_seeds):
     # in-process, so that a negative delta at every turbulent point can be
     # injected
-    corrupt_seeds(lambda seeds, consts:
-                  seeds._replace(delta=-seeds.delta) if consts.gamma > 0 else seeds)
+    corrupt_seeds(lambda seeds, gamma:
+                  seeds._replace(delta=-seeds.delta) if gamma > 0 else seeds)
     monkeypatch.setattr(sys, "argv", ["turbulence_sweep.py", "--pairs", "9,0:10,0",
                                       "--output", "out.csv"])
     monkeypatch.chdir(tmp_path)
