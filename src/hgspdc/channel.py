@@ -6,13 +6,15 @@ form free of cancellation (see DerivedConstants).
 
 derive_constants keeps the DERIVED_SETS most recent sets, and
 derive_cache_info(clear=True) empties them. A set's dimensioned fields feed
-the per-term kernels; the Pi seeds the matrices read are dimensionless
-functions of Lambda0, gamma and w_variant, apart from C's raw scale, and
-come from the set's link, gamma and w_variant alone (engine._seed_values).
+the per-term kernels. The matrices read only the two values a set computes
+from its link, gamma and w_variant when it is built (_seed_values): the Pi
+seeds, dimensionless functions of Lambda0, gamma and w_variant apart from
+C's raw scale, and the calibration anchor, the vacuum (00,00) entry of its
+link.
 
 Everything here is a pure function over immutable inputs; DerivedConstants is
 a frozen value object safe to share between threads, and the table the
-engine keeps on it only ever gains rows computed from its own fields.
+engine keeps on it only ever gains rows computed from its own seeds.
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ class OpticalConfig(namedtuple("OpticalConfig", "wavelength distance pump_waist"
 
     @property
     def fresnel_ratio(self) -> float:
-        """Lambda0 = 2 z / (k W0^2)."""
-        return 2.0 * self.distance / (self.wavenumber * self.w0 ** 2)
+        """Lambda0 = 2 z / (k W0^2); DomainError naming the link if it
+        leaves the float range."""
+        return _in_float_range(lambda: 2.0 * self.distance / (self.wavenumber * self.w0 ** 2),
+                               "fresnel_ratio", *self)
 
     @classmethod
     def from_w0(cls, wavelength: float, distance: float, w0: float) -> "OpticalConfig":
@@ -199,8 +203,8 @@ class TurbulenceSpec(namedtuple("TurbulenceSpec", "cn2 rytov strength_coeff")):
             ryt = self.rytov
             cn2 = rytov_to_cn2(ryt, cfg.wavelength, cfg.distance)
         gamma = turbulence_strength(ryt, self.strength_coeff)
-        return ResolvedTurbulence(cn2=cn2, rytov=ryt,
-                                  strength_coeff=self.strength_coeff, gamma=gamma)
+        # positional: a keyword call of the namedtuple costs twice as much
+        return ResolvedTurbulence(cn2, ryt, self.strength_coeff, gamma)
 
 
 ResolvedTurbulence = namedtuple("ResolvedTurbulence", "cn2 rytov strength_coeff gamma")
@@ -226,19 +230,25 @@ class DerivedConstants(namedtuple("DerivedConstants",
       at small Lambda0; these forms add terms of one sign, so nothing cancels,
       and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
 
-    Of these the matrices read only cfg, gamma and w_variant, from which
-    the engine computes the Pi seeds; b1, a3, c1..c3, zeta and w are read by
-    the per-term kernels f_kernel and k_kernel.
-
-    The attribute pi, not a field, is the engine's table of this set (see
-    engine.py): a dict that maps order n to the row (Pi(0, n), ..., Pi(n, n)),
-    rows 0..top filled in one update. Equality, hashing and repr ignore it,
-    and _replace, copy and pickle start a copy with an empty table.
+    b1, a3, c1..c3, zeta and w are read by the per-term kernels f_kernel
+    and k_kernel. The matrices read none of them: they read three
+    attributes, not fields, which the constructor sets, so _replace, _make,
+    copy and pickle give every set its own:
+    - seeds: the Pi seeds C, alpha, beta and delta, and anchor: the
+      unscaled vacuum (00,00) entry of the link, C * C of its vacuum seeds,
+      both computed by _seed_values from cfg, gamma and w_variant;
+    - pi: the engine's table of the set (see engine.py), a dict that maps
+      order n to the row (Pi(0, n), ..., Pi(n, n)), rows 0..top filled in
+      one update, empty in a new set.
+    Equality, hashing and repr ignore them.
     """
 
-    def __new__(cls, *fields, **named):
-        self = super().__new__(cls, *fields, **named)
-        object.__setattr__(self, "pi", {})
+    # the fields spelled out: passing them on through the namedtuple's own
+    # __new__ adds a tenth to the set's build
+    def __new__(cls, cfg, w, w_variant, zeta, gamma, a3, b1, c1, c2, c3):
+        self = tuple.__new__(cls, (cfg, w, w_variant, zeta, gamma, a3, b1, c1, c2, c3))
+        seeds, anchor = _seed_values(cfg, gamma, w_variant)
+        vars(self).update(pi={}, seeds=seeds, anchor=anchor)
         return self
 
     def __setattr__(self, name, *value):
@@ -291,6 +301,66 @@ def derive_cache_info(clear: bool = False):
     if clear:
         _derived.cache_clear()
     return _derived.cache_info()
+
+
+Seeds = namedtuple("Seeds", "c alpha beta delta")
+_NAN_SEEDS = Seeds(math.nan, math.nan, math.nan, math.nan)
+
+
+def _seed_values(cfg: OpticalConfig, gamma: float, w_variant: str) -> tuple[Seeds, float]:
+    """The seeds C, alpha, beta and delta of the set of cfg at gamma and
+    w_variant, and the anchor C_vac * C_vac of its vacuum seeds, in closed
+    form free of cancellation; nan for all of them if a value leaves the
+    float range.
+
+    The seeds are dimensionless functions of L = Lambda0, gamma and
+    w_variant, apart from C's raw scale 1 / sqrt(lambda z). L = (lambda / p)
+    (z / p) / (2 pi), p the pump waist, is computed on the mantissas of
+    lambda, z and p, their exponents added apart, so that no ratio leaves
+    the float range. At u = k / z = 1 the constants of DerivedConstants, c1
+    and c3 taken over L, are d = 1 + L^2 + 2 gamma L,
+    a3 = gamma (6 + 2 L^2 + 3 gamma L) / d, c1 / L = 1 / d + 1 / (1 + L^2)
+    and c3 / L = -(L + 3 gamma) / d, and K's determinant 4 c1 c2 + c3^2 is
+    u^2 L e with e = 4 (c1 / L) (L (c1 / L) + a3) + L (c3 / L)^2, a sum of
+    terms of one sign. With w^2 u L = 2 (1 + L^2) (propagated) or 2 (waist),
+    s = 4 (2 c1 + a3 - i c3) / (w^2 u L e) and 1 - zeta = i L / (1 + L^2 + i L):
+
+        C = 4 |1 - zeta| / (sqrt(e d) sqrt(lambda) sqrt(z)),
+        alpha = s - 1 + (1 - zeta),  beta = 2 (s - (1 - zeta)),
+        delta = 8 a3 / (w^2 u L e).
+
+    These are P0 4 pi |1 - zeta| K(0, 0), 4 sigma / w^2 - zeta,
+    8 sigma / w^2 - 2 (1 - zeta) and 8 tau / w^2 (see engine.k_kernel) with
+    every power of u and L cancelled: no w^2, lambda^2 z^2 or determinant is
+    formed, and delta reads a3, not the difference c2 - c1. C_vac is C at
+    gamma = 0, from the same terms with d = 1 + L^2 and a3 = 0, so the
+    anchor is bitwise the square of a vacuum set's C, whatever w_variant."""
+    wavelength, distance, _ = cfg
+    (m_l, e_l), (m_z, e_z), (m_p, e_p) = map(math.frexp, cfg)
+    try:
+        lam0 = math.ldexp(m_l / m_p * (m_z / m_p) / (2 * math.pi), e_l + e_z - 2 * e_p)
+        l2 = lam0 * lam0
+        one_plus_l2 = 1 + l2
+        one_minus_zeta = 1j * lam0 / (one_plus_l2 + 1j * lam0)
+        scale = 4 * abs(one_minus_zeta)
+        root_l, root_z = math.sqrt(wavelength), math.sqrt(distance)
+        inverse = 1 / one_plus_l2
+        c1 = inverse + inverse
+        c3 = -lam0 / one_plus_l2
+        e = 4 * c1 * (lam0 * c1) + lam0 * c3 * c3
+        c_vac = scale / (math.sqrt(e * one_plus_l2) * root_l * root_z)
+        d = one_plus_l2 + 2 * gamma * lam0
+        a3 = gamma * ((6 + 2 * l2 + 3 * gamma * lam0) / d)
+        c1 = 1 / d + inverse
+        c3 = -(lam0 + 3 * gamma) / d
+        e = 4 * c1 * (lam0 * c1 + a3) + lam0 * c3 * c3
+        w2e = (2 * one_plus_l2 if w_variant == W_VARIANT_PROPAGATED else 2.0) * e
+        scaled = 4 * complex(2 * lam0 * c1 + a3, -lam0 * c3) / w2e
+        c = scale / (math.sqrt(e * d) * root_l * root_z)
+        return (Seeds(c, scaled - 1 + one_minus_zeta, 2 * (scaled - one_minus_zeta),
+                      8 * a3 / w2e), c_vac * c_vac)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return _NAN_SEEDS, math.nan
 
 
 def _build_constants(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstants:

@@ -21,23 +21,26 @@ v_k(m, n) = (v_(k-1)(m - 1, n) + v_(k-1)(m, n - 1)) / k: the
 multivariate-Hermite recursion of Miatto & Quesada (Quantum 4, 366, 2020),
 Mehler's kernel in vacuum. C = Pi(0, 0) is real and positive, alpha and
 beta are complex, and delta >= 0 is the variance of the random displacement
-that turbulence shares between the photons, exactly 0 in vacuum. pi_seeds
-computes them in closed form from the set's Lambda0, gamma and w_variant,
-which alone they depend on, apart from C's raw scale (see _seed_values).
+that turbulence shares between the photons, exactly 0 in vacuum. The set
+computes them when it is built, in closed form from its Lambda0, gamma and
+w_variant, which alone they depend on, apart from C's raw scale (see
+channel._seed_values), and pi_seeds checks them.
 Every term of the sum is >= 0, so nothing cancels, and v_k vanishes unless
 k has the parity of m + n, so vacuum Pi with odd mu + nu are exactly 0.
 The fill runs over the triangle m <= n, v_k being symmetric, and skips the
 parity zeros.
 
 Each DerivedConstants keeps its table pi of Pi rows by order: pi[n] is
-(Pi(0, n), ..., Pi(n, n)), so Pi(mu, nu) is pi[max][min]. A fill computes
-the seeds, checks them, and publishes rows 0..top in one dict update, each
-row independent of top and of fill order. A pi_factor miss fills through
-the row it needs. probability_matrix asks for Pi(top, top) of its grid's
-top order once and then reads the rows; rytov_sweep asks for it first, so
-one fill serves every Pi either reads. The calibration anchor, the vacuum
-(00,00) entry C * C of the link's vacuum seeds, is computed once per
-geometry and builds no constant set. Pi is symmetric, so the transposed
+(Pi(0, n), ..., Pi(n, n)), so Pi(mu, nu) is pi[max][min]. A fill checks
+the set's seeds and publishes rows 0..top in one dict update, each row
+independent of top and of fill order. A pi_factor miss fills through the
+row it needs. probability_matrix asks for Pi(top, top) of its grid's top
+order once and then reads the rows; rytov_sweep asks for it first, so one
+fill serves every Pi either reads. The calibration factor is the reference
+over the set's anchor, the vacuum (00,00) entry C * C of its link's vacuum
+seeds, which the set computes with its seeds, so no vacuum set is built
+for it; an anchor that is not positive and finite, or whose factor is not
+finite, is a CalibrationError. Pi is symmetric, so the transposed
 entry P(i, s) and the entry of the swapped modes P((n_s, m_s), (n_i, m_i))
 read the same two Pi as P(s, i), at most in the other order, and are
 bitwise equal: a matrix multiplies each distinct unordered pair of Pi once
@@ -50,13 +53,12 @@ the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
 recurrence for the moments of exp(-c1 x^2 - c2 y^2 + i c3 x y), exact
 zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b).
 
-Four bounded lru_caches remain: K, keyed on its orders and c1..c3, the
-fill's geometry-free indexing _plan, built on first use, the matrix's
-_grid_plan, keyed on its grid's ordering of ModeIndex values, and the
-calibration _anchor, keyed on the link and w_variant, the inputs of the
-vacuum seeds. table_info() reports the sets, K and the Pi lookups. All
-functions are pure and fills store values computed from the set's own
-fields, so concurrent use is safe.
+Three bounded lru_caches remain: K, keyed on its orders and c1..c3, the
+fill's geometry-free indexing _plan, built on first use, and the matrix's
+_grid_plan, keyed on its grid's ordering of ModeIndex values.
+table_info() reports the sets, K and the Pi lookups. All functions are
+pure and fills store values computed from the set's own seeds, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -71,12 +73,11 @@ from operator import index, itemgetter
 from .channel import (
     DEFAULT_W_VARIANT,
     DERIVED_SETS,
-    W_VARIANT_PROPAGATED,
     DerivedConstants,
     OpticalConfig,
     ResolvedTurbulence,
+    Seeds,
     TurbulenceSpec,
-    _build_constants,
     _check_config,
     _checked_make,
     derive_cache_info,
@@ -222,7 +223,6 @@ def _gamma_half(twice: int) -> float:
 
 PiInfo = namedtuple("PiInfo", "hits misses")
 TableInfo = namedtuple("TableInfo", "sets k pi")
-Seeds = namedtuple("Seeds", "c alpha beta delta")
 _GridPlan = namedtuple("_GridPlan", "top xs ys rows")
 
 
@@ -284,11 +284,9 @@ def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
 
 
 def _clear_tables() -> None:
-    """Drop the derived sets, the calibration anchors and the stored K, zero
-    the Pi counts."""
+    """Drop the derived sets and the stored K, zero the Pi counts."""
     global _counts
     derive_cache_info(clear=True)
-    _anchor.cache_clear()
     _k_entry.cache_clear()
     _counts = _Counts()
 
@@ -308,73 +306,18 @@ k_kernel.cache_info = _k_entry.cache_info
 k_kernel.cache_clear = _clear_tables
 
 
-_NAN_SEEDS = Seeds(math.nan, math.nan, math.nan, math.nan)
-
-
-def _seed_values(cfg: OpticalConfig, gamma: float, w_variant: str) -> Seeds:
-    """C, alpha, beta and delta of the set of cfg at gamma and w_variant, in
-    closed form free of cancellation; nan for a value that leaves the float
-    range.
-
-    They are dimensionless functions of L = Lambda0, gamma and w_variant,
-    apart from C's raw scale 1 / sqrt(lambda z). L = (lambda / p) (z / p) /
-    (2 pi), p the pump waist, is computed on the mantissas of lambda, z and
-    p, their exponents added apart, so that no ratio leaves the float range.
-    At u = k / z = 1 the constants of DerivedConstants, c1 and c3 taken over
-    L, are d = 1 + L^2 + 2 gamma L, a3 = gamma (6 + 2 L^2 + 3 gamma L) / d,
-    c1 / L = 1 / d + 1 / (1 + L^2) and c3 / L = -(L + 3 gamma) / d, and K's
-    determinant 4 c1 c2 + c3^2 is u^2 L e with
-    e = 4 (c1 / L) (L (c1 / L) + a3) + L (c3 / L)^2, a sum of terms of one
-    sign. With w^2 u L = 2 (1 + L^2) (propagated) or 2 (waist),
-    s = 4 (2 c1 + a3 - i c3) / (w^2 u L e) and 1 - zeta = i L / (1 + L^2 + i L):
-
-        C = 4 |1 - zeta| / (sqrt(e d) sqrt(lambda) sqrt(z)),
-        alpha = s - 1 + (1 - zeta),  beta = 2 (s - (1 - zeta)),
-        delta = 8 a3 / (w^2 u L e).
-
-    These are P0 4 pi |1 - zeta| K(0, 0), 4 sigma / w^2 - zeta,
-    8 sigma / w^2 - 2 (1 - zeta) and 8 tau / w^2 (see k_kernel) with every
-    power of u and L cancelled: no w^2, lambda^2 z^2 or determinant is
-    formed, and delta reads a3, not the difference c2 - c1."""
-    wavelength, distance, _ = cfg
-    (m_l, e_l), (m_z, e_z), (m_p, e_p) = map(math.frexp, cfg)
-    try:
-        lam0 = math.ldexp(m_l / m_p * (m_z / m_p) / (2 * math.pi), e_l + e_z - 2 * e_p)
-        l2 = lam0 * lam0
-        one_plus_l2 = 1 + l2
-        d = one_plus_l2 + 2 * gamma * lam0
-        a3 = gamma * ((6 + 2 * l2 + 3 * gamma * lam0) / d)
-        c1 = 1 / d + 1 / one_plus_l2
-        c3 = -(lam0 + 3 * gamma) / d
-        e = 4 * c1 * (lam0 * c1 + a3) + lam0 * c3 * c3
-        w2e = (2 * one_plus_l2 if w_variant == W_VARIANT_PROPAGATED else 2.0) * e
-        one_minus_zeta = 1j * lam0 / (one_plus_l2 + 1j * lam0)
-        scaled = 4 * complex(2 * lam0 * c1 + a3, -lam0 * c3) / w2e
-        c = 4 * abs(one_minus_zeta) / (math.sqrt(e * d) * math.sqrt(wavelength)
-                                       * math.sqrt(distance))
-        return Seeds(c, scaled - 1 + one_minus_zeta, 2 * (scaled - one_minus_zeta), 8 * a3 / w2e)
-    except (OverflowError, ZeroDivisionError, ValueError):
-        return _NAN_SEEDS
-
-
 def pi_seeds(consts: DerivedConstants) -> Seeds:
-    """The generating-function seeds C, alpha, beta and delta of consts, by
-    _seed_values from its link, gamma and w_variant; each fill computes them
-    once. NumericalError if one fails _checked_seeds' guard."""
-    return _checked_seeds(consts.cfg, consts.gamma, consts.w_variant)
-
-
-def _checked_seeds(cfg: OpticalConfig, gamma: float, w_variant: str) -> Seeds:
-    """_seed_values(cfg, gamma, w_variant), or NumericalError naming the
-    seeds, gamma and Lambda0 if one is not finite, C <= 0 or delta < 0."""
-    seeds = _seed_values(cfg, gamma, w_variant)
+    """The generating-function seeds C, alpha, beta and delta of consts,
+    which it computed when it was built; NumericalError naming the seeds,
+    gamma and Lambda0 if one is not finite, C <= 0 or delta < 0."""
+    seeds = consts.seeds
     c, alpha, beta, delta = seeds
     if not (0.0 < c < math.inf and 0.0 <= delta < math.inf
             and cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise NumericalError(
             f"the Pi seeds C={c:.6g}, alpha={alpha:.6g}, beta={beta:.6g}, delta={delta:.6g} "
-            f"are not finite, C <= 0 or delta < 0 at gamma={gamma:.6g}, "
-            f"Lambda0={cfg.fresnel_ratio:.6g}")
+            f"are not finite, C <= 0 or delta < 0 at gamma={consts.gamma:.6g}, "
+            f"Lambda0={consts.cfg.fresnel_ratio:.6g}")
     return seeds
 
 
@@ -529,24 +472,16 @@ class ProbabilityMatrix(namedtuple("ProbabilityMatrix",
         return max(max(row) for row in self.values)
 
 
-@lru_cache(maxsize=DERIVED_SETS)
-def _anchor(cfg: OpticalConfig, w_variant: str) -> float:
-    """The unscaled vacuum entry of the anchor pair (00,00) over cfg and
-    w_variant, Pi(0, 0)^2 = C * C of the vacuum seeds: the value a filled
-    vacuum set gives, bitwise, with no set built. _checked_seeds'
-    NumericalError is reported as pi_factor(0, 0)'s, and a zero anchor is a
-    CalibrationError."""
-    try:
-        c = _checked_seeds(cfg, 0.0, w_variant).c
-    except NumericalError as exc:
-        raise NumericalError(f"pi_factor(0, 0): {exc}") from None
-    anchor = c * c
-    if anchor <= 0.0:
+def _calibration_factor(consts: DerivedConstants, reference_value: float) -> float:
+    """reference_value over the set's anchor, the unscaled vacuum (00,00)
+    entry of its link; CalibrationError unless the anchor is positive and
+    finite and so is the factor."""
+    anchor = consts.anchor
+    factor = reference_value / anchor if 0.0 < anchor < math.inf else math.nan
+    if not math.isfinite(factor):
         raise CalibrationError(
-            f"calibration reference {_ANCHOR_PAIR.label()} is {anchor}; "
-            "cannot normalize"
-        )
-    return anchor
+            f"calibration reference {_ANCHOR_PAIR.label()} is {anchor}; cannot normalize")
+    return factor
 
 
 def _check_normalization(normalization: str) -> None:
@@ -632,7 +567,7 @@ def probability_matrix(
     raw_ref = flat[0] * flat[0]
 
     calibrated = normalization == NORMALIZATION_CALIBRATED
-    factor = reference_value / _anchor(consts.cfg, consts.w_variant) if calibrated else 1.0
+    factor = _calibration_factor(consts, reference_value) if calibrated else 1.0
     norm = Normalization(normalization, _ANCHOR_PAIR, reference_value if calibrated else None,
                          factor, raw_ref)
 
@@ -651,6 +586,7 @@ def build_matrix(
     """Probability matrix for one channel: resolve the turbulence input over
     the geometry, derive the constants and assemble the matrix, which carries
     the resolved input as its turbulence metadata."""
+    _check_config(cfg)
     turb = turbulence.resolve(cfg)
     consts = derive_constants(cfg, turb.gamma, w_variant)
     return probability_matrix(modes, consts, normalization=normalization,
@@ -680,15 +616,13 @@ def rytov_sweep(
     if grid != sorted(grid):
         raise DomainError("sweep grid must be ascending")
     _check_normalization(normalization)
+    _check_config(cfg)
     gammas = [TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma for s2 in grid]
     factor = 1.0
     if normalization == NORMALIZATION_CALIBRATED:
-        # a bad link fails as its vacuum set does, at gamma=0.0, but that
-        # set is built outside derive_constants' cache, which keeps the
-        # grid's sets, and the factor reads the link's anchor
-        _check_config(cfg)
-        _build_constants(cfg, 0.0, DEFAULT_W_VARIANT)
-        factor = CALIBRATION_REFERENCE / _anchor(cfg, DEFAULT_W_VARIANT)
+        # every point's set carries the link's anchor: the first's gives
+        # the factor
+        factor = _calibration_factor(derive_constants(cfg, gammas[0]), CALIBRATION_REFERENCE)
     orders = [max(p.signal.m, p.signal.n, p.idler.m, p.idler.n) for p in pairs]
     top = max(orders)
     first = pairs[orders.index(top)]

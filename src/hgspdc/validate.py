@@ -175,8 +175,8 @@ def check_symmetry_factorization() -> CheckResult:
     in vacuum and at the reference turbulence.
 
     The products come from joint_probability, the per-pair path that sweeps
-    and the calibration anchor take; matrices read the same per-axis factors
-    from a table, which test_engine checks entry by entry against it.
+    take; matrices read the same per-axis factors from a table, which
+    test_engine checks entry by entry against it.
 
     With J[x][y] = P((a, b), (c, d)), x = 4a + c and y = 4b + d, the identity
     P(a,b,c,d) P(a2,b2,c2,d2) = P(a,b2,c,d2) P(a2,b,c2,d) reads

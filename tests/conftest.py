@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hgspdc import engine, reference
+from hgspdc import channel, engine, reference
 from hgspdc.channel import OpticalConfig, derive_constants, turbulence_strength
 
 
@@ -33,18 +33,22 @@ def near_field_cfgs(ref_cfg):
 
 @pytest.fixture
 def corrupt_seeds(monkeypatch):
-    """corrupt_seeds(transform) passes the seeds of every fill and anchor from
-    now on through transform(seeds, gamma), ahead of pi_seeds' guard. The derived
-    sets are dropped before and after, so derive_constants returns sets with
-    empty tables and none that keeps rows filled from changed seeds; a set a
-    test already holds keeps the rows it has, and fills any further row
-    from the changed seeds."""
-    values = engine._seed_values
+    """corrupt_seeds(transform) passes the seeds of every constant set built
+    from now on through transform(seeds, gamma), ahead of pi_seeds' guard,
+    and makes its anchor C * C of its link's vacuum seeds passed through
+    transform(vacuum seeds, 0.0). The derived sets are dropped before and
+    after, so derive_constants returns sets built with the changed seeds; a
+    set a test already holds keeps its own, and _replace() builds a copy
+    with the changed ones."""
+    values = channel._seed_values
 
     def install(transform):
+        def corrupted(cfg, gamma, w_variant):
+            vacuum = transform(values(cfg, 0.0, w_variant)[0], 0.0)
+            return transform(values(cfg, gamma, w_variant)[0], gamma), vacuum.c * vacuum.c
+
         engine._clear_tables()
-        monkeypatch.setattr(engine, "_seed_values", lambda cfg, gamma, w_variant:
-                            transform(values(cfg, gamma, w_variant), gamma))
+        monkeypatch.setattr(channel, "_seed_values", corrupted)
 
     yield install
     engine._clear_tables()

@@ -1,6 +1,8 @@
 """Channel parameter cascade: Rytov variance, strength law, derived constants."""
 
 import math
+import random
+import re
 
 import mpmath as mp
 import pytest
@@ -62,6 +64,34 @@ class TestOpticalConfig:
         for args in ((bad, Z, 0.1), (LAM, bad, 0.1), (LAM, Z, bad)):
             with pytest.raises(DomainError):
                 OpticalConfig(*args)
+
+    @pytest.mark.parametrize("link", [(1e-6, 1.0, 1e200), (1e-300, 1e-300, 1e-200)],
+                             ids=["W0^2 overflows", "k W0^2 is 0"])
+    def test_fresnel_ratio_out_of_range_names_the_link(self, link):
+        cfg = OpticalConfig(*link)
+        with pytest.raises(DomainError, match=re.escape(
+                f"fresnel_ratio({', '.join(map(format, link))}) leaves the float range")):
+            cfg.fresnel_ratio
+
+    def test_fresnel_ratio_keeps_its_bits(self):
+        # over links log-uniform in 1e-300..1e300, Lambda0 is the bare
+        # expression where that is finite, and a DomainError where it
+        # raises or is not
+        rng = random.Random(32)
+        finite = 0
+        for _ in range(1000):
+            cfg = OpticalConfig(*(10 ** rng.uniform(-300, 300) for _ in range(3)))
+            try:
+                bare = 2.0 * cfg.distance / (cfg.wavenumber * cfg.w0 ** 2)
+            except (OverflowError, ZeroDivisionError):
+                bare = math.inf
+            if math.isfinite(bare):
+                finite += 1
+                assert cfg.fresnel_ratio.hex() == bare.hex()
+            else:
+                with pytest.raises(DomainError, match="leaves the float range"):
+                    cfg.fresnel_ratio
+        assert 0 < finite < 1000
 
     def test_from_w0(self):
         cfg = OpticalConfig.from_w0(LAM, Z, 0.1)
@@ -324,13 +354,16 @@ class TestDeriveConstants:
     def test_tables_are_not_part_of_the_value(self, ref_cfg):
         consts = derive_constants(ref_cfg, 0.03)
         copy = consts._replace()
-        # the Pi table is the one attribute outside the fields, and a copy
-        # starts with an empty table of its own
-        assert "pi" not in consts._fields and list(vars(consts)) == ["pi"]
+        # the Pi table, the seeds and the anchor are the attributes outside
+        # the fields; a copy computes its own seeds and anchor, equal to the
+        # original's, and starts with an empty table of its own
+        assert list(vars(consts)) == ["pi", "seeds", "anchor"]
+        assert not set(vars(consts)) & set(consts._fields)
         assert copy.pi == {}
+        assert copy.seeds == consts.seeds and copy.anchor == consts.anchor
         copy.pi[0] = (1.0,)
         assert copy == consts and hash(copy) == hash(consts)
-        assert "pi=" not in repr(copy)
+        assert "pi=" not in repr(copy) and "seeds=" not in repr(copy)
         assert copy.pi is not consts.pi
 
     def test_negative_gamma_rejected(self, ref_cfg):

@@ -160,6 +160,14 @@ class TestMatrixCommand:
         assert "pi_factor(10, 10)" in err and "Traceback" not in err
         assert "nan" not in out
 
+    def test_subnormal_anchor_exit_3(self, capsys):
+        # the vacuum (00,00) entry is 1.4e-320: its calibration factor
+        # overflows, so no matrix of inf and nan entries is printed
+        code, out, err = run(capsys, "matrix", "--wavelength", "1.367e129",
+                             "--distance", "5.95e-12", "--pump-waist", "4.996e24")
+        assert code == EXIT_NUMERICAL and out == ""
+        assert "calibration reference (00,00) is 1.41e-320" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["--distance", "1e-25", "--rytov", "1e-3", "--pump-waist", "7.0710678"],
         ["--distance", "1e-40", "--rytov", "1"]], ids=["1e-25", "1e-40"])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgspdc import engine, reference, serialization
+from hgspdc import channel, engine, reference, serialization
 from hgspdc.channel import (
     DerivedConstants,
     OpticalConfig,
@@ -1043,6 +1043,54 @@ class TestKernelTables:
 
 
 class TestChannelPath:
+    @pytest.mark.parametrize("normalization", ["calibrated", "raw"])
+    def test_plain_tuple_is_no_config(self, ref_cfg, normalization):
+        # checked before the turbulence input reads the link's fields
+        pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 0))
+        for call in (lambda cfg: build_matrix(cfg, TurbulenceSpec.from_rytov(0.01),
+                                              normalization=normalization),
+                     lambda cfg: rytov_sweep(cfg, [0.0, 0.01], [pair], normalization)):
+            with pytest.raises(DomainError, match="^cfg must be an OpticalConfig, got tuple$"):
+                call(tuple(ref_cfg))
+
+    def test_subnormal_anchor_is_a_calibration_error(self):
+        # Lambda0 = 5.2e67: the vacuum (00,00) entry, 1.4e-320, is positive
+        # but its calibration factor overflows; the raw matrix is finite
+        cfg = OpticalConfig(1.367e129, 5.95e-12, 4.996e24)
+        assert 0.0 < derive_constants(cfg).anchor < sys.float_info.min
+        with pytest.raises(CalibrationError, match=r"^calibration reference \(00,00\) is "
+                                                   r"1\.41e-320; cannot normalize$"):
+            build_matrix(cfg, TurbulenceSpec.vacuum())
+        raw = build_matrix(cfg, TurbulenceSpec.vacuum(), normalization=NORMALIZATION_RAW)
+        assert all(0.0 <= v < math.inf for row in raw.values for v in row)
+
+    def test_replaced_gamma_gives_that_gammas_matrix(self, ref_cfg):
+        # _replace builds through the constructor, so a set never carries
+        # another set's seeds or anchor
+        modes = expand_modes(6)
+        for g1, g2 in ((0.0, 0.05), (0.05, 0.0), (0.02, 0.7)):
+            for normalization in ("calibrated", "raw"):
+                got = probability_matrix(modes, derive_constants(ref_cfg, g1)._replace(gamma=g2),
+                                         normalization)
+                want = probability_matrix(modes, derive_constants(ref_cfg, g2)._replace(),
+                                          normalization)
+                assert [[v.hex() for v in row] for row in got.values] == \
+                    [[v.hex() for v in row] for row in want.values]
+
+    def test_a_set_computes_its_seeds_once(self, ref_cfg, monkeypatch):
+        # the seeds come with the set: filling it to top 3 and then to top
+        # 10 computes none
+        calls = []
+        values = channel._seed_values
+        monkeypatch.setattr(channel, "_seed_values",
+                            lambda *key: calls.append(key) or values(*key))
+        consts = derive_constants(ref_cfg, 0.03)
+        calls.clear()
+        consts = consts._replace()
+        probability_matrix(expand_modes(3), consts)
+        probability_matrix(expand_modes(10), consts)
+        assert calls == [(ref_cfg, 0.03, consts.w_variant)]
+
     def test_build_matrix_matches_long_form(self, ref_cfg):
         spec = TurbulenceSpec.from_rytov(reference.REFERENCE_RYTOV)
         turb = spec.resolve(ref_cfg)
@@ -1130,10 +1178,10 @@ class TestChannelPath:
     @pytest.mark.parametrize("normalization", ["calibrated", "raw"])
     def test_sweep_over_a_bad_link_is_a_domain_error(self, grid, normalization):
         # a link whose constants leave the float range (k = 2 pi / lambda
-        # overflows) fails a calibrated sweep as its vacuum set does, and a
-        # raw sweep at the first point, with no set left in the cache
+        # overflows) fails a sweep, calibrated or raw, at the first point,
+        # with no set left in the cache
         cfg = OpticalConfig(1e-320, 1.0, 1.0)
-        gamma = 0.0 if normalization == "calibrated" else turbulence_strength(grid[0]) + 0.0
+        gamma = turbulence_strength(grid[0]) + 0.0
         engine._clear_tables()
         with pytest.raises(DomainError, match=re.escape(f"{cfg} at gamma={gamma} gives "
                                                         "constants that are zero")):

@@ -3,8 +3,8 @@ constants are the dimensioned fields the per-term kernels read, each
 bitwise what the unsplit expressions below compute; the seeds are
 dimensionless functions of Lambda0, gamma and w_variant, apart from C's raw
 scale, each within 1e-15 of a 50-digit evaluation of their dimensioned
-forms; and the calibration anchor, C * C of the vacuum seeds, is cached per
-link with no constant set built."""
+forms; and the calibration anchor, C * C of the vacuum seeds, comes with
+each set's seeds, with no vacuum set built."""
 
 import cmath
 import math
@@ -28,7 +28,7 @@ from hgspdc.channel import (
     turbulence_strength,
 )
 from hgspdc.engine import DEFAULT_ORDERING, build_matrix, expand_modes, pi_factor
-from hgspdc.errors import DomainError, NumericalError
+from hgspdc.errors import CalibrationError, DomainError
 from hgspdc.reference import CALIBRATION_REFERENCE
 
 SEED_TOLERANCE = 1e-15
@@ -37,7 +37,7 @@ SEED_TOLERANCE = 1e-15
 def _unsplit_constants(cfg, gamma, w_variant):
     """The constants as one expression per field, every term from cfg."""
     try:
-        lam0 = cfg.fresnel_ratio
+        lam0 = 2.0 * cfg.distance / (cfg.wavenumber * cfg.w0 ** 2)
         zeta = (1 + lam0 ** 2) / (1 + lam0 ** 2 + 1j * lam0)
         u = cfg.wavenumber / cfg.distance
         d = 1 + lam0 ** 2 + 2 * gamma * lam0
@@ -96,11 +96,10 @@ def _assert_seeds_match_mpmath(cfgs, rytovs):
             gamma = turbulence_strength(rytov)
             for w_variant in (W_VARIANT_PROPAGATED, W_VARIANT_WAIST):
                 try:
-                    derive_constants(cfg, gamma, w_variant)
+                    got = derive_constants(cfg, gamma, w_variant).seeds
                 except DomainError:
                     continue
                 checked += 1
-                got = engine._seed_values(cfg, gamma, w_variant)
                 want = _mp_seeds(cfg, gamma, w_variant)
                 for name, g, w in zip(got._fields, got, want):
                     size = abs(w)
@@ -179,11 +178,14 @@ def test_seeds_match_mpmath(near_field_cfgs):
 
 def test_anchor_is_the_filled_vacuum_entry(ref_cfg, near_field_cfgs):
     # the anchor, C * C of the vacuum seeds, is the square of Pi(0, 0) that
-    # a filled vacuum set holds, for both w_variants
+    # a filled vacuum set holds, for both w_variants, and every set of the
+    # link carries it
     for cfg in (ref_cfg, *near_field_cfgs.values()):
         for w_variant in (W_VARIANT_PROPAGATED, W_VARIANT_WAIST):
             p = pi_factor(0, 0, derive_constants(cfg, 0.0, w_variant)._replace())
-            assert engine._anchor(cfg, w_variant) == p * p
+            for rytov in (0.0, 0.02, 1.0):
+                consts = derive_constants(cfg, turbulence_strength(rytov), w_variant)
+                assert consts.anchor == p * p
 
 
 def test_calibrated_matrix_derives_one_set(ref_cfg):
@@ -191,40 +193,44 @@ def test_calibrated_matrix_derives_one_set(ref_cfg):
     engine._clear_tables()
     m = build_matrix(ref_cfg, TurbulenceSpec.from_rytov(0.05), expand_modes(6))
     assert derive_cache_info().currsize == 1
-    assert m.normalization.calibration_factor == \
-        CALIBRATION_REFERENCE / engine._anchor(ref_cfg, W_VARIANT_PROPAGATED)
+    assert m.normalization.calibration_factor == CALIBRATION_REFERENCE / m.consts.anchor
 
 
 def test_geometry_cache_is_bounded_and_cleared(ref_cfg):
-    # the anchor, the one cache keyed on the link, keeps DERIVED_SETS links
+    # the derived sets, which carry the anchors, keep DERIVED_SETS sets
     engine._clear_tables()
     rng = random.Random(500)
     for _ in range(500):
         cfg = OpticalConfig.from_w0(ref_cfg.wavelength, 10 ** rng.uniform(2, 4),
                                     10 ** rng.uniform(-2, -1))
         build_matrix(cfg, TurbulenceSpec.from_rytov(rng.uniform(0.0, 0.1)), DEFAULT_ORDERING)
-    info = engine._anchor.cache_info()
+    info = derive_cache_info()
     assert info.maxsize == DERIVED_SETS and 0 < info.currsize <= DERIVED_SETS
     engine._clear_tables()
-    assert engine._anchor.cache_info().currsize == 0
     assert derive_cache_info().currsize == 0
 
 
 def test_fresh_rytov_values_share_one_geometry(ref_cfg):
     engine._clear_tables()
-    for k in range(50):
-        build_matrix(ref_cfg, TurbulenceSpec.from_rytov(0.002 * k))
-    assert engine._anchor.cache_info().misses == 1
+    factors = {build_matrix(ref_cfg, TurbulenceSpec.from_rytov(0.002 * k))
+               .normalization.calibration_factor for k in range(50)}
     assert derive_cache_info().misses == 50
+    p = pi_factor(0, 0, derive_constants(ref_cfg))
+    assert factors == {CALIBRATION_REFERENCE / (p * p)}
 
 
 def test_vacuum_seed_failure_keeps_its_text(ref_cfg, turb_consts, corrupt_seeds):
-    # a vacuum C that is not finite fails the anchor as a fill of the
-    # vacuum set's Pi(0, 0) would
+    # a vacuum C that is not finite makes an anchor that is not: a
+    # calibrated turbulent matrix fails with the calibration text, and a
+    # raw one, which reads no anchor, is the parent's matrix
     corrupt_seeds(lambda seeds, gamma: seeds._replace(c=math.inf) if gamma == 0 else seeds)
-    with pytest.raises(NumericalError, match=r"^pi_factor\(0, 0\): the Pi seeds C=inf, .* "
-                                             r"at gamma=0, "):
-        engine.probability_matrix(DEFAULT_ORDERING, turb_consts._replace())
+    consts = turb_consts._replace()
+    assert consts.seeds == turb_consts.seeds and consts.anchor == math.inf
+    with pytest.raises(CalibrationError, match=r"^calibration reference \(00,00\) is inf; "
+                                               r"cannot normalize$"):
+        engine.probability_matrix(DEFAULT_ORDERING, consts)
+    assert engine.probability_matrix(DEFAULT_ORDERING, consts, "raw") == \
+        engine.probability_matrix(DEFAULT_ORDERING, turb_consts, "raw")
 
 
 def test_lambda_squared_out_of_range_gives_a_calibrated_matrix():
