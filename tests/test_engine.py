@@ -156,6 +156,32 @@ def _per_order_pi(mu, nu, consts):
     return _oracle_pref(mu, nu, consts) * form
 
 
+def oracle_fill(seeds, top):
+    """Pi(m, n), m <= n <= top, from the float seeds by the closed form
+    C m! n! / 2^(m+n) sum_k delta^k / k! |u_k(m, n)|^2 at the working
+    precision, with v_0(m, n) = sum_j beta^j / j! alpha^((m-j)/2) /
+    ((m-j)/2)! alpha^((n-j)/2) / ((n-j)/2)! over j of m's and n's parity
+    and u_k(m, n) = k! v_k(m, n) = sum_j binomial(k, j) v_0(m - j, n - k + j):
+    neither recurrence the fill runs."""
+    c, delta = mp.mpf(seeds.c), mp.mpf(seeds.delta)
+    fact = [mp.factorial(i) for i in range(2 * top + 1)]
+    alphas = [mp.mpc(seeds.alpha) ** i / fact[i] for i in range(top + 1)]
+    betas = [mp.mpc(seeds.beta) ** i / fact[i] for i in range(top + 1)]
+    v0 = {(m, n): mp.fsum(betas[j] * alphas[(m - j) // 2] * alphas[(n - j) // 2]
+                          for j in range(min(m, n) % 2, min(m, n) + 1, 2))
+          if (m - n) % 2 == 0 else mp.mpc(0)
+          for m in range(top + 1) for n in range(top + 1)}
+    table = {}
+    for n in range(top + 1):
+        for m in range(n + 1):
+            terms = [delta ** k / fact[k]
+                     * abs(mp.fsum(mp.binomial(k, j) * v0[m - j, n - k + j]
+                                   for j in range(max(0, k - n), min(k, m) + 1))) ** 2
+                     for k in range(m + n + 1 if delta else 1)]
+            table[m, n] = c * fact[m] * fact[n] / mp.mpf(2) ** (m + n) * mp.fsum(terms)
+    return table
+
+
 def _oracle_pref(mu, nu, consts):
     return 1 / (mp.mpf(consts.cfg.wavelength) ** 2 * mp.mpf(consts.cfg.distance) ** 2
                 * mp.sqrt(mp.pi * mp.mpf(consts.b1))
@@ -366,6 +392,46 @@ class TestPiFactor:
         assert abs(want.imag) < 1e-30 * abs(want)
         assert pi_factor(9, 10, consts) == pytest.approx(float(want.real), rel=1e-13, abs=0)
 
+    # the worst relative error per order max(mu, nu) of the fill against
+    # oracle_fill over the links below, both w_variants: the measured
+    # worst rounded up to two digits. Pi(0, 0) is C itself
+    _FILL_BOUNDS = (0.0, 1.8e-16, 1.9e-16, 5.8e-16, 1.1e-15, 2.0e-15,
+                    8.4e-16, 2.5e-15, 2.2e-15, 2.9e-15, 3.4e-15)
+
+    def test_fill_against_its_sum_in_mpmath(self, ref_cfg):
+        # the reference geometry in vacuum, at rytov 0.05 and at rytov 1;
+        # the tiny, tiny-kernel and far-field links of the tests below
+        links = [(ref_cfg, rytov) for rytov in (0.0, 0.05, 1.0)] + [
+            (OpticalConfig(0.8e-6, 1e-25, 7.0710678), 1e-3),
+            (OpticalConfig(0.8e-6, 1e-25, 0.01), 0.02),
+            (OpticalConfig(0.8e-6, 1e-40, 0.01), 0.02),
+            (OpticalConfig.from_w0(1.55e-6, 2e4, 0.005), 0.02),
+        ]
+        worst = [0.0] * (DEFAULT_MAX_ORDER + 1)
+        for cfg, rytov in links:
+            for w_variant in (channel.W_VARIANT_PROPAGATED, channel.W_VARIANT_WAIST):
+                consts = derive_constants(cfg, turbulence_strength(rytov), w_variant)
+                pi_factor(DEFAULT_MAX_ORDER, DEFAULT_MAX_ORDER, consts)
+                want = oracle_fill(consts.seeds, DEFAULT_MAX_ORDER)
+                for (m, n), value in want.items():
+                    got = consts.pi[n][m]
+                    if not value:
+                        # vacuum Pi of odd m + n: no term at all
+                        assert got == 0.0, (cfg, rytov, w_variant, m, n)
+                        continue
+                    worst[n] = max(worst[n], float(abs(got - value) / value))
+        assert all(map(float.__le__, worst, self._FILL_BOUNDS)), worst
+
+    def test_fill_past_an_overflowing_delta_power(self):
+        # delta = 5.6e14: delta^20 20! leaves the float range, though every
+        # Pi, up to 2.7e296, and the weight delta^20 / 20! stay in it
+        consts = derive_constants(OpticalConfig(990.7769352208691, 1.210449653160932e-12,
+                                                3.6843844573405824e-13),
+                                  turbulence_strength(0.05), channel.W_VARIANT_WAIST)
+        pi_factor(DEFAULT_MAX_ORDER, DEFAULT_MAX_ORDER, consts)
+        for (m, n), value in oracle_fill(consts.seeds, DEFAULT_MAX_ORDER).items():
+            assert consts.pi[n][m] == pytest.approx(float(value), rel=1e-15, abs=0), (m, n)
+
     def test_max_order_guard(self, vac_consts):
         with pytest.raises(DomainError):
             pi_factor(11, 0, vac_consts)
@@ -418,7 +484,8 @@ class TestPiFactor:
         assert engine.pi_seeds(consts).delta == delta
 
     @pytest.mark.parametrize("cfg,rytov,top", [
-        # delta = 9e75 passes the seed guard, but delta^6 overflows
+        # delta = 9e75 passes the seed guard, but the weight delta^k / k!
+        # overflows at k = 5
         (OpticalConfig(1.3810288670448687e-103, 4.029599060983179e+59,
                        6.1782231572189225e-61), 0.05, 3),
         # in vacuum alpha ~ 6e31 i, and v_0 overflows by order 10
@@ -646,6 +713,13 @@ class TestProbabilityMatrix:
                       seeds._replace(c=seeds.c * 1e-200) if gamma == 0 else seeds)
         with pytest.raises(CalibrationError, match=r"calibration reference \(00,00\) is 0\.0"):
             probability_matrix(DEFAULT_ORDERING, turb_consts._replace())
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_reference_value_must_be_positive_and_finite(self, turb_consts, value):
+        # a negative reference gave negative entries and 0.0 a matrix of zeros
+        with pytest.raises(DomainError, match=r"^reference_value must be positive and finite, "
+                                              rf"got {re.escape(repr(value))}$"):
+            probability_matrix(DEFAULT_ORDERING, turb_consts, reference_value=value)
 
     def test_failure_names_entry(self, ref_cfg, turb_consts, corrupt_seeds):
         # with delta negative in turbulence, the grid's first Pi, (3, 3),
