@@ -3,9 +3,11 @@
 Evaluates the two overlap kernels (f_kernel, k_kernel), the per-axis factor
 pi_factor and the joint probability P(signal, idler) = Pi(m_s, m_i) *
 Pi(n_s, n_i), and assembles probability matrices over ordered mode grids.
-build_matrix and rytov_sweep are the one path from channel inputs
-(geometry plus turbulence) to calibrated probabilities; the CLI, the
-validation suite and the scripts all go through them.
+probability_matrix is the one assembly and calibration of probabilities:
+build_matrix takes channel inputs (geometry plus turbulence) to its
+matrix, and a rytov_sweep point is the entries of one build_matrix
+matrix. The CLI, the validation suite and the scripts all go through
+them.
 
 Pi(mu, nu) is the closed form's mean |HG overlap|^2, the quadratic form
 P0 / (mu! nu! 2^(mu+nu)) sum F(k1, l1) F(k3, l3)* K(N - k1 - l1, N - k3 - l3)
@@ -41,19 +43,19 @@ Each DerivedConstants keeps its table pi of Pi rows by order: pi[n] is
 the set's seeds and publishes rows 0..top in one dict update, each row
 independent of top and of fill order. A pi_factor miss fills through the
 row it needs. probability_matrix asks for Pi(top, top) of its grid's top
-order once and then reads the rows; rytov_sweep asks for it first, so one
-fill serves every Pi either reads. The calibration factor is the reference
-over the set's anchor, the vacuum (00,00) entry C * C of its link's vacuum
-seeds, which the set computes with its seeds, so no vacuum set is built
-for it; a reference that is not positive and finite is a DomainError, and
-an anchor that is not, or whose factor is not finite, a CalibrationError.
-Pi is symmetric, so the transposed
-entry P(i, s) and the entry of the swapped modes P((n_s, m_s), (n_i, m_i))
-read the same two Pi as P(s, i), at most in the other order, and are
-bitwise equal: a matrix multiplies each distinct unordered pair of Pi once
-and gathers every row from the products. Seeds that are not finite, C <= 0
-or delta < 0, and a fill whose Pi leave the float range, are the
-NumericalErrors of Pi; each names the set by gamma and Lambda0.
+order once, so one fill serves every Pi it reads from the rows. The
+calibration factor is the reference over the set's anchor, the vacuum
+(00,00) entry C * C of its link's vacuum seeds, which the set computes
+with its seeds, so no vacuum set is built for it; a reference that is not
+positive and finite is a DomainError, and an anchor that is not, or whose
+factor is not finite, a CalibrationError. Pi is symmetric, so the
+transposed entry P(i, s) and the entry of the swapped modes
+P((n_s, m_s), (n_i, m_i)) read the same two Pi as P(s, i), at most in the
+other order, and are bitwise equal: a matrix multiplies each distinct
+unordered pair of Pi once and gathers every row from the products. Seeds
+that are not finite, C <= 0 or delta < 0, and a fill whose Pi leave the
+float range, are the NumericalErrors of Pi; each names the set by gamma
+and Lambda0.
 
 f_kernel and k_kernel are the per-term references, which the tests and
 the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
@@ -479,29 +481,16 @@ class ProbabilityMatrix(namedtuple("ProbabilityMatrix",
         return len(self.ordering)
 
     def value(self, signal: ModeIndex, idler: ModeIndex) -> float:
-        return self.values[self.ordering.index(signal)][self.ordering.index(idler)]
+        """The entry P(signal, idler); DomainError naming the first of the
+        two modes that is not in the ordering."""
+        try:
+            return self.values[self.ordering.index(signal)][self.ordering.index(idler)]
+        except ValueError:
+            missing = signal if signal not in self.ordering else idler
+            raise DomainError(f"mode {missing!r} is not in the matrix's ordering") from None
 
     def max_value(self) -> float:
         return max(max(row) for row in self.values)
-
-
-def _calibration_factor(consts: DerivedConstants, reference_value: float) -> float:
-    """reference_value over the set's anchor, the unscaled vacuum (00,00)
-    entry of its link; DomainError unless reference_value is positive and
-    finite, CalibrationError unless the anchor is and so is the factor."""
-    if not 0.0 < reference_value < math.inf:
-        raise DomainError(f"reference_value must be positive and finite, got {reference_value!r}")
-    anchor = consts.anchor
-    factor = reference_value / anchor if 0.0 < anchor < math.inf else math.nan
-    if not math.isfinite(factor):
-        raise CalibrationError(
-            f"calibration reference {_ANCHOR_PAIR.label()} is {anchor}; cannot normalize")
-    return factor
-
-
-def _check_normalization(normalization: str) -> None:
-    if normalization not in (NORMALIZATION_RAW, NORMALIZATION_CALIBRATED):
-        raise DomainError(f"unknown normalization {normalization!r}")
 
 
 def _getter(indices):
@@ -551,7 +540,9 @@ def probability_matrix(
 
     With calibrated normalization all entries are rescaled by the single
     global factor that maps the vacuum (00,00) entry onto reference_value,
-    so matrices for different turbulence strengths stay mutually comparable.
+    so matrices for different turbulence strengths stay mutually comparable:
+    DomainError unless reference_value is positive and finite,
+    CalibrationError unless the anchor is and so is the factor.
     turbulence, when given, must carry the gamma that consts was derived for.
     """
     ordering = tuple(modes)
@@ -562,7 +553,8 @@ def probability_matrix(
     if not all(map(isinstance, ordering, repeat(ModeIndex))):
         bad = next(s for s in ordering if not isinstance(s, ModeIndex))
         raise DomainError(f"modes must be ModeIndex values, got {bad!r}")
-    _check_normalization(normalization)
+    if normalization not in (NORMALIZATION_RAW, NORMALIZATION_CALIBRATED):
+        raise DomainError(f"unknown normalization {normalization!r}")
     if turbulence is None and consts.gamma == 0.0:
         turbulence = TurbulenceSpec().resolve(consts.cfg)
     if turbulence is not None and turbulence.gamma != consts.gamma:
@@ -581,8 +573,19 @@ def probability_matrix(
     flat = tuple(chain.from_iterable(map(consts.pi.__getitem__, range(top + 1))))
     raw_ref = flat[0] * flat[0]
 
+    # the calibration factor is reference_value over the set's anchor, the
+    # unscaled vacuum (00,00) entry of its link
     calibrated = normalization == NORMALIZATION_CALIBRATED
-    factor = _calibration_factor(consts, reference_value) if calibrated else 1.0
+    factor = 1.0
+    if calibrated:
+        if not 0.0 < reference_value < math.inf:
+            raise DomainError(
+                f"reference_value must be positive and finite, got {reference_value!r}")
+        anchor = consts.anchor
+        factor = reference_value / anchor if 0.0 < anchor < math.inf else math.nan
+        if not math.isfinite(factor):
+            raise CalibrationError(
+                f"calibration reference {_ANCHOR_PAIR.label()} is {anchor}; cannot normalize")
     norm = Normalization(normalization, _ANCHOR_PAIR, reference_value if calibrated else None,
                          factor, raw_ref)
 
@@ -614,14 +617,14 @@ def rytov_sweep(
     pairs,
     normalization: str = NORMALIZATION_CALIBRATED,
 ) -> list[list[float]]:
-    """Joint probabilities of each pair over an ascending grid of Rytov
-    variances, one series per pair in the order given.
+    """Joint probabilities of each pair, a ModePair of ModeIndex values
+    (else DomainError), over an ascending grid of Rytov variances, one
+    series per pair in the order given.
 
-    Only the requested pairs are evaluated at each grid point, after
-    Pi(top, top) of the pairs' top order, whose miss fills every Pi they
-    read; calibrated series share the factor a calibrated matrix over the
-    same geometry uses. A NumericalError names the first pair that reads the
-    top order and the Rytov value.
+    A point is the pairs' entries of the build_matrix matrix over their
+    distinct modes, in the order they first appear, at that Rytov value. A
+    NumericalError of the fill names the first pair that reads the top
+    order and the Rytov value; a CalibrationError passes unchanged.
     """
     grid, pairs = list(grid), list(pairs)
     if not grid:
@@ -630,25 +633,20 @@ def rytov_sweep(
         raise DomainError("sweep pair list is empty")
     if grid != sorted(grid):
         raise DomainError("sweep grid must be ascending")
-    _check_normalization(normalization)
-    _check_config(cfg)
-    gammas = [TurbulenceSpec.from_rytov(s2).resolve(cfg).gamma for s2 in grid]
-    factor = 1.0
-    if normalization == NORMALIZATION_CALIBRATED:
-        # every point's set carries the link's anchor: the first's gives
-        # the factor
-        factor = _calibration_factor(derive_constants(cfg, gammas[0]), CALIBRATION_REFERENCE)
-    orders = [max(p.signal.m, p.signal.n, p.idler.m, p.idler.n) for p in pairs]
-    top = max(orders)
-    first = pairs[orders.index(top)]
-    # point by point, each point's constant set derived in turn, so a long
-    # grid holds no more sets than derive_constants keeps
+    for pair in pairs:
+        if not (isinstance(pair, ModePair) and all(map(isinstance, pair, repeat(ModeIndex)))):
+            raise DomainError(f"sweep pairs must be ModePairs of ModeIndex values, got {pair!r}")
+    modes = tuple(dict.fromkeys(chain.from_iterable(pairs)))
+    # point by point, each matrix dropped in turn, so a long grid holds no
+    # more constant sets than derive_constants keeps
     points = []
-    for rytov, gamma in zip(grid, gammas):
-        consts = derive_constants(cfg, gamma)
+    for rytov in grid:
         try:
-            pi_factor(top, top, consts)
+            matrix = build_matrix(cfg, TurbulenceSpec.from_rytov(rytov), modes, normalization)
+        except CalibrationError:
+            raise
         except NumericalError as exc:
+            first = max(pairs, key=lambda pair: max(chain(*pair)))
             raise NumericalError(f"P{first.label()} at rytov {rytov:g}: {exc}") from None
-        points.append([factor * joint_probability(pair, consts) for pair in pairs])
+        points.append([matrix.value(pair.signal, pair.idler) for pair in pairs])
     return [list(series) for series in zip(*points)]

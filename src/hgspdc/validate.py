@@ -22,12 +22,12 @@ from .channel import (
     turbulence_strength,
 )
 from .engine import (
+    NORMALIZATION_RAW,
     ModeIndex,
     ModePair,
     build_matrix,
     expand_modes,
     joint_probability,
-    pi_factor,
     pi_seeds,
     rytov_sweep,
     selection_rule_allowed,
@@ -131,7 +131,9 @@ def check_selection_rules() -> CheckResult:
 
 def check_oracle(nodes: int = DEFAULT_NODES) -> CheckResult:
     """Quadrature oracle reproduces the engine's vacuum ratios (orders <= 2)
-    and is self-converged under node doubling.
+    and is self-converged under node doubling. The engine's ratios are the
+    entries of one raw vacuum matrix over the nine modes with orders <= 2,
+    over its raw (00,00) entry.
 
     The overlap table is computed at nodes and again at 2 * nodes; each pass
     costs O(nodes) time and constant memory (see oracle.py), and nodes
@@ -140,15 +142,16 @@ def check_oracle(nodes: int = DEFAULT_NODES) -> CheckResult:
     """
     t0 = time.perf_counter()
     cfg = reference.reference_config()
-    consts = derive_constants(cfg)
     spec = QuadratureSpec.for_config(cfg, nodes=nodes)
     table = overlap_table(cfg, spec, max_order=2, check_convergence=True)
-    anchor_engine = pi_factor(0, 0, consts) ** 2
+    modes = [ModeIndex(m, n) for m in range(3) for n in range(3)]
+    matrix = build_matrix(cfg, TurbulenceSpec.vacuum(), modes, NORMALIZATION_RAW)
+    anchor_engine = matrix.normalization.raw_reference_value
     worst = 0.0
     zero_worst = 0.0
-    for ms, ns, mi, ni in itertools.product(range(3), repeat=4):
-        pair = ModePair(ModeIndex(ms, ns), ModeIndex(mi, ni))
-        eng = joint_probability(pair, consts) / anchor_engine
+    for s, i in itertools.product(modes, repeat=2):
+        pair = ModePair(s, i)
+        eng = matrix.value(s, i) / anchor_engine
         orc = vacuum_probability_oracle(pair, cfg, table=table)
         if selection_rule_allowed(pair):
             worst = max(worst, abs(orc / eng - 1.0))
@@ -174,9 +177,9 @@ def check_symmetry_factorization() -> CheckResult:
     """Exchange symmetry and the factorization cross-identity, orders <= 3,
     in vacuum and at the reference turbulence.
 
-    The products come from joint_probability, the per-pair path that sweeps
-    take; matrices read the same per-axis factors from a table, which
-    test_engine checks entry by entry against it.
+    The products come from joint_probability, the public per-pair product,
+    which no other check reads; matrices read the same per-axis factors from
+    a table, which test_engine checks entry by entry against it.
 
     With J[x][y] = P((a, b), (c, d)), x = 4a + c and y = 4b + d, the identity
     P(a,b,c,d) P(a2,b2,c2,d2) = P(a,b2,c,d2) P(a2,b,c2,d) reads

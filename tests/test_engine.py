@@ -744,6 +744,20 @@ class TestProbabilityMatrix:
         m = probability_matrix(DEFAULT_ORDERING, vac_consts)
         assert m.value(ModeIndex(0, 0), ModeIndex(0, 2)) == m.values[0][3]
 
+    @pytest.mark.parametrize("signal,idler,missing", [
+        (ModeIndex(0, 4), ModeIndex(0, 0), ModeIndex(0, 4)),
+        (ModeIndex(0, 0), ModeIndex(4, 0), ModeIndex(4, 0)),
+        (ModeIndex(5, 0), ModeIndex(0, 5), ModeIndex(5, 0)),
+        ((0, 9), ModeIndex(0, 0), (0, 9)),
+    ])
+    def test_value_of_a_missing_mode_is_a_domain_error(self, vac_consts, signal, idler,
+                                                       missing):
+        # the first of the two modes that the ordering lacks is named
+        m = probability_matrix(DEFAULT_ORDERING, vac_consts)
+        with pytest.raises(DomainError, match=f"^mode {re.escape(repr(missing))} is not in "
+                                              "the matrix's ordering$"):
+            m.value(signal, idler)
+
     @settings(deadline=None)
     @given(st.lists(st.builds(ModeIndex, st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=8, unique=True),
@@ -1129,14 +1143,20 @@ class TestChannelPath:
 
     def test_subnormal_anchor_is_a_calibration_error(self):
         # Lambda0 = 5.2e67: the vacuum (00,00) entry, 1.4e-320, is positive
-        # but its calibration factor overflows; the raw matrix is finite
+        # but its calibration factor overflows; the raw values are finite.
+        # A sweep passes the CalibrationError on as it is, with no prefix
         cfg = OpticalConfig(1.367e129, 5.95e-12, 4.996e24)
         assert 0.0 < derive_constants(cfg).anchor < sys.float_info.min
-        with pytest.raises(CalibrationError, match=r"^calibration reference \(00,00\) is "
-                                                   r"1\.41e-320; cannot normalize$"):
-            build_matrix(cfg, TurbulenceSpec.vacuum())
-        raw = build_matrix(cfg, TurbulenceSpec.vacuum(), normalization=NORMALIZATION_RAW)
-        assert all(0.0 <= v < math.inf for row in raw.values for v in row)
+        pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)),
+                 ModePair(ModeIndex(1, 2), ModeIndex(3, 0))]
+        for values in (lambda normalization: build_matrix(cfg, TurbulenceSpec.vacuum(),
+                                                          normalization=normalization).values,
+                       lambda normalization: rytov_sweep(cfg, [0.0, 0.01], pairs, normalization)):
+            with pytest.raises(CalibrationError, match=r"^calibration reference \(00,00\) is "
+                                                       r"1\.41e-320; cannot normalize$"):
+                values(engine.NORMALIZATION_CALIBRATED)
+            raw = values(NORMALIZATION_RAW)
+            assert all(0.0 <= v < math.inf for row in raw for v in row)
 
     def test_replaced_gamma_gives_that_gammas_matrix(self, ref_cfg):
         # _replace builds through the constructor, so a set never carries
@@ -1176,17 +1196,20 @@ class TestChannelPath:
         assert m.turbulence == turb
 
     def test_sweep_matches_matrix_entries(self, ref_cfg):
-        # a calibrated sweep point is the matching entry of the calibrated
-        # matrix at that rytov: both share one calibration factor
+        # a sweep point, calibrated or raw, is bitwise the matching entry of
+        # the matrix of that normalization at that rytov, over any grid of
+        # modes
         pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)),
                  ModePair(ModeIndex(0, 0), ModeIndex(0, 2)),
                  ModePair(ModeIndex(1, 2), ModeIndex(2, 1))]
         grid = [0.0, 0.02, 0.07]
-        series = rytov_sweep(ref_cfg, grid, pairs)
-        for k, s2 in enumerate(grid):
-            m = build_matrix(ref_cfg, TurbulenceSpec.from_rytov(s2))
-            for pair, values in zip(pairs, series):
-                assert values[k] == m.value(pair.signal, pair.idler)
+        for normalization in (engine.NORMALIZATION_CALIBRATED, NORMALIZATION_RAW):
+            series = rytov_sweep(ref_cfg, grid, pairs, normalization)
+            for k, s2 in enumerate(grid):
+                m = build_matrix(ref_cfg, TurbulenceSpec.from_rytov(s2), expand_modes(3),
+                                 normalization)
+                for pair, values in zip(pairs, series):
+                    assert values[k].hex() == m.value(pair.signal, pair.idler).hex()
 
     def test_raw_sweep_is_unscaled(self, ref_cfg, turb_consts):
         pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 1))
@@ -1205,7 +1228,7 @@ class TestChannelPath:
         assert k == (0, 0, 16 * 121, 0)
 
     def test_sweep_keeps_at_most_16_sets_alive(self, ref_cfg, monkeypatch):
-        # each point's set is derived inside the loop, so at its last point
+        # each point's matrix is built inside the loop, so at its last point
         # a 500-point sweep holds no more sets than derive_constants keeps
         def alive():
             gc.collect()
@@ -1215,27 +1238,27 @@ class TestChannelPath:
         engine._clear_tables()
         before = alive()  # held, so no new set can reuse their ids
         old = set(map(id, before))
-        last, counts, joint = turbulence_strength(0.1), [], engine.joint_probability
+        last, counts, matrix = turbulence_strength(0.1), [], engine.probability_matrix
 
-        def count_at_last_point(pair, consts):
-            if consts.gamma == last and pair == pairs[-1]:
+        def count_at_last_point(modes, consts, *args, **kwargs):
+            if consts.gamma == last:
                 counts.append(sum(id(o) not in old for o in alive()))
-            return joint(pair, consts)
+            return matrix(modes, consts, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "joint_probability", count_at_last_point)
+        monkeypatch.setattr(engine, "probability_matrix", count_at_last_point)
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
         assert len(counts) == 1 and 0 < counts[0] <= 16
 
     def test_sweep_fills_each_pi_once_per_point(self, ref_cfg):
         # point by point: one set per grid point, and one fill through
-        # order 3 each, by the miss of Pi(3, 3); the calibration anchor
-        # makes no lookup, and every lookup of the pairs, two per pair, hits
+        # order 3 each, by the miss of Pi(3, 3), the one lookup of that
+        # point's matrix; the calibration anchor makes none
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
         engine._clear_tables()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
         info = table_info()
         assert info.sets.misses == 500
-        assert info.pi == (2 * 4 * 500, 500)
+        assert info.pi == (0, 500)
 
     def test_sweep_derives_no_vacuum_set(self, ref_cfg):
         # the calibration factor comes from the link's anchor: a grid that
@@ -1283,3 +1306,18 @@ class TestChannelPath:
         pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 0))
         with pytest.raises(DomainError):
             rytov_sweep(ref_cfg, grid, [pair], normalization=normalization)
+
+    @pytest.mark.parametrize("bad", [
+        ModePair((0, 0), (0, 1)),
+        (ModeIndex(0, 0), ModeIndex(0, 1)),
+        ModePair(ModeIndex(0, 0), (0, 1)),
+        ModePair(ModeIndex(0, 0), None),
+    ], ids=["pair-of-tuples", "plain-tuple", "one-tuple-mode", "none-mode"])
+    @pytest.mark.parametrize("normalization", ["calibrated", "raw"])
+    def test_sweep_pair_must_be_a_mode_pair(self, ref_cfg, bad, normalization):
+        # a pair that is not a ModePair of ModeIndex values is named, after
+        # any good pair before it
+        pairs = [ModePair(ModeIndex(0, 0), ModeIndex(0, 0)), bad]
+        with pytest.raises(DomainError, match="^sweep pairs must be ModePairs of ModeIndex "
+                                              f"values, got {re.escape(repr(bad))}$"):
+            rytov_sweep(ref_cfg, [0.0, 0.01], pairs, normalization)
