@@ -3,14 +3,13 @@
 
 Allowed pairs are ranked by retention (turbulent over vacuum probability),
 forbidden pairs by absolute leaked probability. Useful for picking an
-alphabet that keeps crosstalk low over a given channel.
+alphabet that keeps crosstalk low over a given channel. Runs
+`hgspdc rank --rytov R --max-sum S`, its output and exit codes included.
 """
 
 import argparse
 
-from hgspdc.channel import TurbulenceSpec
-from hgspdc.cli import RunConfig, cmd_rank
-from hgspdc.engine import expand_modes
+from hgspdc.cli import main as hgspdc_main
 
 
 def main():
@@ -19,10 +18,8 @@ def main():
     parser.add_argument("--max-sum", type=int, default=3,
                         help="include modes with m+n up to this")
     args = parser.parse_args()
-
-    cfg = RunConfig(turbulence=TurbulenceSpec.from_rytov(args.rytov),
-                    modes=tuple(expand_modes(args.max_sum)))
-    raise SystemExit(cmd_rank(cfg))
+    raise SystemExit(hgspdc_main(["rank", "--rytov", repr(args.rytov),
+                                  "--max-sum", str(args.max_sum)]))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ import argparse
 
 from hgspdc import reference
 from hgspdc.channel import TurbulenceSpec
+from hgspdc.cli import EXIT_NUMERICAL
 from hgspdc.engine import build_matrix
+from hgspdc.errors import DomainError, NumericalError
 from hgspdc.serialization import format_matrix_table
 
 
@@ -30,11 +32,18 @@ def main():
     parser.add_argument("--rytov", type=float, default=reference.REFERENCE_RYTOV,
                         help="turbulence strength for the second table")
     args = parser.parse_args()
+    # both tables are built before either prints, so a bad --rytov prints
+    # one error and no table
+    try:
+        vacuum, matrix = build(0.0), build(args.rytov)
+    except DomainError as exc:
+        parser.error(str(exc))
+    except NumericalError as exc:
+        parser.exit(EXIT_NUMERICAL, f"error: numerical failure: {exc}\n")
 
     print("== vacuum ==")
-    compare(build(0.0), reference.VACUUM_MATRIX, 5)
+    compare(vacuum, reference.VACUUM_MATRIX, 5)
     print(f"\n== rytov {args.rytov} ==")
-    matrix = build(args.rytov)
     if args.rytov == reference.REFERENCE_RYTOV:
         compare(matrix, reference.TURBULENCE_MATRIX, 4)
     else:

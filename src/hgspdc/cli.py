@@ -38,9 +38,7 @@ EXIT_NUMERICAL = 3
 DEFAULT_GRID = validate.SWEEP_GRID
 
 
-class RunConfig(namedtuple("RunConfig", "optical turbulence modes normalization fmt output",
-                           defaults=(reference.reference_config(), TurbulenceSpec(),
-                                     DEFAULT_ORDERING, NORMALIZATION_CALIBRATED, None, None))):
+class RunConfig(namedtuple("RunConfig", "optical turbulence modes normalization fmt output")):
     """Resolved run parameters shared by the subcommands: optical, turbulence,
     modes (a tuple of ModeIndex), normalization, fmt (None, "csv" or "json")
     and output (a path or None)."""
@@ -57,7 +55,9 @@ _CONFIG_KEYS = {"wavelength": float, "distance": float, "pump_waist": float,
 _EXCLUSIVE_GROUPS = (("cn2", "rytov"), ("modes", "max_sum"))
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, keys: set[str]) -> dict:
+    """The file's key=value lines; DomainError for a key not in keys, the
+    _CONFIG_KEYS entries the command's parser defines."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -72,7 +72,7 @@ def _read_config_file(path: str) -> dict:
         if not sep:
             raise DomainError(f"config line is not key=value: {raw!r}")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise DomainError(f"unknown config key {key!r}")
         values[key] = val.strip()
     return values
@@ -106,7 +106,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     key, and a flag of a mutually exclusive group the whole group; every
     file value left is cast by _CONFIG_KEYS, in that table's order."""
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
-    file_vals = _read_config_file(args.config) if args.config else {}
+    file_vals = (_read_config_file(args.config, _CONFIG_KEYS.keys() & vars(args).keys())
+                 if args.config else {})
     shadowed = set(flags).union(*(group for group in _EXCLUSIVE_GROUPS
                                   if not flags.keys().isdisjoint(group)))
     values = {k: _number(cast, k, file_vals[k]) for k, cast in _CONFIG_KEYS.items()
@@ -247,20 +248,24 @@ def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NOD
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, channel: bool) -> None:
+    """The link and output flags, and with channel the --cn2|--rytov and
+    --modes|--max-sum groups between them: matrix and rank read a channel
+    and a mode grid, sweep neither."""
     parser.add_argument("--wavelength", type=float, help="wavelength [m]")
     parser.add_argument("--distance", type=float, help="propagation distance [m]")
     parser.add_argument("--pump-waist", dest="pump_waist", type=float,
                         help="pump amplitude spot at the crystal [m] "
                              "(effective width W0 = sqrt(2) x this)")
-    turb = parser.add_mutually_exclusive_group()
-    turb.add_argument("--cn2", type=float, help="refractive-index structure constant")
-    turb.add_argument("--rytov", type=float, help="Rytov variance (dimensionless)")
-    modes = parser.add_mutually_exclusive_group()
-    modes.add_argument("--modes", type=str,
-                       help="space-separated 'mn' or 'm,n' tokens (default: 10-mode grid)")
-    modes.add_argument("--max-sum", dest="max_sum", type=int,
-                       help="expand all modes with m+n <= S")
+    if channel:
+        turb = parser.add_mutually_exclusive_group()
+        turb.add_argument("--cn2", type=float, help="refractive-index structure constant")
+        turb.add_argument("--rytov", type=float, help="Rytov variance (dimensionless)")
+        modes = parser.add_mutually_exclusive_group()
+        modes.add_argument("--modes", type=str,
+                           help="space-separated 'mn' or 'm,n' tokens (default: 10-mode grid)")
+        modes.add_argument("--max-sum", dest="max_sum", type=int,
+                           help="expand all modes with m+n <= S")
     parser.add_argument("--normalize", choices=[NORMALIZATION_RAW,
                                                 NORMALIZATION_CALIBRATED])
     parser.add_argument("--format", dest="format", choices=["csv", "json"])
@@ -278,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_matrix = sub.add_parser("matrix", help="compute a probability matrix")
-    _add_common(p_matrix)
+    _add_common(p_matrix, channel=True)
 
     p_sweep = sub.add_parser("sweep", help="sweep probabilities over rytov values")
-    _add_common(p_sweep)
+    _add_common(p_sweep, channel=False)
     p_sweep.add_argument("--grid", type=str,
                          help="comma-separated ascending rytov values "
                               "(default 0,0.01,...,0.1)")
@@ -289,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pair tokens 'ss:ii', space separated")
 
     p_rank = sub.add_parser("rank", help="rank mode pairs by turbulence robustness")
-    _add_common(p_rank)
+    _add_common(p_rank, channel=True)
 
     p_val = sub.add_parser("validate", help="run the validation suite")
     p_val.add_argument("--vacuum-only", action="store_true",
@@ -319,6 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse admits no other command than rank here
         if cfg.turbulence == TurbulenceSpec():
             raise DomainError("rank needs a turbulent channel: give --rytov or --cn2")
+        if cfg.fmt == "csv":
+            raise DomainError("rank writes a table or JSON, not CSV")
         return cmd_rank(cfg)
     except DomainError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)

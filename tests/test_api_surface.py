@@ -63,7 +63,9 @@ _MATRIX = build_matrix(OpticalConfig(1e-6, 1e3, 1e-2), TurbulenceSpec(rytov=0.02
 _VALUES = pytest.mark.parametrize("value", [
     OpticalConfig(1e-6, 1e3, 1e-2), TurbulenceSpec(cn2=1e-16), _MATRIX.turbulence,
     ModeIndex(2, 1), ModePair(ModeIndex(0, 0), ModeIndex(1, 1)), _MATRIX.normalization,
-    _MATRIX, QuadratureSpec(1.0, 256), RunConfig(fmt="json", modes=(ModeIndex(0, 0),)),
+    _MATRIX, QuadratureSpec(1.0, 256),
+    RunConfig(OpticalConfig(1e-6, 1e3, 1e-2), TurbulenceSpec(rytov=0.02), (ModeIndex(0, 0),),
+              "calibrated", "json", None),
     CheckResult("x", False, 1e-3, "detail", 0.5, {"n": 1}),
 ], ids=lambda v: type(v).__name__)
 

@@ -245,8 +245,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", ["matrix", "sweep", "rank"])
     def test_unknown_normalization_exit_2(self, capsys, tmp_path, command):
+        # rank needs a turbulent channel; sweep reads no rytov key
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("normalize=unit\nrytov=0.02\n")
+        cfg.write_text("normalize=unit\n" + ("rytov=0.02\n" if command != "sweep" else ""))
         code, _, err = run(capsys, command, "--config", str(cfg))
         assert code == EXIT_PARAMS
         assert "unknown normalization" in err
@@ -400,6 +401,44 @@ class TestRankCommand:
     def test_missing_turbulence_exit_2(self, capsys):
         code, _, err = run(capsys, "rank")
         assert code == EXIT_PARAMS
+
+
+class TestUnreadInputs:
+    """A flag or config key the command does not read is a parameter error,
+    not a silent no-op: sweep takes no channel or mode grid, rank writes no
+    CSV."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["sweep", "--rytov", "0.05"], None), (["sweep", "--cn2", "1e-14"], None),
+        (["sweep", "--modes", "00"], None), (["sweep", "--max-sum", "2"], None),
+        (["sweep"], "rytov=0.05\n"), (["sweep"], "cn2=1e-14\n"),
+        (["sweep"], "modes=00\n"), (["sweep"], "max_sum=2\n"),
+        (["rank", "--rytov", "0.02", "--format", "csv"], None),
+        (["rank", "--rytov", "0.02"], "format=csv\n"),
+    ], ids=["sweep-rytov", "sweep-cn2", "sweep-modes", "sweep-max-sum",
+            "sweep-rytov=", "sweep-cn2=", "sweep-modes=", "sweep-max_sum=",
+            "rank-csv", "rank-format=csv"])
+    def test_unread_input_exit_2(self, capsys, tmp_path, argv, text):
+        out_path = tmp_path / "out.txt"
+        argv = [*argv, "--output", str(out_path)]
+        if text is not None:
+            (tmp_path / "run.cfg").write_text(text)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown flag
+            code = exc.code
+        assert code == EXIT_PARAMS
+        assert capsys.readouterr().out == ""
+        assert not out_path.exists()
+
+    def test_sweep_help_lists_no_channel_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        out = capsys.readouterr().out
+        assert "--grid" in out
+        for flag in ("--cn2", "--rytov", "--modes", "--max-sum"):
+            assert flag not in out
 
 
 class TestPathErrors:

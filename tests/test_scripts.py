@@ -1,6 +1,7 @@
 """The runnable scripts in scripts/, each in its own interpreter, against the
 CLI subcommands they share their code path with."""
 
+import math
 import os
 import re
 import runpy
@@ -30,6 +31,26 @@ def test_reproduce_reference_matrices_within_tolerance():
             re.findall(r"max \|deviation\| from reference: (\S+)", proc.stdout)]
     assert len(devs) == 2
     assert all(d <= reference.ENTRY_TOL for d in devs)
+
+
+@pytest.mark.parametrize("rytov", ["2", "-1", "nan"])
+def test_reproduce_reference_matrices_bad_rytov_exit_2(rytov):
+    proc = run_script("reproduce_reference_matrices.py", "--rytov", rytov)
+    assert proc.returncode == EXIT_PARAMS and proc.stdout == ""
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_reproduce_reference_matrices_numerical_failure(monkeypatch, capsys, corrupt_seeds):
+    # in-process, so that a nan delta at the turbulent set can be injected
+    corrupt_seeds(lambda seeds, gamma:
+                  seeds._replace(delta=math.nan) if gamma > 0 else seeds)
+    monkeypatch.setattr(sys, "argv", ["reproduce_reference_matrices.py"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "reproduce_reference_matrices.py"),
+                       run_name="__main__")
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_NUMERICAL and out == ""
+    assert err.startswith("error: numerical failure: ") and "Traceback" not in err
 
 
 def test_turbulence_sweep_matches_cli(tmp_path):
@@ -93,9 +114,21 @@ def test_turbulence_sweep_vacuum_forbidden_high_orders(tmp_path):
     assert [float(v) for v in rows[1]] == [0.0, 0.0]
 
 
-def test_rank_robust_modes_matches_cli(capsys):
-    proc = run_script("rank_robust_modes.py")
+@pytest.mark.parametrize("rytov, max_sum", [(0.02, 3), (0.05, 4), (0.0, 2)])
+def test_rank_robust_modes_matches_cli(capsys, rytov, max_sum):
+    proc = run_script("rank_robust_modes.py", "--rytov", str(rytov),
+                      "--max-sum", str(max_sum))
     assert proc.returncode == 0, proc.stderr
-    code = main(["rank", "--rytov", "0.02"])
+    code = main(["rank", "--rytov", str(rytov), "--max-sum", str(max_sum)])
     assert code == EXIT_OK
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [["--rytov", "-1"], ["--max-sum", "11"]],
+                         ids=["rytov-negative", "max-sum-11"])
+def test_rank_robust_modes_invalid_parameters(args):
+    # the script is `hgspdc rank`, so it maps a bad input as the CLI does
+    proc = run_script("rank_robust_modes.py", *args)
+    assert proc.returncode == EXIT_PARAMS and proc.stdout == ""
+    assert proc.stderr.startswith("error: invalid parameters: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
