@@ -28,16 +28,13 @@ from .engine import (
     ProbabilityMatrix,
     build_matrix,
     expand_modes,
-    f_kernel,
     joint_probability,
-    k_kernel,
     parse_mode,
     pi_factor,
     pi_seeds,
     probability_matrix,
     rytov_sweep,
     selection_rule_allowed,
-    sigma,
 )
 from .errors import (
     CalibrationError,
@@ -49,15 +46,18 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-# the oracle loads on first use, so importing the package does not compile it
-_ORACLE_NAMES = ("QuadratureSpec", "vacuum_overlap_1d", "vacuum_probability_oracle")
+# the oracle and the per-term references load on first use, so importing
+# the package compiles neither
+_LAZY = {"QuadratureSpec": "oracle", "vacuum_overlap_1d": "oracle",
+         "vacuum_probability_oracle": "oracle",
+         "f_kernel": "perterm", "k_kernel": "perterm", "sigma": "perterm"}
 
 
 def __getattr__(name):
-    if name not in _ORACLE_NAMES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-    return getattr(oracle, name)
+    from importlib import import_module
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
 __all__ = [
     "CalibrationError",

@@ -1,16 +1,13 @@
-"""Physical channel parameters and the constants of the closed form.
+"""Physical channel parameters and the constant sets of the closed form.
 
-Turns wavelength / distance / pump waist plus a turbulence strength into the
-constants the overlap kernels read: zeta, w, b1 and c1..c3, each in a closed
-form free of cancellation (see DerivedConstants).
-
-derive_constants keeps the DERIVED_SETS most recent sets, and
-derive_cache_info(clear=True) empties them. A set's dimensioned fields feed
-the per-term kernels. The matrices read only the two values a set computes
-from its link, gamma and w_variant when it is built (_seed_values): the Pi
-seeds, dimensionless functions of Lambda0, gamma and w_variant apart from
-C's raw scale, and the calibration anchor, the vacuum (00,00) entry of its
-link.
+Turns wavelength / distance / pump waist plus a turbulence strength into a
+DerivedConstants set. A set holds its link, gamma and w_variant, and the two
+values the matrices read, which it computes from those three when it is
+built (_seed_values): the Pi seeds, dimensionless functions of Lambda0,
+gamma and w_variant apart from C's raw scale, and the calibration anchor,
+the vacuum (00,00) entry of its link. derive_constants keeps the
+DERIVED_SETS most recent sets, and derive_cache_info(clear=True) empties
+them.
 
 Everything here is a pure function over immutable inputs; DerivedConstants is
 a frozen value object safe to share between threads, and the table the
@@ -19,7 +16,6 @@ engine keeps on it only ever gains rows computed from its own seeds.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections import namedtuple
@@ -210,43 +206,23 @@ class TurbulenceSpec(namedtuple("TurbulenceSpec", "cn2 rytov strength_coeff")):
 ResolvedTurbulence = namedtuple("ResolvedTurbulence", "cn2 rytov strength_coeff gamma")
 
 
-class DerivedConstants(namedtuple("DerivedConstants",
-                                  "cfg w w_variant zeta gamma a3 b1 c1 c2 c3")):
-    """The constants the overlap kernels read.
-
-    Fields:
-    - cfg: the link geometry the constants were derived from; wavelength,
-      distance, wavenumber, W0 and the Fresnel ratio are read from it;
-    - w [m], w_variant: the receiver-plane mode scale and how it was chosen;
-    - zeta: the complex Fresnel squeeze factor;
-    - gamma: the dimensionless turbulence strength;
-    - b1, a3 = c2 - c1 and c1..c3 [1/m^2]: the quadratic-form coefficients
-      of the ensemble-averaged detection integral; K reads the moments of
-      its Gaussian exp(-c1 x^2 - c2 y^2 + i c3 x y). With u = k/z,
-      L = Lambda0 and d = 1 + L^2 + 2 gamma L: b1 = u d / (2 L),
-      c1 = u L (1/d + 1/(1 + L^2)), a3 = u gamma (6 + 2 L^2 + 3 gamma L) / d
-      and c3 = -u L (L + 3 gamma) / d. The paper's cascade B1..B4, A2 reaches
-      c1,2 = Re A2 -/+ a3/2 and c3 = Im A2 by subtracting nearly equal terms
-      at small Lambda0; these forms add terms of one sign, so nothing cancels,
-      and in vacuum a3 is exactly 0 and c1 == c2 bitwise.
-
-    b1, a3, c1..c3, zeta and w are read by the per-term kernels f_kernel
-    and k_kernel. The matrices read none of them: they read three
+class DerivedConstants(namedtuple("DerivedConstants", "cfg gamma w_variant")):
+    """A constant set: the link cfg, the dimensionless turbulence strength
+    gamma and w_variant, the choice of receiver-plane mode scale, and three
     attributes, not fields, which the constructor sets, so _replace, _make,
     copy and pickle give every set its own:
     - seeds: the Pi seeds C, alpha, beta and delta, and anchor: the
       unscaled vacuum (00,00) entry of the link, C * C of its vacuum seeds,
-      both computed by _seed_values from cfg, gamma and w_variant;
+      both computed by _seed_values from cfg, gamma and w_variant; nan
+      where a value leaves the float range or would lose bits;
     - pi: the engine's table of the set (see engine.py), a dict that maps
       order n to the row (Pi(0, n), ..., Pi(n, n)), rows 0..top filled in
       one update, empty in a new set.
     Equality, hashing and repr ignore them.
     """
 
-    # the fields spelled out: passing them on through the namedtuple's own
-    # __new__ adds a tenth to the set's build
-    def __new__(cls, cfg, w, w_variant, zeta, gamma, a3, b1, c1, c2, c3):
-        self = tuple.__new__(cls, (cfg, w, w_variant, zeta, gamma, a3, b1, c1, c2, c3))
+    def __new__(cls, cfg, gamma, w_variant):
+        self = tuple.__new__(cls, (cfg, gamma, w_variant))
         seeds, anchor = _seed_values(cfg, gamma, w_variant)
         vars(self).update(pi={}, seeds=seeds, anchor=anchor)
         return self
@@ -278,9 +254,9 @@ def derive_constants(
     """The constants of the closed form for a geometry and turbulence strength.
 
     One of the DERIVED_SETS most recently derived sets is returned as is,
-    tables and all. c1 and c2 are positive by construction. DomainError when
-    cfg is not an OpticalConfig, gamma is negative or not finite, w_variant
-    is unknown or a constant leaves the float range.
+    tables and all. DomainError when cfg is not an OpticalConfig, gamma is
+    negative or not finite or w_variant is unknown. A set whose seeds are
+    not finite is returned too: pi_seeds turns it away at its first fill.
     """
     _check_config(cfg)
     # the bound also rejects an int that no float holds
@@ -307,18 +283,38 @@ Seeds = namedtuple("Seeds", "c alpha beta delta")
 _NAN_SEEDS = Seeds(math.nan, math.nan, math.nan, math.nan)
 
 
+def _lambda0(cfg: OpticalConfig) -> float:
+    """Lambda0 = (lambda / p) (z / p) / (2 pi), p the pump waist, on the
+    mantissas of lambda, z and p, their exponents added apart, so that no
+    ratio leaves the float range; inf if Lambda0 does."""
+    (m_l, e_l), (m_z, e_z), (m_p, e_p) = map(math.frexp, cfg)
+    try:
+        return math.ldexp(m_l / m_p * (m_z / m_p) / (2 * math.pi), e_l + e_z - 2 * e_p)
+    except OverflowError:
+        return math.inf
+
+
+def _normal(value: float) -> float:
+    """value, or ValueError if it is infinite or lies below the normal float
+    range, where it keeps fewer than 53 bits and every seed formed from it
+    would too."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"{value!r} is outside the normal float range")
+    return value
+
+
 def _seed_values(cfg: OpticalConfig, gamma: float, w_variant: str) -> tuple[Seeds, float]:
     """The seeds C, alpha, beta and delta of the set of cfg at gamma and
     w_variant, and the anchor C_vac * C_vac of its vacuum seeds, in closed
     form free of cancellation; nan for all of them if a value leaves the
-    float range.
+    float range, or if Lambda0 or a factor of C's or C_vac's denominator
+    leaves the normal range (_normal), where C would lose bits: at a
+    subnormal Lambda0 it came out up to 82% off.
 
-    The seeds are dimensionless functions of L = Lambda0, gamma and
-    w_variant, apart from C's raw scale 1 / sqrt(lambda z). L = (lambda / p)
-    (z / p) / (2 pi), p the pump waist, is computed on the mantissas of
-    lambda, z and p, their exponents added apart, so that no ratio leaves
-    the float range. At u = k / z = 1 the constants of DerivedConstants, c1
-    and c3 taken over L, are d = 1 + L^2 + 2 gamma L,
+    The seeds are dimensionless functions of L = Lambda0 (_lambda0), gamma
+    and w_variant, apart from C's raw scale 1 / sqrt(lambda z). At
+    u = k / z = 1 the dimensioned constants (perterm.constants), c1 and c3
+    taken over L, are d = 1 + L^2 + 2 gamma L,
     a3 = gamma (6 + 2 L^2 + 3 gamma L) / d, c1 / L = 1 / d + 1 / (1 + L^2)
     and c3 / L = -(L + 3 gamma) / d, and K's determinant 4 c1 c2 + c3^2 is
     u^2 L e with e = 4 (c1 / L) (L (c1 / L) + a3) + L (c3 / L)^2, a sum of
@@ -330,15 +326,14 @@ def _seed_values(cfg: OpticalConfig, gamma: float, w_variant: str) -> tuple[Seed
         delta = 8 a3 / (w^2 u L e).
 
     These are P0 4 pi |1 - zeta| K(0, 0), 4 sigma / w^2 - zeta,
-    8 sigma / w^2 - 2 (1 - zeta) and 8 tau / w^2 (see engine.k_kernel) with
+    8 sigma / w^2 - 2 (1 - zeta) and 8 tau / w^2 (see perterm.k_kernel) with
     every power of u and L cancelled: no w^2, lambda^2 z^2 or determinant is
     formed, and delta reads a3, not the difference c2 - c1. C_vac is C at
     gamma = 0, from the same terms with d = 1 + L^2 and a3 = 0, so the
     anchor is bitwise the square of a vacuum set's C, whatever w_variant."""
     wavelength, distance, _ = cfg
-    (m_l, e_l), (m_z, e_z), (m_p, e_p) = map(math.frexp, cfg)
     try:
-        lam0 = math.ldexp(m_l / m_p * (m_z / m_p) / (2 * math.pi), e_l + e_z - 2 * e_p)
+        lam0 = _normal(_lambda0(cfg))
         l2 = lam0 * lam0
         one_plus_l2 = 1 + l2
         one_minus_zeta = 1j * lam0 / (one_plus_l2 + 1j * lam0)
@@ -348,7 +343,7 @@ def _seed_values(cfg: OpticalConfig, gamma: float, w_variant: str) -> tuple[Seed
         c1 = inverse + inverse
         c3 = -lam0 / one_plus_l2
         e = 4 * c1 * (lam0 * c1) + lam0 * c3 * c3
-        c_vac = scale / (math.sqrt(e * one_plus_l2) * root_l * root_z)
+        c_vac = scale / _normal(_normal(math.sqrt(e * one_plus_l2) * root_l) * root_z)
         d = one_plus_l2 + 2 * gamma * lam0
         a3 = gamma * ((6 + 2 * l2 + 3 * gamma * lam0) / d)
         c1 = 1 / d + inverse
@@ -356,42 +351,11 @@ def _seed_values(cfg: OpticalConfig, gamma: float, w_variant: str) -> tuple[Seed
         e = 4 * c1 * (lam0 * c1 + a3) + lam0 * c3 * c3
         w2e = (2 * one_plus_l2 if w_variant == W_VARIANT_PROPAGATED else 2.0) * e
         scaled = 4 * complex(2 * lam0 * c1 + a3, -lam0 * c3) / w2e
-        c = scale / (math.sqrt(e * d) * root_l * root_z)
+        c = scale / _normal(_normal(math.sqrt(e * d) * root_l) * root_z)
         return (Seeds(c, scaled - 1 + one_minus_zeta, 2 * (scaled - one_minus_zeta),
                       8 * a3 / w2e), c_vac * c_vac)
     except (OverflowError, ZeroDivisionError, ValueError):
         return _NAN_SEEDS, math.nan
 
 
-def _build_constants(cfg: OpticalConfig, gamma: float, w_variant: str) -> DerivedConstants:
-    """The constants of cfg at gamma, one expression per field; DomainError
-    when a term raises or a field is not finite."""
-    wavelength, distance, pump_waist = cfg
-    try:
-        wavenumber = 2.0 * math.pi / wavelength
-        w = math.sqrt(2.0) * pump_waist
-        lam0 = 2.0 * distance / (wavenumber * w ** 2)
-        l2 = lam0 ** 2
-        one_plus_l2 = 1 + l2
-        zeta = one_plus_l2 / (one_plus_l2 + 1j * lam0)
-        u = wavenumber / distance
-        d = one_plus_l2 + 2 * gamma * lam0
-        b1 = u * d / (2 * lam0)
-        a3 = u * gamma * (6 + 2 * l2 + 3 * gamma * lam0) / d
-        c1 = u * lam0 * (1 / d + 1 / one_plus_l2)
-        c2 = c1 + a3
-        c3 = -u * lam0 * (lam0 + 3 * gamma) / d
-        if w_variant == W_VARIANT_PROPAGATED:
-            w *= math.sqrt(one_plus_l2)
-        finite = (cmath.isfinite(zeta) and math.isfinite(w) and math.isfinite(b1)
-                  and math.isfinite(c1) and math.isfinite(c2) and math.isfinite(c3))
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        raise DomainError(f"{cfg} at gamma={gamma} gives constants that are zero, "
-                          "infinite or beyond the float range")
-    # positional: a keyword call of the namedtuple costs a third of the build
-    return DerivedConstants(cfg, w, w_variant, zeta, gamma, a3, b1, c1, c2, c3)
-
-
-_derived = lru_cache(maxsize=DERIVED_SETS)(_build_constants)
+_derived = lru_cache(maxsize=DERIVED_SETS)(DerivedConstants)

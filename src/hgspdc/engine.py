@@ -1,19 +1,17 @@
 """Closed-form joint detection probabilities for photon-pair transverse modes.
 
-Evaluates the two overlap kernels (f_kernel, k_kernel), the per-axis factor
-pi_factor and the joint probability P(signal, idler) = Pi(m_s, m_i) *
-Pi(n_s, n_i), and assembles probability matrices over ordered mode grids.
+Evaluates the per-axis factor pi_factor and the joint probability
+P(signal, idler) = Pi(m_s, m_i) * Pi(n_s, n_i), and assembles probability
+matrices over ordered mode grids.
 probability_matrix is the one assembly and calibration of probabilities:
 build_matrix takes channel inputs (geometry plus turbulence) to its
 matrix, and a rytov_sweep point is the entries of one build_matrix
 matrix. The CLI, the validation suite and the scripts all go through
 them.
 
-Pi(mu, nu) is the closed form's mean |HG overlap|^2, the quadratic form
-P0 / (mu! nu! 2^(mu+nu)) sum F(k1, l1) F(k3, l3)* K(N - k1 - l1, N - k3 - l3)
-over the per-term kernels, N = mu + nu, P0 = 1 / (lambda^2 z^2 sqrt(pi b1)).
-Its generating function is C exp(quadratic), so four numbers per constant
-set fix every Pi:
+Pi(mu, nu) is the closed form's mean |HG overlap|^2, a quadratic form over
+the per-term overlap kernels (see perterm.py). Its generating function is
+C exp(quadratic), so four numbers per constant set fix every Pi:
 
     Pi(mu, nu) = C mu! nu! / 2^(mu+nu) sum_k delta^k k! |v_k(mu, nu)|^2,
 
@@ -55,19 +53,18 @@ other order, and are bitwise equal: a matrix multiplies each distinct
 unordered pair of Pi once and gathers every row from the products. Seeds
 that are not finite, C <= 0 or delta < 0, and a fill whose Pi leave the
 float range, are the NumericalErrors of Pi; each names the set by gamma
-and Lambda0.
+and Lambda0. A product that leaves the float range, though both its Pi
+are finite, is a NumericalError naming its entry, gamma and w_variant.
 
-f_kernel and k_kernel are the per-term references, which the tests and
-the benchmark's tracer read; no matrix calls them. k_kernel is Wick's
-recurrence for the moments of exp(-c1 x^2 - c2 y^2 + i c3 x y), exact
-zeros in vacuum included, and K(b, a) is the exact conjugate of K(a, b).
+The per-term references f_kernel and k_kernel live in perterm, which no
+matrix loads; engine.f_kernel and engine.k_kernel resolve to them on first
+use.
 
-Three bounded lru_caches remain: K, keyed on its orders and c1..c3, the
-fill's geometry-free indexing _plan, built on first use, and the matrix's
-_grid_plan, keyed on its grid's ordering of ModeIndex values.
-table_info() reports the sets, K and the Pi lookups. All functions are
-pure and fills store values computed from the set's own seeds, so
-concurrent use is safe.
+Two bounded lru_caches remain: the fill's geometry-free indexing _plan,
+built on first use, and the matrix's _grid_plan, keyed on its grid's
+ordering of ModeIndex values. table_info() reports the sets and the Pi
+lookups. All functions are pure and fills store values computed from the
+set's own seeds, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ from operator import index, itemgetter
 
 from .channel import (
     DEFAULT_W_VARIANT,
-    DERIVED_SETS,
     DerivedConstants,
     OpticalConfig,
     ResolvedTurbulence,
@@ -89,6 +85,7 @@ from .channel import (
     TurbulenceSpec,
     _check_config,
     _checked_make,
+    _lambda0,
     derive_cache_info,
     derive_constants,
 )
@@ -96,11 +93,6 @@ from .errors import CalibrationError, DomainError, NumericalError
 from .reference import CALIBRATION_REFERENCE
 
 DEFAULT_MAX_ORDER = 10
-
-# The per-term form of Pi(mu, nu) reads K up to order 2 * DEFAULT_MAX_ORDER:
-# the K cache holds that triangle, K(a >= b) with even a + b, for
-# DERIVED_SETS sets.
-_K_ENTRIES = (DEFAULT_MAX_ORDER + 1) ** 2
 
 # grid plans kept, one per ordering
 _GRID_PLANS = 32
@@ -179,59 +171,8 @@ DEFAULT_ORDERING: tuple[ModeIndex, ...] = tuple(expand_modes(3))
 _ANCHOR_PAIR = ModePair(ModeIndex(0, 0), ModeIndex(0, 0))
 
 
-def sigma(k: int, l: int) -> int:
-    """Parity factor (-1)^k + (-1)^l, one of -2, 0, 2."""
-    return (-1) ** k + (-1) ** l
-
-
-def f_kernel(mu: int, nu: int, k: int, l: int, consts: DerivedConstants) -> complex:
-    """First overlap kernel; exactly 0 whenever sigma(k, l) vanishes.
-
-    The sigma guard also means Gamma and the terminating hypergeometric are
-    only ever evaluated at even k + l. No matrix reads it: the seeds hold
-    F of orders <= 2 in closed form.
-    """
-    if not (0 <= k <= mu and 0 <= l <= nu):
-        raise DomainError(f"indices out of range: mu={mu}, nu={nu}, k={k}, l={l}")
-    sig = sigma(k, l)
-    if sig == 0:
-        return 0.0 + 0.0j
-    zeta = consts.zeta
-    # k + l is even past the sigma guard, so i^(k+l) is the real sign
-    # (-1)^((k+l)/2)
-    i_power = -1 if (k + l) % 4 == 2 else 1
-    val = math.comb(mu, k) * math.comb(nu, l) * 2 ** (mu + nu) * sig
-    val = val * i_power * _gamma_half(k + l + 1)
-    val *= (math.sqrt(2.0) / consts.w) ** (mu + nu - k - l)
-    val *= cmath.sqrt(1 - zeta) * cmath.sqrt(zeta) ** (k + l)
-    val *= _hyp2f1_terminating(k, l, (1 - k - l) / 2, 1 / (2 * zeta))
-    return val
-
-
-def _hyp2f1_terminating(k: int, l: int, c: float, x: complex) -> complex:
-    """2F1(-k, -l; c; x), the finite sum over n = 0..min(k, l) by the term
-    ratio (-k + n)(-l + n) / ((c + n)(n + 1)) x. f_kernel's c = (1 - k - l)/2
-    is a half-odd integer at even k + l, so no denominator vanishes."""
-    total = term = 1.0 + 0.0j
-    for n in range(min(k, l)):
-        term *= (-k + n) * (-l + n) / ((c + n) * (n + 1)) * x
-        total += term
-    return total
-
-
-def _gamma_half(twice: int) -> float:
-    """Gamma(twice / 2) for twice >= 1 by the exact recursion
-    Gamma(x + 1) = x Gamma(x) from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi)."""
-    if twice <= 0:
-        raise DomainError(f"Gamma(x) needs x > 0, got x = {twice}/2")
-    acc = math.sqrt(math.pi) if twice % 2 else 1.0
-    for t in range(2 - twice % 2, twice, 2):
-        acc *= t / 2
-    return acc
-
-
 PiInfo = namedtuple("PiInfo", "hits misses")
-TableInfo = namedtuple("TableInfo", "sets k pi")
+TableInfo = namedtuple("TableInfo", "sets pi")
 _GridPlan = namedtuple("_GridPlan", "top xs ys rows")
 
 
@@ -248,71 +189,21 @@ class _Counts:
 _counts = _Counts()
 
 
-@lru_cache(maxsize=DERIVED_SETS * _K_ENTRIES)
-def _k_entry(a: int, b: int, c1: float, c2: float, c3: float) -> complex:
-    """K(a, b) for a >= b and even a + b, keyed on the constants it reads,
-    by Wick's recurrence (see k_kernel) run bottom-up, rows i = 2..a over
-    the entries K(i, j <= min(i, b)) it reads, with no recursion."""
-    d = 4 * c1 * c2 + c3 * c3
-    sigma, tau = complex(c1 + c2, -c3) / d, (c2 - c1) / d
-    k00 = complex(2 * math.pi / math.sqrt(d))
-    k = {(0, 0): k00, (1, 1): tau * k00}
-    for i in range(2, a + 1):
-        for j in range(i % 2, min(i, b) + 1, 2):
-            value = (i - 1) * sigma * (k[i - 2, j] if i - 2 >= j else k[j, i - 2].conjugate())
-            if j:
-                value += j * tau * k[i - 1, j - 1]
-            k[i, j] = value if i > j else complex(value.real)
-    return k[a, b]
-
-
-def k_kernel(a: int, b: int, consts: DerivedConstants) -> complex:
-    """Second overlap kernel, the moment K(a, b) of the detection-plane
-    Gaussian exp(-c1 x^2 - c2 y^2 + i c3 x y). With D = 4 c1 c2 + c3^2,
-    sigma = (c1 + c2 - i c3) / D and tau = (c2 - c1) / D, Wick's theorem
-    gives
-
-        K(0, 0) = 2 pi / sqrt(D),  K(1, 1) = tau K(0, 0),
-        K(a, b) = (a - 1) sigma K(a - 2, b) + b tau K(a - 1, b - 1), a >= 2,
-
-    K(b, a) = conj K(a, b), so the diagonal is real and is stored so, and K
-    vanishes for odd a + b. In vacuum c1 == c2, so tau and every
-    K(odd, odd) are exactly 0.
-
-    Stores K(max(a, b), min(a, b)) alone, keyed on the orders and c1..c3,
-    and returns K(b, a) as its exact conjugate. Any order runs, without
-    recursion.
-    """
-    a, b = _orders(a, b)
-    if a < 0 or b < 0:
-        raise DomainError(f"kernel orders must be nonnegative, got ({a}, {b})")
-    if (a + b) % 2:
-        return 0.0 + 0.0j
-    c = consts.c1, consts.c2, consts.c3
-    return _k_entry(a, b, *c) if a >= b else _k_entry(b, a, *c).conjugate()
-
-
 def _clear_tables() -> None:
-    """Drop the derived sets and the stored K, zero the Pi counts."""
+    """Drop the derived sets, zero the Pi counts."""
     global _counts
     derive_cache_info(clear=True)
-    _k_entry.cache_clear()
     _counts = _Counts()
 
 
 def table_info() -> TableInfo:
-    """Hits, misses, bound and size of the derived constant sets and of the
-    stored K, and the Pi lookups that hit and that missed and filled, since
-    the last _clear_tables. The lookups are pi_factor calls: a matrix,
-    calibrated or raw, counts one, at its top order, however many Pi it
-    reads from the rows; the calibration anchor makes none."""
-    return TableInfo(derive_cache_info(), _k_entry.cache_info(),
-                     PiInfo(_counts.lookups - _counts.misses, _counts.misses))
-
-
-# k_kernel.cache_info() and .cache_clear(), as for an lru_cache
-k_kernel.cache_info = _k_entry.cache_info
-k_kernel.cache_clear = _clear_tables
+    """Hits, misses, bound and size of the derived constant sets, and the
+    Pi lookups that hit and that missed and filled, since the last
+    _clear_tables. The lookups are pi_factor calls: a matrix, calibrated or
+    raw, counts one, at its top order, however many Pi it reads from the
+    rows; the calibration anchor makes none."""
+    return TableInfo(derive_cache_info(), PiInfo(_counts.lookups - _counts.misses,
+                                                 _counts.misses))
 
 
 def pi_seeds(consts: DerivedConstants) -> Seeds:
@@ -326,7 +217,7 @@ def pi_seeds(consts: DerivedConstants) -> Seeds:
         raise NumericalError(
             f"the Pi seeds C={c:.6g}, alpha={alpha:.6g}, beta={beta:.6g}, delta={delta:.6g} "
             f"are not finite, C <= 0 or delta < 0 at gamma={consts.gamma:.6g}, "
-            f"Lambda0={consts.cfg.fresnel_ratio:.6g}")
+            f"Lambda0={_lambda0(consts.cfg):.6g}")
     return seeds
 
 
@@ -398,7 +289,7 @@ def _fill(consts: DerivedConstants, top: int) -> None:
         raise NumericalError(
             f"the Pi of orders <= {top} leave the float range with the seeds C={c:.6g}, "
             f"alpha={alpha:.6g}, beta={beta:.6g}, delta={delta:.6g} at gamma={consts.gamma:.6g}, "
-            f"Lambda0={consts.cfg.fresnel_ratio:.6g}")
+            f"Lambda0={_lambda0(consts.cfg):.6g}")
     consts.pi.update({n: tuple(values[n * (n + 1) // 2:(n + 1) * (n + 2) // 2])
                       for n in range(top + 1)})
 
@@ -542,8 +433,10 @@ def probability_matrix(
     global factor that maps the vacuum (00,00) entry onto reference_value,
     so matrices for different turbulence strengths stay mutually comparable:
     DomainError unless reference_value is positive and finite,
-    CalibrationError unless the anchor is and so is the factor.
-    turbulence, when given, must carry the gamma that consts was derived for.
+    CalibrationError unless the anchor is and so is the factor, and
+    NumericalError, naming the first entry, if an entry leaves the float
+    range. turbulence, when given, must carry the gamma that consts was
+    derived for.
     """
     ordering = tuple(modes)
     if not ordering:
@@ -591,6 +484,19 @@ def probability_matrix(
 
     products = [factor * (x * y) for x, y in zip(xs(flat), ys(flat))]
     values = [row(products) for row in rows]
+    # no product exceeds factor * (largest Pi)^2: only past that bound, which
+    # reads the Pi, not the many more products, is each product looked at.
+    # A raw matrix's bound also covers raw_ref, its (00,00) entry, which a
+    # grid need not hold; a calibrated raw_ref is at most the anchor
+    largest = max(flat)
+    if not factor * (largest * largest) < math.inf and (math.inf in products
+                                                        or raw_ref == math.inf):
+        pair = next((ModePair(s, i) for s, row in zip(ordering, values)
+                     for i, v in zip(ordering, row) if v == math.inf), _ANCHOR_PAIR)
+        raise NumericalError(
+            f"P{pair.label()} of the {normalization} matrix leaves the "
+            f"float range at gamma={consts.gamma:.6g}, Lambda0={_lambda0(consts.cfg):.6g}, "
+            f"w_variant={consts.w_variant!r}")
     return ProbabilityMatrix(ordering, tuple(values), consts, norm, turbulence)
 
 
@@ -650,3 +556,11 @@ def rytov_sweep(
             raise NumericalError(f"P{first.label()} at rytov {rytov:g}: {exc}") from None
         points.append([matrix.value(pair.signal, pair.idler) for pair in pairs])
     return [list(series) for series in zip(*points)]
+
+
+def __getattr__(name):
+    # the benchmark's tracer still reads the per-term references here
+    if name not in ("f_kernel", "k_kernel"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import perterm
+    return getattr(perterm, name)

@@ -31,8 +31,6 @@ from .engine import (
     pi_seeds,
     rytov_sweep,
     selection_rule_allowed,
-    _gamma_half,
-    _hyp2f1_terminating,
 )
 from .oracle import (
     DEFAULT_NODES,
@@ -277,8 +275,11 @@ def check_robust_ordering() -> CheckResult:
 
 
 def check_specfun() -> CheckResult:
-    """Anchor values and invariants of the engine's two special functions:
-    Gamma at half-integers and f_kernel's terminating 2F1."""
+    """Anchor values and invariants of the per-term references' two special
+    functions: Gamma at half-integers and f_kernel's terminating 2F1."""
+    # here, not at the top: no other check reads the per-term module
+    from .perterm import _gamma_half, _hyp2f1_terminating
+
     failures = []
     sqrt_pi = math.sqrt(math.pi)
 

@@ -52,9 +52,7 @@ def test_reprs():
     consts = derive_constants(cfg, 0.1)
     hgspdc.pi_factor(2, 2, consts)
     assert repr(consts) == (
-        f"DerivedConstants(cfg={cfg!r}, w={consts.w!r}, w_variant='propagated', "
-        f"zeta={consts.zeta!r}, gamma=0.1, a3={consts.a3!r}, b1={consts.b1!r}, "
-        f"c1={consts.c1!r}, c2={consts.c2!r}, c3={consts.c3!r})")
+        f"DerivedConstants(cfg={cfg!r}, gamma=0.1, w_variant='propagated')")
 
 
 _MATRIX = build_matrix(OpticalConfig(1e-6, 1e3, 1e-2), TurbulenceSpec(rytov=0.02))

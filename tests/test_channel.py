@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hgspdc import perterm
 from hgspdc.channel import (
     DEFAULT_STRENGTH_COEFF,
     STRENGTH_COEFF_CALIBRATED,
@@ -25,6 +26,11 @@ from hgspdc.channel import (
 from hgspdc.errors import DomainError
 
 LAM, Z = 0.8e-6, 5000.0
+
+
+def dims(consts):
+    """The dimensioned constants that the per-term kernels read of a set."""
+    return perterm.constants(*consts)
 
 
 def cascade_mp(cfg, gamma):
@@ -235,7 +241,7 @@ class TestDeriveConstants:
     def test_fresnel_and_zeta(self, vac_consts):
         assert vac_consts.cfg.fresnel_ratio == pytest.approx(0.12732395447, rel=1e-10)
         lam0 = vac_consts.cfg.fresnel_ratio
-        assert vac_consts.zeta == pytest.approx(
+        assert dims(vac_consts).zeta == pytest.approx(
             (1 + lam0 ** 2) / (1 + lam0 ** 2 + 1j * lam0), rel=1e-15
         )
 
@@ -244,21 +250,21 @@ class TestDeriveConstants:
         cfg = OpticalConfig.from_w0(LAM, 1.0, 10.0)
         consts = derive_constants(cfg)
         assert consts.cfg.fresnel_ratio < 1e-8
-        assert consts.zeta == pytest.approx(1.0, abs=1e-7)
+        assert dims(consts).zeta == pytest.approx(1.0, abs=1e-7)
 
     def test_vacuum_im_a2_closed_form(self, vac_consts):
         # gamma = 0 collapses c3 = Im A2 to -(k/z) Lambda0^2 / (1 + Lambda0^2)
         u = vac_consts.cfg.wavenumber / vac_consts.cfg.distance
         lam0 = vac_consts.cfg.fresnel_ratio
-        assert vac_consts.c3 == pytest.approx(
+        assert dims(vac_consts).c3 == pytest.approx(
             -u * lam0 ** 2 / (1 + lam0 ** 2), rel=1e-12
         )
 
     def test_vacuum_a3_vanishes(self, vac_consts, near_field_cfgs):
         # a3 is exactly 0 in vacuum at every geometry, so c1 == c2 bitwise
         for consts in (vac_consts, *map(derive_constants, near_field_cfgs.values())):
-            assert consts.a3 == 0.0
-            assert consts.c1 == consts.c2
+            assert dims(consts).a3 == 0.0
+            assert dims(consts).c1 == dims(consts).c2
 
     def test_a3_against_mpmath(self, near_field_cfgs):
         # -|b2|^2 / (2 b1) + b4 cancels in near field; the closed form does not
@@ -271,34 +277,34 @@ class TestDeriveConstants:
             b2 = u * mp.mpc(1 / lam0 - gamma, -1)
             b4 = u * (1 / lam0 + 2 * gamma)
             want = float(-abs(b2) ** 2 / (2 * b1) + b4)
-        assert derive_constants(cfg, gamma).a3 == pytest.approx(want, rel=1e-15, abs=0)
+        assert dims(derive_constants(cfg, gamma)).a3 == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_closed_forms_against_cascade(self, ref_cfg, near_field_cfgs):
         # a float evaluation of the cascade loses up to 4e-8 relative at
         # Lambda0 = 3e-5; the closed forms stay within a few ulp
         for cfg in (ref_cfg, *near_field_cfgs.values()):
             for gamma in (0.0, 1e-6, turbulence_strength(0.02)):
-                got = derive_constants(cfg, gamma)
+                got = dims(derive_constants(cfg, gamma))
                 for name, want in cascade_mp(cfg, gamma).items():
                     assert getattr(got, name) == pytest.approx(want, rel=2e-15, abs=0), (
                         cfg.fresnel_ratio, gamma, name)
 
     def test_c_invariants_over_gamma_range(self, ref_cfg):
         for gamma in (0.0, 1e-4, 0.005, 0.02, 0.05):
-            c = derive_constants(ref_cfg, gamma)
+            c = dims(derive_constants(ref_cfg, gamma))
             # a3 >= 0, so K's tau = (c2 - c1) / (4 c1 c2 + c3^2) is >= 0
             assert 0 < c.c1 <= c.c2
 
     def test_zeta_modulus_bound(self, ref_cfg):
-        c = derive_constants(ref_cfg)
+        c = dims(derive_constants(ref_cfg))
         assert abs(c.zeta) <= 1.0 and c.zeta.real > 0
 
     def test_vacuum_reduction_continuity(self, ref_cfg):
-        exact = derive_constants(ref_cfg, 0.0)
-        eps = derive_constants(ref_cfg, 1e-8)
+        exact = dims(derive_constants(ref_cfg, 0.0))
+        eps = dims(derive_constants(ref_cfg, 1e-8))
         # a3 is exactly zero in vacuum, so continuity is measured against the
         # cascade's natural magnitude k/z rather than the component itself
-        unit = exact.cfg.wavenumber / exact.cfg.distance
+        unit = ref_cfg.wavenumber / ref_cfg.distance
         for name in ("b1", "a3", "c1", "c2", "c3"):
             v0 = getattr(exact, name)
             v1 = getattr(eps, name)
@@ -308,11 +314,12 @@ class TestDeriveConstants:
     def test_dimensional_scaling(self):
         # doubling k at fixed Lambda0 and gamma doubles every k/z-scaled
         # constant; dimensionless zeta stays fixed
-        base = derive_constants(OpticalConfig.from_w0(LAM, Z, 0.1), 0.01)
+        base_cfg = OpticalConfig.from_w0(LAM, Z, 0.1)
+        base = dims(derive_constants(base_cfg, 0.01))
         # halve wavelength (k doubles) and halve W0^2 to keep Lambda0
         scaled_cfg = OpticalConfig.from_w0(LAM / 2, Z, 0.1 / math.sqrt(2))
-        scaled = derive_constants(scaled_cfg, 0.01)
-        assert scaled.cfg.fresnel_ratio == pytest.approx(base.cfg.fresnel_ratio, rel=1e-14)
+        scaled = dims(derive_constants(scaled_cfg, 0.01))
+        assert scaled_cfg.fresnel_ratio == pytest.approx(base_cfg.fresnel_ratio, rel=1e-14)
         assert scaled.zeta == pytest.approx(base.zeta, rel=1e-14)
         for name in ("a3", "b1", "c1", "c2", "c3"):
             assert getattr(scaled, name) == pytest.approx(
@@ -320,9 +327,9 @@ class TestDeriveConstants:
             )
 
     def test_w_variants(self, ref_cfg):
-        prop = derive_constants(ref_cfg, 0.0, W_VARIANT_PROPAGATED)
-        waist = derive_constants(ref_cfg, 0.0, W_VARIANT_WAIST)
-        lam0 = prop.cfg.fresnel_ratio
+        prop = dims(derive_constants(ref_cfg, 0.0, W_VARIANT_PROPAGATED))
+        waist = dims(derive_constants(ref_cfg, 0.0, W_VARIANT_WAIST))
+        lam0 = ref_cfg.fresnel_ratio
         assert prop.w == pytest.approx(0.1 * math.sqrt(1 + lam0 ** 2), rel=1e-14)
         assert waist.w == pytest.approx(0.1, rel=1e-14)
         with pytest.raises(DomainError):
@@ -381,5 +388,10 @@ class TestDeriveConstants:
         OpticalConfig(1e-300, Z, 0.1),   # b1 = u d / (2 Lambda0) is infinite
     ])
     def test_constants_out_of_float_range_rejected(self, cfg):
-        with pytest.raises(DomainError):
-            derive_constants(cfg)
+        # the set is derived, and the per-term kernels' constants of it are
+        # a DomainError
+        consts = derive_constants(cfg)
+        with pytest.raises(DomainError, match=re.escape(
+                f"{cfg} at gamma=0.0 gives constants that are zero, infinite or beyond "
+                "the float range")):
+            dims(consts)

@@ -129,8 +129,10 @@ class TestMatrixCommand:
         ["matrix", "--rytov", "nan"], ["matrix", "--rytov", "inf"],
         ["matrix", "--wavelength", "nan"], ["matrix", "--distance", "inf"],
         ["matrix", "--cn2", "inf"], ["matrix", "--cn2", "1e300"],
-        ["matrix", "--wavelength", "1e-300"], ["sweep", "--grid", "0,nan"],
-        ["matrix", "--rytov", "1e300"], ["matrix", "--pump-waist", "1e200"],
+        ["matrix", "--pump-waist", "inf"], ["sweep", "--grid", "0,nan"],
+        ["matrix", "--rytov", "1e300"],
+        # z^(11/6) overflows in rytov_to_cn2
+        ["matrix", "--distance", "1e300", "--rytov", "0.01"],
         ["sweep", "--pairs", ""],
         # k^(7/6) underflows to 0 in rytov_to_cn2
         ["matrix", "--rytov", "0.01", "--wavelength", "1e300"],
@@ -139,6 +141,20 @@ class TestMatrixCommand:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_PARAMS
         assert "invalid parameters" in err and "Traceback" not in err
+
+    def test_links_whose_kernel_constants_leave_the_float_range(self, capsys):
+        # no matrix reads the per-term kernels' constants: at a 1e-300 m
+        # wavelength, where b1 overflows, the seeds are finite and the
+        # matrix is valid; at a 1e200 m pump waist Lambda0 underflows to 0,
+        # and the seeds are a numerical failure
+        code, out, _ = run(capsys, "matrix", "--wavelength", "1e-300", "--format", "csv")
+        assert code == EXIT_OK
+        values = [v for row in parse_matrix_csv(out)["matrix"] for v in row]
+        assert len(values) == 100 and all(0.0 <= v < math.inf for v in values)
+        code, _, err = run(capsys, "matrix", "--pump-waist", "1e200")
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("error: numerical failure: pi_factor(3, 3): the Pi seeds C=nan, ")
+        assert err.rstrip().endswith("at gamma=0, Lambda0=0")
 
     def test_kernel_overflow_exit_3(self, capsys, corrupt_seeds):
         # a seed beyond the float range, here an injected C = inf, is a

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgspdc import channel, engine, reference, serialization
+from hgspdc import channel, engine, perterm, reference, serialization
 from hgspdc.channel import (
     DerivedConstants,
     OpticalConfig,
@@ -33,18 +33,16 @@ from hgspdc.engine import (
     NORMALIZATION_RAW,
     build_matrix,
     expand_modes,
-    f_kernel,
     joint_probability,
-    k_kernel,
     parse_mode,
     pi_factor,
     probability_matrix,
     rytov_sweep,
     selection_rule_allowed,
-    sigma,
     table_info,
 )
 from hgspdc.errors import CalibrationError, DomainError, NumericalError
+from hgspdc.perterm import KernelConstants, f_kernel, k_kernel, sigma
 
 mp.mp.dps = 50
 
@@ -54,12 +52,26 @@ mp.mp.dps = 50
 # sharing no code with the engine
 # ---------------------------------------------------------------------------
 
+def _dims(consts):
+    """The dimensioned constants the kernels read: those of a constant set,
+    or a KernelConstants record itself."""
+    return consts if isinstance(consts, KernelConstants) else perterm.constants(*consts)
+
+
+def _k_with(a, b, consts, dims):
+    """k_kernel(a, b, consts) reading the constants dims in place of the
+    set's own."""
+    with mock.patch.object(perterm, "constants", lambda *key: dims):
+        return k_kernel(a, b, consts)
+
+
 def oracle_f(mu, nu, k, l, consts):
-    zeta = mp.mpc(consts.zeta)
+    dims = _dims(consts)
+    zeta = mp.mpc(dims.zeta)
     val = mp.binomial(mu, k) * mp.binomial(nu, l) * mp.mpf(2) ** (mu + nu)
     val *= mp.mpc(0, 1) ** (k + l) * ((-1) ** k + (-1) ** l)
     val *= mp.gamma(mp.mpf(k + l + 1) / 2)
-    val *= (mp.sqrt(2) / mp.mpf(consts.w)) ** (mu + nu - k - l)
+    val *= (mp.sqrt(2) / mp.mpf(dims.w)) ** (mu + nu - k - l)
     val *= mp.sqrt(1 - zeta) * mp.sqrt(zeta) ** (k + l)
     val *= mp.hyp2f1(-k, -l, mp.mpf(1 - k - l) / 2, 1 / (2 * zeta))
     return val
@@ -103,19 +115,21 @@ def _oracle_bracket(s, t, c1, c2, c3, c4, prec):
 
 def oracle_c4(consts):
     """The brackets' argument c4 = -c3^2 / (4 c1 c2) at the working precision."""
-    c1, c2, c3 = map(mp.mpf, (consts.c1, consts.c2, consts.c3))
+    dims = _dims(consts)
+    c1, c2, c3 = map(mp.mpf, (dims.c1, dims.c2, dims.c3))
     return -c3 ** 2 / (4 * c1 * c2)
 
 
 def oracle_bracket(s, t, consts):
     """The printed K bracket h(s, t) at the working precision; each value is
     computed once per constant set and precision."""
-    return _oracle_bracket(min(s, t), max(s, t), consts.c1, consts.c2, consts.c3,
+    dims = _dims(consts)
+    return _oracle_bracket(min(s, t), max(s, t), dims.c1, dims.c2, dims.c3,
                            oracle_c4(consts), mp.mp.prec)
 
 
 def oracle_k(a, b, consts):
-    c1, c2 = mp.mpf(consts.c1), mp.mpf(consts.c2)
+    c1, c2 = mp.mpf(_dims(consts).c1), mp.mpf(_dims(consts).c2)
     total = mp.mpc(0)
     for p in range(a + 1):
         for q in range(b + 1):
@@ -184,7 +198,7 @@ def oracle_fill(seeds, top):
 
 def _oracle_pref(mu, nu, consts):
     return 1 / (mp.mpf(consts.cfg.wavelength) ** 2 * mp.mpf(consts.cfg.distance) ** 2
-                * mp.sqrt(mp.pi * mp.mpf(consts.b1))
+                * mp.sqrt(mp.pi * mp.mpf(_dims(consts).b1))
                 * mp.factorial(mu) * mp.factorial(nu) * mp.mpf(2) ** (mu + nu))
 
 
@@ -204,9 +218,8 @@ class TestSigma:
 class TestFKernel:
     def test_ground_value(self, vac_consts):
         # all binomials and powers collapse: 2 Gamma(1/2) sqrt(1 - zeta)
-        import cmath
         got = f_kernel(0, 0, 0, 0, vac_consts)
-        want = 2 * math.sqrt(math.pi) * cmath.sqrt(1 - vac_consts.zeta)
+        want = 2 * math.sqrt(math.pi) * cmath.sqrt(1 - _dims(vac_consts).zeta)
         assert got == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("mu,nu,k,l", [(1, 0, 1, 0), (2, 1, 0, 1), (3, 2, 2, 1)])
@@ -240,7 +253,8 @@ class TestKKernel:
     def test_ground_closed_form(self, vac_consts, turb_consts):
         # the Gaussian's integral 2 pi / sqrt(4 c1 c2 + c3^2), real
         for consts in (vac_consts, turb_consts):
-            want = 2 * math.pi / math.sqrt(4 * consts.c1 * consts.c2 + consts.c3 ** 2)
+            c = _dims(consts)
+            want = 2 * math.pi / math.sqrt(4 * c.c1 * c.c2 + c.c3 ** 2)
             got = k_kernel(0, 0, consts)
             assert got.imag == 0.0 and got.real == pytest.approx(want, rel=1e-13, abs=0)
 
@@ -276,21 +290,19 @@ class TestKKernel:
         # shrink c3 to 5e-7 (c1 + c2), where the printed odd bracket cancels
         # in double precision; the engine's form has no such cancellation
         # and must match the printed bracket evaluated at high precision
-        c1, c2 = turb_consts.c1, turb_consts.c2
-        tiny = 0.5e-6 * (c1 + c2)
-        consts = turb_consts._replace(c3=tiny)
+        dims = _dims(turb_consts)
+        near = dims._replace(c3=0.5e-6 * (dims.c1 + dims.c2))
         for a, b in ((1, 1), (2, 0), (3, 1), (2, 2)):
-            got = k_kernel(a, b, consts)
-            want = complex(oracle_k(a, b, consts))
+            got = _k_with(a, b, turb_consts, near)
+            want = complex(oracle_k(a, b, near))
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_small_c3_path_is_continuous(self, turb_consts):
-        c1, c2 = turb_consts.c1, turb_consts.c2
+        dims = _dims(turb_consts)
         values = []
         for factor in (1.5e-6, 0.9e-6):  # c3 values a factor 1.7 apart
-            c3 = factor * (c1 + c2)
-            consts = turb_consts._replace(c3=c3)
-            values.append(k_kernel(3, 1, consts))
+            c3 = factor * (dims.c1 + dims.c2)
+            values.append(_k_with(3, 1, turb_consts, dims._replace(c3=c3)))
         rel = abs(values[0] - values[1]) / abs(values[0])
         assert rel < 1e-5
 
@@ -350,12 +362,12 @@ class TestKKernel:
     def test_odd_bracket_smooth_through_zero_c3(self, turb_consts):
         # Im K is first order in c3 and Re K second order, so at c3 = 0 K is
         # real and equals Re K at a tiny c3
-        c1, c2 = turb_consts.c1, turb_consts.c2
-        tiny = 1e-12 * (c1 + c2)
-        zero = turb_consts._replace(c3=0.0)
-        near = turb_consts._replace(c3=tiny)
+        dims = _dims(turb_consts)
+        zero = dims._replace(c3=0.0)
+        near = dims._replace(c3=1e-12 * (dims.c1 + dims.c2))
         for a, b in ((1, 1), (3, 1)):
-            at_zero, at_tiny = k_kernel(a, b, zero), k_kernel(a, b, near)
+            at_zero = _k_with(a, b, turb_consts, zero)
+            at_tiny = _k_with(a, b, turb_consts, near)
             assert cmath.isfinite(at_zero) and at_zero.imag == 0.0
             assert at_zero.real == pytest.approx(at_tiny.real, rel=1e-13, abs=0)
             assert abs(at_tiny.imag) <= 1e-11 * abs(at_tiny)
@@ -942,6 +954,7 @@ def _wick_k(c, a_top, b_top):
     """K(a, b), b <= a <= a_top, b <= b_top, a + b even, by Wick's
     recurrence over a plain dict in ascending a + b, the diagonal taken
     real."""
+    c = _dims(c)
     d = 4 * c.c1 * c.c2 + c.c3 * c.c3
     sigma, tau = complex(c.c1 + c.c2, -c.c3) / d, (c.c2 - c.c1) / d
     k = {(0, 0): complex(2 * math.pi / math.sqrt(d))}
@@ -960,6 +973,7 @@ def _wick_k(c, a_top, b_top):
 def _clear_engine_caches():
     engine._clear_tables()
     engine._plan.cache_clear()
+    k_kernel.cache_clear()
 
 
 def _per_order_f_sums(mu, nu, f):
@@ -978,8 +992,8 @@ class TestKernelTables:
         modes = expand_modes(max_sum)
         _clear_engine_caches()
         consts = derive_constants(ref_cfg, turbulence_strength(0.05))
-        with mock.patch.object(engine, "f_kernel", wraps=engine.f_kernel) as f, \
-                mock.patch.object(engine, "k_kernel", wraps=engine.k_kernel) as k:
+        with mock.patch.object(perterm, "f_kernel", wraps=perterm.f_kernel) as f, \
+                mock.patch.object(perterm, "k_kernel", wraps=perterm.k_kernel) as k:
             for _ in range(2):
                 probability_matrix(modes, consts, normalization=NORMALIZATION_RAW)
             assert (f.call_count, k.call_count) == (0, 0)
@@ -1066,7 +1080,7 @@ class TestKernelTables:
         info = table_info()
         assert info.sets.currsize <= info.sets.maxsize == 16
         # the seeds are closed forms: no set reads K
-        assert info.k == (0, 0, 16 * 121, 0)
+        assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
         # the fill plans through orders 3 and 10; the anchor fills nothing
         assert engine._plan.cache_info().misses == engine._plan.cache_info().currsize == 2
 
@@ -1125,9 +1139,11 @@ class TestKernelTables:
         pi_factor(1, 3, fresh)
         assert k_kernel.cache_info() == (1, 1, 16 * 121, 1)
         assert table_info().pi == (0, 1)
+        # clearing K leaves the engine's tables as they are
+        sets = table_info().sets
         k_kernel.cache_clear()
         assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
-        assert table_info().sets.currsize == 0 and table_info().pi == (0, 0)
+        assert table_info() == (sets, (0, 1))
 
 
 class TestChannelPath:
@@ -1221,11 +1237,11 @@ class TestChannelPath:
         # 500 points of four pairs derive more sets than derive_constants
         # keeps, and store no K: the seeds are closed forms
         pairs = [ModePair(ModeIndex(k, k), ModeIndex(k, k)) for k in range(4)]
-        engine._clear_tables()
+        _clear_engine_caches()
         rytov_sweep(ref_cfg, [0.1 * k / 499 for k in range(500)], pairs)
-        sets, k = table_info().sets, table_info().k
+        sets = table_info().sets
         assert sets.misses > sets.maxsize >= sets.currsize
-        assert k == (0, 0, 16 * 121, 0)
+        assert k_kernel.cache_info() == (0, 0, 16 * 121, 0)
 
     def test_sweep_keeps_at_most_16_sets_alive(self, ref_cfg, monkeypatch):
         # each point's matrix is built inside the loop, so at its last point
@@ -1273,17 +1289,36 @@ class TestChannelPath:
 
     @pytest.mark.parametrize("grid", [[0.0, 0.01], [0.01, 0.02]])
     @pytest.mark.parametrize("normalization", ["calibrated", "raw"])
-    def test_sweep_over_a_bad_link_is_a_domain_error(self, grid, normalization):
-        # a link whose constants leave the float range (k = 2 pi / lambda
-        # overflows) fails a sweep, calibrated or raw, at the first point,
-        # with no set left in the cache
-        cfg = OpticalConfig(1e-320, 1.0, 1.0)
-        gamma = turbulence_strength(grid[0]) + 0.0
+    def test_sweep_over_a_bad_link_is_a_domain_error(self, ref_cfg, grid, normalization):
+        # a link that is not an OpticalConfig is the one bad link a sweep
+        # turns away with a DomainError: a plain tuple of the values of a
+        # config whose set is cached fails, calibrated or raw, at the first
+        # point, before the cache could hand it that config's set
+        pair = ModePair(ModeIndex(0, 0), ModeIndex(0, 0))
         engine._clear_tables()
-        with pytest.raises(DomainError, match=re.escape(f"{cfg} at gamma={gamma} gives "
-                                                        "constants that are zero")):
+        derive_constants(ref_cfg, turbulence_strength(grid[0]))
+        with pytest.raises(DomainError, match="^cfg must be an OpticalConfig, got tuple$"):
+            rytov_sweep(tuple(ref_cfg), grid, [pair], normalization)
+        assert engine.derive_cache_info() == (0, 1, channel.DERIVED_SETS, 1)
+        assert table_info().pi == (0, 0)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.01], [0.01, 0.02]])
+    @pytest.mark.parametrize("normalization", ["calibrated", "raw"])
+    def test_sweep_over_a_link_without_seeds_is_a_numerical_error(self, grid, normalization):
+        # Lambda0 ~ 6e-404 underflows to 0, so the link's seeds are not
+        # finite: a sweep, calibrated or raw, fails at the first point with
+        # the seeds' error, which names the pair, the Rytov value and the
+        # set; the set is derived and cached, and no Pi is filled
+        cfg = OpticalConfig(0.8e-6, 5000.0, 1e200)
+        gamma = turbulence_strength(grid[0])
+        engine._clear_tables()
+        with pytest.raises(NumericalError, match="^" + re.escape(
+                f"P(00,00) at rytov {grid[0]:g}: pi_factor(0, 0): the Pi seeds C=nan, "
+                "alpha=nan, beta=nan, delta=nan are not finite, C <= 0 or delta < 0 at "
+                f"gamma={gamma:.6g}, Lambda0=0") + "$"):
             rytov_sweep(cfg, grid, [ModePair(ModeIndex(0, 0), ModeIndex(0, 0))], normalization)
-        assert engine.derive_cache_info().currsize == 0
+        assert engine.derive_cache_info().currsize == 1
+        assert table_info().pi == (0, 1)
 
     def test_sweep_failure_names_pair_and_rytov(self, ref_cfg, corrupt_seeds):
         # with delta negative in turbulence, the sweep stops at rytov 0.01,

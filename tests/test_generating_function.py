@@ -15,9 +15,10 @@ import random
 
 import pytest
 
-from hgspdc import engine, reference
+from hgspdc import engine, perterm, reference
 from hgspdc.channel import OpticalConfig, derive_constants, turbulence_strength
-from hgspdc.engine import DEFAULT_MAX_ORDER, f_kernel, k_kernel, pi_factor
+from hgspdc.engine import DEFAULT_MAX_ORDER, pi_factor
+from hgspdc.perterm import f_kernel, k_kernel
 
 from test_engine import _per_order_pi
 
@@ -36,7 +37,8 @@ def double_sum(mu, nu, consts):
     terms = [ga * gb.conjugate() * k_kernel(n - 2 * a, n - 2 * b, consts)
              for a, ga in enumerate(g) for b, gb in enumerate(g)]
     cfg = consts.cfg
-    pref = 1.0 / (cfg.wavelength ** 2 * cfg.distance ** 2 * math.sqrt(math.pi * consts.b1)
+    b1 = perterm.constants(*consts).b1
+    pref = 1.0 / (cfg.wavelength ** 2 * cfg.distance ** 2 * math.sqrt(math.pi * b1)
                   * math.factorial(mu) * math.factorial(nu) * 2 ** (mu + nu))
     return pref * math.fsum(t.real for t in terms)
 

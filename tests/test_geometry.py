@@ -1,10 +1,11 @@
 """The split of the closed form between the constants and the Pi seeds: the
-constants are the dimensioned fields the per-term kernels read, each
-bitwise what the unsplit expressions below compute; the seeds are
-dimensionless functions of Lambda0, gamma and w_variant, apart from C's raw
-scale, each within 1e-15 of a 50-digit evaluation of their dimensioned
-forms; and the calibration anchor, C * C of the vacuum seeds, comes with
-each set's seeds, with no vacuum set built."""
+constants are the dimensioned values the per-term kernels read
+(perterm.constants), each bitwise what the unsplit expressions below
+compute; the seeds are dimensionless functions of Lambda0, gamma and
+w_variant, apart from C's raw scale, each within 1e-15 of a 50-digit
+evaluation of their dimensioned forms, or nan; and the calibration anchor,
+C * C of the vacuum seeds, comes with each set's seeds, with no vacuum set
+built."""
 
 import cmath
 import math
@@ -15,12 +16,11 @@ import sys
 import mpmath
 import pytest
 
-from hgspdc import engine
+from hgspdc import channel, engine, perterm
 from hgspdc.channel import (
     DERIVED_SETS,
     W_VARIANT_PROPAGATED,
     W_VARIANT_WAIST,
-    DerivedConstants,
     OpticalConfig,
     TurbulenceSpec,
     derive_cache_info,
@@ -28,7 +28,8 @@ from hgspdc.channel import (
     turbulence_strength,
 )
 from hgspdc.engine import DEFAULT_ORDERING, build_matrix, expand_modes, pi_factor
-from hgspdc.errors import CalibrationError, DomainError
+from hgspdc.errors import CalibrationError, DomainError, NumericalError
+from hgspdc.perterm import KernelConstants
 from hgspdc.reference import CALIBRATION_REFERENCE
 
 SEED_TOLERANCE = 1e-15
@@ -55,8 +56,7 @@ def _unsplit_constants(cfg, gamma, w_variant):
     if not finite:
         raise DomainError(f"{cfg} at gamma={gamma} gives constants that are zero, "
                           "infinite or beyond the float range")
-    return DerivedConstants(cfg=cfg, w=w, w_variant=w_variant, zeta=zeta, gamma=gamma,
-                            a3=a3, b1=b1, c1=c1, c2=c2, c3=c3)
+    return KernelConstants(w=w, zeta=zeta, a3=a3, b1=b1, c1=c1, c2=c2, c3=c3)
 
 
 def _mp_seeds(cfg, gamma, w_variant):
@@ -64,7 +64,7 @@ def _mp_seeds(cfg, gamma, w_variant):
     constants of cfg, read as exact binary values: C = P0 4 pi |1 - zeta|
     K(0, 0), P0 = 1 / (lambda^2 z^2 sqrt(pi b1)), alpha = 4 sigma / w^2 - zeta,
     beta = 8 sigma / w^2 - 2 (1 - zeta) and delta = 8 tau / w^2, with D,
-    sigma and tau the moments of K's Gaussian (see engine.k_kernel)."""
+    sigma and tau the moments of K's Gaussian (see perterm.k_kernel)."""
     with mpmath.workdps(50):
         lam, z, p, g = map(mpmath.mpf, (*cfg, gamma))
         k = 2 * mpmath.pi / lam
@@ -89,15 +89,16 @@ def _assert_seeds_match_mpmath(cfgs, rytovs):
     """Every seed of every set that derive_constants gives is within
     SEED_TOLERANCE of _mp_seeds, relative to its modulus; a seed whose exact
     value lies below the normal float range must come out below it too, and
-    one above it not finite. Returns the number of sets checked."""
+    one above it not finite. A set whose seeds are nan, all four, is not
+    checked: pi_seeds turns it away. Returns the number of sets checked."""
     checked = 0
     for cfg in cfgs:
         for rytov in rytovs:
             gamma = turbulence_strength(rytov)
             for w_variant in (W_VARIANT_PROPAGATED, W_VARIANT_WAIST):
-                try:
-                    got = derive_constants(cfg, gamma, w_variant).seeds
-                except DomainError:
+                got = derive_constants(cfg, gamma, w_variant).seeds
+                if cmath.isnan(got.c):
+                    assert all(map(cmath.isnan, got)), (cfg, rytov, w_variant, got)
                     continue
                 checked += 1
                 want = _mp_seeds(cfg, gamma, w_variant)
@@ -133,13 +134,14 @@ def _assert_constants_are_bitwise(cfgs, rytovs):
         for rytov in rytovs:
             gamma = turbulence_strength(rytov)
             for w_variant in (W_VARIANT_PROPAGATED, W_VARIANT_WAIST):
+                consts = derive_constants(cfg, gamma, w_variant)
                 try:
                     want = _unsplit_constants(cfg, gamma, w_variant)
                 except DomainError as exc:
                     with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
-                        derive_constants(cfg, gamma, w_variant)
+                        perterm.constants(*consts)
                     continue
-                got = derive_constants(cfg, gamma, w_variant)
+                got = perterm.constants(*consts)
                 assert got == want
                 # == equates 0.0 and -0.0 and fails on nan; the hex does neither
                 assert list(map(_hex, got)) == list(map(_hex, want))
@@ -152,8 +154,8 @@ def _hex(value):
 
 
 def test_split_is_bitwise_over_random_links():
-    # every field of every set over 300 links and 100 extreme ones, or the
-    # same DomainError, at rytov 0, a random value in (0, 0.1) and 1, for
+    # every constant of every set over 300 links and 100 extreme ones, or
+    # the same DomainError, at rytov 0, a random value in (0, 0.1) and 1, for
     # both w_variants
     cfgs, rng = _random_links(30, 300)
     engine._clear_tables()
@@ -168,12 +170,13 @@ def test_split_is_bitwise_in_the_near_field(near_field_cfgs):
 
 def test_seeds_match_mpmath(near_field_cfgs):
     # 300 links, the near field and 1000 extreme links, among them Lambda0
-    # from 7e-265 to 1e148 and 48 sets whose C lies below the float range;
-    # an extreme link whose constants leave the float range has no seeds
+    # from 7e-265 to 1e148 and sets whose C lies below the float range; an
+    # extreme link whose seeds leave the float range, or whose Lambda0 or
+    # C's denominator falls below it, has nan seeds
     cfgs, rng = _random_links(32, 300)
     assert _assert_seeds_match_mpmath(cfgs, (0.0, rng.uniform(0.0, 0.1), 1.0)) == 1800
     assert _assert_seeds_match_mpmath(near_field_cfgs.values(), (0.0, 0.02, 0.1, 1.0)) == 32
-    assert _assert_seeds_match_mpmath(_extreme_links(33, 1000), (0.0, 0.05, 1.0)) > 1000
+    assert _assert_seeds_match_mpmath(_extreme_links(33, 1000), (0.0, 0.05, 1.0)) == 2220
 
 
 def test_anchor_is_the_filled_vacuum_entry(ref_cfg, near_field_cfgs):
@@ -245,3 +248,28 @@ def test_lambda_squared_out_of_range_gives_a_calibrated_matrix():
     m = build_matrix(cfg, TurbulenceSpec.vacuum(), expand_modes(10))
     assert all(0.0 <= v < math.inf for row in m.values for v in row)
     assert m.values[0][0] == pytest.approx(CALIBRATION_REFERENCE, rel=1e-15)
+
+
+
+@pytest.mark.parametrize("cfg, gamma, w_variant, off", [
+    (OpticalConfig(1e-320, 1.0, 1.0), 0.0, W_VARIANT_PROPAGATED, 1.4e-4),
+    (OpticalConfig(3.5229440116871185e-119, 3.0310162080699083e-145, 7.70185209497321e+29),
+     1.4708809600132535, W_VARIANT_WAIST, 0.72),
+    (OpticalConfig(3.633146323797344e-275, 3.242878288629327e-79, 7.215866476046917e-30),
+     0.0, W_VARIANT_WAIST, 0.47),
+], ids=["Lambda0=1.6e-321", "Lambda0=5e-324", "denominator=2.6e-324"])
+def test_seeds_that_would_lose_bits_are_nan(cfg, gamma, w_variant, off, monkeypatch):
+    # a subnormal Lambda0, or at Lambda0 = 3.6e-296 a subnormal denominator
+    # of C, keeps too few bits: C, whose 50-digit value is a normal float,
+    # would come out off by the fraction off. Such a set's seeds and anchor
+    # are nan, so its matrices are typed errors
+    want = _mp_seeds(cfg, gamma, w_variant)[0]
+    assert sys.float_info.min < want < sys.float_info.max
+    consts = derive_constants(cfg, gamma, w_variant)
+    assert all(map(cmath.isnan, consts.seeds)) and math.isnan(consts.anchor)
+    for normalization in ("raw", "calibrated"):
+        with pytest.raises(NumericalError, match=r"^pi_factor\(3, 3\): the Pi seeds C=nan, "):
+            engine.probability_matrix(DEFAULT_ORDERING, consts, normalization)
+    monkeypatch.setattr(channel, "_normal", lambda value: value)
+    unguarded = channel._seed_values(cfg, gamma, w_variant)[0].c
+    assert abs(unguarded - want) / want == pytest.approx(off, rel=0.05)

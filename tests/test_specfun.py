@@ -1,6 +1,6 @@
-"""The engine's special functions, half-integer Gamma and f_kernel's
-terminating 2F1: anchor values, exact-rational oracles and property-based
-invariants."""
+"""Half-integer Gamma and f_kernel's terminating 2F1, the special functions
+of the per-term references: anchor values, exact-rational oracles and
+property-based invariants."""
 
 import math
 from fractions import Fraction
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hgspdc.engine import _gamma_half, _hyp2f1_terminating
+from hgspdc.perterm import _gamma_half, _hyp2f1_terminating
 from hgspdc.errors import DomainError
 
 SQRT_PI = math.sqrt(math.pi)

@@ -1,10 +1,11 @@
 """Start-up path: each command loads only the code it runs.
 
 No command, the oracle's included, loads numpy: the package is stdlib only
-and numpy is a test extra. No command loads dataclasses, and import hgspdc
-loads neither the validation suite nor the quadrature oracle. Each case
-runs in a fresh interpreter, since a module stays in sys.modules once any
-test in this process has loaded it.
+and numpy is a test extra. No command loads dataclasses, import hgspdc
+loads neither the validation suite nor the quadrature oracle, and no
+matrix, sweep or rank loads the per-term references (hgspdc.perterm). Each
+case runs in a fresh interpreter, since a module stays in sys.modules once
+any test in this process has loaded it.
 """
 
 import ast
@@ -20,7 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 #: modules that import hgspdc does not load
-NOT_IMPORTED = ("dataclasses", "hgspdc.validate", "hgspdc.oracle")
+NOT_IMPORTED = ("dataclasses", "hgspdc.validate", "hgspdc.oracle", "hgspdc.perterm")
 
 
 def loaded_after(code, modules=("numpy",)):
@@ -39,7 +40,8 @@ def loaded_after(code, modules=("numpy",)):
 
 @pytest.mark.parametrize("code", ["import hgspdc", "import hgspdc.cli"])
 def test_import_leaves_numpy_unloaded(code):
-    assert not loaded_after(code)
+    # and the per-term references
+    assert not loaded_after(code, ("numpy", "hgspdc.perterm"))
 
 
 _COMMANDS = [["matrix"], ["sweep", "--grid", "0,0.01"], ["rank", "--rytov", "0.02"]]
@@ -48,7 +50,8 @@ _COMMAND_IDS = ["matrix", "sweep", "rank"]
 
 @pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
 def test_commands_leave_numpy_unloaded(argv):
-    # run as `python -m hgspdc ...` runs it; dataclasses stays unloaded too
+    # run as `python -m hgspdc ...` runs it; dataclasses and the per-term
+    # references stay unloaded too
     assert loaded_after(f"""
         import runpy
         sys.argv = ["hgspdc", *{argv!r}]
@@ -56,23 +59,28 @@ def test_commands_leave_numpy_unloaded(argv):
             runpy.run_module("hgspdc", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             assert exc.code == 0, exc.code
-    """, ("numpy", "dataclasses")) == []
+    """, ("numpy", "dataclasses", "hgspdc.perterm")) == []
 
 
 def test_import_loads_the_oracle_on_first_use():
-    # import hgspdc loads neither the oracle nor validate; the oracle's
-    # names still resolve, in the star import too, and load the oracle
+    # import hgspdc loads neither the oracle, validate nor the per-term
+    # references; their names still resolve, in the star import too, and
+    # load their modules. engine forwards the two kernels alone
     assert loaded_after(f"""
         import hgspdc
         loaded = [m for m in {NOT_IMPORTED!r} if m in sys.modules and m not in _before]
         assert not loaded, loaded
         namespace = {{}}
         exec("from hgspdc import *", namespace)
-        from hgspdc import oracle
+        from hgspdc import engine, oracle, perterm
         assert namespace["QuadratureSpec"] is hgspdc.QuadratureSpec is oracle.QuadratureSpec
         assert hgspdc.vacuum_overlap_1d is oracle.vacuum_overlap_1d
         assert hgspdc.vacuum_probability_oracle is oracle.vacuum_probability_oracle
-    """, NOT_IMPORTED) == ["hgspdc.oracle"]
+        for name in ("f_kernel", "k_kernel", "sigma"):
+            assert namespace[name] is getattr(hgspdc, name) is getattr(perterm, name)
+        assert engine.f_kernel is perterm.f_kernel and engine.k_kernel is perterm.k_kernel
+        assert not hasattr(engine, "sigma")
+    """, NOT_IMPORTED) == ["hgspdc.oracle", "hgspdc.perterm"]
 
 
 def test_validate_leaves_numpy_unloaded_and_oracle_agrees(tmp_path):
