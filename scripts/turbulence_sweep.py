@@ -3,15 +3,16 @@
 CSV: column 1 is the Rytov variance, one column per mode pair.
 
 Default pairs: the retained (00,00) channel and the leaking (00,01) channel.
+Runs `hgspdc sweep` over a grid of --steps points from 0 to --max-rytov, its
+output and exit codes included, then prints each pair's first and last value
+from the CSV it wrote.
 """
 
 import argparse
+from pathlib import Path
 
-from hgspdc import reference
-from hgspdc.cli import EXIT_NUMERICAL, EXIT_PARAMS, _emit, _parse_pair, _sweep_series
-from hgspdc.engine import NORMALIZATION_CALIBRATED
-from hgspdc.errors import DomainError, NumericalError
-from hgspdc.serialization import sweep_params, sweep_to_csv
+from hgspdc.cli import main as hgspdc_main
+from hgspdc.serialization import parse_matrix_csv
 
 
 def main():
@@ -24,26 +25,22 @@ def main():
     args = parser.parse_args()
     if args.steps < 2:
         parser.error(f"--steps must be at least 2, got {args.steps}")
+    if args.max_rytov < 0:
+        parser.error(f"--max-rytov must be at least 0, got {args.max_rytov}")
 
     grid = [args.max_rytov * k / (args.steps - 1) for k in range(args.steps)]
+    # the = forms keep a value that starts with "-" a value
+    code = hgspdc_main(["sweep", "--grid=" + ",".join(map(repr, grid)),
+                        "--pairs=" + args.pairs, "--output=" + args.output])
+    if code:
+        raise SystemExit(code)
 
-    cfg = reference.reference_config()
-    try:
-        pairs = [_parse_pair(token) for token in args.pairs.split()]
-        series = _sweep_series(cfg, grid, pairs, NORMALIZATION_CALIBRATED)
-    except DomainError as exc:
-        parser.error(str(exc))
-    except NumericalError as exc:
-        parser.exit(EXIT_NUMERICAL, f"error: numerical failure: {exc}\n")
-
-    text = sweep_to_csv(grid, series, sweep_params(cfg, NORMALIZATION_CALIBRATED))
-    try:
-        _emit(text, args.output)
-    except DomainError as exc:
-        parser.exit(EXIT_PARAMS, f"error: invalid parameters: {exc}\n")
-    print(f"wrote {args.output} ({len(grid)} grid points, {len(pairs)} pairs)")
-    for name, values in series.items():
-        print(f"  {name}: {values[0]:.5f} -> {values[-1]:.5f}")
+    # a sweep CSV reads as a matrix CSV whose rows are the grid points
+    doc = parse_matrix_csv(Path(args.output).read_text())
+    rows = doc["matrix"]
+    print(f"wrote {args.output} ({len(rows)} grid points, {len(doc['ordering'])} pairs)")
+    for k, name in enumerate(doc["ordering"]):
+        print(f"  {name}: {rows[0][k]:.5f} -> {rows[-1][k]:.5f}")
 
 
 if __name__ == "__main__":

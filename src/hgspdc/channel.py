@@ -82,10 +82,9 @@ class OpticalConfig(namedtuple("OpticalConfig", "wavelength distance pump_waist"
 
     @property
     def fresnel_ratio(self) -> float:
-        """Lambda0 = 2 z / (k W0^2); DomainError naming the link if it
-        leaves the float range."""
-        return _in_float_range(lambda: 2.0 * self.distance / (self.wavenumber * self.w0 ** 2),
-                               "fresnel_ratio", *self)
+        """Lambda0 = 2 z / (k W0^2), as the seeds read it (_lambda0);
+        DomainError naming the link if it is 0 or infinite."""
+        return _in_float_range(lambda: _lambda0(self) or math.inf, "fresnel_ratio", *self)
 
     @classmethod
     def from_w0(cls, wavelength: float, distance: float, w0: float) -> "OpticalConfig":

@@ -1,6 +1,9 @@
 """Command-line surface: matrices, turbulence sweeps, robust-mode ranking
 and the validation suite, with CSV/JSON output.
 
+A --config file holds key=value lines, each read as the flag --key=value of
+its command, by that command's own parser, under the flags given.
+
 Exit codes: 0 success, 1 validation failure, 2 invalid parameters or an
 unusable config or output path, 3 numerical failure.
 """
@@ -35,9 +38,6 @@ EXIT_VALIDATION = 1
 EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
-DEFAULT_GRID = validate.SWEEP_GRID
-
-
 class RunConfig(namedtuple("RunConfig", "optical turbulence modes normalization fmt output")):
     """Resolved run parameters shared by the subcommands: optical, turbulence,
     modes (a tuple of ModeIndex), normalization, fmt (None, "csv" or "json")
@@ -46,24 +46,20 @@ class RunConfig(namedtuple("RunConfig", "optical turbulence modes normalization 
     __slots__ = ()
 
 
-#: the keys a config file may hold, each with the cast its text takes
-_CONFIG_KEYS = {"wavelength": float, "distance": float, "pump_waist": float,
-                "cn2": float, "rytov": float, "modes": str, "max_sum": int,
-                "normalize": str, "format": str, "output": str}
-# a flag from one of these mutually exclusive groups overrides the whole
+# a flag from one of these mutually exclusive groups shadows the whole
 # group in the config file, not just its own key
 _EXCLUSIVE_GROUPS = (("cn2", "rytov"), ("modes", "max_sum"))
 
 
-def _read_config_file(path: str, keys: set[str]) -> dict:
-    """The file's key=value lines; DomainError for a key not in keys, the
-    _CONFIG_KEYS entries the command's parser defines."""
+def _read_config_file(path: str, shadowed: set[str]) -> list[str]:
+    """The file's key=value lines as the tokens --key=value, _ read as -,
+    leaving out the keys in shadowed, which flags give."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise DomainError(f"cannot read config {path}: {reason}") from None
-    values: dict[str, str] = {}
+    tokens = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -72,10 +68,23 @@ def _read_config_file(path: str, keys: set[str]) -> dict:
         if not sep:
             raise DomainError(f"config line is not key=value: {raw!r}")
         key = key.strip().replace("-", "_")
-        if key not in keys:
-            raise DomainError(f"unknown config key {key!r}")
-        values[key] = val.strip()
-    return values
+        if key not in shadowed:
+            tokens.append(f"--{key.replace('_', '-')}={val.strip()}")
+    return tokens
+
+
+def _with_config(args: argparse.Namespace) -> argparse.Namespace:
+    """args over the --config file's values, which the command's own parser
+    reads as it reads the flags. A flag shadows its own file key, and a flag
+    of a mutually exclusive group the whole group."""
+    given = {k for k, v in vars(args).items() if v is not None} - {"command", "config"}
+    shadowed = given.union(*(group for group in _EXCLUSIVE_GROUPS if not given.isdisjoint(group)))
+    # no abbreviations: a file key names a flag in full
+    file_args = build_parser(allow_abbrev=False).parse_args(
+        [args.command, *_read_config_file(args.config, shadowed)])
+    if file_args.config is not None:  # a config file names no other one
+        raise DomainError("unknown config key 'config'")
+    return argparse.Namespace(**{**vars(file_args), **{k: getattr(args, k) for k in given}})
 
 
 def _parse_modes_arg(tokens: str) -> tuple[ModeIndex, ...]:
@@ -102,17 +111,7 @@ def _number(cast, key: str, text):
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the flags over the --config file. A flag shadows its own file
-    key, and a flag of a mutually exclusive group the whole group; every
-    file value left is cast by _CONFIG_KEYS, in that table's order."""
-    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
-    file_vals = (_read_config_file(args.config, _CONFIG_KEYS.keys() & vars(args).keys())
-                 if args.config else {})
-    shadowed = set(flags).union(*(group for group in _EXCLUSIVE_GROUPS
-                                  if not flags.keys().isdisjoint(group)))
-    values = {k: _number(cast, k, file_vals[k]) for k, cast in _CONFIG_KEYS.items()
-              if k in file_vals and k not in shadowed}
-    values.update(flags)
+    values = {k: v for k, v in vars(args).items() if v is not None}
 
     def given(*keys):
         return {k: values[k] for k in keys if k in values}
@@ -120,27 +119,24 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     optical = reference.reference_config()._replace(
         **given("wavelength", "distance", "pump_waist"))
     turbulence = TurbulenceSpec(**given("cn2", "rytov"))
-    if "modes" in values and "max_sum" in values:
-        raise DomainError("give either modes or max_sum, not both")
     modes = (_parse_modes_arg(values["modes"]) if "modes" in values
              else tuple(expand_modes(values["max_sum"])) if "max_sum" in values
              else DEFAULT_ORDERING)
-    if values.get("format") not in (None, "csv", "json"):
-        raise DomainError(f"unknown format {values['format']!r}")
     return RunConfig(optical, turbulence, modes,
                      values.get("normalize", NORMALIZATION_CALIBRATED),
                      values.get("format"), values.get("output"))
 
 
 def _emit(text: str, output: str | None, mode: str = "w") -> None:
-    if not output:
+    if output is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return
     try:
         with open(output, mode) as fh:
             fh.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {output}: {exc.strerror or exc}") from None
+        reason = exc.strerror or exc
+        raise DomainError(f"cannot write {output or repr(output)}: {reason}") from None
 
 
 def _compute_matrix(cfg: RunConfig):
@@ -152,7 +148,7 @@ def cmd_matrix(cfg: RunConfig) -> int:
     matrix = _compute_matrix(cfg)
     if cfg.fmt == "json":
         _emit(serialization.matrix_to_json(matrix), cfg.output)
-    elif cfg.fmt == "csv" or cfg.output:
+    elif cfg.fmt == "csv" or cfg.output is not None:
         _emit(serialization.matrix_to_csv(matrix), cfg.output)
     else:
         header = "\n".join(
@@ -163,18 +159,14 @@ def cmd_matrix(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_series(optical, grid, pairs: list[ModePair], normalization: str) -> dict:
-    """rytov_sweep's series keyed by "P" and the pair's label; DomainError
-    for a pair given twice, whose column the keys would lose."""
+def cmd_sweep(cfg: RunConfig, grid: list[float], pairs: list[ModePair]) -> int:
+    # the series are keyed by "P" and the pair's label, so a pair given
+    # twice would lose its column
     labels = [f"P{p.label()}" for p in pairs]
     for k, label in enumerate(labels):
         if label in labels[:k]:
             raise DomainError(f"pair {label[1:]} is given more than once")
-    return dict(zip(labels, rytov_sweep(optical, grid, pairs, normalization=normalization)))
-
-
-def cmd_sweep(cfg: RunConfig, grid: list[float], pairs: list[ModePair]) -> int:
-    series = _sweep_series(cfg.optical, grid, pairs, cfg.normalization)
+    series = dict(zip(labels, rytov_sweep(cfg.optical, grid, pairs, cfg.normalization)))
     params = serialization.sweep_params(cfg.optical, cfg.normalization)
     emit = serialization.sweep_to_json if cfg.fmt == "json" else serialization.sweep_to_csv
     _emit(emit(list(grid), series, params), cfg.output)
@@ -229,7 +221,7 @@ def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NOD
     # a bad node count or report path fails before any check runs; appending
     # nothing leaves an existing report as it is
     check_node_count(nodes)
-    if output:
+    if output is not None:
         _emit("", output, "a")
     results = validate.run_checks(vacuum_only=vacuum_only, oracle_nodes=nodes)
     report = {
@@ -243,15 +235,16 @@ def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NOD
         print(f"{status:4}  {r.name}{dev}")
         if not r.passed:
             print(f"      {r.detail}")
-    if output:
+    if output is not None:
         _emit(json.dumps(report, indent=2), output)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
-def _add_common(parser: argparse.ArgumentParser, channel: bool) -> None:
-    """The link and output flags, and with channel the --cn2|--rytov and
-    --modes|--max-sum groups between them: matrix and rank read a channel
-    and a mode grid, sweep neither."""
+def _add_common(parser: argparse.ArgumentParser, channel: bool,
+                formats: tuple[str, ...] = ("csv", "json")) -> None:
+    """The link and output flags, --format offering formats, and with
+    channel the --cn2|--rytov and --modes|--max-sum groups between them:
+    matrix and rank read a channel and a mode grid, sweep neither."""
     parser.add_argument("--wavelength", type=float, help="wavelength [m]")
     parser.add_argument("--distance", type=float, help="propagation distance [m]")
     parser.add_argument("--pump-waist", dest="pump_waist", type=float,
@@ -268,13 +261,15 @@ def _add_common(parser: argparse.ArgumentParser, channel: bool) -> None:
                            help="expand all modes with m+n <= S")
     parser.add_argument("--normalize", choices=[NORMALIZATION_RAW,
                                                 NORMALIZATION_CALIBRATED])
-    parser.add_argument("--format", dest="format", choices=["csv", "json"])
+    parser.add_argument("--format", dest="format", choices=formats)
     parser.add_argument("--output", type=str, help="output path (default stdout)")
     parser.add_argument("--config", type=str,
                         help="key=value config file; flags override it")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
+    """The CLI's parser; without allow_abbrev, the subcommands that read a
+    config file take no abbreviated flag."""
     parser = argparse.ArgumentParser(
         prog="hgspdc",
         description="Joint detection probabilities of photon pairs in "
@@ -282,19 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_matrix = sub.add_parser("matrix", help="compute a probability matrix")
+    p_matrix = sub.add_parser("matrix", allow_abbrev=allow_abbrev,
+                              help="compute a probability matrix")
     _add_common(p_matrix, channel=True)
 
-    p_sweep = sub.add_parser("sweep", help="sweep probabilities over rytov values")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=allow_abbrev,
+                             help="sweep probabilities over rytov values")
     _add_common(p_sweep, channel=False)
     p_sweep.add_argument("--grid", type=str,
                          help="comma-separated ascending rytov values "
                               "(default 0,0.01,...,0.1)")
-    p_sweep.add_argument("--pairs", type=str, default="00:00 00:01",
+    p_sweep.add_argument("--pairs", type=str,
                          help="pair tokens 'ss:ii', space separated")
 
-    p_rank = sub.add_parser("rank", help="rank mode pairs by turbulence robustness")
-    _add_common(p_rank, channel=True)
+    p_rank = sub.add_parser("rank", allow_abbrev=allow_abbrev,
+                            help="rank mode pairs by turbulence robustness")
+    _add_common(p_rank, channel=True, formats=("json",))
 
     p_val = sub.add_parser("validate", help="run the validation suite")
     p_val.add_argument("--vacuum-only", action="store_true",
@@ -313,19 +311,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "validate":
             return cmd_validate(args.vacuum_only, args.output, args.nodes)
+        args = _with_config(args) if args.config else args
         cfg = _build_run_config(args)
         if args.command == "matrix":
             return cmd_matrix(cfg)
         if args.command == "sweep":
-            grid = ([_number(float, "grid value", tok) for tok in args.grid.split(",")]
-                    if args.grid else list(DEFAULT_GRID))
-            pairs = [_parse_pair(tok) for tok in args.pairs.split()]
-            return cmd_sweep(cfg, grid, pairs)
+            # an empty --grid holds no point, which rytov_sweep rejects
+            tokens = args.grid.split(",") if args.grid else []
+            grid = (list(validate.SWEEP_GRID) if args.grid is None
+                    else [_number(float, "grid value", tok) for tok in tokens])
+            pairs = "00:00 00:01" if args.pairs is None else args.pairs
+            return cmd_sweep(cfg, grid, [_parse_pair(tok) for tok in pairs.split()])
         # argparse admits no other command than rank here
         if cfg.turbulence == TurbulenceSpec():
             raise DomainError("rank needs a turbulent channel: give --rytov or --cn2")
-        if cfg.fmt == "csv":
-            raise DomainError("rank writes a table or JSON, not CSV")
         return cmd_rank(cfg)
     except DomainError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from hgspdc.channel import (
     W_VARIANT_WAIST,
     OpticalConfig,
     TurbulenceSpec,
+    _lambda0,
     derive_constants,
     rytov_to_cn2,
     rytov_variance,
@@ -71,7 +72,9 @@ class TestOpticalConfig:
             with pytest.raises(DomainError):
                 OpticalConfig(*args)
 
-    @pytest.mark.parametrize("link", [(1e-6, 1.0, 1e200), (1e-300, 1e-300, 1e-200)],
+    # Lambda0 = 2 z / (k W0^2) underflows to 0 where W0^2 overflows, and
+    # overflows where k W0^2 is 0
+    @pytest.mark.parametrize("link", [(1e-6, 1.0, 1e200), (1e300, 1e-300, 1e-300)],
                              ids=["W0^2 overflows", "k W0^2 is 0"])
     def test_fresnel_ratio_out_of_range_names_the_link(self, link):
         cfg = OpticalConfig(*link)
@@ -80,24 +83,29 @@ class TestOpticalConfig:
             cfg.fresnel_ratio
 
     def test_fresnel_ratio_keeps_its_bits(self):
-        # over links log-uniform in 1e-300..1e300, Lambda0 is the bare
-        # expression where that is finite, and a DomainError where it
-        # raises or is not
+        # over links log-uniform in 1e-300..1e300, Lambda0 is the seeds'
+        # _lambda0 where that is neither 0 nor infinite, and a DomainError
+        # where it is
         rng = random.Random(32)
-        finite = 0
+        in_range = 0
         for _ in range(1000):
             cfg = OpticalConfig(*(10 ** rng.uniform(-300, 300) for _ in range(3)))
-            try:
-                bare = 2.0 * cfg.distance / (cfg.wavenumber * cfg.w0 ** 2)
-            except (OverflowError, ZeroDivisionError):
-                bare = math.inf
-            if math.isfinite(bare):
-                finite += 1
-                assert cfg.fresnel_ratio.hex() == bare.hex()
+            lam0 = _lambda0(cfg)
+            if 0 < lam0 < math.inf:
+                in_range += 1
+                assert cfg.fresnel_ratio.hex() == lam0.hex()
             else:
                 with pytest.raises(DomainError, match="leaves the float range"):
                     cfg.fresnel_ratio
-        assert 0 < finite < 1000
+        assert 0 < in_range < 1000
+
+    def test_fresnel_ratio_where_k_w0_squared_is_subnormal(self):
+        # 2 z / (k W0^2) formed directly came out 2.4% off here
+        link = (2.7811190596410327e+195, 2.1291025319580659e-215, 4.620954383109336e-65)
+        with mp.workdps(50):
+            wavelength, distance, pump_waist = map(mp.mpf, link)
+            want = distance * wavelength / (2 * mp.pi * pump_waist ** 2)
+            assert abs(OpticalConfig(*link).fresnel_ratio / want - 1) < 1e-15
 
     def test_from_w0(self):
         cfg = OpticalConfig.from_w0(LAM, Z, 0.1)

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_exit(capsys, *argv):
+    """run, with argparse's SystemExit read as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 class TestMatrixCommand:
     def test_default_prints_reference_vacuum_table(self, capsys):
         code, out, _ = run(capsys, "matrix")
@@ -251,22 +261,30 @@ class TestConfigFile:
         assert doc["params"]["rytov"] == 0.05
 
     def test_malformed_line_exit_2(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        for text in ("rytov 0.02\n", "max_sum=x\n", "rytov=x\n",
-                     "wavelenght=1.55e-6\n"):
+        # a line without = is the file's own error; a bad value or an
+        # unknown key is the parser's, as for a flag, with the usage
+        cfg, out_path = tmp_path / "bad.cfg", tmp_path / "out.txt"
+        for text, named in (("rytov 0.02\n", "'rytov 0.02'"),
+                            ("max_sum=x\n", "--max-sum: invalid int value: 'x'"),
+                            ("rytov=x\n", "--rytov: invalid float value: 'x'"),
+                            ("wavelenght=1.55e-6\n", "--wavelenght=1.55e-6")):
             cfg.write_text(text)
-            code, _, err = run(capsys, "matrix", "--config", str(cfg))
-            assert code == EXIT_PARAMS, text
-        assert "'wavelenght'" in err  # the unknown key is named
+            code, out, err = run_exit(capsys, "matrix", "--config", str(cfg),
+                                      "--output", str(out_path))
+            assert code == EXIT_PARAMS and out == "", text
+            assert named in err, text
+            assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["matrix", "sweep", "rank"])
     def test_unknown_normalization_exit_2(self, capsys, tmp_path, command):
         # rank needs a turbulent channel; sweep reads no rytov key
-        cfg = tmp_path / "run.cfg"
+        cfg, out_path = tmp_path / "run.cfg", tmp_path / "out.txt"
         cfg.write_text("normalize=unit\n" + ("rytov=0.02\n" if command != "sweep" else ""))
-        code, _, err = run(capsys, command, "--config", str(cfg))
-        assert code == EXIT_PARAMS
-        assert "unknown normalization" in err
+        code, out, err = run_exit(capsys, command, "--config", str(cfg),
+                                  "--output", str(out_path))
+        assert code == EXIT_PARAMS and out == ""
+        assert "argument --normalize: invalid choice: 'unit'" in err
+        assert not out_path.exists()
 
     def test_flag_overrides_conflicting_file_group(self, capsys, tmp_path):
         # --rytov must shadow a cn2 value coming from the file
@@ -279,17 +297,19 @@ class TestConfigFile:
         assert doc["params"]["rytov"] == 0.02
 
     @pytest.mark.parametrize("text, message", [
-        ("modes=00 01\nmax_sum=2\n", "give either modes or max_sum"),
-        ("cn2=2.4e-17\nrytov=0.02\n", "give either cn2 or rytov"),
-        ("format=xml\n", "unknown format 'xml'"),
+        ("modes=00 01\nmax_sum=2\n", "argument --max-sum: not allowed with argument --modes"),
+        ("cn2=2.4e-17\nrytov=0.02\n", "argument --rytov: not allowed with argument --cn2"),
+        ("format=xml\n", "argument --format: invalid choice: 'xml'"),
     ], ids=["modes-and-max_sum", "cn2-and-rytov", "format-xml"])
     def test_conflicting_or_unknown_file_values_exit_2(self, capsys, tmp_path,
                                                        text, message):
-        cfg = tmp_path / "run.cfg"
+        cfg, out_path = tmp_path / "run.cfg", tmp_path / "out.txt"
         cfg.write_text(text)
-        code, out, err = run(capsys, "matrix", "--config", str(cfg))
+        code, out, err = run_exit(capsys, "matrix", "--config", str(cfg),
+                                  "--output", str(out_path))
         assert code == EXIT_PARAMS and out == ""
         assert message in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("text, flags, ordering", [
         ("modes=00\nformat=json\n", ("--max-sum", "1"), ["00", "01", "10"]),
@@ -309,6 +329,122 @@ class TestConfigFile:
         code, out, _ = run(capsys, "matrix", "--config", str(cfg))
         assert code == EXIT_OK
         assert json.loads(out)["params"]["pump_waist_m"] == 0.0035
+
+
+# (command, flags every run gives, flag, value): each command's own flags,
+# sweep's grid and pairs included; rank needs a turbulent channel
+_FILE_KEYS = [
+    *(("matrix", [], flag, value) for flag, value in (
+        ("--wavelength", "1e-6"), ("--distance", "1000"), ("--pump-waist", "0.05"),
+        ("--cn2", "2.4e-17"), ("--rytov", "0.02"), ("--modes", "00 0,10 11"),
+        ("--max-sum", "2"), ("--normalize", "raw"), ("--format", "json"),
+        ("--format", "csv"), ("--output", None))),
+    *(("sweep", [], flag, value) for flag, value in (
+        ("--wavelength", "1e-6"), ("--distance", "1000"), ("--pump-waist", "0.05"),
+        ("--normalize", "raw"), ("--format", "json"), ("--output", None),
+        ("--grid", "0,0.03,0.05"), ("--pairs", "00:01 11:11 0,2:2,0"))),
+    ("rank", [], "--cn2", "2.4e-17"), ("rank", [], "--rytov", "0.05"),
+    *(("rank", ["--rytov", "0.02"], flag, value) for flag, value in (
+        ("--wavelength", "1e-6"), ("--distance", "1000"), ("--pump-waist", "0.05"),
+        ("--modes", "00 02 11"), ("--max-sum", "2"), ("--normalize", "raw"),
+        ("--format", "json"), ("--output", None))),
+]
+
+
+class TestConfigIsItsFlags:
+    """A config file is parsed by the command's own parser: each key is a
+    flag of the command, and acts as that flag does."""
+
+    @pytest.mark.parametrize("command, base, flag, value", _FILE_KEYS,
+                             ids=[f"{c}{flag}{'=' + v if v else ''}"
+                                  for c, _, flag, v in _FILE_KEYS])
+    def test_file_key_equals_its_flag(self, capsys, tmp_path, command, base, flag, value):
+        by_flag, by_file = tmp_path / "flag.out", tmp_path / "file.out"
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value or by_file}\n")
+        want = run(capsys, command, *base, flag, value or str(by_flag))
+        got = run(capsys, command, *base, "--config", str(cfg))
+        assert want[0] == EXIT_OK and got == want
+        if value is None:
+            assert by_file.read_text() == by_flag.read_text() != ""
+
+    @pytest.mark.parametrize("text, flags", [
+        ("grid=0,0.05\npairs=11:11\nformat=json\n", ["--grid", "0,0.01", "--format", "csv"]),
+        ("grid=0,0.05\npairs=11:11\n", ["--pairs", "00:00 00:01"]),
+    ], ids=["grid-and-format", "pairs"])
+    def test_sweep_flag_shadows_its_file_key(self, capsys, tmp_path, text, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        file_only = dict(line.split("=") for line in text.splitlines())
+        kept = [f"--{k}={v}" for k, v in file_only.items() if f"--{k}" not in flags]
+        want = run(capsys, "sweep", *kept, *flags)
+        assert want[0] == EXIT_OK
+        assert run(capsys, "sweep", "--config", str(cfg), *flags) == want
+
+    @pytest.mark.parametrize("command, flags", [
+        ("matrix", ["--rytov", "0.02"]), ("rank", ["--cn2", "2.4e-17"])])
+    def test_flag_shadows_both_keys_of_its_group(self, capsys, tmp_path, command, flags):
+        # the file alone is an error: it gives both keys of a group, and a
+        # bad value; the flag's group shadows all of them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cn2=x\nrytov=0.05\nmodes=00 01\nmax_sum=2\n")
+        assert run_exit(capsys, command, "--config", str(cfg))[0] == EXIT_PARAMS
+        want = run(capsys, command, *flags, "--max-sum", "1")
+        assert want[0] == EXIT_OK
+        assert run(capsys, command, "--config", str(cfg), *flags, "--max-sum", "1") == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("config=other.cfg\n", "error: invalid parameters: unknown config key 'config'"),
+        ("ryt=0.02\n", "error: unrecognized arguments: --ryt=0.02"),
+        ("command=rank\n", "error: unrecognized arguments: --command=rank"),
+    ], ids=["config", "abbreviated", "command"])
+    def test_key_that_is_no_flag_of_the_command_exit_2(self, capsys, tmp_path, text, message):
+        # a file names no other file, and its keys name flags in full
+        cfg, out_path = tmp_path / "run.cfg", tmp_path / "out.txt"
+        cfg.write_text(text)
+        code, out, err = run_exit(capsys, "matrix", "--config", str(cfg),
+                                  "--output", str(out_path))
+        assert code == EXIT_PARAMS and out == ""
+        assert message in err
+        assert not out_path.exists()
+
+    def test_rank_help_lists_json_only(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["rank", "--help"])
+        out = capsys.readouterr().out
+        assert "--format {json}" in out and "csv" not in out
+
+
+class TestEmptyValues:
+    """An empty value is an input like any other: it fails as the command
+    reads it, not as if it were absent."""
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("sweep", "--grid", "sweep grid is empty"),
+        ("sweep", "--pairs", "sweep pair list is empty"),
+        ("matrix", "--modes", "mode list is empty"),
+        ("matrix", "--output", "cannot write '': No such file or directory"),
+        ("rank", "--output", "cannot write '': No such file or directory"),
+        ("sweep", "--output", "cannot write '': No such file or directory"),
+    ], ids=["sweep-grid", "sweep-pairs", "matrix-modes", "matrix-output", "rank-output",
+            "sweep-output"])
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    def test_empty_value_exit_2(self, capsys, tmp_path, command, flag, message, form):
+        argv = ["--rytov", "0.02"] if command == "rank" else []
+        if form == "flag":
+            argv += [flag, ""]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{flag[2:]}=\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        code, out, err = run(capsys, command, *argv)
+        assert code == EXIT_PARAMS and out == ""
+        assert err == f"error: invalid parameters: {message}\n"
+
+    def test_empty_validate_output_exit_2(self, capsys):
+        code, out, err = run(capsys, "validate", "--vacuum-only", "--output", "")
+        assert code == EXIT_PARAMS and out == ""
+        assert err == "error: invalid parameters: cannot write '': No such file or directory\n"
 
 
 class TestSweepCommand:

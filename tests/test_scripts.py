@@ -66,17 +66,22 @@ def test_turbulence_sweep_matches_cli(tmp_path):
     assert (tmp_path / "script.csv").read_text() == cli_path.read_text()
 
 
-@pytest.mark.parametrize("args", [
-    ["--steps", "1"], ["--steps", "0"],
-    ["--pairs", "00-01"], ["--max-rytov", "-0.1"], ["--pairs", "a,b:00"],
-    ["--pairs", "00,01:00"], ["--pairs", "00:01 0,0:0,1"],
+# the script's own flags fail with its usage, and a pair it passes on
+# with the error line of `hgspdc sweep`
+@pytest.mark.parametrize("args, error", [
+    (["--steps", "1"], "usage:"), (["--steps", "0"], "usage:"),
+    (["--pairs", "00-01"], "error: invalid parameters: pair token '00-01'"),
+    (["--max-rytov", "-0.1"], "usage:"),
+    (["--pairs", "a,b:00"], "error: invalid parameters: cannot parse mode token 'a,b'"),
+    (["--pairs", "00,01:00"], "error: invalid parameters: mode token '00,01'"),
+    (["--pairs", "00:01 0,0:0,1"], "error: invalid parameters: pair (00,01) is given"),
 ], ids=["1", "0", "pairs-00-01", "max-rytov-negative", "pairs-a,b:00",
         "pairs-comma-list", "pairs-repeated"])
-def test_turbulence_sweep_rejects_too_few_steps(tmp_path, args):
+def test_turbulence_sweep_rejects_too_few_steps(tmp_path, args, error):
     proc = run_script("turbulence_sweep.py", *args, "--output", "out.csv",
                       cwd=tmp_path)
-    assert proc.returncode == EXIT_PARAMS
-    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.returncode == EXIT_PARAMS and proc.stdout == ""
+    assert error in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out.csv").exists()
 
 
