@@ -1,8 +1,11 @@
 """Command-line surface: matrices, turbulence sweeps, robust-mode ranking
 and the validation suite, with CSV/JSON output.
 
-A --config file holds key=value lines, each read as the flag --key=value of
-its command, by that command's own parser, under the flags given.
+Each subcommand is one function of its parsed flags (cmd_matrix, cmd_sweep,
+cmd_rank, cmd_validate), which main looks up in the command table
+_COMMANDS. A --config file holds key=value lines, each read as the flag
+--key=value of its command, by that command's own parser, under the flags
+given; an error in the file names the file.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid parameters or an
 unusable config or output path, 3 numerical failure.
@@ -13,14 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import namedtuple
 from pathlib import Path
 
 from . import reference, serialization, validate
-from .channel import TurbulenceSpec
+from .channel import OpticalConfig, TurbulenceSpec
 from .engine import (
     DEFAULT_ORDERING,
-    ModeIndex,
     ModePair,
     NORMALIZATION_CALIBRATED,
     NORMALIZATION_RAW,
@@ -38,22 +39,22 @@ EXIT_VALIDATION = 1
 EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
-class RunConfig(namedtuple("RunConfig", "optical turbulence modes normalization fmt output")):
-    """Resolved run parameters shared by the subcommands: optical, turbulence,
-    modes (a tuple of ModeIndex), normalization, fmt (None, "csv" or "json")
-    and output (a path or None)."""
-
-    __slots__ = ()
-
-
-# a flag from one of these mutually exclusive groups shadows the whole
-# group in the config file, not just its own key
-_EXCLUSIVE_GROUPS = (("cn2", "rytov"), ("modes", "max_sum"))
+# the --cn2|--rytov and --modes|--max-sum groups of matrix and rank, by
+# dest: a flag of one shadows the whole group in the config file, not just
+# its own key
+_EXCLUSIVE_GROUPS = (
+    {"cn2": {"type": float, "help": "refractive-index structure constant"},
+     "rytov": {"type": float, "help": "Rytov variance (dimensionless)"}},
+    {"modes": {"help": "space-separated 'mn' or 'm,n' tokens (default: 10-mode grid)"},
+     "max_sum": {"type": int, "help": "expand all modes with m+n <= S"}},
+)
 
 
 def _read_config_file(path: str, shadowed: set[str]) -> list[str]:
     """The file's key=value lines as the tokens --key=value, _ read as -,
     leaving out the keys in shadowed, which flags give."""
+    if not path:  # Path("") would read the working directory
+        raise DomainError("--config path is empty")
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -79,21 +80,36 @@ def _with_config(args: argparse.Namespace) -> argparse.Namespace:
     of a mutually exclusive group the whole group."""
     given = {k for k, v in vars(args).items() if v is not None} - {"command", "config"}
     shadowed = given.union(*(group for group in _EXCLUSIVE_GROUPS if not given.isdisjoint(group)))
-    # no abbreviations: a file key names a flag in full
-    file_args = build_parser(allow_abbrev=False).parse_args(
+    file_args = build_parser(prog=f"hgspdc --config {args.config}").parse_args(
         [args.command, *_read_config_file(args.config, shadowed)])
     if file_args.config is not None:  # a config file names no other one
         raise DomainError("unknown config key 'config'")
     return argparse.Namespace(**{**vars(file_args), **{k: getattr(args, k) for k in given}})
 
 
-def _parse_modes_arg(tokens: str) -> tuple[ModeIndex, ...]:
-    """Whitespace-separated mode tokens, each 'mn' or 'm,n' as a matrix labels
-    them (see parse_mode)."""
-    modes = tuple(parse_mode(tok) for tok in tokens.split())
+def _given(args: argparse.Namespace, *keys: str) -> dict:
+    """The values args gives for keys; None is a flag not given."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+
+def _link(args: argparse.Namespace) -> OpticalConfig:
+    """The reference link with the flags' wavelength, distance and waist."""
+    return reference.reference_config()._replace(
+        **_given(args, "wavelength", "distance", "pump_waist"))
+
+
+def _channel(args: argparse.Namespace) -> tuple:
+    """The link, turbulence and mode grid of matrix and rank, read in that
+    order, so the first bad one is the error reported."""
+    link = _link(args)
+    turbulence = TurbulenceSpec(**_given(args, "cn2", "rytov"))
+    # --modes splits on whitespace only: 'm,n' names one mode (parse_mode)
+    modes = (tuple(parse_mode(tok) for tok in args.modes.split()) if args.modes is not None
+             else tuple(expand_modes(args.max_sum)) if args.max_sum is not None
+             else DEFAULT_ORDERING)
     if not modes:
         raise DomainError("mode list is empty")
-    return modes
+    return link, turbulence, modes
 
 
 def _parse_pair(token: str) -> ModePair:
@@ -110,23 +126,6 @@ def _number(cast, key: str, text):
         raise DomainError(f"{key} must be a number, got {text!r}") from None
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    values = {k: v for k, v in vars(args).items() if v is not None}
-
-    def given(*keys):
-        return {k: values[k] for k in keys if k in values}
-
-    optical = reference.reference_config()._replace(
-        **given("wavelength", "distance", "pump_waist"))
-    turbulence = TurbulenceSpec(**given("cn2", "rytov"))
-    modes = (_parse_modes_arg(values["modes"]) if "modes" in values
-             else tuple(expand_modes(values["max_sum"])) if "max_sum" in values
-             else DEFAULT_ORDERING)
-    return RunConfig(optical, turbulence, modes,
-                     values.get("normalize", NORMALIZATION_CALIBRATED),
-                     values.get("format"), values.get("output"))
-
-
 def _emit(text: str, output: str | None, mode: str = "w") -> None:
     if output is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -139,37 +138,36 @@ def _emit(text: str, output: str | None, mode: str = "w") -> None:
         raise DomainError(f"cannot write {output or repr(output)}: {reason}") from None
 
 
-def _compute_matrix(cfg: RunConfig):
-    return build_matrix(cfg.optical, cfg.turbulence, cfg.modes,
-                        normalization=cfg.normalization)
-
-
-def cmd_matrix(cfg: RunConfig) -> int:
-    matrix = _compute_matrix(cfg)
-    if cfg.fmt == "json":
-        _emit(serialization.matrix_to_json(matrix), cfg.output)
-    elif cfg.fmt == "csv" or cfg.output is not None:
-        _emit(serialization.matrix_to_csv(matrix), cfg.output)
+def cmd_matrix(args: argparse.Namespace) -> int:
+    matrix = build_matrix(*_channel(args), args.normalize or NORMALIZATION_CALIBRATED)
+    if args.format == "json":
+        _emit(serialization.matrix_to_json(matrix), args.output)
+    elif args.format == "csv" or args.output is not None:
+        _emit(serialization.matrix_to_csv(matrix), args.output)
     else:
-        header = "\n".join(
-            f"# {k}={v}" for k, v in serialization.matrix_params(matrix).items()
-            if v is not None
-        )
-        _emit(header + "\n" + serialization.format_matrix_table(matrix), None)
+        _emit(serialization.header(serialization.matrix_params(matrix))
+              + serialization.format_matrix_table(matrix), None)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, grid: list[float], pairs: list[ModePair]) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    link = _link(args)
+    # an empty --grid holds no point, which rytov_sweep rejects
+    grid = (list(validate.SWEEP_GRID) if args.grid is None
+            else [_number(float, "grid value", tok) for tok in args.grid.split(",") if args.grid])
+    pairs = [_parse_pair(tok)
+             for tok in ("00:00 00:01" if args.pairs is None else args.pairs).split()]
     # the series are keyed by "P" and the pair's label, so a pair given
     # twice would lose its column
     labels = [f"P{p.label()}" for p in pairs]
     for k, label in enumerate(labels):
         if label in labels[:k]:
             raise DomainError(f"pair {label[1:]} is given more than once")
-    series = dict(zip(labels, rytov_sweep(cfg.optical, grid, pairs, cfg.normalization)))
-    params = serialization.sweep_params(cfg.optical, cfg.normalization)
-    emit = serialization.sweep_to_json if cfg.fmt == "json" else serialization.sweep_to_csv
-    _emit(emit(list(grid), series, params), cfg.output)
+    normalization = args.normalize or NORMALIZATION_CALIBRATED
+    series = dict(zip(labels, rytov_sweep(link, grid, pairs, normalization)))
+    params = serialization.sweep_params(link, normalization)
+    emit = serialization.sweep_to_json if args.format == "json" else serialization.sweep_to_csv
+    _emit(emit(grid, series, params), args.output)
     return EXIT_OK
 
 
@@ -180,15 +178,19 @@ _NOTABLE = {
 }
 
 
-def cmd_rank(cfg: RunConfig) -> int:
-    turb_matrix = _compute_matrix(cfg)
-    vac_matrix = _compute_matrix(cfg._replace(turbulence=TurbulenceSpec()))
+def cmd_rank(args: argparse.Namespace) -> int:
+    link, turbulence, modes = _channel(args)
+    if turbulence == TurbulenceSpec():
+        raise DomainError("rank needs a turbulent channel: give --rytov or --cn2")
+    normalization = args.normalize or NORMALIZATION_CALIBRATED
+    turb_matrix = build_matrix(link, turbulence, modes, normalization)
+    vac_matrix = build_matrix(link, TurbulenceSpec(), modes, normalization)
 
     # one row per pair, the dict the JSON writes and the table formats
     retained, leaking = [], []
-    for i, s in enumerate(cfg.modes):
-        for j in range(i, len(cfg.modes)):
-            pair = ModePair(s, cfg.modes[j])
+    for i, s in enumerate(modes):
+        for j in range(i, len(modes)):
+            pair = ModePair(s, modes[j])
             label = pair.label()
             pt, note = turb_matrix.values[i][j], _NOTABLE.get(label, "")
             if selection_rule_allowed(pair):
@@ -203,8 +205,8 @@ def cmd_rank(cfg: RunConfig) -> int:
                   else float("-inf"), reverse=True)
     leaking.sort(key=lambda row: row["p_turb"], reverse=True)
 
-    if cfg.fmt == "json":
-        _emit(json.dumps({"retention": retained, "leakage": leaking}, indent=2), cfg.output)
+    if args.format == "json":
+        _emit(json.dumps({"retention": retained, "leakage": leaking}, indent=2), args.output)
         return EXIT_OK
     lines = ["retention (allowed pairs, P_turb / P_vac descending):"]
     for row in retained:
@@ -213,17 +215,17 @@ def cmd_rank(cfg: RunConfig) -> int:
                      "P_vac={p_vac:.5f}  {note}".format(shown=shown, **row))
     lines.append("leakage (forbidden pairs, P_turb descending):")
     lines += ["  {pair:>9}  P_turb={p_turb:.6f}  {note}".format(**row) for row in leaking]
-    _emit("\n".join(lines), cfg.output)
+    _emit("\n".join(lines), args.output)
     return EXIT_OK
 
 
-def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NODES) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     # a bad node count or report path fails before any check runs; appending
     # nothing leaves an existing report as it is
-    check_node_count(nodes)
-    if output is not None:
-        _emit("", output, "a")
-    results = validate.run_checks(vacuum_only=vacuum_only, oracle_nodes=nodes)
+    check_node_count(args.nodes)
+    if args.output is not None:
+        _emit("", args.output, "a")
+    results = validate.run_checks(vacuum_only=args.vacuum_only, oracle_nodes=args.nodes)
     report = {
         "passed": all(r.passed for r in results),
         "checks": [r.as_dict() for r in results],
@@ -235,30 +237,29 @@ def cmd_validate(vacuum_only: bool, output: str | None, nodes: int = DEFAULT_NOD
         print(f"{status:4}  {r.name}{dev}")
         if not r.passed:
             print(f"      {r.detail}")
-    if output is not None:
-        _emit(json.dumps(report, indent=2), output)
+    if args.output is not None:
+        _emit(json.dumps(report, indent=2), args.output)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
+
+
+_COMMANDS = {"matrix": cmd_matrix, "sweep": cmd_sweep, "rank": cmd_rank,
+             "validate": cmd_validate}
 
 
 def _add_common(parser: argparse.ArgumentParser, channel: bool,
                 formats: tuple[str, ...] = ("csv", "json")) -> None:
     """The link and output flags, --format offering formats, and with
-    channel the --cn2|--rytov and --modes|--max-sum groups between them:
-    matrix and rank read a channel and a mode grid, sweep neither."""
+    channel the _EXCLUSIVE_GROUPS between them: matrix and rank read a
+    channel and a mode grid, sweep neither."""
     parser.add_argument("--wavelength", type=float, help="wavelength [m]")
     parser.add_argument("--distance", type=float, help="propagation distance [m]")
     parser.add_argument("--pump-waist", dest="pump_waist", type=float,
                         help="pump amplitude spot at the crystal [m] "
                              "(effective width W0 = sqrt(2) x this)")
-    if channel:
-        turb = parser.add_mutually_exclusive_group()
-        turb.add_argument("--cn2", type=float, help="refractive-index structure constant")
-        turb.add_argument("--rytov", type=float, help="Rytov variance (dimensionless)")
-        modes = parser.add_mutually_exclusive_group()
-        modes.add_argument("--modes", type=str,
-                           help="space-separated 'mn' or 'm,n' tokens (default: 10-mode grid)")
-        modes.add_argument("--max-sum", dest="max_sum", type=int,
-                           help="expand all modes with m+n <= S")
+    for flags in _EXCLUSIVE_GROUPS if channel else ():
+        group = parser.add_mutually_exclusive_group()
+        for dest, kwargs in flags.items():
+            group.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
     parser.add_argument("--normalize", choices=[NORMALIZATION_RAW,
                                                 NORMALIZATION_CALIBRATED])
     parser.add_argument("--format", dest="format", choices=formats)
@@ -267,21 +268,22 @@ def _add_common(parser: argparse.ArgumentParser, channel: bool,
                         help="key=value config file; flags override it")
 
 
-def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
-    """The CLI's parser; without allow_abbrev, the subcommands that read a
-    config file take no abbreviated flag."""
+def build_parser(prog: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Given a prog, the parser of a config file: its
+    errors begin with prog, and its subcommands take no abbreviated flag."""
     parser = argparse.ArgumentParser(
-        prog="hgspdc",
+        prog=prog or "hgspdc",
         description="Joint detection probabilities of photon pairs in "
                     "Hermite-Gaussian modes through atmospheric turbulence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    abbrev = prog is None
 
-    p_matrix = sub.add_parser("matrix", allow_abbrev=allow_abbrev,
+    p_matrix = sub.add_parser("matrix", allow_abbrev=abbrev,
                               help="compute a probability matrix")
     _add_common(p_matrix, channel=True)
 
-    p_sweep = sub.add_parser("sweep", allow_abbrev=allow_abbrev,
+    p_sweep = sub.add_parser("sweep", allow_abbrev=abbrev,
                              help="sweep probabilities over rytov values")
     _add_common(p_sweep, channel=False)
     p_sweep.add_argument("--grid", type=str,
@@ -290,7 +292,7 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     p_sweep.add_argument("--pairs", type=str,
                          help="pair tokens 'ss:ii', space separated")
 
-    p_rank = sub.add_parser("rank", allow_abbrev=allow_abbrev,
+    p_rank = sub.add_parser("rank", allow_abbrev=abbrev,
                             help="rank mode pairs by turbulence robustness")
     _add_common(p_rank, channel=True, formats=("json",))
 
@@ -306,26 +308,12 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return cmd_validate(args.vacuum_only, args.output, args.nodes)
-        args = _with_config(args) if args.config else args
-        cfg = _build_run_config(args)
-        if args.command == "matrix":
-            return cmd_matrix(cfg)
-        if args.command == "sweep":
-            # an empty --grid holds no point, which rytov_sweep rejects
-            tokens = args.grid.split(",") if args.grid else []
-            grid = (list(validate.SWEEP_GRID) if args.grid is None
-                    else [_number(float, "grid value", tok) for tok in tokens])
-            pairs = "00:00 00:01" if args.pairs is None else args.pairs
-            return cmd_sweep(cfg, grid, [_parse_pair(tok) for tok in pairs.split()])
-        # argparse admits no other command than rank here
-        if cfg.turbulence == TurbulenceSpec():
-            raise DomainError("rank needs a turbulent channel: give --rytov or --cn2")
-        return cmd_rank(cfg)
+        # validate takes no config file
+        if getattr(args, "config", None) is not None:
+            args = _with_config(args)
+        return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS

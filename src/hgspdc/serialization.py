@@ -22,6 +22,12 @@ CSV_SIGNIFICANT_DIGITS = 12
 _CSV_FMT = f"%.{CSV_SIGNIFICANT_DIGITS}g"
 
 
+def header(params: dict) -> str:
+    """The '# key=value' header lines of params, one a line, None values
+    left out."""
+    return "".join(f"# {key}={val}\n" for key, val in params.items() if val is not None)
+
+
 def matrix_params(matrix: ProbabilityMatrix) -> dict:
     c = matrix.consts
     t = matrix.turbulence
@@ -61,17 +67,12 @@ def matrix_to_json(matrix: ProbabilityMatrix) -> str:
 
 
 def matrix_to_csv(matrix: ProbabilityMatrix) -> str:
-    out = io.StringIO()
-    for key, val in matrix_params(matrix).items():
-        if val is None:
-            continue
-        out.write(f"# {key}={val!r}\n" if isinstance(val, str) else f"# {key}={val}\n")
     norm = _normalization_obj(matrix)
-    if norm["reference_value"] is not None:
-        out.write(f"# reference_pair={norm['reference_pair']}\n")
-        out.write(f"# reference_value={norm['reference_value']}\n")
-    out.write(f"# calibration_factor={norm['calibration_factor']}\n")
-    out.write(f"# raw_reference_value={norm['raw_reference_value']}\n")
+    del norm["mode"]  # the params' normalization
+    if norm["reference_value"] is None:  # a raw matrix has no reference entry
+        norm["reference_pair"] = None
+    out = io.StringIO()
+    out.write(header({**matrix_params(matrix), **norm}))
     labels = [m.label() for m in matrix.ordering]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["signal\\idler", *labels])
@@ -131,9 +132,7 @@ def sweep_params(cfg: OpticalConfig, normalization: str) -> dict:
 def sweep_to_csv(grid: list[float], series: dict[str, list[float]],
                  params: dict | None = None) -> str:
     out = io.StringIO()
-    for key, val in (params or {}).items():
-        if val is not None:
-            out.write(f"# {key}={val}\n")
+    out.write(header(params or {}))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rytov", *series])
     for i, s2 in enumerate(grid):

@@ -128,6 +128,26 @@ class TestMatrixCommand:
         assert code == EXIT_OK
         assert parse_matrix_csv(out)["params"]["pump_waist_m"] == "0.09"
 
+    @pytest.mark.parametrize("argv", [[], ["--cn2", "2.4e-17", "--normalize", "raw"]],
+                             ids=["calibrated", "raw"])
+    def test_csv_header_reads_as_the_table_header_and_the_json(self, capsys, argv):
+        # one header writer: the CSV's values are the table's, strings
+        # unquoted, and each is the JSON's value as str() writes it
+        table = run(capsys, "matrix", *argv)[1]
+        csv_params = parse_matrix_csv(run(capsys, "matrix", *argv, "--format", "csv")[1])["params"]
+        doc = json.loads(run(capsys, "matrix", *argv, "--format", "json")[1])
+        table_params = dict(line[2:].split("=", 1) for line in table.splitlines()
+                            if line.startswith("# "))
+        json_params = {k: str(v) for k, v in doc["params"].items() if v is not None}
+        assert table_params == json_params
+        assert {k: csv_params[k] for k in table_params} == table_params
+        # the CSV adds the normalization fields; a raw matrix has no reference entry
+        norm = {k: str(v) for k, v in doc["normalization"].items() if v is not None}
+        del norm["mode"]
+        if "reference_value" not in norm:
+            del norm["reference_pair"]
+        assert {k: v for k, v in csv_params.items() if k not in table_params} == norm
+
     def test_invalid_params_exit_2(self, capsys):
         for argv in (["matrix", "--rytov", "-0.5"], ["sweep", "--grid", "a,b"],
                      ["sweep", "--pairs", "a,b:00"]):
@@ -238,10 +258,10 @@ class TestMatrixCommand:
         import hgspdc.cli as cli
         from hgspdc.errors import NumericalError
 
-        def boom(cfg):
+        def boom(*args):
             raise NumericalError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_compute_matrix", boom)
+        monkeypatch.setattr(cli, "build_matrix", boom)
         code, _, err = run(capsys, "matrix")
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
@@ -408,6 +428,40 @@ class TestConfigIsItsFlags:
         assert code == EXIT_PARAMS and out == ""
         assert message in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("text, command_named, message", [
+        ("rytov=x\n", True, "argument --rytov: invalid float value: 'x'"),
+        ("wavelenght=1e-6\n", False, "unrecognized arguments: --wavelenght=1e-6"),
+        ("ryt=0.02\n", False, "unrecognized arguments: --ryt=0.02"),
+        ("cn2=1e-16\nrytov=0.02\n", True, "argument --rytov: not allowed with argument --cn2"),
+    ], ids=["bad-value", "unknown-key", "abbreviation", "both-keys-of-a-group"])
+    def test_file_error_names_the_file(self, capsys, tmp_path, text, command_named, message):
+        cfg, out_path = tmp_path / "bad.cfg", tmp_path / "out.txt"
+        cfg.write_text(text)
+        code, out, err = run_exit(capsys, "matrix", "--config", str(cfg),
+                                  "--output", str(out_path))
+        assert code == EXIT_PARAMS and out == ""
+        prog = f"hgspdc --config {cfg}" + (" matrix" if command_named else "")
+        assert err.startswith(f"usage: {prog}")
+        assert err.endswith(f"\n{prog}: error: {message}\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["matrix", "--rytov", "x"], "hgspdc matrix: error: argument --rytov: "
+                                     "invalid float value: 'x'"),
+        (["matrix", "--cn2", "1e-16", "--rytov", "0.02"],
+         "hgspdc matrix: error: argument --rytov: not allowed with argument --cn2"),
+        (["matrix", "--wavelenght", "1e-6"], "hgspdc: error: unrecognized arguments: "
+                                             "--wavelenght 1e-6"),
+    ], ids=["bad-value", "both-flags-of-a-group", "unknown-flag"])
+    def test_flag_error_names_the_command(self, capsys, tmp_path, argv, message):
+        # a config file on the same command line does not change a flag's error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("modes=00\n")
+        for config in ([], ["--config", str(cfg)]):
+            code, out, err = run_exit(capsys, *argv, *config)
+            assert code == EXIT_PARAMS and out == ""
+            assert err.endswith(f"\n{message}\n") and str(cfg) not in err
 
     def test_rank_help_lists_json_only(self, capsys):
         with pytest.raises(SystemExit):
@@ -593,6 +647,40 @@ class TestUnreadInputs:
             assert flag not in out
 
 
+class TestFirstErrorWins:
+    """With several bad inputs, each command reports the one it reads first:
+    a config file's parse, then the link, the turbulence, the modes and the
+    rank refusal; sweep reads its link, then the grid, then the pairs."""
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["rank", "--modes", "x"], None,
+         "error: invalid parameters: cannot parse mode token 'x' (expected two digits)\n"),
+        (["matrix", "--rytov", "-1", "--modes", "x"], None,
+         "error: invalid parameters: rytov must be finite and >= 0, got -1.0\n"),
+        (["sweep", "--wavelength", "-1", "--grid", "x"], None,
+         "error: invalid parameters: wavelength, distance and pump_waist must all be "
+         "positive and finite, got (-1.0, 5000.0, 0.07071067811865475)\n"),
+        (["sweep", "--grid", "x", "--pairs", "00-01"], None,
+         "error: invalid parameters: grid value must be a number, got 'x'\n"),
+        (["matrix", "--modes", "x"], "wavelength=-1\n",
+         "error: invalid parameters: wavelength, distance and pump_waist must all be "
+         "positive and finite, got (-1.0, 5000.0, 0.07071067811865475)\n"),
+        (["matrix", "--wavelength", "-1"], "rytov=x\n",
+         "error: argument --rytov: invalid float value: 'x'\n"),
+    ], ids=["rank-modes-before-refusal", "turbulence-before-modes", "link-before-grid",
+            "grid-before-pairs", "file-link-before-flag-modes", "file-parse-before-flag-link"])
+    def test_first_bad_input_is_reported(self, capsys, tmp_path, argv, text, message):
+        out_path = tmp_path / "out.txt"
+        argv = [*argv, "--output", str(out_path)]
+        if text is not None:
+            (tmp_path / "run.cfg").write_text(text)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        code, out, err = run_exit(capsys, *argv)
+        assert code == EXIT_PARAMS and out == ""
+        assert err.endswith(message) and err.count("error:") == 1
+        assert not out_path.exists()
+
+
 class TestPathErrors:
     """A config file that cannot be read or an output path that cannot be
     written is a parameter error, exit 2 with one error line."""
@@ -607,6 +695,18 @@ class TestPathErrors:
         assert err == f"error: invalid parameters: cannot write {path}: " \
                       "No such file or directory\n"
         assert not path.exists()
+
+    @pytest.mark.parametrize("command", [["matrix"], ["sweep"], ["rank", "--rytov", "0.02"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("spelling", [["--config", ""], ["--config="]],
+                             ids=["config-space", "config-equals"])
+    def test_empty_config_path_exit_2(self, capsys, tmp_path, command, spelling):
+        # an empty path names no file; it is not read as no --config
+        out_path = tmp_path / "out.txt"
+        code, out, err = run(capsys, *command, *spelling, "--output", str(out_path))
+        assert code == EXIT_PARAMS and out == ""
+        assert err == "error: invalid parameters: --config path is empty\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_exit_2(self, capsys, tmp_path, kind):

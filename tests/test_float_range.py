@@ -2,9 +2,11 @@
 symmetric entries with finite normalization fields, or a typed error: a
 DomainError or NumericalError in process, exit 2 or 3 from the CLI.
 
-A seeded Hypothesis property draws the wavelength, distance and pump waist
-log-uniform over 1e-300..1e300; the links below are the ones that broke
-the contract before its checks landed, kept as plain regression tests."""
+Seeded Hypothesis properties draw the wavelength, distance and pump waist
+log-uniform over 1e-300..1e300, and Lambda0 and C's raw scale log-uniform
+over 1e-10..1e40 and 1..1e160, where the products Pi * Pi can overflow; the
+links below are the ones that broke the contract before its checks landed,
+kept as plain regression tests."""
 
 import contextlib
 import io
@@ -116,6 +118,27 @@ def test_every_link_gives_a_valid_matrix_or_a_typed_error(
         wavelength, distance, pump_waist, rytov, w_variant, normalization, max_sum):
     _check_channel(OpticalConfig(wavelength, distance, pump_waist), rytov, w_variant,
                    normalization, max_sum)
+
+
+# the Pi, and so the products Pi * Pi, are functions of Lambda0, gamma and
+# C's raw scale 1 / sqrt(lambda z) alone. A product overflows only in narrow
+# bands of waist-scale links with Lambda0 in about 1..1e36 and the scale in
+# 1..1e155, which the draw of lambda, z and p above rarely reaches; this
+# property draws Lambda0 and the scale themselves, over ranges just wider
+_LAMBDA0 = st.floats(-10.0, 40.0).map(lambda exponent: 10.0 ** exponent)
+_C_SCALE = st.floats(0.0, 160.0).map(lambda exponent: 10.0 ** exponent)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(lam0=_LAMBDA0, scale=_C_SCALE, rytov=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       w_variant=st.sampled_from([W_VARIANT_PROPAGATED, W_VARIANT_WAIST]),
+       normalization=st.sampled_from(NORMALIZATIONS), max_sum=st.integers(0, 10))
+def test_every_lambda0_and_scale_gives_a_valid_matrix_or_a_typed_error(
+        lam0, scale, rytov, w_variant, normalization, max_sum):
+    # lambda = z = 1 / scale, and Lambda0 = lambda z / (2 pi p^2) sets p
+    path = 1.0 / scale
+    cfg = OpticalConfig(path, path, path / math.sqrt(2 * math.pi * lam0))
+    _check_channel(cfg, rytov, w_variant, normalization, max_sum)
 
 
 @pytest.mark.parametrize("cfg", WAIST_OVERFLOWS, ids=["Lambda0=3.9e18", "Lambda0=1.6e49"])
